@@ -88,22 +88,21 @@ class PiecewiseAffineMatrixFunction:
             raise OutOfDomain(f"segment index {k} outside [{-self.m}, {self.m - 1}]")
         return self.coeffs[k + self.m], self.slopes[k + self.m]
 
-    def _clip(self, tau: float) -> float:
-        hz = self.horizon
-        slack = 1e-9 * max(1.0, hz)
-        if tau < -hz - slack or tau > hz + slack:
-            raise OutOfDomain(f"function defined on [{-hz}, {hz}], got {tau}")
-        return min(max(tau, -hz), hz)
-
     def evaluate(self, tau: float) -> np.ndarray:
-        tau = self._clip(float(tau))
-        k = min(max(int(math.floor(tau / self.h)), -self.m), self.m - 1)
-        xi = tau - k * self.h
-        return self.coeffs[k + self.m] + xi * self.slopes[k + self.m]
+        return self.evaluate_many(float(tau))
 
     def evaluate_many(self, taus: Sequence[float]) -> np.ndarray:
+        """Values at every tau, shaped taus.shape + (n, n).  Points within
+        a relative 1e-9 of +-H are clipped onto the domain; any other point
+        outside it raises OutOfDomain naming the first such tau."""
         taus = np.asarray(taus, dtype=float)
-        flat = np.array([self._clip(float(t)) for t in taus.ravel()])
+        flat = taus.ravel()
+        hz = self.horizon
+        slack = 1e-9 * max(1.0, hz)
+        bad = np.flatnonzero(~((flat >= -hz - slack) & (flat <= hz + slack)))
+        if bad.size:
+            raise OutOfDomain(f"function defined on [{-hz}, {hz}], got {float(flat[bad[0]])}")
+        flat = np.clip(flat, -hz, hz)
         k = np.clip(np.floor(flat / self.h).astype(int), -self.m, self.m - 1)
         xi = flat - k * self.h
         p = k + self.m
@@ -238,13 +237,28 @@ def build_single_delay(
     )
 
 
+def _block_triplets(row_blocks: np.ndarray, blocks, n2: int):
+    """COO triplets of the block rows row_blocks, each holding every
+    (shift, block) of blocks at block column row + shift, in that order."""
+    parts = []
+    for shift, blk in blocks:
+        rr, cc = np.nonzero(blk)
+        parts.append((rr, cc, np.full(rr.size, shift), blk[rr, cc]))
+    rr, cc, shift, vals = (np.concatenate(x) for x in zip(*parts))
+    rows = row_blocks[:, None] * n2 + rr
+    cols = (row_blocks[:, None] + shift) * n2 + cc
+    return rows.ravel(), cols.ravel(), np.tile(vals, row_blocks.size)
+
+
 def _commensurate_blocks(form: CommensurateForm, w: np.ndarray):
-    """Block rows of the commensurate construction.
+    """Block system of the commensurate construction.
 
     Unknown p = k + m holds the segment U(k h + xi).  Dynamic rows cover
-    k = 0..m-1, symmetry rows cover k = 1..m and land at p = m - k.  The
-    right side is affine in xi; only symmetry rows have nonzero data.
-    Yields (row, col, block) placements plus the two right-hand sides.
+    k = 0..m-1, symmetry rows cover k = 1..m and land at p = m - k.  Each
+    row holds an identity block plus one block per nonzero coefficient
+    C_j, so assembly costs O(m q) blocks for q delays.  The right side is
+    affine in xi; only symmetry rows have nonzero data.  Returns the
+    operator as a COO matrix plus the two right-hand sides.
     """
     n = form.n
     m = form.m
@@ -252,11 +266,10 @@ def _commensurate_blocks(form: CommensurateForm, w: np.ndarray):
     coeffs = form.coefficients
     s = np.sum(coeffs, axis=0)
     base = np.linalg.inv(s - np.eye(n))
+    nonzero = [(j, c) for j, c in enumerate(coeffs, start=1) if np.any(c)]
     inner = np.zeros((n, n))
     q_acc = np.zeros((n, n))
-    for j, c in enumerate(coeffs, start=1):
-        if not np.any(c):
-            continue
+    for j, c in nonzero:
         hj = j * h
         inner += hj * (w @ base @ c - c.T @ base.T @ w)
         q_acc += hj * c.T
@@ -265,29 +278,25 @@ def _commensurate_blocks(form: CommensurateForm, w: np.ndarray):
     q_mat = q_acc @ base.T
     wk0 = w @ base
     n2 = n * n
-    placements = []
-    b_const = np.zeros(2 * m * n2)
-    b_slope = np.zeros(2 * m * n2)
+    unknowns = 2 * m * n2
     eye_n = np.eye(n)
-    eye_block = np.eye(n2)
-    for k in range(0, m):
-        row = k + m
-        placements.append((row, row, eye_block))
-        for j, c in enumerate(coeffs, start=1):
-            if not np.any(c):
-                continue
-            placements.append((row, k - j + m, -np.kron(c.T, eye_n)))
+    eye_block = (0, np.eye(n2))
+    dyn = _block_triplets(
+        np.arange(m, 2 * m), [eye_block] + [(-j, -np.kron(c.T, eye_n)) for j, c in nonzero], n2
+    )
+    sym = _block_triplets(
+        np.arange(m - 1, -1, -1), [eye_block] + [(j, -np.kron(eye_n, c.T)) for j, c in nonzero], n2
+    )
+    rows, cols, data = (np.concatenate(x) for x in zip(dyn, sym))
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(unknowns, unknowns))
+    b_const = np.zeros(unknowns)
+    b_slope = np.zeros(unknowns)
+    b_slope[: m * n2] = np.tile(_vec(-wk0), m)
+    kp = k0_invt @ p_mat
     for k in range(1, m + 1):
         row = m - k
-        placements.append((row, row, eye_block))
-        for j, c in enumerate(coeffs, start=1):
-            if not np.any(c):
-                continue
-            placements.append((row, m - k + j, -np.kron(eye_n, c.T)))
-        rhs_c = -(k0_invt @ p_mat + (-k * h * eye_n + q_mat) @ wk0)
-        b_const[row * n2:(row + 1) * n2] = _vec(rhs_c)
-        b_slope[row * n2:(row + 1) * n2] = _vec(-wk0)
-    return placements, b_const, b_slope
+        b_const[row * n2:(row + 1) * n2] = _vec(-(kp + (-k * h * eye_n + q_mat) @ wk0))
+    return mat, b_const, b_slope
 
 
 def build_commensurate(
@@ -316,12 +325,10 @@ def build_commensurate(
         raise SizeExceeded(
             f"construction needs {unknowns} unknowns, cap is {max_unknowns}"
         )
-    placements, b_const, b_slope = _commensurate_blocks(form, weight.matrix)
+    mat, b_const, b_slope = _commensurate_blocks(form, weight.matrix)
     if unknowns <= dense_cutoff:
         solver = "dense"
-        mat = np.zeros((unknowns, unknowns))
-        for r, c, blk in placements:
-            mat[r * n2:(r + 1) * n2, c * n2:(c + 1) * n2] += blk
+        mat = mat.toarray()
         try:
             lu_piv = sla.lu_factor(mat)
         except (sla.LinAlgError, ValueError) as exc:
@@ -332,18 +339,7 @@ def build_commensurate(
         sol_s = sla.lu_solve(lu_piv, b_slope)
     else:
         solver = "sparse"
-        rows = []
-        cols = []
-        data = []
-        for r, c, blk in placements:
-            rr, cc = np.nonzero(blk)
-            rows.append(rr + r * n2)
-            cols.append(cc + c * n2)
-            data.append(blk[rr, cc])
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(unknowns, unknowns),
-        ).tocsc()
+        mat = mat.tocsc()
         try:
             lu = spla.splu(mat)
         except RuntimeError as exc:
@@ -354,7 +350,8 @@ def build_commensurate(
             rmatvec=lambda v: lu.solve(v, trans="T"),
         )
         try:
-            cond = float(spla.onenormest(mat)) * float(spla.onenormest(inv_op))
+            # exact ||A||_1; t=1 keeps the ||A^-1||_1 estimate free of random draws
+            cond = float(spla.norm(mat, 1)) * float(spla.onenormest(inv_op, t=1))
         except (RuntimeError, ValueError):
             cond = math.inf
         _check_condition(cond, cond_warn, cond_fail, "commensurate")
@@ -362,8 +359,10 @@ def build_commensurate(
         sol_s = lu.solve(b_slope)
     if not (np.all(np.isfinite(sol_c)) and np.all(np.isfinite(sol_s))):
         raise CriticalSystem("commensurate block system produced non-finite segments")
-    coeffs = np.stack([_unvec(sol_c[p * n2:(p + 1) * n2], n) for p in range(2 * m)])
-    slopes = np.stack([_unvec(sol_s[p * n2:(p + 1) * n2], n) for p in range(2 * m)])
+    # segment p is the column-stacked block p of the solution
+    coeffs, slopes = (
+        np.ascontiguousarray(v.reshape(2 * m, n, n).transpose(0, 2, 1)) for v in (sol_c, sol_s)
+    )
     return PiecewiseAffineMatrixFunction(
         h=float(form.h),
         m=m,
@@ -411,11 +410,8 @@ def residuals(
     for d, a in vsys.entries:
         dyn_vals = dyn_vals + u.evaluate_many(nonneg - float(d)) @ a
     dyn = float(np.max(np.abs(dyn_vals)))
-    cont = 0.0
-    for pidx in range(2 * u.m - 1):
-        left_end = u.coeffs[pidx] + u.h * u.slopes[pidx]
-        gap = float(np.max(np.abs(left_end - u.coeffs[pidx + 1])))
-        cont = max(cont, gap)
+    left_ends = u.coeffs[:-1] + u.h * u.slopes[:-1]
+    cont = float(np.max(np.abs(left_ends - u.coeffs[1:]), initial=0.0))
     return ResidualReport(
         symmetry=sym,
         dynamic=dyn,

@@ -32,6 +32,8 @@ Delay = Union[float, Fraction]
 # |det(sum A_j - I)| must exceed this times the matrix norm to the n-th
 # power, otherwise K0 is declared unreliable.
 DET_RTOL = 1e-12
+# complex entries per stacked eigvals call of the torus grid (1 MiB)
+TORUS_CHUNK_ENTRIES = 1 << 16
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -395,17 +397,18 @@ def _companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
 def _torus_radius(delays: Sequence[float], mats: Sequence[np.ndarray], points: int) -> float:
     """Largest spectral radius of sum A_j exp(i theta_j) over a uniform
     grid on the torus.  A sampled lower bound of the true supremum, hence
-    only a heuristic certificate."""
-    m = len(delays)
-    thetas = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    only a heuristic certificate.  Stacked eigvals calls walk the grid in
+    row-major order, TORUS_CHUNK_ENTRIES matrix entries at a time."""
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
+    total = points ** len(delays)
+    chunk = max(1, TORUS_CHUNK_ENTRIES // mats[0].size)
     worst = 0.0
-    for idx in np.ndindex(*([points] * m)):
-        acc = np.zeros_like(mats[0], dtype=complex)
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * len(delays))
+        acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
         for a, i in zip(mats, idx):
-            acc = acc + a * np.exp(1j * thetas[i])
-        r = float(np.max(np.abs(np.linalg.eigvals(acc))))
-        if r > worst:
-            worst = r
+            acc = acc + a * phases[i][:, None, None]
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(acc)))))
     return worst
 
 

@@ -7,8 +7,48 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap.lyapunov_build import _commensurate_blocks
 
 from conftest import random_stable_single
+
+
+@st.composite
+def commensurate_systems(draw):
+    """Random rational systems with q = 2..3 delays and m <= 30 steps.
+    The 2-norms of the coefficients sum to 0.6, which keeps every
+    companion eigenvalue below 0.6 and so the block system regular."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 3))
+    den = draw(st.integers(1, 4))
+    steps = sorted(draw(st.sets(st.integers(1, 30), min_size=q, max_size=q)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(q)]
+    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+    pairs = [(Fraction(k, den), scale * a) for k, a in zip(steps, mats)]
+    return dl.validate(dl.DelaySystem(n, pairs))
+
+
+def reference_operator(form):
+    """The block operator by the O(m^2) placement loop over every
+    coefficient slot, the reference for the assembly."""
+    n, m = form.n, form.m
+    n2 = n * n
+    mat = np.zeros((2 * m * n2, 2 * m * n2))
+
+    def put(row, col, blk):
+        mat[row * n2:(row + 1) * n2, col * n2:(col + 1) * n2] += blk
+
+    for k in range(m):
+        put(k + m, k + m, np.eye(n2))
+        for j, c in enumerate(form.coefficients, start=1):
+            if np.any(c):
+                put(k + m, k - j + m, -np.kron(c.T, np.eye(n)))
+    for k in range(1, m + 1):
+        put(m - k, m - k, np.eye(n2))
+        for j, c in enumerate(form.coefficients, start=1):
+            if np.any(c):
+                put(m - k, m - k + j, -np.kron(np.eye(n), c.T))
+    return mat
 
 
 class TestScalarClosedForm:
@@ -32,19 +72,38 @@ class TestScalarClosedForm:
 
 class TestPiecewiseAffine:
     def test_evaluate_many_matches_scalar_calls(self, u_ex2a):
-        taus = np.linspace(-1.5, 1.5, 41)
+        taus = np.concatenate([np.linspace(-1.5, 1.5, 41), u_ex2a.knots()])
         stacked = u_ex2a.evaluate_many(taus)
         for i, tau in enumerate(taus):
             np.testing.assert_array_equal(stacked[i], u_ex2a.evaluate(float(tau)))
 
     def test_out_of_domain(self, u_ex2a):
-        for tau in (1.6, -1.7, 50.0):
+        for tau in (1.6, -1.7, 50.0, float("nan")):
             with pytest.raises(dl.OutOfDomain):
                 u_ex2a.evaluate(tau)
+
+    def test_evaluate_many_one_point_out_of_domain(self, u_ex2a):
+        taus = np.linspace(-1.5, 1.5, 31)
+        taus[17] = 1.6
+        with pytest.raises(dl.OutOfDomain, match="got 1.6$"):
+            u_ex2a.evaluate_many(taus)
+        taus[5] = -1.7
+        with pytest.raises(dl.OutOfDomain, match="got -1.7$"):
+            u_ex2a.evaluate_many(taus)
 
     def test_endpoints_with_roundoff_ok(self, u_ex2a):
         u_ex2a.evaluate(1.5 + 1e-12)
         u_ex2a.evaluate(-1.5 - 1e-12)
+        vals = u_ex2a.evaluate_many([1.5 + 1e-12, 1.5 - 1e-12, -1.5 + 1e-12, -1.5 - 1e-12])
+        np.testing.assert_array_equal(vals[0], u_ex2a.evaluate(1.5))
+        np.testing.assert_array_equal(vals[3], u_ex2a.evaluate(-1.5))
+
+    def test_evaluate_many_keeps_shape(self, u_ex2a):
+        assert u_ex2a.evaluate_many(0.25).shape == (2, 2)
+        grid = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+        vals = u_ex2a.evaluate_many(grid)
+        assert vals.shape == (3, 4, 2, 2)
+        np.testing.assert_array_equal(vals[1, 2], u_ex2a.evaluate(grid[1, 2]))
 
     def test_segment_reconstructs_evaluate(self, u_ex2a):
         # segment k covers [k h, (k+1) h] with the intercept at the left knot
@@ -125,6 +184,34 @@ class TestSolverRoutes:
         taus = np.linspace(-1.5, 1.5, 301)
         gap = np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus)))
         assert gap <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(vsys=commensurate_systems())
+    def test_sparse_agrees_with_dense_random(self, vsys):
+        form = dl.to_commensurate(vsys)
+        w = dl.WeightMatrix.identity(vsys.n)
+        mat, _, _ = _commensurate_blocks(form, w.matrix)
+        np.testing.assert_array_equal(mat.toarray(), reference_operator(form))
+        dense = dl.build_commensurate(form, w)
+        sparse = dl.build_commensurate(form, w, dense_cutoff=0)
+        assert (dense.solver, sparse.solver) == ("dense", "sparse")
+        taus = np.linspace(-dense.horizon, dense.horizon, 201)
+        assert np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus))) <= 1e-10
+        for u in (dense, sparse):
+            assert dl.residuals(u, vsys, w).max_residual() <= 1e-8
+
+    def test_order7_ladder_rung(self, ex3, w2):
+        # the sqrt(2) convergent 577/408: m = 577, 4616 unknowns, sparse
+        form = dl.approximate_system(ex3, 7)
+        before = np.random.get_state()
+        u = dl.build_commensurate(form, w2)
+        again = dl.build_commensurate(form, w2)
+        after = np.random.get_state()
+        assert (u.solver, 2 * u.m * u.n * u.n) == ("sparse", 4616)
+        assert u.condition_estimate == again.condition_estimate
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
+        assert dl.residuals(u, form.to_system(), w2).max_residual() <= 1e-8
 
     def test_size_cap(self, w2):
         big = dl.validate(dl.DelaySystem(1, [
