@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ DEFAULT_LATTICE_CAP = 1_000_000
 MERGE_TOL_SCALE = 1e-9
 # jump entries smaller than this (max abs) are dropped from tables
 JUMP_DROP_TOL = 1e-14
+# (grid point, instant, delay) triples per chunk of the convolution response
+CAUCHY_CHUNK_PAIRS = 1 << 12
 
 
 class _Lattice:
@@ -124,16 +126,10 @@ class _Lattice:
         return i - 1
 
     def instant_index(self, t) -> int | None:
-        """Index of the instant equal to t (snapped), or None."""
+        """Index of the instant equal to t (exactly on Fraction lattices,
+        snapped on float ones), or None."""
         if self.exact:
-            if isinstance(t, Fraction):
-                return self._index.get(t)
-            x = float(t)
-            i = int(np.searchsorted(self.floats, x))
-            for j in (i - 1, i):
-                if 0 <= j < len(self.floats) and abs(self.floats[j] - x) <= self.snap:
-                    return j
-            return None
+            return self._index.get(t)
         q = self.snap if self.snap > 0 else 1.0
         x = float(t)
         b = round(x / q)
@@ -155,6 +151,40 @@ def discontinuity_instants(
     return [float(t) for t in lat.instants]
 
 
+def snapped_lookup(
+    points: np.ndarray, ts, snap: float, limit: float, *, instants: bool = False, domain: str = "lookup"
+) -> np.ndarray:
+    """Vectorised lookup of query times ts in the sorted array points.
+
+    Segment mode gives the index i with points[i] <= t < points[i+1], a t
+    within snap below points[i+1] counting as that instant, and -1 below
+    the first point.  Instant mode (instants=True) gives the index of the
+    first point within snap of t, or -1.  Any t that is not <= limit (NaN
+    included) raises OutOfDomain naming domain and the first such t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    bad = np.flatnonzero(~(ts <= limit))
+    if bad.size:
+        raise OutOfDomain(f"{domain}, got {float(ts.flat[bad[0]])}")
+    last = len(points) - 1
+    if instants:
+        i = np.searchsorted(points, ts)
+        below = (i >= 1) & (np.abs(points[np.maximum(i - 1, 0)] - ts) <= snap)
+        above = (i <= last) & (np.abs(points[np.minimum(i, last)] - ts) <= snap)
+        return np.where(below, i - 1, np.where(above, i, -1))
+    i = np.searchsorted(points, ts, side="right")
+    snapped = (i <= last) & (points[np.minimum(i, last)] - ts <= snap)
+    return np.where(snapped, i, i - 1)
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis strictly left to right, as a loop of += does
+    (numpy's own reduce may add pairwise)."""
+    if not len(terms):
+        return np.zeros(terms.shape[1:])
+    return np.cumsum(terms, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class StepMatrixFunction:
     """Piecewise constant matrix function, right continuous, with a single
@@ -174,24 +204,18 @@ class StepMatrixFunction:
     def n(self) -> int:
         return self.pre_value.shape[0]
 
-    def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.breakpoints, t, side="right"))
-        if i < len(self.breakpoints) and self.breakpoints[i] - t <= self.snap:
-            return i
-        return i - 1
-
     def value(self, t: float) -> np.ndarray:
-        if t > self.horizon + max(self.snap, 1e-12 * max(1.0, self.horizon)):
-            raise OutOfDomain(f"function built on [0, {self.horizon}], got {t}")
-        i = self._segment(float(t))
-        return self.pre_value if i < 0 else self.values[i]
+        return self.value_many(float(t))
 
     def value_many(self, ts: Iterable[float]) -> np.ndarray:
-        ts = np.asarray(list(ts) if not isinstance(ts, np.ndarray) else ts, dtype=float)
-        out = np.empty(ts.shape + self.pre_value.shape)
-        for k, t in np.ndenumerate(ts):
-            out[k] = self.value(float(t))
-        return out
+        """Values at every t, shaped ts.shape + (n, n); OutOfDomain past
+        the horizon (with a small slack) or at NaN."""
+        if isinstance(ts, Iterator):
+            ts = list(ts)
+        limit = self.horizon + max(self.snap, 1e-12 * max(1.0, self.horizon))
+        domain = f"function built on [0, {self.horizon}]"
+        i = snapped_lookup(self.breakpoints, ts, self.snap, limit, domain=domain)
+        return np.where((i < 0)[..., None, None], self.pre_value, self.values[np.maximum(i, 0)])
 
     def jumps(self) -> np.ndarray:
         """Value differences across breakpoints, including the first."""
@@ -224,13 +248,13 @@ class JumpTable:
     def __len__(self) -> int:
         return len(self.times)
 
+    def index_many(self, ts) -> np.ndarray:
+        """Index of the retained instant within tol of each t, or -1."""
+        return snapped_lookup(self.times, ts, self.tol, math.inf, instants=True, domain="jump table")
+
     def jump_at(self, t) -> np.ndarray | None:
-        x = float(t)
-        i = int(np.searchsorted(self.times, x))
-        for j in (i - 1, i):
-            if 0 <= j < len(self.times) and abs(self.times[j] - x) <= self.tol:
-                return self.jumps[j]
-        return None
+        i = int(self.index_many(float(t)))
+        return None if i < 0 else self.jumps[i]
 
     def pairs(self):
         return zip(self.times, self.jumps)
@@ -396,21 +420,26 @@ def simulate_cauchy(
     tmax = float(np.max(grid)) if grid.size else 0.0
     table = delta_k(vsys, tmax, cap=cap)
     btol = table.tol
-    entries = [(float(d), a) for d, a in vsys.entries]
+    delays = np.array([float(d) for d in vsys.delays])
+    mats = np.array(vsys.matrices)
+    # the instants t - H <= t_q <= t + 2 btol hold every term with btol to
+    # spare; the loop-order tests below pick the terms out exactly
+    lo = np.searchsorted(table.times, grid - delays[-1])
+    counts = np.searchsorted(table.times, grid + 2.0 * btol, side="right") - lo
+    step = max(1, CAUCHY_CHUNK_PAIRS // (len(delays) * max(1, int(counts.max(initial=0)))))
     out = np.zeros((len(grid), vsys.n))
-    for i, t in enumerate(grid):
-        acc = np.zeros(vsys.n)
-        for tq, dk in table.pairs():
-            if tq > t + btol:
-                break
-            for d, a in entries:
-                theta = float(t) - d - float(tq)
-                if abs(theta + d) <= btol:
-                    theta = -d
-                elif theta >= -btol or theta < -d:
-                    continue
-                acc += dk @ (a @ phi.value(theta))
-        out[i] = acc
+    for g0 in range(0, len(grid), step):
+        c = counts[g0:g0 + step]
+        row = np.repeat(np.arange(g0, g0 + len(c)), c)
+        q = np.arange(row.size) + np.repeat(lo[g0:g0 + step] - (np.cumsum(c) - c), c)
+        # triples in the order (grid point, instant, delay) of a plain loop
+        row, q, j = np.repeat(row, len(delays)), np.repeat(q, len(delays)), np.tile(np.arange(len(delays)), row.size)
+        t, tq, d = grid[row], table.times[q], delays[j]
+        theta = t - d - tq
+        snap = np.abs(theta + d) <= btol
+        keep = (tq <= t + btol) & (snap | ((theta < -btol) & (theta >= -d)))
+        phis = phi.value_many(np.where(snap, -d, theta)[keep])[..., None]
+        np.add.at(out, row[keep], np.matmul(table.jumps[q[keep]], np.matmul(mats[j[keep]], phis))[..., 0])
     return out
 
 

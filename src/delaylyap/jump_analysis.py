@@ -21,18 +21,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotStable
-from .fundamental import JumpTable, delta_k, fundamental_matrix
+from .fundamental import JumpTable, delta_k, fundamental_matrix, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .system_model import (
     StabilityReport,
     ValidatedSystem,
     WeightMatrix,
+    default_horizon,
     k0,
-    stability_check,
+    require_stable,
 )
 
-SERIES_TARGET = 1e-12
+STABLE_LABEL = "jump series need"
 SPECTRUM_DROP_TOL = 1e-14
 
 
@@ -103,26 +103,8 @@ class JumpPropertyReport:
         }
 
 
-def _require_stable(vsys: ValidatedSystem, report: StabilityReport | None) -> StabilityReport:
-    if report is None:
-        report = stability_check(vsys)
-    if not report.stable:
-        raise NotStable(
-            f"jump series need a verified stable system, got verdict "
-            f"{report.verdict!r} (method {report.method}, radius "
-            f"{report.spectral_radius:.6g})"
-        )
-    if report.decay_gain is None or report.decay_rate is None:
-        report = stability_check(vsys)
-    return report
-
-
-def default_series_horizon(
-    vsys: ValidatedSystem, report: StabilityReport, target: float = SERIES_TARGET
-) -> float:
-    rho = report.spectral_radius
-    t = report.rate_step * math.log(target) / math.log(rho)
-    return max(t, 3.0 * vsys.h_max)
+# the series truncate at the same per-step decay as the integral oracle
+default_series_horizon = default_horizon
 
 
 def _delta_series_tail(report: StabilityReport, w2: float, k0n: float, tau: float, horizon: float, gap: float) -> float:
@@ -153,21 +135,18 @@ def delta_u_prime(
     aligned terms).  For non-commensurate systems the reported bound uses
     the smallest gap seen on the generated lattice, which is a heuristic
     because deeper lattice gaps can shrink further."""
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     tau = float(tau)
     if horizon is None:
-        horizon = max(default_series_horizon(vsys, report), abs(tau) + vsys.h_min)
+        horizon = max(default_horizon(vsys, report), abs(tau) + vsys.h_min)
     if table is None or table.horizon < horizon + max(tau, 0.0):
         table = delta_k(vsys, horizon + max(tau, 0.0) + vsys.h_min, drop_tol=0.0)
     w = weight.matrix
-    n = vsys.n
-    acc = np.zeros((n, n))
-    for tq, dk in table.pairs():
-        if tq > horizon + table.tol:
-            break
-        other = table.jump_at(tq + tau)
-        if other is not None:
-            acc -= dk.T @ w @ other
+    count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+    other = table.index_many(table.times[:count] + tau)
+    hit = other >= 0
+    left = np.swapaxes(table.jumps[:count][hit], 1, 2)
+    acc = -sequential_sum(np.matmul(np.matmul(left, w), table.jumps[other[hit]]))
     base_norm = float(np.linalg.norm(k0(vsys), 2))
     tail = _delta_series_tail(
         report,
@@ -190,19 +169,17 @@ def u_prime_series(
 ) -> TruncatedSeries:
     """Derivative of U at an off-knot shift tau by the truncated series,
     with its tail bound.  Requires horizon >= |tau|."""
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     tau = float(tau)
     if horizon is None:
-        horizon = max(default_series_horizon(vsys, report), abs(tau) + vsys.h_min)
+        horizon = max(default_horizon(vsys, report), abs(tau) + vsys.h_min)
     table = delta_k(vsys, horizon + vsys.h_min, drop_tol=0.0)
     kfun = fundamental_matrix(vsys, horizon + max(-tau, 0.0) + vsys.h_min)
     base = k0(vsys)
     w = weight.matrix
-    acc = np.zeros_like(base)
-    for tq, dk in table.pairs():
-        if tq > horizon + table.tol:
-            break
-        acc += (kfun.value(float(tq) - tau) - base).T @ w @ dk
+    count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+    left = np.swapaxes(kfun.value_many(table.times[:count] - tau) - base, 1, 2)
+    acc = sequential_sum(np.matmul(np.matmul(left, w), table.jumps[:count]))
     gamma, sigma = report.decay_gain, report.decay_rate
     w2 = float(np.linalg.norm(w, 2))
     k0n = float(np.linalg.norm(base, 2))
@@ -265,9 +242,9 @@ def check_jump_properties(
     The default grid is the set of knot shifts k h for commensurate
     systems, or lattice differences inside [-H, H] otherwise.
     """
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
-        horizon = default_series_horizon(vsys, report)
+        horizon = default_horizon(vsys, report)
     hmax = vsys.h_max
     if tau_grid is None:
         if vsys.is_rational:

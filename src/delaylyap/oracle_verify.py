@@ -23,46 +23,24 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotStable
-from .fundamental import StepMatrixFunction, fundamental_matrix
+from .fundamental import StepMatrixFunction, fundamental_matrix, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .system_model import (
     StabilityReport,
     ValidatedSystem,
     WeightMatrix,
+    default_horizon,
     k0,
-    stability_check,
+    require_stable,
 )
 
-TAIL_TARGET = 1e-12
+STABLE_LABEL = "integral oracle needs"
 
 
 class IntegralEstimate(NamedTuple):
     value: np.ndarray
     tail_bound: float
     horizon: float
-
-
-def _require_stable(vsys: ValidatedSystem, report: StabilityReport | None) -> StabilityReport:
-    if report is None:
-        report = stability_check(vsys)
-    if not report.stable:
-        raise NotStable(
-            f"integral oracle needs a verified stable system, got verdict "
-            f"{report.verdict!r} (method {report.method}, radius "
-            f"{report.spectral_radius:.6g})"
-        )
-    if report.decay_gain is None or report.decay_rate is None:
-        report = stability_check(vsys)
-    return report
-
-
-def default_horizon(vsys: ValidatedSystem, report: StabilityReport, target: float = TAIL_TARGET) -> float:
-    """Horizon at which the per-step decay has fallen to target, floored
-    at a few top delays so short systems still integrate something."""
-    rho = report.spectral_radius
-    t = report.rate_step * math.log(target) / math.log(rho)
-    return max(t, 3.0 * vsys.h_max)
 
 
 def _u_tail_bound(report: StabilityReport, w2: float, k0n: float, tau: float, horizon: float) -> float:
@@ -83,14 +61,9 @@ def _u_sum_from_k(
     shifted = kfun.breakpoints - tau
     shifted = shifted[(shifted > 0.0) & (shifted < horizon)]
     pts = np.unique(np.concatenate([cuts, shifted, [0.0, horizon]]))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    widths = np.diff(pts)
-    acc = np.zeros_like(base)
-    for mid, width in zip(mids, widths):
-        if width <= 0.0:
-            continue
-        acc += width * (kfun.value(mid) - base).T @ w @ kfun.value(mid + tau)
-    return acc
+    mids, widths = 0.5 * (pts[:-1] + pts[1:]), np.diff(pts)
+    left = widths[:, None, None] * np.swapaxes(kfun.value_many(mids) - base, 1, 2)
+    return sequential_sum(np.matmul(np.matmul(left, w), kfun.value_many(mids + tau)))
 
 
 def u_integral_oracle(
@@ -108,7 +81,7 @@ def u_integral_oracle(
     exact up to rounding.  Requires horizon >= |tau| for the tail bound to
     be valid.
     """
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = default_horizon(vsys, report)
     tau = float(tau)
@@ -132,22 +105,16 @@ def p_integral_oracle(
     report: StabilityReport | None = None,
 ) -> IntegralEstimate:
     """Truncated integral route to the antisymmetric constant P."""
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = default_horizon(vsys, report)
     kfun = fundamental_matrix(vsys, horizon + vsys.h_min)
     base = k0(vsys)
     w = weight.matrix
     pts = np.unique(np.concatenate([kfun.breakpoints[kfun.breakpoints <= horizon], [0.0, horizon]]))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    widths = np.diff(pts)
-    acc = np.zeros_like(base)
     wk = w @ base
-    for mid, width in zip(mids, widths):
-        if width <= 0.0:
-            continue
-        kv = kfun.value(mid)
-        acc += width * (kv.T @ wk - wk.T @ kv)
+    kv = kfun.value_many(0.5 * (pts[:-1] + pts[1:]))
+    acc = sequential_sum(np.diff(pts)[:, None, None] * (np.matmul(np.swapaxes(kv, 1, 2), wk) - np.matmul(wk.T, kv)))
     gamma, sigma = report.decay_gain, report.decay_rate
     w2 = float(np.linalg.norm(w, 2))
     k0n = float(np.linalg.norm(base, 2))
@@ -193,7 +160,7 @@ def cross_check(
     [-H, H] (101 uniform points by default).  Each point must agree within
     the point's tail bound plus slack; the fundamental matrix is built
     once and shared across all grid points."""
-    report = _require_stable(vsys, report)
+    report = require_stable(vsys, report, STABLE_LABEL)
     hz = u.horizon
     if grid is None:
         grid = np.linspace(-hz, hz, 101)

@@ -23,6 +23,8 @@ from .errors import (
     NonFiniteInput,
     NonincreasingDelays,
     NonRationalInput,
+    NotStable,
+    OutOfDomain,
     ParseError,
     SingularK0,
 )
@@ -199,27 +201,24 @@ class InitialFunction:
         return self.values.shape[1]
 
     def value(self, theta: float) -> np.ndarray:
-        """Evaluate at theta < 0.  Tiny float overshoot below the left end
-        is clamped; anything at or above 0 is rejected."""
-        if theta >= 0.0:
-            from .errors import OutOfDomain
+        return self.value_many(float(theta))
 
-            raise OutOfDomain(f"initial function is defined on [{self.left_end}, 0), got {theta}")
+    def value_many(self, thetas) -> np.ndarray:
+        """Evaluate at every theta < 0, shaped thetas.shape + (n,).  Tiny
+        float overshoot below the left end is clamped; anything at or above
+        0 (or NaN) raises OutOfDomain naming the first such theta."""
+        thetas = np.asarray(thetas, dtype=float)
         lo = self.left_end
-        if math.isfinite(lo):
-            slack = 1e-9 * max(1.0, abs(lo))
-            if theta < lo - slack:
-                from .errors import OutOfDomain
-
-                raise OutOfDomain(f"initial function is defined on [{lo}, 0), got {theta}")
-            theta = max(theta, lo)
-        k = int(np.searchsorted(self.starts, theta, side="right")) - 1
-        k = max(k, 0)
-        slope = self.slopes[k]
-        if not slope.any():
-            # keeps constant segments usable with an infinite left end
-            return self.values[k].copy()
-        return self.values[k] + (theta - self.starts[k]) * slope
+        slack = 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else math.inf
+        bad = np.flatnonzero(~((thetas < 0.0) & (thetas >= lo - slack)))
+        if bad.size:
+            raise OutOfDomain(f"initial function is defined on [{lo}, 0), got {float(thetas.flat[bad[0]])}")
+        thetas = np.maximum(thetas, lo)
+        k = np.maximum(np.searchsorted(self.starts, thetas, side="right") - 1, 0)
+        sloped = self.slopes[k].any(axis=-1)
+        # constant segments, which may start at -inf, return values[k] untouched
+        offset = np.subtract(thetas, self.starts[k], out=np.zeros(thetas.shape), where=sloped)
+        return np.where(sloped[..., None], self.values[k] + offset[..., None] * self.slopes[k], self.values[k])
 
 
 @dataclass(frozen=True)
@@ -505,6 +504,29 @@ def stability_check(
         decay_rate=sigma,
         grid_points=grid_points,
     )
+
+
+def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label: str) -> StabilityReport:
+    """The given or a fresh stability report, with a decay envelope;
+    NotStable, starting with label, unless the verdict is stable."""
+    if report is None:
+        report = stability_check(vsys)
+    if not report.stable:
+        raise NotStable(
+            f"{label} a verified stable system, got verdict {report.verdict!r} "
+            f"(method {report.method}, radius {report.spectral_radius:.6g})"
+        )
+    if report.decay_gain is None or report.decay_rate is None:
+        report = stability_check(vsys)
+    return report
+
+
+def default_horizon(vsys: ValidatedSystem, report: StabilityReport, target: float = 1e-12) -> float:
+    """Horizon at which the per-step decay has fallen to target, floored
+    at a few top delays so short systems still integrate something."""
+    rho = report.spectral_radius
+    t = report.rate_step * math.log(target) / math.log(rho)
+    return max(t, 3.0 * vsys.h_max)
 
 
 def _reject_constant(token: str):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import delaylyap as dl
 
@@ -129,3 +130,46 @@ def random_stable_single(seed, n=2, radius=0.8):
             break
     a *= radius / rho
     return dl.validate(dl.DelaySystem.single(a, Fraction(1)))
+
+
+FLOAT_DELAY_SETS = (
+    (1.0, math.sqrt(2.0)),
+    (1.0, math.sqrt(2.0), math.sqrt(3.0)),
+    (0.5, 1.25),
+)
+
+
+@st.composite
+def two_route_cases(draw):
+    """(system, weight) pairs for the vectorised two-route sums: either
+    rational delays k/den with q = 1..3, or one of the float delay sets
+    (lattices merged within a tolerance).  The 2-norms of the
+    coefficients sum to 0.6 and the weight is a random symmetric matrix."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 3))
+        den = draw(st.integers(1, 4))
+        steps = sorted(draw(st.sets(st.integers(1, 12), min_size=q, max_size=q)))
+        delays = [Fraction(k, den) for k in steps]
+    else:
+        delays = list(draw(st.sampled_from(FLOAT_DELAY_SETS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in delays]
+    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+    vsys = dl.validate(dl.DelaySystem(n, [(d, scale * a) for d, a in zip(delays, mats)]))
+    half = rng.uniform(-1.0, 1.0, size=(n, n))
+    return vsys, dl.WeightMatrix(half + half.T)
+
+
+def certificate(vsys):
+    """A stable report with a decay envelope, handed to the oracles and
+    series so they run without a stability check; their sums do not
+    depend on it, only their tail bounds do."""
+    return dl.StabilityReport(
+        method="external_certificate",
+        spectral_radius=0.6,
+        verdict="stable",
+        rate_step=vsys.h_max,
+        decay_gain=2.0,
+        decay_rate=0.1,
+    )

@@ -7,8 +7,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap.fundamental import snapped_lookup
 
-from conftest import random_stable_single
+from conftest import random_stable_single, two_route_cases
+
+
+def reference_cauchy(vsys, phi, grid):
+    """The jump-convolution response by the per-(t, t_q, h_j) loop, the
+    reference for the vectorised sum."""
+    grid = np.asarray(grid, dtype=float)
+    table = dl.delta_k(vsys, float(np.max(grid)) if grid.size else 0.0)
+    btol = table.tol
+    entries = [(float(d), a) for d, a in vsys.entries]
+    out = np.zeros((len(grid), vsys.n))
+    for i, t in enumerate(grid):
+        acc = np.zeros(vsys.n)
+        for tq, dk in table.pairs():
+            if tq > t + btol:
+                break
+            for d, a in entries:
+                theta = float(t) - d - float(tq)
+                if abs(theta + d) <= btol:
+                    theta = -d
+                elif theta >= -btol or theta < -d:
+                    continue
+                acc += dk @ (a @ phi.value(theta))
+        out[i] = acc
+    return out
 
 
 class TestLattice:
@@ -177,6 +202,140 @@ class TestSimulate:
         a = dl.simulate(ex2b, phi, grid)
         b = dl.simulate_cauchy(ex2b, phi, grid)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+class TestCauchyVectorised:
+    @settings(max_examples=25, deadline=None)
+    @given(case=two_route_cases(), sloped=st.booleans())
+    def test_equals_reference_loop(self, case, sloped):
+        vsys, _ = case
+        n, hmax = vsys.n, vsys.h_max
+        rng = np.random.default_rng(n)
+        if sloped:
+            phi = dl.InitialFunction(
+                [-hmax, -0.4 * hmax], rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1, (2, n))
+            )
+        else:
+            phi = dl.InitialFunction.constant(rng.uniform(-1, 1, n))
+        horizon = 3.0 * hmax
+        instants = np.array(dl.discontinuity_instants(vsys, horizon))
+        snap = 1e-12 * max(1.0, horizon)
+        grid = np.sort(np.concatenate([
+            np.linspace(0.0, horizon, 41), instants, instants[1:] - 0.5 * snap, instants[:-1] + 0.5 * snap,
+        ]))
+        np.testing.assert_array_equal(dl.simulate_cauchy(vsys, phi, grid), reference_cauchy(vsys, phi, grid))
+
+    def test_chunked_walk_equals_reference(self, ex2a_half, monkeypatch):
+        import delaylyap.fundamental as fundamental
+
+        phi = dl.InitialFunction([-1.5, -0.8], [[1.0, -0.5], [0.25, 2.0]], [[0.3, 0.0], [0.0, -1.0]])
+        grid = np.linspace(0.0, 6.0, 97)
+        monkeypatch.setattr(fundamental, "CAUCHY_CHUNK_PAIRS", 7)
+        np.testing.assert_array_equal(dl.simulate_cauchy(ex2a_half, phi, grid), reference_cauchy(ex2a_half, phi, grid))
+
+    def test_empty_grid(self, ex2a):
+        phi = dl.InitialFunction.constant([1.0, 2.0])
+        out = dl.simulate_cauchy(ex2a, phi, [])
+        assert out.shape == (0, 2)
+
+    def test_origin_only(self, ex2a):
+        phi = dl.InitialFunction.constant([1.0, 2.0])
+        out = dl.simulate_cauchy(ex2a, phi, [0.0])
+        np.testing.assert_array_equal(out, reference_cauchy(ex2a, phi, [0.0]))
+        np.testing.assert_allclose(out[0], dl.simulate(ex2a, phi, [0.0])[0], atol=1e-15)
+
+
+class TestSnappedLookup:
+    """StepMatrixFunction, JumpTable and InitialFunction lookups all go
+    through one vectorised path; the scalar entry points must agree with
+    it bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ex2a", "ex3"])
+    def test_value_many_at_and_around_breakpoints(self, name, request):
+        vsys = request.getfixturevalue(name)
+        k = dl.fundamental_matrix(vsys, 5.0)
+        bp = k.breakpoints
+        ts = np.concatenate([bp, bp - 0.5 * k.snap, bp + 0.5 * k.snap])
+        ts = ts[ts <= k.horizon]
+        stacked = k.value_many(ts)
+        for i, t in enumerate(ts):
+            np.testing.assert_array_equal(stacked[i], k.value(float(t)))
+        # a query just below a breakpoint snaps onto it
+        np.testing.assert_array_equal(k.value_many(bp - 0.5 * k.snap), k.values)
+
+    @pytest.mark.parametrize("name", ["ex2a", "ex3"])
+    def test_jump_table_index_many_agrees_with_jump_at(self, name, request):
+        vsys = request.getfixturevalue(name)
+        table = dl.delta_k(vsys, 5.0)
+        t = table.times
+        ts = np.concatenate([t, t + 0.5 * table.tol, t - 0.5 * table.tol, t + 0.37, [-1.0, 6.5]])
+        idx = table.index_many(ts)
+        for i, x in zip(idx, ts):
+            got = table.jump_at(float(x))
+            if i < 0:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, table.jumps[i])
+        np.testing.assert_array_equal(idx[: 3 * len(t)], np.tile(np.arange(len(t)), 3))
+
+    def test_helper_modes(self):
+        pts = np.array([0.0, 1.0, 2.0])
+        ts = [-0.5, 0.0, 0.99, 1.0 - 1e-13, 1.5, 2.0, 2.5]
+        assert snapped_lookup(pts, ts, 1e-12, 3.0).tolist() == [-1, 0, 0, 1, 1, 2, 2]
+        assert snapped_lookup(pts, ts, 1e-12, 3.0, instants=True).tolist() == [-1, 0, -1, 1, -1, 2, -1]
+
+    def test_step_function_out_of_domain(self, ex2a):
+        k = dl.fundamental_matrix(ex2a, 5.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(dl.OutOfDomain):
+                k.value(bad)
+        with pytest.raises(dl.OutOfDomain, match="got 7.5"):
+            k.value_many([0.5, 1.0, 7.5, 2.0, 9.0])
+        with pytest.raises(dl.OutOfDomain, match="got nan"):
+            k.value_many(np.array([[0.5, math.nan]]))
+        with pytest.raises(dl.OutOfDomain):
+            dl.delta_k(ex2a, 5.0).jump_at(math.nan)
+
+    def test_initial_function_out_of_domain(self):
+        lin = dl.InitialFunction([-1.5, -0.8], [[1.0, -0.5], [0.25, 2.0]], [[0.3, 0.0], [0.0, 0.0]])
+        const = dl.InitialFunction.constant([1.0, 2.0])
+        for phi in (lin, const):
+            for bad in (math.nan, math.inf, 0.0, 0.5):
+                with pytest.raises(dl.OutOfDomain):
+                    phi.value(bad)
+            with pytest.raises(dl.OutOfDomain, match="got 0.0"):
+                phi.value_many([-0.5, -0.2, 0.0, -0.1])
+            with pytest.raises(dl.OutOfDomain, match="got nan"):
+                phi.value_many([-0.5, math.nan])
+        with pytest.raises(dl.OutOfDomain, match="got -2.0"):
+            lin.value_many([-0.5, -2.0])
+        np.testing.assert_array_equal(const.value_many([-math.inf, -1e9]), [[1.0, 2.0], [1.0, 2.0]])
+
+    def test_initial_function_value_many_matches_value(self):
+        phi = dl.InitialFunction(
+            [-2.0, -1.5, -0.8], [[-0.0, 1.0], [0.1, -0.5], [0.25, 2.0]], [[0.0, 0.0], [0.3, 0.7], [0.0, 0.0]]
+        )
+        starts = phi.starts
+        thetas = np.concatenate([starts, starts + 1e-12, starts[1:] - 1e-12, [-2.0 - 1e-10, -1e-300, -1.1]])
+        stacked = phi.value_many(thetas)
+        for i, theta in enumerate(thetas):
+            np.testing.assert_array_equal(stacked[i], phi.value(float(theta)))
+        # constant segments return their stored values untouched
+        assert np.signbit(phi.value(-1.9)[0]) and np.signbit(stacked[0][0])
+
+    def test_shapes_kept(self, ex2a):
+        k = dl.fundamental_matrix(ex2a, 5.0)
+        table = dl.delta_k(ex2a, 5.0)
+        phi = dl.InitialFunction.constant([1.0, 2.0])
+        grid = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+        assert k.value_many(np.float64(0.5)).shape == (2, 2)
+        assert k.value_many(grid).shape == (3, 4, 2, 2)
+        assert table.index_many(1.0).shape == ()
+        assert table.index_many(grid).shape == (3, 4)
+        assert phi.value_many(-0.5).shape == (2,)
+        assert phi.value_many(-grid - 0.1).shape == (3, 4, 2)
+        np.testing.assert_array_equal(k.value_many(grid)[1, 2], k.value(float(grid[1, 2])))
+        np.testing.assert_array_equal(k.value_many(iter([0.5, 1.5])), k.value_many([0.5, 1.5]))
 
 
 class TestCsv:

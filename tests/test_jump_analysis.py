@@ -4,8 +4,34 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import delaylyap as dl
+
+from conftest import certificate, two_route_cases
+
+
+def reference_delta_series(table, w, tau, horizon):
+    """The jump series of U' by the per-instant loop, the reference for
+    the vectorised sum."""
+    acc = np.zeros((table.n, table.n))
+    for tq, dk in table.pairs():
+        if tq > horizon + table.tol:
+            break
+        other = table.jump_at(tq + tau)
+        if other is not None:
+            acc -= dk.T @ w @ other
+    return acc
+
+
+def reference_u_prime_series(table, kfun, base, w, tau, horizon):
+    """The series for U' by the per-instant loop."""
+    acc = np.zeros_like(base)
+    for tq, dk in table.pairs():
+        if tq > horizon + table.tol:
+            break
+        acc += (kfun.value(float(tq) - tau) - base).T @ w @ dk
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +191,32 @@ class TestSegmentSeriesAgreement:
             est = dl.delta_u_prime(ex2a_half, w2, float(tau), t, report=report_ex2a_half)
             gap = np.max(np.abs(est.value - spectrum.jump_at(float(tau))))
             assert gap <= est.tail_bound + 1e-10
+
+
+class TestVectorisedSeries:
+    @settings(max_examples=25, deadline=None)
+    @given(case=two_route_cases())
+    def test_series_equal_reference_loops(self, case):
+        vsys, weight = case
+        w, base, cert = weight.matrix, dl.k0(vsys), certificate(vsys)
+        horizon = 3.0 * vsys.h_max
+        instants = dl.discontinuity_instants(vsys, vsys.h_max)
+        taus = instants + [-t for t in instants] + [0.37 * vsys.h_min, -0.61 * vsys.h_max]
+        # one shared table, as the jumps command passes it, reaching every tau
+        shared = dl.delta_k(vsys, horizon + vsys.h_max + vsys.h_min, drop_tol=0.0)
+        for tau in taus:
+            est = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert)
+            table = dl.delta_k(vsys, horizon + max(tau, 0.0) + vsys.h_min, drop_tol=0.0)
+            np.testing.assert_array_equal(est.value, reference_delta_series(table, w, tau, horizon))
+            est = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert, table=shared)
+            np.testing.assert_array_equal(est.value, reference_delta_series(shared, w, tau, horizon))
+            est = dl.u_prime_series(vsys, weight, tau, horizon, report=cert)
+            table = dl.delta_k(vsys, horizon + vsys.h_min, drop_tol=0.0)
+            kfun = dl.fundamental_matrix(vsys, horizon + max(-tau, 0.0) + vsys.h_min)
+            np.testing.assert_array_equal(
+                est.value, reference_u_prime_series(table, kfun, base, w, tau, horizon)
+            )
+
+    def test_unstable_message_names_the_series(self, ex2b, w2):
+        with pytest.raises(dl.NotStable, match="^jump series need a verified stable system"):
+            dl.u_prime_series(ex2b, w2, 0.5)

@@ -3,8 +3,37 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap.oracle_verify import _u_sum_from_k
 
-from conftest import random_stable_single
+from conftest import certificate, random_stable_single, two_route_cases
+
+
+def reference_u_sum(kfun, base, w, tau, horizon):
+    """The U integral by the per-cell loop, the reference for the
+    vectorised sum."""
+    cuts = kfun.breakpoints[kfun.breakpoints <= horizon]
+    shifted = kfun.breakpoints - tau
+    shifted = shifted[(shifted > 0.0) & (shifted < horizon)]
+    pts = np.unique(np.concatenate([cuts, shifted, [0.0, horizon]]))
+    acc = np.zeros_like(base)
+    for mid, width in zip(0.5 * (pts[:-1] + pts[1:]), np.diff(pts)):
+        if width <= 0.0:
+            continue
+        acc += width * (kfun.value(mid) - base).T @ w @ kfun.value(mid + tau)
+    return acc
+
+
+def reference_p_sum(kfun, base, w, horizon):
+    """The P integral by the per-cell loop."""
+    pts = np.unique(np.concatenate([kfun.breakpoints[kfun.breakpoints <= horizon], [0.0, horizon]]))
+    acc = np.zeros_like(base)
+    wk = w @ base
+    for mid, width in zip(0.5 * (pts[:-1] + pts[1:]), np.diff(pts)):
+        if width <= 0.0:
+            continue
+        kv = kfun.value(mid)
+        acc += width * (kv.T @ wk - wk.T @ kv)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +50,7 @@ class TestUIntegralOracle:
 
     def test_unstable_rejected(self, ex2b, ex1, w2):
         for vsys in (ex2b, ex1):
-            with pytest.raises(dl.NotStable):
+            with pytest.raises(dl.NotStable, match="^integral oracle needs a verified stable system"):
                 dl.u_integral_oracle(vsys, w2, 0.0)
 
     def test_horizon_shorter_than_shift_rejected(self, scalar_half, w1, scalar_report):
@@ -56,6 +85,9 @@ class TestDefaultHorizon:
         fast = dl.validate(dl.DelaySystem.single(1e-6, 1))
         rep = dl.stability_check(fast)
         assert dl.default_horizon(fast, rep) >= 3.0
+
+    def test_series_horizon_is_the_same_function(self):
+        assert dl.default_series_horizon is dl.default_horizon
 
     def test_scalar_depth(self, scalar_half, scalar_report):
         # 0.5^T reaches 1e-12 around T = 40
@@ -111,3 +143,28 @@ class TestCrossCheck:
         d = dl.cross_check(u_ex2a, ex2a, w2).to_dict()
         for key in ("grid_points", "max_error", "max_bound", "horizon", "slack", "passed"):
             assert key in d
+
+
+class TestVectorisedSums:
+    @settings(max_examples=25, deadline=None)
+    @given(case=two_route_cases())
+    def test_sums_equal_reference_loops(self, case):
+        vsys, weight = case
+        w, base = weight.matrix, dl.k0(vsys)
+        horizon = 3.0 * vsys.h_max
+        kfun = dl.fundamental_matrix(vsys, 2.0 * horizon + vsys.h_min)
+        for tau in (0.0, vsys.h_min, -vsys.h_max, 0.37 * vsys.h_max, -horizon, horizon):
+            np.testing.assert_array_equal(
+                _u_sum_from_k(kfun, base, w, tau, horizon), reference_u_sum(kfun, base, w, tau, horizon)
+            )
+        est = dl.p_integral_oracle(vsys, weight, horizon, report=certificate(vsys))
+        want = reference_p_sum(dl.fundamental_matrix(vsys, horizon + vsys.h_min), base, w, horizon)
+        np.testing.assert_array_equal(est.value, want)
+
+    def test_cross_check_values_equal_reference(self, u_ex2a_half, ex2a_half, w2, report_ex2a_half):
+        rep = dl.cross_check(u_ex2a_half, ex2a_half, w2, grid=[-1.5, -0.2, 0.0, 0.5, 1.5], report=report_ex2a_half)
+        kfun = dl.fundamental_matrix(ex2a_half, rep.horizon + 1.5 + ex2a_half.h_min)
+        base = dl.k0(ex2a_half)
+        for tau, err in zip(rep.grid, rep.errors):
+            want = reference_u_sum(kfun, base, w2.matrix, float(tau), rep.horizon)
+            assert err == float(np.max(np.abs(u_ex2a_half.evaluate(float(tau)) - want)))
