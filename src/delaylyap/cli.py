@@ -27,7 +27,6 @@ from .errors import (
     SizeExceeded,
 )
 from .fundamental import (
-    delta_k,
     fundamental_matrix,
     simulate,
     simulate_cauchy,
@@ -232,12 +231,9 @@ def cmd_jumps(args) -> int:
         report = stability_check(rsys)
         props = jump_analysis.check_jump_properties(rsys, weight, report=report)
         deviation = 0.0
-        if spectrum.taus.size:
-            reach = props.horizon + float(np.max(spectrum.taus, initial=0.0)) + rsys.h_min
-            table = delta_k(rsys, reach, drop_tol=0.0)
         for tau in spectrum.taus:
             series = jump_analysis.delta_u_prime(
-                rsys, weight, float(tau), props.horizon, report=report, table=table
+                rsys, weight, float(tau), props.horizon, report=report, table=props.table
             )
             dev = float(np.max(np.abs(series.value - spectrum.jump_at(float(tau)))))
             deviation = max(deviation, dev)

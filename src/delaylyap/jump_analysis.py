@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fundamental import JumpTable, delta_k, fundamental_matrix, sequential_sum
+from .fundamental import JumpTable, delta_k, discontinuity_instants, fundamental_matrix, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .system_model import (
     StabilityReport,
@@ -30,6 +30,7 @@ from .system_model import (
     default_horizon,
     k0,
     require_stable,
+    to_commensurate,
 )
 
 STABLE_LABEL = "jump series need"
@@ -77,7 +78,9 @@ class JumpSpectrum:
 @dataclass(frozen=True)
 class JumpPropertyReport:
     """Worst residuals of the defining identities of dU' on a shift grid,
-    all from the truncated series route."""
+    all from the truncated series route.  table is the jump table the
+    series were summed over (left out of to_dict); it reaches past
+    horizon + max |tau| for every shift of the grid."""
 
     symmetry: float
     dynamic: float
@@ -86,6 +89,7 @@ class JumpPropertyReport:
     tail_bound: float
     horizon: float
     grid_points: int
+    table: JumpTable | None = field(default=None, repr=False, compare=False)
 
     def max_residual(self) -> float:
         return max(self.symmetry, self.dynamic, self.algebraic)
@@ -248,14 +252,10 @@ def check_jump_properties(
     hmax = vsys.h_max
     if tau_grid is None:
         if vsys.is_rational:
-            from .system_model import to_commensurate
-
             form = to_commensurate(vsys)
             h = float(form.h)
             tau_grid = [k * h for k in range(-form.m, form.m + 1)]
         else:
-            from .fundamental import discontinuity_instants
-
             inst = np.asarray(discontinuity_instants(vsys, hmax))
             diffs = np.unique(
                 np.concatenate([inst, -inst, np.subtract.outer(inst, inst).ravel()])
@@ -316,4 +316,5 @@ def check_jump_properties(
         tail_bound=worst_tail,
         horizon=float(horizon),
         grid_points=int(tau_grid.size),
+        table=table,
     )

@@ -8,9 +8,10 @@ from the dynamic property U(tau) = sum_j U(tau - h_j) A_j and the symmetry
 property U(-tau) = U(tau)^T + P - tau K0^T W K0.  The construction is
 formal: it needs no stability, only solvability of the block system.
 
-Single delay systems get the compact two-block Kronecker form; rational
-multi-delay systems go through their commensurate rewrite with a dense or
-sparse solver picked by problem size.
+There is one construction path.  A rational system goes through its
+commensurate rewrite, and a single delay H is the rewrite with h = H and
+m = 1 (a float H included); both are solved by the same block system with
+a dense or sparse solver picked by problem size.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .system_model import (
     ValidatedSystem,
     WeightMatrix,
     k0,
-    validate,
 )
 
 # unknown counts above this use the sparse path
@@ -45,10 +45,6 @@ COND_FAIL = 1e12
 
 def _vec(x: np.ndarray) -> np.ndarray:
     return x.ravel(order="F")
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v).reshape((n, n), order="F").copy()
 
 
 @dataclass(frozen=True)
@@ -161,80 +157,20 @@ def _dense_condition(mat: np.ndarray, lu_piv) -> float:
     return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
-def _check_condition(cond: float, cond_warn: float, cond_fail: float, label: str) -> None:
+def _check_condition(cond: float, cond_warn: float, cond_fail: float) -> None:
     if not math.isfinite(cond) or cond > cond_fail:
         raise CriticalSystem(
-            f"{label} block system is numerically singular "
+            "commensurate block system is numerically singular "
             f"(condition estimate {cond:.3e}); the delay configuration sits "
             "at or near a critical pairing of coefficient eigenvalues"
         )
     if cond > cond_warn:
         warnings.warn(
-            f"{label} block system is poorly conditioned "
+            "commensurate block system is poorly conditioned "
             f"(condition estimate {cond:.3e}); results may lose accuracy",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-
-
-def build_single_delay(
-    vsys: ValidatedSystem,
-    weight: WeightMatrix,
-    *,
-    cond_warn: float = COND_WARN,
-    cond_fail: float = COND_FAIL,
-) -> PiecewiseAffineMatrixFunction:
-    """U for a single delay system x(t) = A x(t - H).
-
-    The two unknown segments Y(xi) = U(xi) and Z(xi) = U(xi - H) satisfy
-    Y - Z A = 0 and Z - A^T Y = -(A - I)^T P - (xi I + H K0^T) W K0, a
-     2 n^2 linear system through the usual columnwise stacking.  The right
-    side is affine in xi, so solving the same operator against the
-    constant and the slope parts yields exact affine segments.  Raises
-    CriticalSystem when the operator is singular, which happens exactly
-    when some product of two eigenvalues of A equals 1.
-    """
-    if len(vsys.entries) != 1:
-        raise ValueError("single delay construction needs exactly one entry")
-    weight.require_positive_definite()
-    delay, a = vsys.entries[0]
-    hz = float(delay)
-    n = vsys.n
-    w = weight.matrix
-    base = k0(vsys)
-    p = p_matrix(vsys, weight)
-    eye2 = np.eye(n * n)
-    mat = np.block(
-        [
-            [eye2, -np.kron(a.T, np.eye(n))],
-            [-np.kron(np.eye(n), a.T), eye2],
-        ]
-    )
-    k0_invt = (a - np.eye(n)).T
-    rhs_const = -(k0_invt @ p + hz * (base.T @ w @ base))
-    rhs_slope = -(w @ base)
-    b_const = np.concatenate([np.zeros(n * n), _vec(rhs_const)])
-    b_slope = np.concatenate([np.zeros(n * n), _vec(rhs_slope)])
-    try:
-        lu_piv = sla.lu_factor(mat)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise CriticalSystem(f"single delay block system failed to factor: {exc}") from exc
-    cond = _dense_condition(mat, lu_piv)
-    _check_condition(cond, cond_warn, cond_fail, "single delay")
-    sol_c = sla.lu_solve(lu_piv, b_const)
-    sol_s = sla.lu_solve(lu_piv, b_slope)
-    coeffs = np.stack([_unvec(sol_c[n * n:], n), _unvec(sol_c[: n * n], n)])
-    slopes = np.stack([_unvec(sol_s[n * n:], n), _unvec(sol_s[: n * n], n)])
-    return PiecewiseAffineMatrixFunction(
-        h=hz,
-        m=1,
-        n=n,
-        coeffs=coeffs,
-        slopes=slopes,
-        condition_estimate=cond,
-        solver="dense",
-        h_exact=delay if isinstance(delay, Fraction) else None,
-    )
 
 
 def _block_triplets(row_blocks: np.ndarray, blocks, n2: int):
@@ -250,33 +186,27 @@ def _block_triplets(row_blocks: np.ndarray, blocks, n2: int):
     return rows.ravel(), cols.ravel(), np.tile(vals, row_blocks.size)
 
 
-def _commensurate_blocks(form: CommensurateForm, w: np.ndarray):
+def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     """Block system of the commensurate construction.
 
     Unknown p = k + m holds the segment U(k h + xi).  Dynamic rows cover
     k = 0..m-1, symmetry rows cover k = 1..m and land at p = m - k.  Each
     row holds an identity block plus one block per nonzero coefficient
     C_j, so assembly costs O(m q) blocks for q delays.  The right side is
-    affine in xi; only symmetry rows have nonzero data.  Returns the
-    operator as a COO matrix plus the two right-hand sides.
+    affine in xi; only symmetry rows have nonzero data.  P is p_matrix of
+    the rewrite itself, whose delays j h are the ones residuals check.
+    Returns the operator as a COO matrix plus the two right-hand sides.
     """
     n = form.n
     m = form.m
     h = float(form.h)
-    coeffs = form.coefficients
-    s = np.sum(coeffs, axis=0)
-    base = np.linalg.inv(s - np.eye(n))
-    nonzero = [(j, c) for j, c in enumerate(coeffs, start=1) if np.any(c)]
-    inner = np.zeros((n, n))
-    q_acc = np.zeros((n, n))
-    for j, c in nonzero:
-        hj = j * h
-        inner += hj * (w @ base @ c - c.T @ base.T @ w)
-        q_acc += hj * c.T
-    p_mat = base.T @ inner @ base
-    k0_invt = (s - np.eye(n)).T
-    q_mat = q_acc @ base.T
-    wk0 = w @ base
+    # zero blocks kept: an all-zero system still has an entry, and they add nothing to P
+    rsys = form.to_system(keep_zero=True)
+    base = k0(rsys)
+    p_mat = p_matrix(rsys, weight)
+    nonzero = [(j, c) for j, c in enumerate(form.coefficients, start=1) if np.any(c)]
+    q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
+    wk0 = weight.matrix @ base
     n2 = n * n
     unknowns = 2 * m * n2
     eye_n = np.eye(n)
@@ -292,11 +222,30 @@ def _commensurate_blocks(form: CommensurateForm, w: np.ndarray):
     b_const = np.zeros(unknowns)
     b_slope = np.zeros(unknowns)
     b_slope[: m * n2] = np.tile(_vec(-wk0), m)
-    kp = k0_invt @ p_mat
+    kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
     for k in range(1, m + 1):
         row = m - k
         b_const[row * n2:(row + 1) * n2] = _vec(-(kp + (-k * h * eye_n + q_mat) @ wk0))
     return mat, b_const, b_slope
+
+
+def build_single_delay(
+    vsys: ValidatedSystem,
+    weight: WeightMatrix,
+    *,
+    cond_warn: float = COND_WARN,
+    cond_fail: float = COND_FAIL,
+) -> PiecewiseAffineMatrixFunction:
+    """U for a single delay system x(t) = A x(t - H): the commensurate
+    construction with h = H, m = 1 and C_1 = A.  H may be an exact
+    Fraction or a float; a float H stays a float and h_exact is None.
+    Raises CriticalSystem when the operator is singular, which happens
+    exactly when some product of two eigenvalues of A equals 1."""
+    if len(vsys.entries) != 1:
+        raise ValueError("single delay construction needs exactly one entry")
+    ((delay, a),) = vsys.entries
+    form = CommensurateForm(h=delay, m=1, coefficients=(a,), origin=vsys.system)
+    return _solve_form(form, weight, DENSE_CUTOFF, MAX_UNKNOWNS, cond_warn, cond_fail)
 
 
 def build_commensurate(
@@ -316,16 +265,20 @@ def build_commensurate(
     condition estimate up to dense_cutoff unknowns and a sparse LU with a
     one-norm condition estimate beyond; raises SizeExceeded past
     max_unknowns and CriticalSystem when the operator is singular."""
-    weight.require_positive_definite()
+    return _solve_form(form, weight, dense_cutoff, max_unknowns, cond_warn, cond_fail)
+
+
+def _solve_form(
+    form: CommensurateForm, weight: WeightMatrix, dense_cutoff: int, max_unknowns: int,
+    cond_warn: float, cond_fail: float,
+) -> PiecewiseAffineMatrixFunction:
     n = form.n
     m = form.m
     n2 = n * n
     unknowns = 2 * m * n2
     if unknowns > max_unknowns:
-        raise SizeExceeded(
-            f"construction needs {unknowns} unknowns, cap is {max_unknowns}"
-        )
-    mat, b_const, b_slope = _commensurate_blocks(form, weight.matrix)
+        raise SizeExceeded(f"construction needs {unknowns} unknowns, cap is {max_unknowns}")
+    mat, b_const, b_slope = _commensurate_blocks(form, weight)
     if unknowns <= dense_cutoff:
         solver = "dense"
         mat = mat.toarray()
@@ -334,7 +287,7 @@ def build_commensurate(
         except (sla.LinAlgError, ValueError) as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
         cond = _dense_condition(mat, lu_piv)
-        _check_condition(cond, cond_warn, cond_fail, "commensurate")
+        _check_condition(cond, cond_warn, cond_fail)
         sol_c = sla.lu_solve(lu_piv, b_const)
         sol_s = sla.lu_solve(lu_piv, b_slope)
     else:
@@ -354,7 +307,7 @@ def build_commensurate(
             cond = float(spla.norm(mat, 1)) * float(spla.onenormest(inv_op, t=1))
         except (RuntimeError, ValueError):
             cond = math.inf
-        _check_condition(cond, cond_warn, cond_fail, "commensurate")
+        _check_condition(cond, cond_warn, cond_fail)
         sol_c = lu.solve(b_const)
         sol_s = lu.solve(b_slope)
     if not (np.all(np.isfinite(sol_c)) and np.all(np.isfinite(sol_s))):
@@ -371,7 +324,7 @@ def build_commensurate(
         slopes=slopes,
         condition_estimate=cond,
         solver=solver,
-        h_exact=form.h,
+        h_exact=form.h if isinstance(form.h, Fraction) else None,
     )
 
 

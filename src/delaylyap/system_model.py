@@ -260,9 +260,10 @@ class CommensurateForm:
     """Rewrite of a rational-delay system over a basic delay h: delays are
     j*h for j = 1..m with coefficient C_j (zero where the original system
     has no entry).  Sum of C_j equals the original coefficient sum exactly
-    because the arrays are shared, not copied."""
+    because the arrays are shared, not copied.  h is an exact Fraction,
+    except that a single float delay H is the form h = H, m = 1."""
 
-    h: Fraction
+    h: Delay
     m: int
     coefficients: tuple
     origin: DelaySystem
@@ -455,26 +456,21 @@ def stability_check(
     mats = raw.matrices
     n = raw.n
     grid_points = None
+    rewrite = None
+    if len(delays) > 1 and all(_is_exact(d) for d in delays):
+        rewrite = _commensurate_data([_exact(d) for d in delays], mats, n)
 
     if len(delays) == 1:
         method = "single_delay_spectral"
         rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
         step = float(delays[0])
         margin = exact_margin
-    elif all(_is_exact(d) for d in delays):
-        exact = [_exact(d) for d in delays]
-        h, m, coeffs = _commensurate_data(exact, mats, n)
-        if n * m <= companion_cap:
-            method = "commensurate_companion"
-            rho = _companion_radius(coeffs, n)
-            step = float(h)
-            margin = exact_margin
-        else:
-            method = "torus_grid_heuristic"
-            rho = _torus_radius([float(d) for d in delays], mats, torus_points)
-            step = float(delays[-1])
-            margin = torus_margin
-            grid_points = torus_points
+    elif rewrite is not None and n * rewrite[1] <= companion_cap:
+        h, _, coeffs = rewrite
+        method = "commensurate_companion"
+        rho = _companion_radius(coeffs, n)
+        step = float(h)
+        margin = exact_margin
     else:
         method = "torus_grid_heuristic"
         rho = _torus_radius([float(d) for d in delays], mats, torus_points)

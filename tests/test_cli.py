@@ -178,6 +178,20 @@ class TestJumps:
         summary = json.loads(captured.err.splitlines()[-1])
         assert "route_deviation_max" in summary
 
+    def test_one_jump_table_per_command(self, configs, capsys, monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args[1])
+            return dl.delta_k(*args, **kwargs)
+
+        monkeypatch.setattr(dl.jump_analysis, "delta_k", counting)
+        monkeypatch.setattr(dl.cli, "delta_k", counting, raising=False)
+        assert main(["jumps", "--config", configs["two_delay"]]) == 0
+        summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert len(builds) == 1
+        assert summary["route_deviation_max"] <= 1e-9
+
     def test_unstable_needs_segments_only(self, configs, capsys):
         assert main(["jumps", "--config", configs["unstable"]]) == 5
         capsys.readouterr()

@@ -157,6 +157,17 @@ class TestCheckJumpProperties:
         with pytest.raises(dl.NotStable):
             dl.check_jump_properties(ex2b, w2)
 
+    def test_hands_back_its_jump_table(self, ex2a_half, w2, report_ex2a_half):
+        rep = dl.check_jump_properties(ex2a_half, w2, report=report_ex2a_half)
+        assert "table" not in rep.to_dict()
+        assert rep.table.horizon >= rep.horizon + ex2a_half.h_max + ex2a_half.h_min
+        for tau in (-1.5, 0.0, 0.5, 1.5):
+            shared = dl.delta_u_prime(
+                ex2a_half, w2, tau, rep.horizon, report=report_ex2a_half, table=rep.table
+            )
+            fresh = dl.delta_u_prime(ex2a_half, w2, tau, rep.horizon, report=report_ex2a_half)
+            np.testing.assert_array_equal(shared.value, fresh.value)
+
     def test_irrational_lattice_with_supplied_certificate(self, w1):
         # the torus screen cannot certify stability, so a caller-supplied
         # decay certificate is the only way in for irrational delays;

@@ -1,4 +1,6 @@
 import io
+import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -8,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap.lyapunov_build import _commensurate_blocks
+from delaylyap.cli import main
 
 from conftest import random_stable_single
+
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -49,6 +54,51 @@ def reference_operator(form):
             if np.any(c):
                 put(m - k, m - k + j, -np.kron(np.eye(n), c.T))
     return mat
+
+
+def reference_single_delay(vsys, weight):
+    """U of a single delay system by the two-block Kronecker derivation:
+    the segments Y(xi) = U(xi) and Z(xi) = U(xi - H) solve Y - Z A = 0 and
+    Z - A^T Y = -(A - I)^T P - (xi I + H K0^T) W K0, stacked columnwise.
+    The reference for the m = 1 commensurate build."""
+    ((delay, a),) = vsys.entries
+    hz = float(delay)
+    n = vsys.n
+    w = weight.matrix
+    base = dl.k0(vsys)
+    p = dl.p_matrix(vsys, weight)
+    eye2 = np.eye(n * n)
+    mat = np.block([
+        [eye2, -np.kron(a.T, np.eye(n))],
+        [-np.kron(np.eye(n), a.T), eye2],
+    ])
+    rhs_const = -((a - np.eye(n)).T @ p + hz * (base.T @ w @ base))
+    rhs_slope = -(w @ base)
+    zeros = np.zeros(n * n)
+    sol_c = np.linalg.solve(mat, np.concatenate([zeros, rhs_const.ravel(order="F")]))
+    sol_s = np.linalg.solve(mat, np.concatenate([zeros, rhs_slope.ravel(order="F")]))
+
+    def unvec(v):
+        return v.reshape((n, n), order="F")
+
+    return dl.PiecewiseAffineMatrixFunction(
+        h=hz,
+        m=1,
+        n=n,
+        coeffs=np.stack([unvec(sol_c[n * n:]), unvec(sol_c[: n * n])]),
+        slopes=np.stack([unvec(sol_s[n * n:]), unvec(sol_s[: n * n])]),
+        condition_estimate=float(np.linalg.cond(mat, 1)),
+        solver="dense",
+        h_exact=delay if isinstance(delay, Fraction) else None,
+    )
+
+
+def reference_gap(u, ref, taus):
+    """max|U - U_ref| on taus over the first-order forward-error bound of
+    a backward-stable solve, condition estimate * eps * max|U|."""
+    vals = u.evaluate_many(taus)
+    gap = np.max(np.abs(vals - ref.evaluate_many(taus)))
+    return gap / (u.condition_estimate * EPS * np.max(np.abs(vals)))
 
 
 class TestScalarClosedForm:
@@ -157,21 +207,67 @@ class TestResiduals:
 
 class TestSingleVsCommensurate:
     def test_single_delay_reduction(self, ex1, w2):
-        u_direct = dl.build_single_delay(ex1, w2)
-        u_block = dl.build_commensurate(dl.to_commensurate(ex1), w2)
+        u = dl.build_single_delay(ex1, w2)
+        ref = reference_single_delay(ex1, w2)
         taus = np.linspace(-1.0, 1.0, 201)
-        gap = np.max(np.abs(u_direct.evaluate_many(taus) - u_block.evaluate_many(taus)))
+        gap = np.max(np.abs(u.evaluate_many(taus) - ref.evaluate_many(taus)))
         assert gap <= 1e-12
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_reduction_random(self, seed):
+        # one construction path: the wrapper and the m = 1 rewrite agree bit for bit
         vsys = random_stable_single(seed)
         w = dl.WeightMatrix.identity(vsys.n)
         u_direct = dl.build_single_delay(vsys, w)
         u_block = dl.build_commensurate(dl.to_commensurate(vsys), w)
         taus = np.linspace(-1.0, 1.0, 101)
-        assert np.max(np.abs(u_direct.evaluate_many(taus) - u_block.evaluate_many(taus))) <= 1e-11
+        np.testing.assert_array_equal(u_direct.evaluate_many(taus), u_block.evaluate_many(taus))
+        np.testing.assert_array_equal(u_direct.coeffs, u_block.coeffs)
+        np.testing.assert_array_equal(u_direct.slopes, u_block.slopes)
+        assert u_direct.condition_estimate == u_block.condition_estimate
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_two_block_reference(self, seed):
+        vsys = random_stable_single(seed)
+        w = dl.WeightMatrix.identity(vsys.n)
+        u = dl.build_single_delay(vsys, w)
+        taus = np.linspace(-1.0, 1.0, 101)
+        assert reference_gap(u, reference_single_delay(vsys, w), taus) <= 1.0
+
+    @pytest.mark.parametrize("delays", [(Fraction(1),), (Fraction(1), Fraction(3, 2))])
+    def test_zero_coefficients(self, delays, w1):
+        # x(t) = 0: K = 0 after the origin and K0 = -1 before, so U(tau) = min(tau, 0)
+        vsys = dl.validate(dl.DelaySystem(1, [(d, np.zeros((1, 1))) for d in delays]))
+        u = dl.build_commensurate(dl.to_commensurate(vsys), w1)
+        if len(delays) == 1:
+            np.testing.assert_array_equal(dl.build_single_delay(vsys, w1).coeffs, u.coeffs)
+        taus = np.linspace(-u.horizon, u.horizon, 13)
+        np.testing.assert_allclose(u.evaluate_many(taus)[:, 0, 0], np.minimum(taus, 0.0), atol=1e-15)
+
+
+class TestFloatSingleDelay:
+    H = math.sqrt(2.0)
+    A = np.array([[0.3, -0.4], [0.2, 0.5]])
+
+    def test_build(self, w2):
+        vsys = dl.validate(dl.DelaySystem.single(self.A, self.H))
+        u = dl.build_single_delay(vsys, w2)
+        assert u.h_exact is None
+        assert (u.h, u.m, u.solver) == (self.H, 1, "dense")
+        np.testing.assert_array_equal(u.knots(), [-self.H, 0.0, self.H])
+        assert dl.residuals(u, vsys, w2).max_residual() <= 1e-10
+        taus = np.linspace(-self.H, self.H, 101)
+        assert reference_gap(u, reference_single_delay(vsys, w2), taus) <= 1.0
+
+    def test_cli_lyap(self, tmp_path, capsys):
+        path = tmp_path / "sqrt2.json"
+        path.write_text(dl.system_to_json(dl.DelaySystem.single(self.A, self.H)))
+        assert main(["lyap", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith(f"{-self.H!r},")
+        assert json.loads(captured.err.splitlines()[-1])["max_residual"] <= 1e-10
 
 
 class TestSolverRoutes:
@@ -190,7 +286,7 @@ class TestSolverRoutes:
     def test_sparse_agrees_with_dense_random(self, vsys):
         form = dl.to_commensurate(vsys)
         w = dl.WeightMatrix.identity(vsys.n)
-        mat, _, _ = _commensurate_blocks(form, w.matrix)
+        mat, _, _ = _commensurate_blocks(form, w)
         np.testing.assert_array_equal(mat.toarray(), reference_operator(form))
         dense = dl.build_commensurate(form, w)
         sparse = dl.build_commensurate(form, w, dense_cutoff=0)
@@ -261,9 +357,14 @@ class TestPMatrix:
             p = dl.p_matrix(vsys, w)
             assert np.max(np.abs(p + p.T)) <= 1e-12
 
-    def test_weight_must_be_positive_definite(self, ex2a):
+    def test_weight_must_be_positive_definite(self, ex1, ex2a):
+        bad = dl.WeightMatrix(np.diag([1.0, -2.0]))
         with pytest.raises(ValueError):
-            dl.p_matrix(ex2a, dl.WeightMatrix(np.diag([1.0, -2.0])))
+            dl.p_matrix(ex2a, bad)
+        with pytest.raises(ValueError):
+            dl.build_commensurate(dl.to_commensurate(ex2a), bad)
+        with pytest.raises(ValueError):
+            dl.build_single_delay(ex1, bad)
 
     def test_scalar_value_is_zero(self, scalar_half, w1):
         # commuting scalar factors cancel exactly

@@ -243,6 +243,11 @@ class TestStabilityCheck:
         assert rep.verdict == "unstable"
         assert rep.spectral_radius == pytest.approx(1.19986, abs=1e-4)
 
+    def test_rational_past_companion_cap_uses_torus(self, ex2a):
+        rep = dl.stability_check(ex2a, companion_cap=4, torus_points=16)
+        assert (rep.method, rep.grid_points, rep.rate_step) == ("torus_grid_heuristic", 16, 1.5)
+        assert rep.verdict == "inconclusive"
+
     def test_torus_never_certifies_stable(self):
         tiny = dl.validate(dl.DelaySystem(1, [
             (1.0, np.array([[0.1]])), (math.sqrt(2.0), np.array([[0.05]])),
