@@ -4,11 +4,73 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap import system_model
 
 from conftest import random_stable_single
+
+EPS = np.finfo(float).eps
+
+
+def companion_matrix(coeffs, n):
+    """Block companion matrix of x_k = sum_j C_j x_(k-j): C_1..C_m on the
+    first block row, identities below."""
+    m = len(coeffs)
+    big = np.zeros((n * m, n * m))
+    big[:n] = np.hstack(coeffs)
+    big[n:, :-n] = np.eye(n * (m - 1))
+    return big
+
+
+def reference_companion_radius(coeffs, n):
+    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(coeffs, n)))))
+
+
+def dense_error_bound(coeffs, n):
+    """First-order error of the largest eigenvalue modulus from eigvals:
+    condition number of that eigenvalue times a backward error of
+    8 N eps ||M||_F, a generous multiple of the eps ||M|| that Hessenberg
+    QR attains.  The reference is the less accurate side: against roots
+    to 40 digits, eigvals was off by up to 17 eps rho on such companions
+    and the Ehrlich-Aberth radius by less than 1 eps rho."""
+    big = companion_matrix(coeffs, n)
+    w, left, right = scipy.linalg.eig(big, left=True, right=True)
+    k = int(np.argmax(np.abs(w)))
+    x = right[:, k] / np.linalg.norm(right[:, k])
+    y = left[:, k] / np.linalg.norm(left[:, k])
+    kappa = 1.0 / abs(np.vdot(y, x))
+    return 8.0 * big.shape[0] * EPS * np.linalg.norm(big) * kappa
+
+
+def verdict(rho, margin=1e-9):
+    if rho >= 1.0 + margin:
+        return "unstable"
+    return "stable" if rho <= 1.0 - margin else "inconclusive"
+
+
+@st.composite
+def commensurate_coefficients(draw):
+    """(C_1..C_m, n) with n = 1..3, m <= 60 and q = 1..3 steps, m among
+    them; each of their blocks is zero with probability 1/8, and C_m loses
+    a column with probability 1/4."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 60))
+    q = draw(st.integers(1, min(3, m)))
+    steps = draw(st.sets(st.integers(1, m - 1), min_size=q - 1, max_size=q - 1)) if m > 1 else set()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 3.0))
+    coeffs = [np.zeros((n, n))] * m
+    for j in sorted(steps | {m}):
+        if rng.random() >= 1 / 8:
+            coeffs[j - 1] = rng.normal(size=(n, n)) * scale / n
+    if rng.random() < 1 / 4:
+        last = coeffs[-1].copy()
+        last[:, rng.integers(n)] = 0.0
+        coeffs[-1] = last
+    return coeffs, n
 
 
 class TestDelaySystem:
@@ -264,6 +326,108 @@ class TestStabilityCheck:
         d = dl.stability_check(ex2a).to_dict()
         assert d["verdict"] == "stable"
         assert "spectral_radius" in d and "method" in d
+
+
+class TestStructuredCompanion:
+    """The Ehrlich-Aberth route of the companion spectral radius against
+    an explicit companion matrix and dense eigvals."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=commensurate_coefficients())
+    def test_certified_or_dense(self, case):
+        coeffs, n = case
+        rho, radius = system_model._aberth_radius(coeffs, n, 1e-10)
+        ref = reference_companion_radius(coeffs, n)
+        if radius is None:
+            assert rho == ref
+            return
+        assert radius <= 1e-10
+        assert abs(rho - ref) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, n)
+        assert verdict(rho) == verdict(ref)
+
+    def test_all_zero_coefficients_fall_back(self):
+        coeffs = [np.zeros((2, 2))] * 40
+        assert system_model._aberth_radius(coeffs, 2, 1e-10) == (0.0, None)
+
+    def test_zero_column_in_last_coefficient_falls_back(self):
+        # P(z) keeps a column divisible by z^(m-1): a multiple root at 0
+        coeffs = [np.zeros((2, 2))] * 40
+        coeffs[0] = np.array([[0.4, -0.7], [0.9, 0.2]])
+        coeffs[-1] = np.array([[0.5, 0.0], [0.3, 0.0]])
+        rho, radius = system_model._aberth_radius(coeffs, 2, 1e-10)
+        assert radius is None
+        assert rho == reference_companion_radius(coeffs, 2)
+
+    @pytest.mark.parametrize("n, top", [(2, 3), (10, 12)])
+    def test_small_or_wide_companions_stay_dense(self, n, top, monkeypatch):
+        # n m = 6 is below the cutoff; n = 10, m = 12 is above it but has
+        # n^2 > m, where the n x n solves outweigh the dense eigvals
+        def boom(*args):
+            raise AssertionError("structured route")
+
+        monkeypatch.setattr(system_model, "_aberth_radius", boom)
+        rng = np.random.default_rng(n)
+        vsys = dl.validate(dl.DelaySystem(n, [
+            (Fraction(2), rng.uniform(-0.2, 0.2, (n, n)) / n),
+            (Fraction(top), rng.uniform(-0.2, 0.2, (n, n)) / n),
+        ]))
+        form = dl.to_commensurate(vsys)
+        rep = dl.stability_check(vsys, with_decay=False)
+        assert rep.spectral_radius == reference_companion_radius(form.coefficients, n)
+
+    def test_order_7_sqrt2_rung_certifies(self, ex3, monkeypatch):
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        rsys = dl.approximate_system(ex3, 7).to_system()
+        form = dl.to_commensurate(rsys)
+        assert 2 * form.m == 1154 >= system_model.STRUCTURED_CUTOFF
+        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
+        state = np.random.get_state()
+        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        first = dl.stability_check(rsys, with_decay=False)
+        second = dl.stability_check(rsys, with_decay=False)
+        # dense eigvals on this companion, about 2 s
+        assert abs(rho - 1.0003407872223922) <= radius + 8 * EPS * rho
+        assert radius <= 1e-11
+        assert first.verdict == "unstable" and first.spectral_radius == rho
+        assert second.spectral_radius == first.spectral_radius
+        for got, want in zip(np.random.get_state(), state):
+            assert np.array_equal(got, want)
+
+    def test_order_6_sqrt2_rung_matches_dense(self, ex3):
+        form = dl.approximate_system(ex3, 6)
+        assert (form.m, 2 * form.m) == (239, 478)
+        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        ref = reference_companion_radius(form.coefficients, 2)
+        assert radius is not None
+        assert abs(rho - ref) <= radius + 8 * EPS * rho
+        assert verdict(rho) == verdict(ref) == "unstable"
+
+
+class TestTorusCap:
+    def test_five_float_delays_shrink_the_grid(self):
+        delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0)]
+        mats = [np.array([[c]]) for c in (0.1, -0.05, 0.08, 0.02, -0.07)]
+        vsys = dl.validate(dl.DelaySystem(1, list(zip(delays, mats))))
+        rep = dl.stability_check(vsys)
+        assert 64 ** 5 > system_model.TORUS_MAX_EVALS
+        assert rep.grid_points == 12
+        assert 12 ** 5 <= system_model.TORUS_MAX_EVALS < 13 ** 5
+        assert rep.method == "torus_grid_heuristic" and rep.verdict == "inconclusive"
+        assert "12^5" in rep.reason and rep.to_dict()["reason"] == rep.reason
+
+    def test_capped_grid_still_flags_instability(self):
+        delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)]
+        mats = [np.array([[c]]) for c in (0.6, 0.5, -0.4, 0.35)]
+        rep = dl.stability_check(dl.validate(dl.DelaySystem(1, list(zip(delays, mats)))))
+        assert (rep.grid_points, rep.verdict) == (22, "unstable")
+        assert rep.reason is not None
+
+    def test_uncapped_grid_has_no_reason(self, ex3):
+        rep = dl.stability_check(ex3)
+        assert (rep.grid_points, rep.reason) == (64, None)
+        assert "reason" not in rep.to_dict()
 
 
 class TestJson:
