@@ -26,7 +26,8 @@ class NonRationalInput(DelayLyapError):
 
 
 class HorizonTooLarge(DelayLyapError):
-    """The requested horizon would generate more lattice points than the cap."""
+    """The requested horizon would generate more lattice points than the
+    cap, or (rational delays) more steps of h = gcd(h_j) than int64 holds."""
 
 
 class RecursionDepthExceeded(DelayLyapError):

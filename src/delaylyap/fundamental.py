@@ -8,6 +8,11 @@ lattice {sum_j p_j h_j : p_j >= 0 integers}.  This module generates that
 lattice, evaluates K from either the right or the left recursion, builds
 the table of its jumps, and runs the time response of a system by two
 independent methods (memoized recursion and the jump-convolution formula).
+
+Rational delays put the lattice on exact int64 multiples of h = gcd(h_j),
+float delays on a merge-tolerant float lattice.  K and dK are evaluated
+in blocks of instants that depend only on earlier blocks, one batched
+matrix product per delay in delay order: the bits of a per-instant loop.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -38,117 +42,115 @@ JUMP_DROP_TOL = 1e-14
 CAUCHY_CHUNK_PAIRS = 1 << 12
 
 
+@dataclass(frozen=True)
 class _Lattice:
-    """Sorted semigroup instants with an index for exact or snapped lookup.
+    """Sorted semigroup instants with the keys their lookups run on.
 
-    Exact mode (all delays rational) keys instants by Fraction; float mode
-    merges points closer than MERGE_TOL_SCALE * H and snaps queries with
-    the same tolerance.
+    An all-rational delay set is commensurate with step h = gcd(h_j), so
+    every instant is an exact multiple k h: keys holds the int64 k, shifts
+    the delays m_j = h_j / h, and lookups match exactly (key_snap 0).  Any
+    float delay gives a float lattice: keys are the instants themselves,
+    points closer than MERGE_TOL_SCALE * h_max are merged and lookups snap
+    with that tolerance.  floats are the instants as floats and snap the
+    tolerance of value lookups on them.
     """
 
-    __slots__ = ("instants", "floats", "exact", "snap", "_index")
-
-    def __init__(self, instants, exact: bool, snap: float):
-        self.instants = instants
-        self.floats = np.array([float(t) for t in instants])
-        self.exact = exact
-        self.snap = snap
-        if exact:
-            self._index = {t: i for i, t in enumerate(instants)}
-        else:
-            self._index = {}
-            q = snap if snap > 0 else 1.0
-            for i, t in enumerate(instants):
-                self._index[round(t / q)] = i
+    keys: np.ndarray
+    shifts: np.ndarray
+    key_snap: float
+    floats: np.ndarray
+    snap: float
 
     @classmethod
     def generate(cls, delays: Sequence, horizon: float, cap: int) -> "_Lattice":
-        exact = all(isinstance(d, Fraction) for d in delays)
-        h_max = float(delays[-1])
-        if exact:
-            steps = [d for d in delays]
-            start = Fraction(0)
-            tol = 0.0
-            snap = 1e-12 * max(1.0, h_max)
-        else:
-            steps = [float(d) for d in delays]
-            start = 0.0
-            tol = MERGE_TOL_SCALE * h_max
-            snap = tol
+        if all(isinstance(d, Fraction) for d in delays):
+            return cls._exact(delays, horizon, cap)
+        steps = [float(d) for d in delays]
+        tol = MERGE_TOL_SCALE * steps[-1]
         limit = horizon + tol
-        heap = [start]
-        if exact:
-            seen = {start}
-        else:
-            q = tol if tol > 0 else 1.0
-            seen = {0: 0.0}
+        q = tol if tol > 0 else 1.0
+        heap = [0.0]
+        seen = {0: 0.0}
         out = []
         while heap:
             t = heapq.heappop(heap)
             out.append(t)
             if len(out) > cap:
-                raise HorizonTooLarge(
-                    f"semigroup lattice up to {horizon} exceeds {cap} points"
-                )
+                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {cap} points")
             for d in steps:
                 s = t + d
                 if s > limit:
                     continue
-                if exact:
-                    if s in seen:
-                        continue
-                    seen.add(s)
-                else:
-                    b = round(s / q)
-                    if any(
-                        bb in seen and abs(seen[bb] - s) <= tol
-                        for bb in (b - 1, b, b + 1)
-                    ):
-                        continue
-                    seen[b] = s
+                b = round(s / q)
+                if any(bb in seen and abs(seen[bb] - s) <= tol for bb in (b - 1, b, b + 1)):
+                    continue
+                seen[b] = s
                 heapq.heappush(heap, s)
-        return cls(out, exact, snap)
+        floats = np.array(out)
+        return cls(floats, np.array(steps), tol, floats, tol)
+
+    @classmethod
+    def _exact(cls, delays: Sequence[Fraction], horizon: float, cap: int) -> "_Lattice":
+        """The instants k h <= horizon as int64 k, grown in blocks of m_1:
+        an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
+        b m_1, and every block holds one (an instant of the block before
+        plus m_1), so the point cap also bounds the block count."""
+        den = math.lcm(*(d.denominator for d in delays))
+        units = [d.numerator * (den // d.denominator) for d in delays]
+        g = math.gcd(*units)
+        h = Fraction(g, den)
+        shifts = [u // g for u in units]
+        top = math.floor(Fraction(horizon) / h) if math.isfinite(horizon) else None
+        if top is None or top + shifts[-1] > np.iinfo(np.int64).max:
+            raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
+        m1 = shifts[0]
+        steps = np.array(shifts, dtype=np.int64)
+        keys = np.zeros(64, dtype=np.int64)
+        size = 1
+        for start in range(m1, top + 1, m1):
+            known = keys[:size]
+            lo, hi = np.searchsorted(known, [start - steps, start + m1 - steps])
+            new = np.unique(np.concatenate([known[a:b] + m for a, b, m in zip(lo, hi, steps)]))
+            new = new[new <= top]
+            if size + len(new) > cap:
+                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {cap} points")
+            if size + len(new) > len(keys):
+                keys = np.concatenate([keys, np.empty(max(len(keys), len(new)), dtype=np.int64)])
+            keys[size:size + len(new)] = new
+            size += len(new)
+        keys = keys[:size].copy()
+        # Python ints divide correctly rounded, as float(Fraction) does
+        floats = np.array([k * h.numerator / h.denominator for k in keys.tolist()])
+        return cls(keys, steps, 0, floats, 1e-12 * max(1.0, float(delays[-1])))
 
     def __len__(self) -> int:
-        return len(self.instants)
+        return len(self.keys)
 
-    def segment_index(self, t) -> int:
-        """Index i with t_i <= t < t_{i+1}, snapping queries within the
-        merge tolerance onto instants; -1 for t below the first instant."""
-        if self.exact and isinstance(t, Fraction):
-            if t < 0:
-                return -1
-            return bisect_right(self.instants, t) - 1
-        x = float(t)
-        i = int(np.searchsorted(self.floats, x, side="right"))
-        if i < len(self.floats) and self.floats[i] - x <= self.snap:
-            return i
-        return i - 1
+    def sources(self, instants: bool = False) -> np.ndarray:
+        """Index of each t - h_j, instants by delays: the segment holding
+        it (-1 before the first), or with instants=True the instant at it
+        (-1 where there is none)."""
+        return snapped_lookup(self.keys, self.keys[:, None] - self.shifts, self.key_snap, math.inf, instants=instants)
 
-    def instant_index(self, t) -> int | None:
-        """Index of the instant equal to t (exactly on Fraction lattices,
-        snapped on float ones), or None."""
-        if self.exact:
-            return self._index.get(t)
-        q = self.snap if self.snap > 0 else 1.0
-        x = float(t)
-        b = round(x / q)
-        for bb in (b - 1, b, b + 1):
-            i = self._index.get(bb)
-            if i is not None and abs(self.floats[i] - x) <= self.snap:
-                return i
-        return None
+
+def _blocks(src: np.ndarray, first: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [s, e) from row first on, each as long as
+    every source of its rows (src, rows by delays) lies before s."""
+    dep = np.maximum.accumulate(src.max(axis=1))
+    s = first
+    while s < len(dep):
+        e = max(s + 1, int(np.searchsorted(dep, s)))
+        yield s, e
+        s = e
 
 
 def discontinuity_instants(
     vsys: ValidatedSystem, horizon: float, *, cap: int = DEFAULT_LATTICE_CAP
 ) -> list[float]:
     """All possible discontinuity instants of K in [0, horizon], ordered.
-
-    Raises HorizonTooLarge when the lattice would exceed cap points.
-    """
-    lat = _Lattice.generate([d for d, _ in vsys.entries], horizon, cap)
-    return [float(t) for t in lat.instants]
+    Raises HorizonTooLarge past cap points or, for rational delays, past
+    int64 steps of h."""
+    return _Lattice.generate(vsys.delays, horizon, cap).floats.tolist()
 
 
 def snapped_lookup(
@@ -161,8 +163,11 @@ def snapped_lookup(
     the first point.  Instant mode (instants=True) gives the index of the
     first point within snap of t, or -1.  Any t that is not <= limit (NaN
     included) raises OutOfDomain naming domain and the first such t.
+    Integer queries stay integers, so int64 lattices compare exactly.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.asarray(ts)
+    if ts.dtype.kind != "i":
+        ts = ts.astype(float)
     bad = np.flatnonzero(~(ts <= limit))
     if bad.size:
         raise OutOfDomain(f"{domain}, got {float(ts.flat[bad[0]])}")
@@ -280,22 +285,23 @@ def fundamental_matrix(
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    entries = vsys.entries
-    lat = _Lattice.generate([d for d, _ in entries], horizon, cap)
+    lat = _Lattice.generate(vsys.delays, horizon, cap)
     base = k0(vsys)
     n = vsys.n
-    values = np.empty((len(lat), n, n))
-    for i, t in enumerate(lat.instants):
-        acc = np.zeros((n, n))
-        for d, a in entries:
-            idx = lat.segment_index(t - d)
-            prev = base if idx < 0 else values[idx]
+    src = lat.sources()
+    # row 0 holds K0, the value before the first instant (source -1)
+    values = np.empty((len(lat) + 1, n, n))
+    values[0] = base
+    for s, e in _blocks(src, 0):
+        acc = np.zeros((e - s, n, n))
+        for j, a in enumerate(vsys.matrices):
+            prev = values[src[s:e, j] + 1]
             acc += prev @ a if side == "right" else a @ prev
-        values[i] = acc
+        values[s + 1:e + 1] = acc
     return StepMatrixFunction(
         pre_value=base.copy(),
-        breakpoints=lat.floats.copy(),
-        values=values,
+        breakpoints=lat.floats,
+        values=values[1:],
         horizon=float(horizon),
         snap=lat.snap,
     )
@@ -315,25 +321,22 @@ def delta_k(
     compared.  Entries below drop_tol (max abs) are filtered at the end;
     the instant 0 always stays.
     """
-    entries = vsys.entries
-    lat = _Lattice.generate([d for d, _ in entries], horizon, cap)
+    lat = _Lattice.generate(vsys.delays, horizon, cap)
     n = vsys.n
+    src = lat.sources(instants=True)
     jumps = np.zeros((len(lat), n, n))
     jumps[0] = np.eye(n)
-    for i, t in enumerate(lat.instants):
-        if i == 0:
-            continue
-        acc = np.zeros((n, n))
-        for d, a in entries:
-            idx = lat.instant_index(t - d)
-            if idx is not None:
-                acc += jumps[idx] @ a
-        jumps[i] = acc
-    keep = [0] + [
-        i for i in range(1, len(lat)) if np.max(np.abs(jumps[i])) > drop_tol
-    ]
+    for s, e in _blocks(src, 1):
+        acc = np.zeros((e - s, n, n))
+        for j, a in enumerate(vsys.matrices):
+            rows = src[s:e, j]
+            # a missing source adds nothing, not even a zero (signs of zeros stay)
+            np.add(acc, jumps[np.maximum(rows, 0)] @ a, out=acc, where=(rows >= 0)[:, None, None])
+        jumps[s:e] = acc
+    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
+    keep[0] = True
     return JumpTable(
-        times=lat.floats[keep].copy(),
+        times=lat.floats[keep],
         jumps=jumps[keep],
         horizon=float(horizon),
         tol=max(lat.snap, 1e-12 * max(1.0, float(horizon))),

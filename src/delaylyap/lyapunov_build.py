@@ -17,6 +17,7 @@ a dense or sparse solver picked by problem size.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -148,13 +149,15 @@ def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix) -> np.ndarray:
     return base.T @ inner @ base
 
 
-def _dense_condition(mat: np.ndarray, lu_piv) -> float:
-    anorm = float(np.linalg.norm(mat, 1))
-    gecon = sla.get_lapack_funcs("gecon", (mat,))
-    rcond, info = gecon(lu_piv[0], anorm, norm="1")
-    if info != 0 or not math.isfinite(rcond):
+def _condition(anorm: float, solve, solve_t, shape) -> float:
+    """Exact ||A||_1 times the onenormest estimate of ||A^-1||_1 from the
+    factor's solves; t=1 draws no random numbers, and unlike LAPACK gecon
+    the estimate repeats bit for bit from process to process."""
+    inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t)
+    try:
+        return anorm * float(spla.onenormest(inv_op, t=1))
+    except (RuntimeError, ValueError):
         return math.inf
-    return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
 def _check_condition(cond: float, cond_warn: float, cond_fail: float) -> None:
@@ -286,7 +289,8 @@ def _solve_form(
             lu_piv = sla.lu_factor(mat)
         except (sla.LinAlgError, ValueError) as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
-        cond = _dense_condition(mat, lu_piv)
+        solve = functools.partial(sla.lu_solve, lu_piv)
+        cond = _condition(float(np.linalg.norm(mat, 1)), solve, lambda v: solve(v, trans=1), mat.shape)
         _check_condition(cond, cond_warn, cond_fail)
         sol_c = sla.lu_solve(lu_piv, b_const)
         sol_s = sla.lu_solve(lu_piv, b_slope)
@@ -297,16 +301,7 @@ def _solve_form(
             lu = spla.splu(mat)
         except RuntimeError as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
-        inv_op = spla.LinearOperator(
-            mat.shape,
-            matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(v, trans="T"),
-        )
-        try:
-            # exact ||A||_1; t=1 keeps the ||A^-1||_1 estimate free of random draws
-            cond = float(spla.norm(mat, 1)) * float(spla.onenormest(inv_op, t=1))
-        except (RuntimeError, ValueError):
-            cond = math.inf
+        cond = _condition(float(spla.norm(mat, 1)), lu.solve, lambda v: lu.solve(v, trans="T"), mat.shape)
         _check_condition(cond, cond_warn, cond_fail)
         sol_c = lu.solve(b_const)
         sol_s = lu.solve(b_slope)

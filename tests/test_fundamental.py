@@ -1,5 +1,8 @@
+import heapq
 import io
 import math
+import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap.fundamental import snapped_lookup
+from delaylyap.fundamental import DEFAULT_LATTICE_CAP, JUMP_DROP_TOL, MERGE_TOL_SCALE, snapped_lookup
 
 from conftest import random_stable_single, two_route_cases
 
@@ -36,6 +39,118 @@ def reference_cauchy(vsys, phi, grid):
     return out
 
 
+class ReferenceLattice:
+    """The heap-grown lattice with scalar lookups that K and dK were once
+    evaluated on: Fraction instants for rational delays, merged floats
+    otherwise.  Kept as the bitwise reference for the block recursions."""
+
+    def __init__(self, delays, horizon, cap=DEFAULT_LATTICE_CAP):
+        exact = all(isinstance(d, Fraction) for d in delays)
+        h_max = float(delays[-1])
+        if exact:
+            steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * max(1.0, h_max)
+        else:
+            steps, start = [float(d) for d in delays], 0.0
+            tol = snap = MERGE_TOL_SCALE * h_max
+        limit = horizon + tol
+        q = tol if tol > 0 else 1.0
+        heap, out = [start], []
+        seen = {start} if exact else {0: 0.0}
+        while heap:
+            t = heapq.heappop(heap)
+            out.append(t)
+            if len(out) > cap:
+                raise dl.HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {cap} points")
+            for d in steps:
+                s = t + d
+                if s > limit:
+                    continue
+                if exact:
+                    if s in seen:
+                        continue
+                    seen.add(s)
+                else:
+                    b = round(s / q)
+                    if any(bb in seen and abs(seen[bb] - s) <= tol for bb in (b - 1, b, b + 1)):
+                        continue
+                    seen[b] = s
+                heapq.heappush(heap, s)
+        self.instants, self.exact, self.snap = out, exact, snap
+        self.floats = np.array([float(t) for t in out])
+        self.index = {t: i for i, t in enumerate(out)} if exact else {round(t / q): i for i, t in enumerate(out)}
+
+    def segment_index(self, t):
+        if self.exact:
+            return -1 if t < 0 else bisect_right(self.instants, t) - 1
+        x = float(t)
+        i = int(np.searchsorted(self.floats, x, side="right"))
+        if i < len(self.floats) and self.floats[i] - x <= self.snap:
+            return i
+        return i - 1
+
+    def instant_index(self, t):
+        if self.exact:
+            return self.index.get(t)
+        x = float(t)
+        b = round(x / self.snap)
+        for bb in (b - 1, b, b + 1):
+            i = self.index.get(bb)
+            if i is not None and abs(self.floats[i] - x) <= self.snap:
+                return i
+        return None
+
+
+def reference_fundamental(vsys, horizon, side="right"):
+    """Breakpoints and values of K, one instant and one delay at a time."""
+    lat = ReferenceLattice(vsys.delays, horizon)
+    base, n = dl.k0(vsys), vsys.n
+    values = np.empty((len(lat.instants), n, n))
+    for i, t in enumerate(lat.instants):
+        acc = np.zeros((n, n))
+        for d, a in vsys.entries:
+            idx = lat.segment_index(t - d)
+            prev = base if idx < 0 else values[idx]
+            acc += prev @ a if side == "right" else a @ prev
+        values[i] = acc
+    return lat.floats, values
+
+
+def reference_delta_k(vsys, horizon, drop_tol=JUMP_DROP_TOL):
+    """Times and jumps of dK, one instant and one delay at a time."""
+    lat = ReferenceLattice(vsys.delays, horizon)
+    n = vsys.n
+    jumps = np.zeros((len(lat.instants), n, n))
+    jumps[0] = np.eye(n)
+    for i, t in enumerate(lat.instants[1:], start=1):
+        acc = np.zeros((n, n))
+        for d, a in vsys.entries:
+            idx = lat.instant_index(t - d)
+            if idx is not None:
+                acc += jumps[idx] @ a
+        jumps[i] = acc
+    keep = [0] + [i for i in range(1, len(jumps)) if np.max(np.abs(jumps[i])) > drop_tol]
+    return lat.floats[keep], jumps[keep]
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_matches_reference(vsys, horizon):
+    for side in ("right", "left"):
+        k = dl.fundamental_matrix(vsys, horizon, side)
+        breakpoints, values = reference_fundamental(vsys, horizon, side)
+        assert_bits_equal(k.breakpoints, breakpoints)
+        assert_bits_equal(k.values, values)
+    for drop_tol in (JUMP_DROP_TOL, 0.0):
+        table = dl.delta_k(vsys, horizon, drop_tol=drop_tol)
+        times, jumps = reference_delta_k(vsys, horizon, drop_tol)
+        assert_bits_equal(table.times, times)
+        assert_bits_equal(table.jumps, jumps)
+
+
 class TestLattice:
     def test_two_delay_instants(self, ex2a):
         got = dl.discontinuity_instants(ex2a, 3.0)
@@ -54,6 +169,49 @@ class TestLattice:
     def test_cap_enforced(self, ex2a):
         with pytest.raises(dl.HorizonTooLarge):
             dl.discontinuity_instants(ex2a, 1000.0, cap=10)
+
+    def test_sparse_rational_lattice_stays_sparse(self):
+        # h = 1e-6: a grid of every multiple of h up to 60 has 6e7 steps
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(1000001, 1000000), [[0.3]])]))
+        t0 = time.perf_counter()
+        instants = dl.discontinuity_instants(vsys, 60.0)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(instants) == 1831
+        assert instants == [float(t) for t in ReferenceLattice(vsys.delays, 60.0).instants]
+
+    def test_int64_overflow_names_step(self):
+        tiny = Fraction(1, 2**62)
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (1 + tiny, [[0.3]])]))
+        assert dl.discontinuity_instants(vsys, 0.5) == [0.0]
+        for horizon in (1.0, math.inf, math.nan):
+            with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
+                dl.discontinuity_instants(vsys, horizon)
+            with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
+                dl.fundamental_matrix(vsys, horizon)
+
+
+class TestBlockRecursionsMatchReference:
+    """K (both sides) and dK from the block recursions equal, bit for bit,
+    the instant-by-instant loops over the heap-grown lattice."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=two_route_cases(), reach=st.floats(0.0, 6.0))
+    def test_two_route_cases(self, case, reach):
+        vsys, _ = case
+        assert_matches_reference(vsys, reach * vsys.h_max)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("delays", [
+        (Fraction(1), Fraction(13, 10), Fraction(17, 10)),
+        (1.0, math.sqrt(2.0)),
+        (0.3, 1.0, 1.0 + 1e-10),
+    ])
+    def test_wide_matrices(self, n, delays):
+        rng = np.random.default_rng(n)
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in delays]
+        scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+        vsys = dl.validate(dl.DelaySystem(n, [(d, scale * a) for d, a in zip(delays, mats)]))
+        assert_matches_reference(vsys, 4.0)
 
 
 class TestFundamentalMatrix:

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -316,6 +319,32 @@ class TestSolverRoutes:
         ]))
         with pytest.raises(dl.SizeExceeded):
             dl.build_commensurate(dl.to_commensurate(big), dl.WeightMatrix.identity(1))
+
+    def test_dense_condition_repeats_across_processes(self):
+        # LAPACK gecon gave this 522-unknown dense build two different
+        # last bits in different interpreters; the estimate must not
+        script = (
+            "from fractions import Fraction\n"
+            "import numpy as np\n"
+            "import delaylyap as dl\n"
+            "rng = np.random.default_rng(3)\n"
+            "delays = [Fraction(10, 10), Fraction(23, 10), Fraction(29, 10)]\n"
+            "mats = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in delays]\n"
+            "scale = 0.9 / sum(np.linalg.norm(a, 2) for a in mats)\n"
+            "vsys = dl.validate(dl.DelaySystem(3, [(d, scale * a) for d, a in zip(delays, mats)]))\n"
+            "u = dl.build_commensurate(dl.to_commensurate(vsys), dl.WeightMatrix.identity(3))\n"
+            "print(u.solver, 2 * u.m * 9, u.condition_estimate.hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
+            ).stdout
+            for _ in range(3)
+        }
+        assert len(outs) == 1
+        assert outs.pop().split()[:2] == ["dense", "522"]
 
     def test_condition_reported(self, u_ex2a):
         assert np.isfinite(u_ex2a.condition_estimate)
