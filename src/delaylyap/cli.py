@@ -230,13 +230,13 @@ def cmd_jumps(args) -> int:
     if not args.segments_only:
         report = stability_check(rsys)
         props = jump_analysis.check_jump_properties(rsys, weight, report=report)
-        deviation = 0.0
-        for tau in spectrum.taus:
-            series = jump_analysis.delta_u_prime(
-                rsys, weight, float(tau), props.horizon, report=report, table=props.table
-            )
-            dev = float(np.max(np.abs(series.value - spectrum.jump_at(float(tau)))))
-            deviation = max(deviation, dev)
+        series = jump_analysis.delta_u_prime_many(
+            rsys, weight, spectrum.taus, props.horizon, report=report, table=props.table
+        )
+        deviation = max(
+            [0.0]
+            + [float(np.max(np.abs(v - spectrum.jump_at(t)))) for t, v in zip(spectrum.taus.tolist(), series.value)]
+        )
         summary = props.to_dict()
         summary["route_deviation_max"] = deviation
         _diag(json.dumps(summary, sort_keys=True))

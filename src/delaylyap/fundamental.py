@@ -18,6 +18,7 @@ matrix product per delay in delay order: the bits of a per-instant loop.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import (
     HorizonTooLarge,
+    NonincreasingDelays,
     OutOfDomain,
     RecursionDepthExceeded,
 )
@@ -40,6 +42,8 @@ MERGE_TOL_SCALE = 1e-9
 JUMP_DROP_TOL = 1e-14
 # (grid point, instant, delay) triples per chunk of the convolution response
 CAUCHY_CHUNK_PAIRS = 1 << 12
+# matrix entries per chunk of padded rows in sequential_sums
+SUM_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,9 @@ class _Lattice:
             return cls._exact(delays, horizon, cap)
         steps = [float(d) for d in delays]
         tol = MERGE_TOL_SCALE * steps[-1]
+        if steps[0] <= tol:
+            # every step of it would merge onto its own source
+            raise NonincreasingDelays(f"delay {steps[0]} is within the lattice merge tolerance {tol} of zero")
         limit = horizon + tol
         q = tol if tol > 0 else 1.0
         heap = [0.0]
@@ -167,18 +174,18 @@ def snapped_lookup(
     """
     ts = np.asarray(ts)
     if ts.dtype.kind != "i":
-        ts = ts.astype(float)
+        ts = ts.astype(float, copy=False)
     bad = np.flatnonzero(~(ts <= limit))
     if bad.size:
         raise OutOfDomain(f"{domain}, got {float(ts.flat[bad[0]])}")
     last = len(points) - 1
     if instants:
         i = np.searchsorted(points, ts)
-        below = (i >= 1) & (np.abs(points[np.maximum(i - 1, 0)] - ts) <= snap)
-        above = (i <= last) & (np.abs(points[np.minimum(i, last)] - ts) <= snap)
+        below = (i >= 1) & (np.abs(np.take(points, i - 1, mode="clip") - ts) <= snap)
+        above = (i <= last) & (np.abs(np.take(points, i, mode="clip") - ts) <= snap)
         return np.where(below, i - 1, np.where(above, i, -1))
     i = np.searchsorted(points, ts, side="right")
-    snapped = (i <= last) & (points[np.minimum(i, last)] - ts <= snap)
+    snapped = (i <= last) & (np.take(points, i, mode="clip") - ts <= snap)
     return np.where(snapped, i, i - 1)
 
 
@@ -188,6 +195,29 @@ def sequential_sum(terms: np.ndarray) -> np.ndarray:
     if not len(terms):
         return np.zeros(terms.shape[1:])
     return np.cumsum(terms, axis=0)[-1]
+
+
+def sequential_sums(terms: np.ndarray, counts) -> np.ndarray:
+    """sequential_sum of each run of consecutive terms, counts[r] of them
+    for row r: the bits of one sequential_sum per row, zeros for an empty
+    run.  The runs become rows padded with -0.0, which adds nothing to any
+    sum, and one cumsum adds every row."""
+    counts = np.asarray(counts).tolist()
+    padded = np.full((len(counts), max(1, max(counts, default=0))) + terms.shape[1:], -0.0)
+    start = 0
+    for row, count in zip(padded, counts):
+        row[:count] = terms[start:start + count]
+        start += count
+    padded[np.equal(counts, 0), 0] = 0.0
+    return np.cumsum(padded, axis=1, out=padded)[:, -1]
+
+
+def row_chunks(rows: int, row_entries: int) -> Iterator[slice]:
+    """Slices of range(rows) holding about SUM_CHUNK_ENTRIES entries each
+    (at least one row), for rows of row_entries entries."""
+    step = max(1, SUM_CHUNK_ENTRIES // max(1, row_entries))
+    for s in range(0, rows, step):
+        yield slice(s, min(s + step, rows))
 
 
 @dataclass(frozen=True)
@@ -220,7 +250,12 @@ class StepMatrixFunction:
         limit = self.horizon + max(self.snap, 1e-12 * max(1.0, self.horizon))
         domain = f"function built on [0, {self.horizon}]"
         i = snapped_lookup(self.breakpoints, ts, self.snap, limit, domain=domain)
-        return np.where((i < 0)[..., None, None], self.pre_value, self.values[np.maximum(i, 0)])
+        return np.take(self._rows, i + 1, axis=0)
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """pre_value, then values: row i + 1 holds the value of segment i."""
+        return np.concatenate([self.pre_value[None], self.values])
 
     def jumps(self) -> np.ndarray:
         """Value differences across breakpoints, including the first."""
@@ -446,8 +481,13 @@ def simulate_cauchy(
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def write_csv(fh, header: Sequence[str], table: np.ndarray) -> None:
+    """header, then one row per row of the 2-d table, every entry written
+    as repr of a Python float (the shortest string that reads back to
+    the same bits)."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([list(map(repr, row)) for row in table.tolist()])
 
 
 def _matrix_header(prefix: str, n: int) -> list[str]:
@@ -456,16 +496,13 @@ def _matrix_header(prefix: str, n: int) -> list[str]:
 
 def step_to_csv(kfun: StepMatrixFunction, fh) -> None:
     """One row per breakpoint: t, K11..Knn (row major)."""
-    writer = csv.writer(fh)
-    writer.writerow(["t"] + _matrix_header("K", kfun.n))
-    for t, v in zip(kfun.breakpoints, kfun.values):
-        writer.writerow([_fmt(t)] + [_fmt(x) for x in v.ravel()])
+    n = kfun.n
+    table = np.column_stack([kfun.breakpoints, kfun.values.reshape(len(kfun.values), n * n)])
+    write_csv(fh, ["t"] + _matrix_header("K", n), table)
 
 
 def trajectory_to_csv(times: Sequence[float], states: np.ndarray, fh) -> None:
     """One row per grid point: t, x1..xn."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    writer = csv.writer(fh)
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(states.shape[1])])
-    for t, row in zip(times, states):
-        writer.writerow([_fmt(t)] + [_fmt(x) for x in row])
+    table = np.column_stack([np.asarray(times, dtype=float), states])
+    write_csv(fh, ["t"] + [f"x{i + 1}" for i in range(states.shape[1])], table)

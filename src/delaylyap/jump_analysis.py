@@ -14,14 +14,22 @@ which makes the two routes independently checkable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fundamental import JumpTable, delta_k, discontinuity_instants, fundamental_matrix, sequential_sum
+from .fundamental import (
+    JumpTable,
+    delta_k,
+    discontinuity_instants,
+    fundamental_matrix,
+    row_chunks,
+    sequential_sum,
+    sequential_sums,
+    write_csv,
+)
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .system_model import (
     StabilityReport,
@@ -38,6 +46,9 @@ SPECTRUM_DROP_TOL = 1e-14
 
 
 class TruncatedSeries(NamedTuple):
+    """A truncated series with its tail bound; delta_u_prime_many stacks
+    value and tail_bound over its shifts."""
+
     value: np.ndarray
     tail_bound: float
     horizon: float
@@ -64,15 +75,10 @@ class JumpSpectrum:
         return self.jumps[idx[0]] if idx.size else None
 
     def to_csv(self, fh) -> None:
-        writer = csv.writer(fh)
         names = [f"dU{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
-        writer.writerow(["tau"] + names + ["bound"])
-        for t, v in zip(self.taus, self.jumps):
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(x)) for x in v.ravel()]
-                + [repr(float(self.tail_bound))]
-            )
+        bound = np.full(len(self.taus), float(self.tail_bound))
+        table = np.column_stack([self.taus, self.jumps.reshape(len(self.taus), self.n * self.n), bound])
+        write_csv(fh, ["tau"] + names + ["bound"], table)
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,54 @@ def _delta_series_tail(report: StabilityReport, w2: float, k0n: float, tau: floa
     )
 
 
+def delta_u_prime_many(
+    vsys: ValidatedSystem,
+    weight: WeightMatrix,
+    taus: float | Sequence[float],
+    horizon: float | None = None,
+    *,
+    report: StabilityReport | None = None,
+    table: JumpTable | None = None,
+) -> TruncatedSeries:
+    """Jumps of U' at every shift of taus by the truncated series, value
+    shaped taus' shape + (n, n) and tail_bound taus' shape.  One table,
+    built unless the given one reaches horizon + max(taus, 0), serves all
+    shifts; the default horizon covers the largest |tau|.  Off-lattice
+    shifts give an exact zero, -0.0, since the series has no aligned
+    terms.  The shifts are taken in chunks, one row of aligned terms
+    each, and every row is added left to right.  For non-commensurate
+    systems the reported bound uses the smallest gap seen on the
+    generated lattice, which is a heuristic because deeper lattice gaps
+    can shrink further."""
+    report = require_stable(vsys, report, STABLE_LABEL)
+    taus = np.asarray(taus, dtype=float)
+    flat = taus.ravel()
+    if horizon is None:
+        horizon = max(default_horizon(vsys, report), float(np.max(np.abs(flat), initial=0.0)) + vsys.h_min)
+    reach = max(float(np.max(flat, initial=0.0)), 0.0)
+    if table is None or table.horizon < horizon + reach:
+        table = delta_k(vsys, horizon + reach + vsys.h_min, drop_tol=0.0)
+    w = weight.matrix
+    n = vsys.n
+    count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+    value = np.empty((flat.size, n, n))
+    for rows in row_chunks(flat.size, count * n * n):
+        other = table.index_many(table.times[:count] + flat[rows, None])
+        hit = other >= 0
+        left = np.swapaxes(np.take(table.jumps, np.nonzero(hit)[1], axis=0), 1, 2)
+        right = np.take(table.jumps, other[hit], axis=0)
+        value[rows] = -sequential_sums(np.matmul(np.matmul(left, w), right), hit.sum(axis=1))
+    w2 = float(np.linalg.norm(w, 2))
+    base_norm = float(np.linalg.norm(k0(vsys), 2))
+    gap = table.min_gap()
+    tails = [_delta_series_tail(report, w2, base_norm, tau, horizon, gap) for tau in flat.tolist()]
+    return TruncatedSeries(
+        value=value.reshape(taus.shape + (n, n)),
+        tail_bound=np.array(tails).reshape(taus.shape),
+        horizon=float(horizon),
+    )
+
+
 def delta_u_prime(
     vsys: ValidatedSystem,
     weight: WeightMatrix,
@@ -135,32 +189,10 @@ def delta_u_prime(
     table: JumpTable | None = None,
 ) -> TruncatedSeries:
     """Jump of U' at shift tau by the truncated series with its tail
-    bound.  Off-lattice shifts give an exact zero (the series has no
-    aligned terms).  For non-commensurate systems the reported bound uses
-    the smallest gap seen on the generated lattice, which is a heuristic
-    because deeper lattice gaps can shrink further."""
-    report = require_stable(vsys, report, STABLE_LABEL)
-    tau = float(tau)
-    if horizon is None:
-        horizon = max(default_horizon(vsys, report), abs(tau) + vsys.h_min)
-    if table is None or table.horizon < horizon + max(tau, 0.0):
-        table = delta_k(vsys, horizon + max(tau, 0.0) + vsys.h_min, drop_tol=0.0)
-    w = weight.matrix
-    count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
-    other = table.index_many(table.times[:count] + tau)
-    hit = other >= 0
-    left = np.swapaxes(table.jumps[:count][hit], 1, 2)
-    acc = -sequential_sum(np.matmul(np.matmul(left, w), table.jumps[other[hit]]))
-    base_norm = float(np.linalg.norm(k0(vsys), 2))
-    tail = _delta_series_tail(
-        report,
-        float(np.linalg.norm(w, 2)),
-        base_norm,
-        tau,
-        horizon,
-        table.min_gap(),
-    )
-    return TruncatedSeries(value=acc, tail_bound=tail, horizon=float(horizon))
+    bound: delta_u_prime_many at one shift, building its own table when
+    the given one falls short of horizon + max(tau, 0)."""
+    series = delta_u_prime_many(vsys, weight, float(tau), horizon, report=report, table=table)
+    return series._replace(tail_bound=float(series.tail_bound))
 
 
 def u_prime_series(
@@ -244,7 +276,11 @@ def check_jump_properties(
     and the negative semidefiniteness of dU'(0) + W.
 
     The default grid is the set of knot shifts k h for commensurate
-    systems, or lattice differences inside [-H, H] otherwise.
+    systems, or lattice differences inside [-H, H] otherwise.  Every
+    shift the identities read (tau, -tau, tau + h_i - h_j, tau -+ h_j and
+    0) is collected first, shifts within 1e-12 relative of one read
+    before sharing its value, and one delta_u_prime_many pass over one
+    jump table sums all their series.
     """
     report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
@@ -270,44 +306,51 @@ def check_jump_properties(
     w = weight.matrix
     scale = max(1.0, max_shift + 2.0 * hmax)
 
-    cache: dict[int, TruncatedSeries] = {}
+    def key(tau: float) -> int:
+        return round(tau / (1e-12 * scale))
 
-    def du(tau: float) -> TruncatedSeries:
-        key = round(tau / (1e-12 * scale))
-        hit = cache.get(key)
-        if hit is None:
-            hit = delta_u_prime(
-                vsys, weight, tau, horizon, report=report, table=table
-            )
-            cache[key] = hit
-        return hit
+    # every shift the identities read, in reading order; a shift whose key
+    # is taken reads the value of the first one with that key
+    shifts: dict[int, float] = {}
+    for tau in tau_grid.tolist():
+        reads = [tau]
+        if tau >= 0.0:
+            reads += [-tau] + [tau + hi - hj for hi in delays for hj in delays]
+        if tau > 0.0:
+            reads += [tau - hj for hj in delays]
+        elif tau < 0.0:
+            reads += [tau + hj for hj in delays]
+        for t in reads:
+            shifts.setdefault(key(t), t)
+    shifts.setdefault(key(0.0), 0.0)
+    series = delta_u_prime_many(vsys, weight, list(shifts.values()), horizon, report=report, table=table)
+    du = dict(zip(shifts, series.value))
 
     sym = dyn = alg = 0.0
-    for tau in tau_grid:
-        tau = float(tau)
-        here = du(tau).value
+    for tau in tau_grid.tolist():
+        here = du[key(tau)]
         if tau >= 0.0:
-            sym = max(sym, float(np.max(np.abs(du(-tau).value - here.T))))
+            sym = max(sym, float(np.max(np.abs(du[key(-tau)] - here.T))))
             dk = table.jump_at(tau)
             dk = np.zeros_like(w) if dk is None else dk
             acc = -here - w @ dk
             for hi, ai in zip(delays, mats):
                 for hj, aj in zip(delays, mats):
-                    acc = acc + ai.T @ du(tau + hi - hj).value @ aj
+                    acc = acc + ai.T @ du[key(tau + hi - hj)] @ aj
             alg = max(alg, float(np.max(np.abs(acc))))
         if tau > 0.0:
             acc = -here
             for hj, aj in zip(delays, mats):
-                acc = acc + du(tau - hj).value @ aj
+                acc = acc + du[key(tau - hj)] @ aj
             dyn = max(dyn, float(np.max(np.abs(acc))))
         elif tau < 0.0:
             acc = -here
             for hj, aj in zip(delays, mats):
-                acc = acc + aj.T @ du(tau + hj).value
+                acc = acc + aj.T @ du[key(tau + hj)]
             dyn = max(dyn, float(np.max(np.abs(acc))))
-    at_zero = du(0.0).value + w
+    at_zero = du[key(0.0)] + w
     nsd = float(np.max(np.linalg.eigvalsh(0.5 * (at_zero + at_zero.T))))
-    worst_tail = max(s.tail_bound for s in cache.values()) if cache else 0.0
+    worst_tail = max(series.tail_bound.tolist())
     return JumpPropertyReport(
         symmetry=sym,
         dynamic=dyn,

@@ -16,7 +16,6 @@ a dense or sparse solver picked by problem size.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -30,6 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CriticalSystem, OutOfDomain, SizeExceeded
+from .fundamental import write_csv
 from .system_model import (
     CommensurateForm,
     ValidatedSystem,
@@ -371,10 +371,6 @@ def residuals(
 
 def piecewise_to_csv(u: PiecewiseAffineMatrixFunction, taus: Sequence[float], fh) -> None:
     """One row per requested tau: tau, U11..Unn (row major)."""
-    writer = csv.writer(fh)
-    writer.writerow(
-        ["tau"] + [f"U{i + 1}{j + 1}" for i in range(u.n) for j in range(u.n)]
-    )
-    vals = u.evaluate_many(taus)
-    for t, v in zip(taus, vals):
-        writer.writerow([repr(float(t))] + [repr(float(x)) for x in v.ravel()])
+    taus = np.asarray(taus, dtype=float)
+    table = np.column_stack([taus, u.evaluate_many(taus).reshape(len(taus), u.n * u.n)])
+    write_csv(fh, ["tau"] + [f"U{i + 1}{j + 1}" for i in range(u.n) for j in range(u.n)], table)

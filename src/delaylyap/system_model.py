@@ -586,12 +586,9 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
     horizon = max(horizon, 3.0 * vsys.h_max)
     kfun = fundamental.fundamental_matrix(vsys, horizon)
     k0n = float(np.linalg.norm(kfun.pre_value, 2))
-    ends = np.append(kfun.breakpoints[1:], kfun.horizon)
-    gamma = 1.0
-    for v, t_end in zip(kfun.values, ends):
-        ratio = float(np.linalg.norm(v, 2)) * math.exp(sigma * t_end) / k0n
-        if ratio > gamma:
-            gamma = ratio
+    norms = np.linalg.norm(kfun.values, 2, axis=(1, 2)).tolist()
+    ends = np.append(kfun.breakpoints[1:], kfun.horizon).tolist()
+    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends)])
     return 1.05 * gamma, sigma
 
 

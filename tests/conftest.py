@@ -119,6 +119,13 @@ def report_ex2a_half(ex2a_half):
 
 # ---------------------------------------------------------------- helpers
 
+def assert_bits_equal(got, want):
+    """Equal shapes and equal bits, so -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def random_stable_single(seed, n=2, radius=0.8):
     """Deterministic random single-delay system with spectral radius
     exactly `radius`."""

@@ -94,6 +94,15 @@ class TestK:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+    def test_delay_merged_to_zero_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(dl.system_to_json(dl.DelaySystem(1, [(1e-10, [[0.2]]), (1.0, [[0.3]])])))
+        assert main(["k", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "merge tolerance" in captured.err
+
+
 class TestSim:
     def test_default_constant_initial(self, configs, capsys):
         rc = main(["sim", "--config", configs["scalar"], "--horizon", "3",

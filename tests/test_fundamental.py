@@ -1,3 +1,4 @@
+import csv
 import heapq
 import io
 import math
@@ -10,9 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap.fundamental import DEFAULT_LATTICE_CAP, JUMP_DROP_TOL, MERGE_TOL_SCALE, snapped_lookup
+from delaylyap.fundamental import (
+    DEFAULT_LATTICE_CAP,
+    JUMP_DROP_TOL,
+    MERGE_TOL_SCALE,
+    row_chunks,
+    sequential_sum,
+    sequential_sums,
+    snapped_lookup,
+)
 
-from conftest import random_stable_single, two_route_cases
+from conftest import assert_bits_equal, random_stable_single, two_route_cases
 
 
 def reference_cauchy(vsys, phi, grid):
@@ -132,12 +141,6 @@ def reference_delta_k(vsys, horizon, drop_tol=JUMP_DROP_TOL):
     return lat.floats[keep], jumps[keep]
 
 
-def assert_bits_equal(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def assert_matches_reference(vsys, horizon):
     for side in ("right", "left"):
         k = dl.fundamental_matrix(vsys, horizon, side)
@@ -188,6 +191,21 @@ class TestLattice:
                 dl.discontinuity_instants(vsys, horizon)
             with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
                 dl.fundamental_matrix(vsys, horizon)
+
+
+    def test_delay_within_merge_tolerance_of_zero_rejected(self):
+        vsys = dl.validate(dl.DelaySystem(1, [(1e-10, [[0.2]]), (1.0, [[0.3]])]))
+        message = "delay 1e-10 is within the lattice merge tolerance 1e-09 of zero"
+        with pytest.raises(dl.NonincreasingDelays, match=message):
+            dl.fundamental_matrix(vsys, 3.0)
+        with pytest.raises(dl.NonincreasingDelays, match=message):
+            dl.delta_k(vsys, 3.0)
+        with pytest.raises(dl.NonincreasingDelays, match=message):
+            dl.discontinuity_instants(vsys, 3.0)
+        # a pair of delays that merge with each other still builds
+        near = dl.validate(dl.DelaySystem(1, [(0.3, [[0.2]]), (1.0, [[0.3]]), (1.0 + 1e-10, [[0.1]])]))
+        assert dl.discontinuity_instants(near, 1.0) == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+        assert len(dl.fundamental_matrix(near, 3.0).breakpoints) == len(dl.delta_k(near, 3.0, drop_tol=0.0))
 
 
 class TestBlockRecursionsMatchReference:
@@ -496,6 +514,29 @@ class TestSnappedLookup:
         np.testing.assert_array_equal(k.value_many(iter([0.5, 1.5])), k.value_many([0.5, 1.5]))
 
 
+class TestSequentialSums:
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), max_size=6), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+    def test_rows_equal_sequential_sum(self, counts, seed, n):
+        # signed zeros and mixed signs, where the order of additions shows
+        rng = np.random.default_rng(seed)
+        terms = rng.choice([-0.0, 0.0, 1.0, -1.0, 1e-17, -3.5, 1e16], size=(sum(counts), n, n))
+        got = sequential_sums(terms, counts)
+        assert got.shape == (len(counts), n, n)
+        start = 0
+        for row, count in zip(got, counts):
+            assert_bits_equal(row, sequential_sum(terms[start:start + count]))
+            start += count
+
+    def test_row_chunks_cover_in_order(self, monkeypatch):
+        import delaylyap.fundamental as fundamental
+
+        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 100)
+        assert list(row_chunks(7, 30)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert list(row_chunks(2, 1000)) == [slice(0, 1), slice(1, 2)]
+        assert list(row_chunks(0, 30)) == []
+
+
 class TestCsv:
     def test_step_csv_header_and_determinism(self, ex2a):
         k = dl.fundamental_matrix(ex2a, 2.0)
@@ -512,3 +553,35 @@ class TestCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,x1,x2"
         assert lines[1] == "0.0,1.0,2.0"
+
+    def test_bytes_equal_row_by_row_writers(self, ex2a, u_ex2a):
+        def row_by_row(header, firsts, rests, extra=()):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            for first, rest in zip(firsts, rests):
+                writer.writerow(
+                    [repr(float(first))] + [repr(float(x)) for x in np.ravel(rest)] + [repr(float(x)) for x in extra]
+                )
+            return buf.getvalue()
+
+        def written(write, *args):
+            buf = io.StringIO()
+            write(*args, buf)
+            return buf.getvalue()
+
+        kfun = dl.fundamental_matrix(ex2a, 6.0)
+        want = row_by_row(["t", "K11", "K12", "K21", "K22"], kfun.breakpoints, kfun.values)
+        assert written(dl.step_to_csv, kfun) == want
+        times = [0.0, 0.5, 1.0, 2.0]
+        states = np.array([[-0.0, 1e-300], [1.0 / 3.0, -2.5e300], [np.nan, np.inf], [7.0, -1e-17]])
+        assert written(dl.trajectory_to_csv, times, states) == row_by_row(["t", "x1", "x2"], times, states)
+        assert written(dl.trajectory_to_csv, [], np.empty((0, 2))) == "t,x1,x2\r\n"
+        taus = np.linspace(-1.5, 1.5, 13)
+        want = row_by_row(["tau", "U11", "U12", "U21", "U22"], taus, u_ex2a.evaluate_many(taus))
+        assert written(dl.piecewise_to_csv, u_ex2a, taus) == want
+        spectrum = dl.jumps_from_segments(u_ex2a)
+        bounded = dl.JumpSpectrum(spectrum.taus, spectrum.jumps, "series", 20.0, 3.25e-13)
+        header = ["tau", "dU11", "dU12", "dU21", "dU22", "bound"]
+        for spec in (spectrum, bounded):
+            assert written(spec.to_csv) == row_by_row(header, spec.taus, spec.jumps, [spec.tail_bound])

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 import delaylyap as dl
+from delaylyap import fundamental, jump_analysis
+from delaylyap.fundamental import sequential_sum
 
-from conftest import certificate, two_route_cases
+from conftest import assert_bits_equal, certificate, two_route_cases
 
 
 def reference_delta_series(table, w, tau, horizon):
@@ -22,6 +24,78 @@ def reference_delta_series(table, w, tau, horizon):
         if other is not None:
             acc -= dk.T @ w @ other
     return acc
+
+
+def reference_delta_one(vsys, weight, tau, horizon, report, table):
+    """The jump series of U' at one shift by one vectorised sum, as
+    delta_u_prime once summed it: the bitwise reference, signs of zeros
+    included, for the batched rows.  Returns (value, tail bound)."""
+    w = weight.matrix
+    count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+    other = table.index_many(table.times[:count] + tau)
+    hit = other >= 0
+    left = np.swapaxes(table.jumps[:count][hit], 1, 2)
+    acc = -sequential_sum(np.matmul(np.matmul(left, w), table.jumps[other[hit]]))
+    tail = jump_analysis._delta_series_tail(
+        report, float(np.linalg.norm(w, 2)), float(np.linalg.norm(dl.k0(vsys), 2)), tau, horizon, table.min_gap()
+    )
+    return acc, tail
+
+
+def reference_jump_properties(vsys, weight, tau_grid, horizon, report):
+    """check_jump_properties with its lazy per-shift cache, as it once
+    ran: the bitwise reference for the batched pass."""
+    hmax = vsys.h_max
+    max_shift = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
+    horizon = max(horizon, max_shift + 2.0 * hmax + vsys.h_min)
+    table = dl.delta_k(vsys, horizon + max_shift + 2.0 * hmax + vsys.h_min, drop_tol=0.0)
+    delays = [float(d) for d in vsys.delays]
+    mats = list(vsys.matrices)
+    w = weight.matrix
+    scale = max(1.0, max_shift + 2.0 * hmax)
+    cache = {}
+
+    def du(tau):
+        key = round(tau / (1e-12 * scale))
+        if key not in cache:
+            cache[key] = reference_delta_one(vsys, weight, tau, horizon, report, table)
+        return cache[key][0]
+
+    sym = dyn = alg = 0.0
+    for tau in tau_grid:
+        tau = float(tau)
+        here = du(tau)
+        if tau >= 0.0:
+            sym = max(sym, float(np.max(np.abs(du(-tau) - here.T))))
+            dk = table.jump_at(tau)
+            dk = np.zeros_like(w) if dk is None else dk
+            acc = -here - w @ dk
+            for hi, ai in zip(delays, mats):
+                for hj, aj in zip(delays, mats):
+                    acc = acc + ai.T @ du(tau + hi - hj) @ aj
+            alg = max(alg, float(np.max(np.abs(acc))))
+        if tau > 0.0:
+            acc = -here
+            for hj, aj in zip(delays, mats):
+                acc = acc + du(tau - hj) @ aj
+            dyn = max(dyn, float(np.max(np.abs(acc))))
+        elif tau < 0.0:
+            acc = -here
+            for hj, aj in zip(delays, mats):
+                acc = acc + aj.T @ du(tau + hj)
+            dyn = max(dyn, float(np.max(np.abs(acc))))
+    at_zero = du(0.0) + w
+    nsd = float(np.max(np.linalg.eigvalsh(0.5 * (at_zero + at_zero.T))))
+    worst_tail = max(tail for _, tail in cache.values())
+    return {
+        "symmetry": sym,
+        "dynamic": dyn,
+        "algebraic": alg,
+        "nsd_max_eigenvalue": nsd,
+        "tail_bound": worst_tail,
+        "horizon": float(horizon),
+        "grid_points": int(tau_grid.size),
+    }
 
 
 def reference_u_prime_series(table, kfun, base, w, tau, horizon):
@@ -231,3 +305,87 @@ class TestVectorisedSeries:
     def test_unstable_message_names_the_series(self, ex2b, w2):
         with pytest.raises(dl.NotStable, match="^jump series need a verified stable system"):
             dl.u_prime_series(ex2b, w2, 0.5)
+
+
+class TestBatchedSeries:
+    """One batched series pass returns the bits of one sum per shift."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=two_route_cases())
+    def test_many_equals_per_shift_reference(self, case):
+        vsys, weight = case
+        cert = certificate(vsys)
+        horizon = 3.0 * vsys.h_max
+        instants = dl.discontinuity_instants(vsys, vsys.h_max)
+        taus = np.array(instants + [-t for t in instants] + [0.37 * vsys.h_min, -0.61 * vsys.h_max])
+        shared = dl.delta_k(vsys, horizon + vsys.h_max + vsys.h_min, drop_tol=0.0)
+        series = dl.delta_u_prime_many(vsys, weight, taus, horizon, report=cert, table=shared)
+        for tau, value, tail in zip(taus.tolist(), series.value, series.tail_bound.tolist()):
+            want, want_tail = reference_delta_one(vsys, weight, tau, horizon, cert, shared)
+            assert_bits_equal(value, want)
+            assert_bits_equal(tail, want_tail)
+            one = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert, table=shared)
+            assert_bits_equal(one.value, want)
+            assert isinstance(one.tail_bound, float) and one.tail_bound == want_tail
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=two_route_cases())
+    def test_properties_equal_lazy_cache_reference(self, case):
+        vsys, weight = case
+        cert = certificate(vsys)
+        horizon = 3.0 * vsys.h_max
+        got = dl.check_jump_properties(vsys, weight, horizon=horizon, report=cert).to_dict()
+        del got["max_residual"]
+        tau_grid = self._default_grid(vsys)
+        want = reference_jump_properties(vsys, weight, tau_grid, horizon, cert)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert_bits_equal(got[name], value)
+
+    @staticmethod
+    def _default_grid(vsys):
+        if vsys.is_rational:
+            form = dl.to_commensurate(vsys)
+            return np.array([k * float(form.h) for k in range(-form.m, form.m + 1)])
+        inst = np.asarray(dl.discontinuity_instants(vsys, vsys.h_max))
+        diffs = np.unique(np.concatenate([inst, -inst, np.subtract.outer(inst, inst).ravel()]))
+        return np.array([t for t in diffs if abs(t) <= vsys.h_max + 1e-12])
+
+    def test_properties_equal_reference_on_worked_system(self, ex2a_half, w2, report_ex2a_half):
+        # -1.5 - 1e-13, read last, shares the key of -1.5, read first; it
+        # would give the worst tail bound other bits
+        grid = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, -1.5 - 1e-13])
+        rep = dl.check_jump_properties(ex2a_half, w2, tau_grid=grid, horizon=20.0, report=report_ex2a_half)
+        want = reference_jump_properties(ex2a_half, w2, grid, 20.0, report_ex2a_half)
+        for name, value in want.items():
+            assert_bits_equal(getattr(rep, name), value)
+
+    def test_tiny_chunks_and_a_shift_with_no_hits(self, ex2a_half, w2, report_ex2a_half, monkeypatch):
+        horizon = 6.0
+        table = dl.delta_k(ex2a_half, horizon + 2.0, drop_tol=0.0)
+        # 0.3 lies on no lattice point: its row is empty and its sum -0.0
+        taus = np.array([0.0, 0.3, -1.5, 1.0, 0.5, 1.5, -0.5])
+        counts = []
+
+        def spy(terms, rows):
+            counts.append(np.array(rows))
+            return fundamental.sequential_sums(terms, rows)
+
+        count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * count * 4)
+        monkeypatch.setattr(jump_analysis, "sequential_sums", spy)
+        series = dl.delta_u_prime_many(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table)
+        for tau, value in zip(taus.tolist(), series.value):
+            assert_bits_equal(value, reference_delta_one(ex2a_half, w2, tau, horizon, report_ex2a_half, table)[0])
+        assert_bits_equal(series.value[1], np.full((2, 2), -0.0))
+        assert [len(c) for c in counts] == [3, 3, 1]
+        assert counts[0][1] == 0 and len(set(counts[0].tolist())) == 3
+
+    def test_table_extension_fallback(self, scalar_half, w1, scalar_report):
+        # a table too short for the shifts is rebuilt, as delta_u_prime did
+        short = dl.delta_k(scalar_half, 2.0, drop_tol=0.0)
+        series = dl.delta_u_prime_many(scalar_half, w1, [0.0, 12.0], 3.0, report=scalar_report, table=short)
+        assert series.value[1, 0, 0] == pytest.approx(-85 / 262144, abs=1e-16)
+        assert series.value.shape == (2, 1, 1) and series.tail_bound.shape == (2,)
+        empty = dl.delta_u_prime_many(scalar_half, w1, [], 3.0, report=scalar_report)
+        assert empty.value.shape == (0, 1, 1) and empty.tail_bound.shape == (0,)

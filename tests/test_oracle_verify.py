@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap import fundamental, oracle_verify
+from delaylyap.fundamental import sequential_sum
 from delaylyap.oracle_verify import _u_sum_from_k
 
-from conftest import certificate, random_stable_single, two_route_cases
+from conftest import assert_bits_equal, certificate, random_stable_single, two_route_cases
 
 
 def reference_u_sum(kfun, base, w, tau, horizon):
@@ -21,6 +23,44 @@ def reference_u_sum(kfun, base, w, tau, horizon):
             continue
         acc += width * (kfun.value(mid) - base).T @ w @ kfun.value(mid + tau)
     return acc
+
+
+def reference_u_sums(kfun, base, w, taus, horizon):
+    """One vectorised U integral per shift, as cross_check once summed its
+    grid: the bitwise reference, signs of zeros included, for the batched
+    rows of _u_sum_from_k."""
+    out = []
+    for tau in np.asarray(taus, dtype=float).tolist():
+        cuts = kfun.breakpoints[kfun.breakpoints <= horizon]
+        shifted = kfun.breakpoints - tau
+        shifted = shifted[(shifted > 0.0) & (shifted < horizon)]
+        pts = np.unique(np.concatenate([cuts, shifted, [0.0, horizon]]))
+        mids, widths = 0.5 * (pts[:-1] + pts[1:]), np.diff(pts)
+        left = widths[:, None, None] * np.swapaxes(kfun.value_many(mids) - base, 1, 2)
+        out.append(sequential_sum(np.matmul(np.matmul(left, w), kfun.value_many(mids + tau))))
+    return np.array(out).reshape(np.shape(taus) + base.shape)
+
+
+def random_u(vsys, seed, m=5):
+    """A piecewise affine U on [-h_max, h_max] with random segments; the
+    cross check only subtracts U, so it need not be built."""
+    rng = np.random.default_rng(seed)
+    n = vsys.n
+    return dl.PiecewiseAffineMatrixFunction(
+        h=vsys.h_max / m,
+        m=m,
+        n=n,
+        coeffs=rng.uniform(-1.0, 1.0, size=(2 * m, n, n)),
+        slopes=rng.uniform(-1.0, 1.0, size=(2 * m, n, n)),
+        condition_estimate=1.0,
+        solver="dense",
+    )
+
+
+def two_route_grid(vsys, hz):
+    """Lattice points and their negatives, off-lattice points, and +-hz."""
+    instants = np.array(dl.discontinuity_instants(vsys, hz))
+    return np.concatenate([instants, -instants, [0.37 * vsys.h_min, -0.61 * hz, 0.5 * hz + 1e-3, hz, -hz]])
 
 
 def reference_p_sum(kfun, base, w, horizon):
@@ -168,3 +208,55 @@ class TestVectorisedSums:
         for tau, err in zip(rep.grid, rep.errors):
             want = reference_u_sum(kfun, base, w2.matrix, float(tau), rep.horizon)
             assert err == float(np.max(np.abs(u_ex2a_half.evaluate(float(tau)) - want)))
+
+
+class TestBatchedCrossCheck:
+    """The batched U integral returns the bits of one sum per shift."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=two_route_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_errors_equal_per_shift_reference(self, case, seed):
+        vsys, weight = case
+        w, base = weight.matrix, dl.k0(vsys)
+        u = random_u(vsys, seed)
+        hz = u.horizon
+        grid = two_route_grid(vsys, hz)
+        # under h_min a shift whose K(t + tau) does not jump inside the
+        # horizon has a single cell, and the rows differ in length
+        for horizon in (0.5 * vsys.h_min, 3.0 * vsys.h_max):
+            rep = dl.cross_check(u, vsys, weight, grid=grid, horizon=horizon, report=certificate(vsys))
+            kfun = dl.fundamental_matrix(vsys, horizon + hz + vsys.h_min)
+            want = [
+                float(np.max(np.abs(u.evaluate(tau) - reference_u_sum(kfun, base, w, tau, horizon))))
+                for tau in grid.tolist()
+            ]
+            assert_bits_equal(rep.errors, want)
+            assert_bits_equal(_u_sum_from_k(kfun, base, w, grid, horizon), reference_u_sums(kfun, base, w, grid, horizon))
+
+    def test_shapes(self, ex2a_half):
+        kfun = dl.fundamental_matrix(ex2a_half, 12.0)
+        base, w = dl.k0(ex2a_half), np.eye(2)
+        assert _u_sum_from_k(kfun, base, w, 0.5, 8.0).shape == (2, 2)
+        assert _u_sum_from_k(kfun, base, w, np.zeros((2, 3)), 8.0).shape == (2, 3, 2, 2)
+        assert _u_sum_from_k(kfun, base, w, [], 8.0).shape == (0, 2, 2)
+        assert_bits_equal(_u_sum_from_k(kfun, base, w, 0.0, 0.0), np.zeros((2, 2)))
+
+    def test_tiny_chunks(self, ex2a_half, w2, monkeypatch):
+        kfun = dl.fundamental_matrix(ex2a_half, 12.0)
+        base, w = dl.k0(ex2a_half), w2.matrix
+        horizon = 0.4
+        grid = np.array([0.0, 0.8, 1.3, -0.3, 1.5, 0.05, -1.5])
+        counts = []
+
+        def spy(terms, rows):
+            counts.append(np.array(rows))
+            return fundamental.sequential_sums(terms, rows)
+
+        cuts = np.count_nonzero(kfun.breakpoints <= horizon) + 2
+        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * (cuts + len(kfun.breakpoints)) * 4)
+        monkeypatch.setattr(oracle_verify, "sequential_sums", spy)
+        got = _u_sum_from_k(kfun, base, w, grid, horizon)
+        assert_bits_equal(got, reference_u_sums(kfun, base, w, grid, horizon))
+        # three shifts a chunk, rows of one and two cells side by side
+        assert [len(c) for c in counts] == [3, 3, 1]
+        assert {1, 2} <= set(counts[0].tolist())

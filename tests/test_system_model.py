@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import delaylyap as dl
 from delaylyap import system_model
 
-from conftest import random_stable_single
+from conftest import assert_bits_equal, random_stable_single, two_route_cases
 
 EPS = np.finfo(float).eps
 
@@ -23,6 +23,23 @@ def companion_matrix(coeffs, n):
     big[:n] = np.hstack(coeffs)
     big[n:, :-n] = np.eye(n * (m - 1))
     return big
+
+
+def reference_fit_decay(vsys, rho, step):
+    """The decay fit with one SVD norm per breakpoint, as it once ran: the
+    bitwise reference for the batched norms."""
+    sigma = 0.9 * (-math.log(rho)) / step
+    depth = step * math.log(1e-13) / math.log(rho)
+    horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
+    kfun = dl.fundamental_matrix(vsys, horizon)
+    k0n = float(np.linalg.norm(kfun.pre_value, 2))
+    ends = np.append(kfun.breakpoints[1:], kfun.horizon)
+    gamma = 1.0
+    for v, t_end in zip(kfun.values, ends):
+        ratio = float(np.linalg.norm(v, 2)) * math.exp(sigma * t_end) / k0n
+        if ratio > gamma:
+            gamma = ratio
+    return 1.05 * gamma, sigma
 
 
 def reference_companion_radius(coeffs, n):
@@ -326,6 +343,25 @@ class TestStabilityCheck:
         d = dl.stability_check(ex2a).to_dict()
         assert d["verdict"] == "stable"
         assert "spectral_radius" in d and "method" in d
+
+
+class TestFitDecay:
+    @settings(max_examples=20, deadline=None)
+    @given(case=two_route_cases(), rho=st.floats(0.05, 0.3))
+    def test_equals_per_breakpoint_reference(self, case, rho):
+        vsys, _ = case
+        assert_bits_equal(system_model._fit_decay(vsys, rho, vsys.h_min), reference_fit_decay(vsys, rho, vsys.h_min))
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_worked_and_wide_systems(self, ex2a_half, n):
+        rng = np.random.default_rng(n)
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(2)]
+        scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+        wide = dl.validate(dl.DelaySystem(n, [(Fraction(1), scale * mats[0]), (Fraction(3, 2), scale * mats[1])]))
+        for vsys in (ex2a_half, wide):
+            rep = dl.stability_check(vsys)
+            want = reference_fit_decay(vsys, rep.spectral_radius, rep.rate_step)
+            assert_bits_equal((rep.decay_gain, rep.decay_rate), want)
 
 
 class TestStructuredCompanion:
