@@ -230,7 +230,7 @@ def cmd_jumps(args) -> int:
     if not args.segments_only:
         report = stability_check(rsys)
         props = jump_analysis.check_jump_properties(rsys, weight, report=report)
-        series = jump_analysis.delta_u_prime_many(
+        series = jump_analysis.delta_u_prime(
             rsys, weight, spectrum.taus, props.horizon, report=report, table=props.table
         )
         deviation = max(

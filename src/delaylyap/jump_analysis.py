@@ -46,8 +46,8 @@ SPECTRUM_DROP_TOL = 1e-14
 
 
 class TruncatedSeries(NamedTuple):
-    """A truncated series with its tail bound; delta_u_prime_many stacks
-    value and tail_bound over its shifts."""
+    """A truncated series with its tail bound; delta_u_prime at an array
+    of shifts stacks value and tail_bound over them."""
 
     value: np.ndarray
     tail_bound: float
@@ -131,27 +131,28 @@ def _delta_series_tail(report: StabilityReport, w2: float, k0n: float, tau: floa
     )
 
 
-def delta_u_prime_many(
+def delta_u_prime(
     vsys: ValidatedSystem,
     weight: WeightMatrix,
-    taus: float | Sequence[float],
+    tau: float | Sequence[float],
     horizon: float | None = None,
     *,
     report: StabilityReport | None = None,
     table: JumpTable | None = None,
 ) -> TruncatedSeries:
-    """Jumps of U' at every shift of taus by the truncated series, value
-    shaped taus' shape + (n, n) and tail_bound taus' shape.  One table,
-    built unless the given one reaches horizon + max(taus, 0), serves all
-    shifts; the default horizon covers the largest |tau|.  Off-lattice
-    shifts give an exact zero, -0.0, since the series has no aligned
-    terms.  The shifts are taken in chunks, one row of aligned terms
-    each, and every row is added left to right.  For non-commensurate
-    systems the reported bound uses the smallest gap seen on the
-    generated lattice, which is a heuristic because deeper lattice gaps
-    can shrink further."""
+    """Jump of U' at shift tau by the truncated series with its tail
+    bound.  A scalar tau gives an (n, n) value and a float tail_bound; an
+    array of shifts gives value tau's shape + (n, n) and tail_bound tau's
+    shape.  One table, built unless the given one reaches
+    horizon + max(tau, 0), serves all shifts; the default horizon covers
+    the largest |tau|.  Off-lattice shifts give an exact zero, -0.0, since
+    the series has no aligned terms.  The shifts are taken in chunks, one
+    row of aligned terms each, and every row is added left to right.  For
+    non-commensurate systems the reported bound uses the smallest gap seen
+    on the generated lattice, which is a heuristic because deeper lattice
+    gaps can shrink further."""
     report = require_stable(vsys, report, STABLE_LABEL)
-    taus = np.asarray(taus, dtype=float)
+    taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
     if horizon is None:
         horizon = max(default_horizon(vsys, report), float(np.max(np.abs(flat), initial=0.0)) + vsys.h_min)
@@ -171,28 +172,12 @@ def delta_u_prime_many(
     w2 = float(np.linalg.norm(w, 2))
     base_norm = float(np.linalg.norm(k0(vsys), 2))
     gap = table.min_gap()
-    tails = [_delta_series_tail(report, w2, base_norm, tau, horizon, gap) for tau in flat.tolist()]
+    tails = [_delta_series_tail(report, w2, base_norm, t, horizon, gap) for t in flat.tolist()]
     return TruncatedSeries(
         value=value.reshape(taus.shape + (n, n)),
-        tail_bound=np.array(tails).reshape(taus.shape),
+        tail_bound=tails[0] if taus.ndim == 0 else np.array(tails).reshape(taus.shape),
         horizon=float(horizon),
     )
-
-
-def delta_u_prime(
-    vsys: ValidatedSystem,
-    weight: WeightMatrix,
-    tau: float,
-    horizon: float | None = None,
-    *,
-    report: StabilityReport | None = None,
-    table: JumpTable | None = None,
-) -> TruncatedSeries:
-    """Jump of U' at shift tau by the truncated series with its tail
-    bound: delta_u_prime_many at one shift, building its own table when
-    the given one falls short of horizon + max(tau, 0)."""
-    series = delta_u_prime_many(vsys, weight, float(tau), horizon, report=report, table=table)
-    return series._replace(tail_bound=float(series.tail_bound))
 
 
 def u_prime_series(
@@ -279,7 +264,7 @@ def check_jump_properties(
     systems, or lattice differences inside [-H, H] otherwise.  Every
     shift the identities read (tau, -tau, tau + h_i - h_j, tau -+ h_j and
     0) is collected first, shifts within 1e-12 relative of one read
-    before sharing its value, and one delta_u_prime_many pass over one
+    before sharing its value, and one delta_u_prime pass over one
     jump table sums all their series.
     """
     report = require_stable(vsys, report, STABLE_LABEL)
@@ -323,7 +308,7 @@ def check_jump_properties(
         for t in reads:
             shifts.setdefault(key(t), t)
     shifts.setdefault(key(0.0), 0.0)
-    series = delta_u_prime_many(vsys, weight, list(shifts.values()), horizon, report=report, table=table)
+    series = delta_u_prime(vsys, weight, list(shifts.values()), horizon, report=report, table=table)
     du = dict(zip(shifts, series.value))
 
     sym = dyn = alg = 0.0

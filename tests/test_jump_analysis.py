@@ -319,7 +319,7 @@ class TestBatchedSeries:
         instants = dl.discontinuity_instants(vsys, vsys.h_max)
         taus = np.array(instants + [-t for t in instants] + [0.37 * vsys.h_min, -0.61 * vsys.h_max])
         shared = dl.delta_k(vsys, horizon + vsys.h_max + vsys.h_min, drop_tol=0.0)
-        series = dl.delta_u_prime_many(vsys, weight, taus, horizon, report=cert, table=shared)
+        series = dl.delta_u_prime(vsys, weight, taus, horizon, report=cert, table=shared)
         for tau, value, tail in zip(taus.tolist(), series.value, series.tail_bound.tolist()):
             want, want_tail = reference_delta_one(vsys, weight, tau, horizon, cert, shared)
             assert_bits_equal(value, want)
@@ -374,7 +374,7 @@ class TestBatchedSeries:
         count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
         monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * count * 4)
         monkeypatch.setattr(jump_analysis, "sequential_sums", spy)
-        series = dl.delta_u_prime_many(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table)
+        series = dl.delta_u_prime(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table)
         for tau, value in zip(taus.tolist(), series.value):
             assert_bits_equal(value, reference_delta_one(ex2a_half, w2, tau, horizon, report_ex2a_half, table)[0])
         assert_bits_equal(series.value[1], np.full((2, 2), -0.0))
@@ -384,8 +384,8 @@ class TestBatchedSeries:
     def test_table_extension_fallback(self, scalar_half, w1, scalar_report):
         # a table too short for the shifts is rebuilt, as delta_u_prime did
         short = dl.delta_k(scalar_half, 2.0, drop_tol=0.0)
-        series = dl.delta_u_prime_many(scalar_half, w1, [0.0, 12.0], 3.0, report=scalar_report, table=short)
+        series = dl.delta_u_prime(scalar_half, w1, [0.0, 12.0], 3.0, report=scalar_report, table=short)
         assert series.value[1, 0, 0] == pytest.approx(-85 / 262144, abs=1e-16)
         assert series.value.shape == (2, 1, 1) and series.tail_bound.shape == (2,)
-        empty = dl.delta_u_prime_many(scalar_half, w1, [], 3.0, report=scalar_report)
+        empty = dl.delta_u_prime(scalar_half, w1, [], 3.0, report=scalar_report)
         assert empty.value.shape == (0, 1, 1) and empty.tail_bound.shape == (0,)
