@@ -31,7 +31,7 @@ class HorizonTooLarge(DelayLyapError):
 
 
 class RecursionDepthExceeded(DelayLyapError):
-    """The memoized response recursion exceeded its node budget."""
+    """The recursion response needs more time points than its node budget."""
 
 
 class CriticalSystem(DelayLyapError):

@@ -7,12 +7,13 @@ continuous; its only discontinuities sit on the delay semigroup
 lattice {sum_j p_j h_j : p_j >= 0 integers}.  This module generates that
 lattice, evaluates K from either the right or the left recursion, builds
 the table of its jumps, and runs the time response of a system by two
-independent methods (memoized recursion and the jump-convolution formula).
+independent methods (recursion to the initial function, jump convolution).
 
 Rational delays put the lattice on exact int64 multiples of h = gcd(h_j),
-float delays on a merge-tolerant float lattice.  K and dK are evaluated
-in blocks of instants that depend only on earlier blocks, one batched
-matrix product per delay in delay order: the bits of a per-instant loop.
+float delays on a merge-tolerant float lattice.  K, dK and the recursion
+response are evaluated in blocks of points that depend only on earlier
+blocks, one batched matrix product per delay in delay order: the bits of
+a per-point loop.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     OutOfDomain,
     RecursionDepthExceeded,
 )
-from .system_model import InitialFunction, ValidatedSystem, k0
+from .system_model import InitialFunction, ValidatedSystem, fraction_gcd, k0
 
 DEFAULT_LATTICE_CAP = 1_000_000
 # relative merge tolerance for float-delay lattices
@@ -69,6 +70,8 @@ class _Lattice:
     def generate(cls, delays: Sequence, horizon: float, cap: int) -> "_Lattice":
         if all(isinstance(d, Fraction) for d in delays):
             return cls._exact(delays, horizon, cap)
+        if not math.isfinite(horizon):
+            raise HorizonTooLarge(f"semigroup lattice up to {horizon} has no last point")
         steps = [float(d) for d in delays]
         tol = MERGE_TOL_SCALE * steps[-1]
         if steps[0] <= tol:
@@ -102,11 +105,8 @@ class _Lattice:
         an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
         b m_1, and every block holds one (an instant of the block before
         plus m_1), so the point cap also bounds the block count."""
-        den = math.lcm(*(d.denominator for d in delays))
-        units = [d.numerator * (den // d.denominator) for d in delays]
-        g = math.gcd(*units)
-        h = Fraction(g, den)
-        shifts = [u // g for u in units]
+        h = fraction_gcd(delays)
+        shifts = [int(d / h) for d in delays]
         top = math.floor(Fraction(horizon) / h) if math.isfinite(horizon) else None
         if top is None or top + shifts[-1] > np.iinfo(np.int64).max:
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
@@ -126,9 +126,7 @@ class _Lattice:
             keys[size:size + len(new)] = new
             size += len(new)
         keys = keys[:size].copy()
-        # Python ints divide correctly rounded, as float(Fraction) does
-        floats = np.array([k * h.numerator / h.denominator for k in keys.tolist()])
-        return cls(keys, steps, 0, floats, 1e-12 * max(1.0, float(delays[-1])))
+        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * max(1.0, float(delays[-1])))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -138,6 +136,15 @@ class _Lattice:
         it (-1 before the first), or with instants=True the instant at it
         (-1 where there is none)."""
         return snapped_lookup(self.keys, self.keys[:, None] - self.shifts, self.key_snap, math.inf, instants=instants)
+
+
+def exact_multiples(ks, h: Fraction) -> np.ndarray:
+    """float(k * h) for every int k in ks: exact float operands below 2^53
+    and one correctly rounded division, else Python int division."""
+    ks, num, den = np.asarray(ks, dtype=np.int64), h.numerator, h.denominator
+    if int(np.max(np.abs(ks), initial=0)) * num < 2**53 and den < 2**53:
+        return ks * float(num) / float(den)
+    return np.array([k * num / den for k in ks.tolist()], dtype=float)
 
 
 def _blocks(src: np.ndarray, first: int) -> Iterator[tuple[int, int]]:
@@ -179,6 +186,8 @@ def snapped_lookup(
     if bad.size:
         raise OutOfDomain(f"{domain}, got {float(ts.flat[bad[0]])}")
     last = len(points) - 1
+    if last < 0:
+        return np.full(ts.shape, -1)
     if instants:
         i = np.searchsorted(points, ts)
         below = (i >= 1) & (np.abs(np.take(points, i - 1, mode="clip") - ts) <= snap)
@@ -378,6 +387,14 @@ def delta_k(
     )
 
 
+def _response_grid(grid: Sequence[float]) -> np.ndarray:
+    """grid as floats, each finite and >= 0 or ValueError."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all((grid >= 0.0) & (grid < math.inf)):
+        raise ValueError("simulation grid must be finite and nonnegative")
+    return grid
+
+
 def simulate(
     vsys: ValidatedSystem,
     phi: InitialFunction,
@@ -385,54 +402,49 @@ def simulate(
     *,
     node_cap: int = 1_000_000,
 ) -> np.ndarray:
-    """Time response on grid (all points >= 0) by memoized descent of
+    """Time response on grid (finite points >= 0) by the recursion
     x(t) = sum_j A_j x(t - h_j) down to the initial function.
 
-    Visited time points are keyed on a 1e-12 relative quantum, which both
-    deduplicates float round-off and bounds the node count; exceeding
-    node_cap raises RecursionDepthExceeded.
+    The points it needs are found level by level from the grid, keyed on a
+    1e-12 relative quantum; a key keeps the float of the first point to
+    reach it.  Points below -quantum/2 read phi, the rest are evaluated in
+    key order in blocks: the bits of a memoized per-point descent.  Past
+    node_cap points (the path t, t - h_min, ... alone has max(grid) / h_min),
+    checked per level, it raises RecursionDepthExceeded.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and float(np.min(grid)) < 0.0:
-        raise ValueError("simulation grid must be nonnegative")
-    scale = max(1.0, vsys.h_max, float(np.max(grid)) if grid.size else 1.0)
-    quantum = 1e-12 * scale
-    entries = [(float(d), a) for d, a in vsys.entries]
-    memo: dict[int, np.ndarray] = {}
-
-    def key(t: float) -> int:
-        return round(t / quantum)
-
-    for t0 in grid:
-        stack = [float(t0)]
-        while stack:
-            t = stack[-1]
-            k = key(t)
-            if k in memo:
-                stack.pop()
-                continue
-            if t < -0.5 * quantum:
-                memo[k] = phi.value(t)
-                stack.pop()
-                continue
-            missing = []
-            for d, _ in entries:
-                s = t - d
-                if key(s) not in memo:
-                    missing.append(s)
-            if missing:
-                stack.extend(missing)
-                if len(stack) > node_cap or len(memo) > node_cap:
-                    raise RecursionDepthExceeded(
-                        f"response recursion exceeded {node_cap} nodes"
-                    )
-                continue
-            acc = np.zeros(vsys.n)
-            for d, a in entries:
-                acc += a @ memo[key(t - d)]
-            memo[k] = acc
-            stack.pop()
-    return np.array([memo[key(float(t))] for t in grid])
+    grid = _response_grid(grid)
+    tmax = float(np.max(grid, initial=0.0))
+    quantum = 1e-12 * max(1.0, vsys.h_max, tmax)
+    delays, mats = np.array([float(d) for d in vsys.delays]), vsys.matrices
+    # -key of each point found, ascending, and its float, in doubling buffers
+    neg, ts, size, frontier = np.empty(64, dtype=np.int64), np.empty(64), 0, grid
+    while frontier.size:
+        level, first = np.unique(-np.rint(frontier / quantum).astype(np.int64), return_index=True)
+        new = snapped_lookup(neg[:size], level, 0, math.inf, instants=True) < 0
+        level, fresh, end = level[new], frontier[first[new]], size + int(np.count_nonzero(new))
+        if max(end, tmax / vsys.h_min) > node_cap:
+            raise RecursionDepthExceeded(f"response recursion exceeded {node_cap} nodes")
+        if end > len(neg):
+            neg, ts = np.resize(neg, 2 * end), np.resize(ts, 2 * end)
+        # a merge moves only the points after the first insertion
+        at = np.searchsorted(neg[:size], level)
+        p = int(np.min(at, initial=size))
+        neg[p:end], ts[p:end] = np.insert(neg[p:size], at - p, level), np.insert(ts[p:size], at - p, fresh)
+        # children by parent key, then delay, as a largest-delay-first descent meets them
+        size, fresh = end, fresh[::-1]
+        frontier = (fresh[fresh >= -0.5 * quantum, None] - delays).ravel()
+    # in key order every point follows its children; leaves (src unread) come first
+    keys, ts = -neg[:size][::-1], ts[:size][::-1]
+    n_leaves = int(np.count_nonzero(ts < -0.5 * quantum))
+    src = snapped_lookup(keys, np.rint((ts[:, None] - delays) / quantum).astype(np.int64), 0, math.inf, instants=True)
+    values = np.empty((size, vsys.n))
+    values[:n_leaves] = phi.value_many(ts[:n_leaves])
+    for s, e in _blocks(src, n_leaves):
+        acc = np.zeros((e - s, vsys.n))
+        for j, a in enumerate(mats):
+            acc += np.matmul(a, values[src[s:e, j], :, None])[..., 0]
+        values[s:e] = acc
+    return values[snapped_lookup(keys, np.rint(grid / quantum).astype(np.int64), 0, math.inf, instants=True)]
 
 
 def simulate_cauchy(
@@ -452,10 +464,8 @@ def simulate_cauchy(
     within the lattice snap tolerance of those ends are treated as exact.
     Fully independent of simulate(), which never forms jumps.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and float(np.min(grid)) < 0.0:
-        raise ValueError("simulation grid must be nonnegative")
-    tmax = float(np.max(grid)) if grid.size else 0.0
+    grid = _response_grid(grid)
+    tmax = float(np.max(grid, initial=0.0))
     table = delta_k(vsys, tmax, cap=cap)
     btol = table.tol
     delays = np.array([float(d) for d in vsys.delays])

@@ -224,18 +224,11 @@ def jumps_from_segments(
     """Exact jump spectrum of U' read from slope differences at interior
     knots of a built U.  No truncation is involved; a constant-slope U
     yields an empty spectrum."""
-    knots = u.knots()
-    taus = []
-    jumps = []
-    for p in range(1, 2 * u.m):
-        jump = u.slopes[p] - u.slopes[p - 1]
-        tau = float(knots[p])
-        if float(np.max(np.abs(jump))) > drop_tol:
-            taus.append(tau)
-            jumps.append(jump)
+    jumps = np.diff(u.slopes, axis=0)
+    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
     return JumpSpectrum(
-        taus=np.array(taus, dtype=float),
-        jumps=np.array(jumps, dtype=float).reshape(len(taus), u.n, u.n),
+        taus=u.knots()[1:2 * u.m][keep],
+        jumps=jumps[keep],
         method="segments",
         truncation_horizon=None,
         tail_bound=0.0,

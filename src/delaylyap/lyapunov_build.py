@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CriticalSystem, OutOfDomain, SizeExceeded
-from .fundamental import write_csv
+from .fundamental import exact_multiples, write_csv
 from .system_model import (
     CommensurateForm,
     ValidatedSystem,
@@ -74,9 +74,7 @@ class PiecewiseAffineMatrixFunction:
 
     def knots(self) -> np.ndarray:
         if self.h_exact is not None:
-            return np.array(
-                [float(k * self.h_exact) for k in range(-self.m, self.m + 1)]
-            )
+            return exact_multiples(np.arange(-self.m, self.m + 1), self.h_exact)
         return self.h * np.arange(-self.m, self.m + 1)
 
     def segment(self, k: int) -> tuple[np.ndarray, np.ndarray]:

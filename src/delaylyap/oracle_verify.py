@@ -179,11 +179,13 @@ def cross_check(
     the point's tail bound plus slack.  The fundamental matrix is built
     once, and one batched pass sums the integral at every grid point, in
     chunks of points, with the bits of one sum per point."""
-    report = require_stable(vsys, report, STABLE_LABEL)
     hz = u.horizon
     if grid is None:
         grid = np.linspace(-hz, hz, 101)
     grid = np.asarray(grid, dtype=float)
+    if not grid.size:
+        raise ValueError("cross_check needs a nonempty grid, got an empty one")
+    report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = max(default_horizon(vsys, report), 2.0 * hz)
     kfun = fundamental_matrix(vsys, horizon + hz + vsys.h_min)

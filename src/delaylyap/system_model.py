@@ -355,17 +355,13 @@ def k0(vsys: ValidatedSystem) -> np.ndarray:
     return out
 
 
-def _fraction_gcd(values: Sequence[Fraction]) -> Fraction:
-    num = 0
-    den = 1
-    for v in values:
-        num = math.gcd(num, v.numerator)
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return Fraction(num, den)
+def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
+    """The largest h with every value an integer multiple of h."""
+    return Fraction(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
 
 
 def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int):
-    h = _fraction_gcd(delays)
+    h = fraction_gcd(delays)
     ratio = delays[-1] / h
     m = int(ratio)
     zero = np.zeros((n, n))

@@ -15,6 +15,7 @@ from delaylyap.fundamental import (
     DEFAULT_LATTICE_CAP,
     JUMP_DROP_TOL,
     MERGE_TOL_SCALE,
+    exact_multiples,
     row_chunks,
     sequential_sum,
     sequential_sums,
@@ -46,6 +47,52 @@ def reference_cauchy(vsys, phi, grid):
                 acc += dk @ (a @ phi.value(theta))
         out[i] = acc
     return out
+
+
+def reference_simulate(vsys, phi, grid, node_cap=1_000_000):
+    """The response by memoized depth-first descent, one time point at a
+    time through a dict, the reference for the level-by-level search."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size and float(np.min(grid)) < 0.0:
+        raise ValueError("simulation grid must be nonnegative")
+    scale = max(1.0, vsys.h_max, float(np.max(grid)) if grid.size else 1.0)
+    quantum = 1e-12 * scale
+    entries = [(float(d), a) for d, a in vsys.entries]
+    memo = {}
+
+    def key(t):
+        return round(t / quantum)
+
+    for t0 in grid:
+        stack = [float(t0)]
+        while stack:
+            t = stack[-1]
+            k = key(t)
+            if k in memo:
+                stack.pop()
+                continue
+            if t < -0.5 * quantum:
+                memo[k] = phi.value(t)
+                stack.pop()
+                continue
+            missing = []
+            for d, _ in entries:
+                s = t - d
+                if key(s) not in memo:
+                    missing.append(s)
+            if missing:
+                stack.extend(missing)
+                if len(stack) > node_cap or len(memo) > node_cap:
+                    raise dl.RecursionDepthExceeded(
+                        f"response recursion exceeded {node_cap} nodes"
+                    )
+                continue
+            acc = np.zeros(vsys.n)
+            for d, a in entries:
+                acc += a @ memo[key(t - d)]
+            memo[k] = acc
+            stack.pop()
+    return np.array([memo[key(float(t))] for t in grid])
 
 
 class ReferenceLattice:
@@ -191,6 +238,28 @@ class TestLattice:
                 dl.discontinuity_instants(vsys, horizon)
             with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
                 dl.fundamental_matrix(vsys, horizon)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [dl.discontinuity_instants, dl.fundamental_matrix, dl.delta_k])
+    def test_non_finite_horizon_on_float_delays_fails_fast(self, ex3, horizon, build):
+        # the float lattice would otherwise grow to its point cap first
+        t0 = time.perf_counter()
+        with pytest.raises(dl.HorizonTooLarge, match="no last point"):
+            build(ex3, horizon)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_exact_multiples_equal_fraction_products(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            h = Fraction(int(rng.integers(1, 10**6)), int(rng.integers(1, 10**6)))
+            m = int(rng.integers(0, 500))
+            ks = np.arange(-m, m + 1)
+            assert_bits_equal(exact_multiples(ks, h), [float(k * h) for k in range(-m, m + 1)])
+        # |k| num past 2^53: the float product would round, so Python ints divide
+        h = Fraction(2**55 + 1, 3)
+        ks = np.arange(-5, 6)
+        assert_bits_equal(exact_multiples(ks, h), [float(k * h) for k in ks.tolist()])
+        assert not np.array_equal(ks * float(h.numerator) / float(h.denominator), exact_multiples(ks, h))
 
 
     def test_delay_within_merge_tolerance_of_zero_rejected(self):
@@ -356,10 +425,30 @@ class TestSimulate:
             want = kl.value_many(grid)[:, :, i]
             assert np.max(np.abs(out - want)) <= 1e-12
 
-    def test_node_cap(self, scalar_half):
+    def test_node_cap(self, scalar_half, ex3):
         phi = dl.InitialFunction.constant([1.0])
         with pytest.raises(dl.RecursionDepthExceeded):
             dl.simulate(scalar_half, phi, [50.0], node_cap=10)
+        # 20 levels deep, but the lattice of {1, sqrt 2} passes 60 points first
+        with pytest.raises(dl.RecursionDepthExceeded):
+            dl.simulate(ex3, dl.InitialFunction.constant([1.0, 0.0]), [20.0], node_cap=60)
+
+    def test_node_cap_long_horizon_short_delay_fails_fast(self):
+        vsys = dl.validate(dl.DelaySystem.single(0.5, Fraction(1, 1000)))
+        phi = dl.InitialFunction.constant([1.0])
+        t0 = time.perf_counter()
+        with pytest.raises(dl.RecursionDepthExceeded):
+            dl.simulate(vsys, phi, [0.0, 5000.0])
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", [dl.simulate, dl.simulate_cauchy])
+    def test_non_finite_grid_rejected_fast(self, ex3, bad, route):
+        phi = dl.InitialFunction.constant([1.0, 0.0])
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            route(ex3, phi, [0.5, bad])
+        assert time.perf_counter() - t0 < 0.5
 
     def test_cauchy_matches_recursive(self, ex2a_half):
         phi = dl.InitialFunction(
@@ -378,6 +467,82 @@ class TestSimulate:
         a = dl.simulate(ex2b, phi, grid)
         b = dl.simulate_cauchy(ex2b, phi, grid)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def response_grid(vsys, reach, seed):
+    """Lattice points up to reach, each also a quarter quantum and three
+    quanta either side, then 0 and repeated points, shuffled.  A quarter
+    quantum stays in the lattice point's key; half a quantum, where the
+    key of a point is decided by round-off, is avoided, since there the
+    value follows which path reaches the key first."""
+    instants = np.array(dl.discontinuity_instants(vsys, reach))
+    quantum = 1e-12 * max(1.0, vsys.h_max, reach)
+    grid = np.concatenate([instants + off * quantum for off in (0.0, -0.25, 0.25, -3.0, 3.0)] + [[0.0], instants[::2]])
+    grid = grid[grid >= 0.0]
+    np.random.default_rng(seed).shuffle(grid)
+    return grid
+
+
+def sloped_phi(vsys, seed):
+    """Continuous piecewise linear data on [-h_max, 0): a leaf argument
+    moved by e moves the data by at most e times the largest slope."""
+    rng = np.random.default_rng(seed)
+    v0, slopes = rng.uniform(-1, 1, vsys.n), rng.uniform(-1, 1, (2, vsys.n))
+    return dl.InitialFunction([-vsys.h_max, -0.4 * vsys.h_max], [v0, v0 + 0.6 * vsys.h_max * slopes[0]], slopes)
+
+
+def assert_response_matches_reference(vsys, phi, grid):
+    """Bitwise equal for constant data.  For sloped data a leaf's argument
+    may come from another path: two floats of one key differ by under a
+    quantum q (plus round-off far below it), so each leaf value moves by
+    at most 2 q s for the largest slope s, and x(t), a sum over paths of
+    products of A_j applied to leaf values, by at most G 2 q s with G the
+    path gain max(1, sum_j ||A_j||_inf) ** depth, depth <= t / h_min + 1."""
+    got, want = dl.simulate(vsys, phi, grid), reference_simulate(vsys, phi, grid)
+    slope = float(np.max(np.abs(phi.slopes)))
+    if slope == 0.0 or np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        assert_bits_equal(got, want)
+        return
+    tmax = float(np.max(grid))
+    quantum = 1e-12 * max(1.0, vsys.h_max, tmax)
+    gain = max(1.0, sum(float(np.max(np.sum(np.abs(a), axis=1))) for a in vsys.matrices)) ** (tmax / vsys.h_min + 1)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= gain * 2.0 * quantum * slope
+
+
+class TestResponseMatchesReference:
+    """The level-by-level response against the memoized descent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=two_route_cases(), reach=st.floats(0.0, 5.0), seed=st.integers(0, 2**16), sloped=st.booleans())
+    def test_two_route_cases(self, case, reach, seed, sloped):
+        vsys, _ = case
+        rng = np.random.default_rng(seed)
+        phi = sloped_phi(vsys, seed) if sloped else dl.InitialFunction.constant(rng.uniform(-1, 1, vsys.n))
+        assert_response_matches_reference(vsys, phi, response_grid(vsys, reach * vsys.h_max, seed))
+
+    # sloped data on a uniform grid gives the descent's bits when every key
+    # is first reached along the path the descent takes first; with the
+    # near-merging pair 1, 1 + 1e-10 a key can also be reached in fewer
+    # steps, and 22 of 456 entries differ, within the bound
+    @pytest.mark.parametrize("delays, same_paths", [
+        ((Fraction(1), Fraction(13, 10), Fraction(17, 10)), True),
+        ((1.0, math.sqrt(2.0)), True),
+        ((0.3, 1.0, 1.0 + 1e-10), False),
+        ((math.pi / 7, 1.0), True),
+    ])
+    def test_wide_matrices(self, delays, same_paths):
+        n = 8
+        rng = np.random.default_rng(len(delays))
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in delays]
+        scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+        vsys = dl.validate(dl.DelaySystem(n, [(d, scale * a) for d, a in zip(delays, mats)]))
+        grid = np.linspace(0.0, 4.0 * vsys.h_max, 57)
+        for phi in (dl.InitialFunction.constant(rng.uniform(-1, 1, n)), sloped_phi(vsys, 1)):
+            if same_paths:
+                assert_bits_equal(dl.simulate(vsys, phi, grid), reference_simulate(vsys, phi, grid))
+            assert_response_matches_reference(vsys, phi, grid)
+            assert_response_matches_reference(vsys, phi, response_grid(vsys, 3.0 * vsys.h_max, 2))
 
 
 class TestCauchyVectorised:
@@ -411,8 +576,8 @@ class TestCauchyVectorised:
 
     def test_empty_grid(self, ex2a):
         phi = dl.InitialFunction.constant([1.0, 2.0])
-        out = dl.simulate_cauchy(ex2a, phi, [])
-        assert out.shape == (0, 2)
+        assert dl.simulate_cauchy(ex2a, phi, []).shape == (0, 2)
+        assert dl.simulate(ex2a, phi, []).shape == (0, 2)
 
     def test_origin_only(self, ex2a):
         phi = dl.InitialFunction.constant([1.0, 2.0])

@@ -163,6 +163,19 @@ class TestUPrimeSeries:
 
 
 class TestJumpsFromSegments:
+    @pytest.mark.parametrize("name", ["u_scalar", "u_ex1", "u_ex2a", "u_ex2a_half"])
+    def test_equals_per_knot_loop(self, name, request):
+        u = request.getfixturevalue(name)
+        knots, taus, jumps = u.knots(), [], []
+        for p in range(1, 2 * u.m):
+            jump = u.slopes[p] - u.slopes[p - 1]
+            if float(np.max(np.abs(jump))) > jump_analysis.SPECTRUM_DROP_TOL:
+                taus.append(float(knots[p]))
+                jumps.append(jump)
+        spectrum = dl.jumps_from_segments(u)
+        assert_bits_equal(spectrum.taus, taus)
+        assert_bits_equal(spectrum.jumps, np.array(jumps).reshape(len(taus), u.n, u.n))
+
     def test_scalar_spectrum(self, u_scalar):
         spectrum = dl.jumps_from_segments(u_scalar)
         assert [float(t) for t in spectrum.taus] == [0.0]

@@ -179,6 +179,14 @@ class TestCrossCheck:
         with pytest.raises(dl.NotStable):
             dl.cross_check(u_ex2b, ex2b, w2)
 
+    def test_empty_grid_rejected_before_k(self, u_ex2a, ex2a, w2, monkeypatch):
+        def no_k(*args, **kwargs):
+            raise AssertionError("K built for an empty grid")
+
+        monkeypatch.setattr(oracle_verify, "fundamental_matrix", no_k)
+        with pytest.raises(ValueError, match="empty"):
+            dl.cross_check(u_ex2a, ex2a, w2, grid=[])
+
     def test_report_dict(self, u_ex2a, ex2a, w2):
         d = dl.cross_check(u_ex2a, ex2a, w2).to_dict()
         for key in ("grid_points", "max_error", "max_bound", "horizon", "slack", "passed"):
