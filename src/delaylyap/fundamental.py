@@ -494,10 +494,10 @@ def simulate_cauchy(
 def write_csv(fh, header: Sequence[str], table: np.ndarray) -> None:
     """header, then one row per row of the 2-d table, every entry written
     as repr of a Python float (the shortest string that reads back to
-    the same bits)."""
+    the same bits), which is what csv writes for a float field."""
     writer = csv.writer(fh)
     writer.writerow(header)
-    writer.writerows([list(map(repr, row)) for row in table.tolist()])
+    writer.writerows(table.tolist())
 
 
 def _matrix_header(prefix: str, n: int) -> list[str]:

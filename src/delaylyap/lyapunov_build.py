@@ -44,10 +44,6 @@ COND_WARN = 1e10
 COND_FAIL = 1e12
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    return x.ravel(order="F")
-
-
 @dataclass(frozen=True)
 class PiecewiseAffineMatrixFunction:
     """Matrix function on [-H, H], affine on each [k h, (k+1) h):
@@ -194,18 +190,19 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     k = 0..m-1, symmetry rows cover k = 1..m and land at p = m - k.  Each
     row holds an identity block plus one block per nonzero coefficient
     C_j, so assembly costs O(m q) blocks for q delays.  The right side is
-    affine in xi; only symmetry rows have nonzero data.  P is p_matrix of
+    affine in xi; only symmetry rows have nonzero data.  K0 and P come from
     the rewrite itself, whose delays j h are the ones residuals check.
     Returns the operator as a COO matrix plus the two right-hand sides.
     """
     n = form.n
     m = form.m
     h = float(form.h)
-    # zero blocks kept: an all-zero system still has an entry, and they add nothing to P
-    rsys = form.to_system(keep_zero=True)
+    # zero blocks add nothing to K0, P or the operator, so only the q
+    # nonzero steps are read
+    rsys = form.to_system()
     base = k0(rsys)
     p_mat = p_matrix(rsys, weight)
-    nonzero = [(j, c) for j, c in enumerate(form.coefficients, start=1) if np.any(c)]
+    nonzero = form.nonzero_steps
     q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
     wk0 = weight.matrix @ base
     n2 = n * n
@@ -222,11 +219,12 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     mat = sp.coo_matrix((data, (rows, cols)), shape=(unknowns, unknowns))
     b_const = np.zeros(unknowns)
     b_slope = np.zeros(unknowns)
-    b_slope[: m * n2] = np.tile(_vec(-wk0), m)
+    b_slope[: m * n2] = np.tile((-wk0).ravel(order="F"), m)
     kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
-    for k in range(1, m + 1):
-        row = m - k
-        b_const[row * n2:(row + 1) * n2] = _vec(-(kp + (-k * h * eye_n + q_mat) @ wk0))
+    # symmetry row m - k for k = m..1, one batched product
+    ks = np.arange(m, 0, -1)
+    b_rows = -(kp + ((-ks * h)[:, None, None] * eye_n + q_mat) @ wk0)
+    b_const[: m * n2] = b_rows.transpose(0, 2, 1).ravel()
     return mat, b_const, b_slope
 
 
@@ -324,11 +322,9 @@ def _solve_form(
 def residual_grid(u: PiecewiseAffineMatrixFunction, per_segment: int = 50) -> np.ndarray:
     """Sample grid on [-H, H]: per_segment points inside every segment
     plus every knot."""
-    taus = [u.knots()]
     offs = np.linspace(0.0, u.h, per_segment, endpoint=False)[1:]
-    for k in range(-u.m, u.m):
-        taus.append(k * u.h + offs)
-    return np.unique(np.concatenate(taus))
+    inner = np.arange(-u.m, u.m)[:, None] * u.h + offs
+    return np.unique(np.concatenate([u.knots(), inner.ravel()]))
 
 
 def residuals(

@@ -10,6 +10,7 @@ common basic delay.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -51,12 +52,22 @@ ABERTH_STOP = 1e-12
 # eigvals evaluations the torus grid may take: 64 points per delay up to
 # three delays; more delays get fewer points per delay
 TORUS_MAX_EVALS = 64 ** 3
+# decay rates use at least this per-step radius, since log 0 is undefined;
+# K of a system below it decays faster anyway (at radius 0 it vanishes after
+# finitely many steps), so the rate, e^-12 per step after slack, still holds
+RHO_FLOOR = 1e-6
 
 
 def _as_matrix(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _nonzero_steps(coeffs: Sequence[np.ndarray]) -> list[int]:
+    """The steps j = 1..m whose C_j has a nonzero entry, from one test
+    over the stacked coefficients."""
+    return (np.flatnonzero(np.any(np.asarray(coeffs) != 0.0, axis=(1, 2))) + 1).tolist()
 
 
 def _is_exact(d: Delay) -> bool:
@@ -139,7 +150,9 @@ class ValidatedSystem:
 
     @property
     def coefficient_sum(self) -> np.ndarray:
-        return np.sum(self.matrices, axis=0)
+        # left to right: numpy sums a stack of 1 x 1 blocks pairwise, where
+        # zero blocks would regroup it and move the bits of K0
+        return functools.reduce(np.add, self.matrices)
 
 
 @dataclass(frozen=True)
@@ -282,7 +295,9 @@ class CommensurateForm:
     j*h for j = 1..m with coefficient C_j (zero where the original system
     has no entry).  Sum of C_j equals the original coefficient sum exactly
     because the arrays are shared, not copied.  h is an exact Fraction,
-    except that a single float delay H is the form h = H, m = 1."""
+    except that a single float delay H is the form h = H, m = 1.  The
+    construction, K0, P and the stability screen read only the q nonzero
+    C_j (nonzero_steps), so their cost grows with q, not m."""
 
     h: Delay
     m: int
@@ -296,15 +311,17 @@ class CommensurateForm:
     def delays(self) -> list[Fraction]:
         return [self.h * j for j in range(1, self.m + 1)]
 
-    def to_system(self, keep_zero: bool = False) -> "ValidatedSystem":
-        """The commensurate rewrite as a plain system (zero blocks dropped
-        unless keep_zero)."""
-        entries = [
-            (self.h * (j + 1), c)
-            for j, c in enumerate(self.coefficients)
-            if keep_zero or np.any(c != 0.0)
-        ]
-        return validate(DelaySystem(self.n, entries))
+    @functools.cached_property
+    def nonzero_steps(self) -> tuple:
+        """(j, C_j) for every step j whose C_j is not all zero, by increasing j."""
+        return tuple((j, self.coefficients[j - 1]) for j in _nonzero_steps(self.coefficients))
+
+    def to_system(self) -> "ValidatedSystem":
+        """The commensurate rewrite as a plain system of its nonzero
+        steps.  An all-zero form keeps its last block, at delay m h, so
+        that h_max still equals the form's horizon."""
+        steps = self.nonzero_steps or ((self.m, self.coefficients[-1]),)
+        return validate(DelaySystem(self.n, [(self.h * j, c) for j, c in steps]))
 
 
 def validate(system: DelaySystem, *, det_rtol: float = DET_RTOL) -> ValidatedSystem:
@@ -333,7 +350,7 @@ def validate(system: DelaySystem, *, det_rtol: float = DET_RTOL) -> ValidatedSys
             raise DimensionMismatch(f"coefficient for delay {dv} has shape {a.shape}, expected {(n, n)}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput("coefficient matrices must be finite")
-    m = np.sum(system.matrices, axis=0) - np.eye(n)
+    m = ValidatedSystem(system).coefficient_sum - np.eye(n)
     det = float(np.linalg.det(m))
     scale = float(np.linalg.norm(m, 2)) ** n
     if abs(det) <= det_rtol * scale:
@@ -362,8 +379,7 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
 
 def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int):
     h = fraction_gcd(delays)
-    ratio = delays[-1] / h
-    m = int(ratio)
+    m = int(delays[-1] / h)
     zero = np.zeros((n, n))
     zero.setflags(write=False)
     coeffs = [zero] * m
@@ -414,10 +430,8 @@ def _companion_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> float
 def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
     m = len(coeffs)
     big = np.zeros((n * m, n * m))
-    for j, c in enumerate(coeffs):
-        big[:n, j * n:(j + 1) * n] = c
-    if m > 1:
-        big[n:, :-n] = np.eye(n * (m - 1))
+    big[:n] = np.hstack(coeffs)
+    big[n:, :-n] = np.eye(n * (m - 1))
     return float(np.max(np.abs(np.linalg.eigvals(big))))
 
 
@@ -504,7 +518,7 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
     """
     m = len(coeffs)
     size = n * m
-    steps = [j + 1 for j, c in enumerate(coeffs) if np.any(c != 0.0)]
+    steps = _nonzero_steps(coeffs)
     blocks = [coeffs[j - 1] for j in steps]
     z = _newton_polygon_start(steps, blocks, n, m)
     if z is None:
@@ -573,18 +587,20 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
     """Fit (gamma, sigma) so that ||K(t)||_2 <= gamma ||K0||_2 exp(-sigma t)
     holds on a deep sample horizon.  sigma keeps a 10 percent slack off the
     observed per-step decay so the margin grows with depth; gamma carries a
-    further 5 percent cushion over the worst observed ratio."""
+    further 5 percent cushion over the worst observed ratio.  The rate uses
+    max(rho, RHO_FLOOR).  Where K vanishes there is nothing to bound, and
+    at a fast rate exp(sigma t) there could overflow."""
     from . import fundamental
 
-    sigma = 0.9 * (-math.log(rho)) / step
-    depth = step * math.log(1e-13) / math.log(rho)
-    horizon = min(depth, 3000.0 * vsys.h_min)
-    horizon = max(horizon, 3.0 * vsys.h_max)
+    log_rho = math.log(max(rho, RHO_FLOOR))
+    sigma = 0.9 * (-log_rho) / step
+    depth = step * math.log(1e-13) / log_rho
+    horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
     kfun = fundamental.fundamental_matrix(vsys, horizon)
     k0n = float(np.linalg.norm(kfun.pre_value, 2))
     norms = np.linalg.norm(kfun.values, 2, axis=(1, 2)).tolist()
     ends = np.append(kfun.breakpoints[1:], kfun.horizon).tolist()
-    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends)])
+    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends) if v > 0.0])
     return 1.05 * gamma, sigma
 
 
@@ -691,9 +707,9 @@ def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label:
 
 
 def default_horizon(vsys: ValidatedSystem, report: StabilityReport, target: float = 1e-12) -> float:
-    """Horizon at which the per-step decay has fallen to target, floored
-    at a few top delays so short systems still integrate something."""
-    rho = report.spectral_radius
+    """Horizon at which the per-step decay max(rho, RHO_FLOOR) has fallen to
+    target, floored at a few top delays so short systems integrate something."""
+    rho = max(report.spectral_radius, RHO_FLOOR)
     t = report.rate_step * math.log(target) / math.log(rho)
     return max(t, 3.0 * vsys.h_max)
 

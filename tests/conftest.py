@@ -2,16 +2,24 @@
 
 Builds are session scoped because the commensurate solves, while fast,
 add up across property tests.
+
+HYPOTHESIS_PROFILE=ci loads the "ci" profile: derandomized examples, and
+a failing example printed with the blob that reproduces it, so a failure
+in a CI log replays locally.  Without it the default profile applies.
 """
 
 from fractions import Fraction
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 import delaylyap as dl
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 # ---------------------------------------------------------------- systems

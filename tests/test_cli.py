@@ -258,6 +258,26 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+class TestZeroRadius:
+    @pytest.mark.parametrize("entries, commands", [
+        ([[[0.0, 0.5], [0.0, 0.0]]], ("check", "jumps", "verify")),
+        ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], ("check", "verify")),
+    ])
+    def test_commands_succeed(self, tmp_path, capsys, entries, commands):
+        delays = [{"delay": 1, "A": entries[0]}] + [{"delay": {"num": 3, "den": 2}, "A": a} for a in entries[1:]]
+        path = tmp_path / "zero_radius.json"
+        path.write_text(json.dumps({"n": 2, "entries": delays}))
+        for cmd in commands:
+            assert main([cmd, "--config", str(path)]) == 0
+            out, err = capsys.readouterr()
+            if cmd == "check":
+                assert json.loads(out)["stability"]["spectral_radius"] == 0.0
+            elif cmd == "verify":
+                assert json.loads(out)["passed"] is True
+            else:
+                assert json.loads(err.splitlines()[-1])["max_residual"] == 0.0
+
+
 class TestConsoleScript:
     def test_entry_point_smoke(self, configs):
         exe = shutil.which("delaylyap")

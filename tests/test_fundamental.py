@@ -20,6 +20,7 @@ from delaylyap.fundamental import (
     sequential_sum,
     sequential_sums,
     snapped_lookup,
+    write_csv,
 )
 
 from conftest import assert_bits_equal, random_stable_single, two_route_cases
@@ -703,6 +704,20 @@ class TestSequentialSums:
 
 
 class TestCsv:
+    def test_write_csv_equals_repr_writer(self):
+        table = np.array([
+            [0.0, -0.0, np.inf, -np.inf],
+            [np.nan, 5e-324, 1e16, 1e-5],
+            [1e22, -1e22, 1.0 / 3.0, -2.5e300],
+        ])
+        old = io.StringIO()
+        writer = csv.writer(old)
+        writer.writerow(["a", "b", "c", "d"])
+        writer.writerows([list(map(repr, row)) for row in table.tolist()])
+        new = io.StringIO()
+        write_csv(new, ["a", "b", "c", "d"], table)
+        assert new.getvalue() == old.getvalue()
+
     def test_step_csv_header_and_determinism(self, ex2a):
         k = dl.fundamental_matrix(ex2a, 2.0)
         buf1, buf2 = io.StringIO(), io.StringIO()

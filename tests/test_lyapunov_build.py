@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap.lyapunov_build import _commensurate_blocks
+from delaylyap import lyapunov_build
+from delaylyap.lyapunov_build import _block_triplets, _commensurate_blocks
 from delaylyap.cli import main
 
 from conftest import random_stable_single
@@ -102,6 +104,168 @@ def reference_gap(u, ref, taus):
     vals = u.evaluate_many(taus)
     gap = np.max(np.abs(vals - ref.evaluate_many(taus)))
     return gap / (u.condition_estimate * EPS * np.max(np.abs(vals)))
+
+
+def reference_blocks(form, weight):
+    """The block system as it was built from every coefficient slot: K0
+    and P of the rewrite with its zero blocks kept, and one product per
+    symmetry row.  The bitwise reference for the nonzero-step assembly."""
+    n = form.n
+    m = form.m
+    h = float(form.h)
+    rsys = dl.validate(dl.DelaySystem(n, [(form.h * (j + 1), c) for j, c in enumerate(form.coefficients)]))
+    base = dl.k0(rsys)
+    p_mat = dl.p_matrix(rsys, weight)
+    nonzero = [(j, c) for j, c in enumerate(form.coefficients, start=1) if np.any(c)]
+    q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
+    wk0 = weight.matrix @ base
+    n2 = n * n
+    unknowns = 2 * m * n2
+    eye_n = np.eye(n)
+    eye_block = (0, np.eye(n2))
+    dyn = _block_triplets(
+        np.arange(m, 2 * m), [eye_block] + [(-j, -np.kron(c.T, eye_n)) for j, c in nonzero], n2
+    )
+    sym = _block_triplets(
+        np.arange(m - 1, -1, -1), [eye_block] + [(j, -np.kron(eye_n, c.T)) for j, c in nonzero], n2
+    )
+    rows, cols, data = (np.concatenate(x) for x in zip(dyn, sym))
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(unknowns, unknowns))
+    b_const = np.zeros(unknowns)
+    b_slope = np.zeros(unknowns)
+    b_slope[: m * n2] = np.tile((-wk0).ravel(order="F"), m)
+    kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
+    for k in range(1, m + 1):
+        row = m - k
+        b_const[row * n2:(row + 1) * n2] = (-(kp + (-k * h * eye_n + q_mat) @ wk0)).ravel(order="F")
+    return mat, b_const, b_slope
+
+
+def reference_residual_grid(u, per_segment):
+    """The residual grid by one linspace shift per segment."""
+    taus = [u.knots()]
+    offs = np.linspace(0.0, u.h, per_segment, endpoint=False)[1:]
+    for k in range(-u.m, u.m):
+        taus.append(k * u.h + offs)
+    return np.unique(np.concatenate(taus))
+
+
+def assert_same_bytes(got, want):
+    """Same dtype, shape and bytes: -0.0 differs from 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_blocks_match_reference(form, weight):
+    got = _commensurate_blocks(form, weight)
+    want = reference_blocks(form, weight)
+    for attr in ("row", "col", "data"):
+        assert_same_bytes(getattr(got[0], attr), getattr(want[0], attr))
+    for g, w in zip(got[1:], want[1:]):
+        assert_same_bytes(g, w)
+
+
+def random_weight(rng, n):
+    half = rng.uniform(-1.0, 1.0, size=(n, n))
+    return dl.WeightMatrix(half @ half.T + n * np.eye(n))
+
+
+@st.composite
+def commensurate_forms(draw):
+    """(form, weight) with n = 1..3 and m <= 60.  Either q = 1..3 exact
+    delays k/den, each coefficient an explicit zero matrix or not (so the
+    last block or every block may be zero), or the order-1 rewrite of a
+    float system whose delays sqrt(2) and sqrt(2) + 1e-3 share the
+    convergent 3/2 with cancelling coefficients, so that collision sums to
+    zero, beside an optional exact delay k/4."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = random_weight(rng, n)
+    if draw(st.integers(0, 3)) == 0:
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        entries = [(math.sqrt(2.0), a), (math.sqrt(2.0) + 1e-3, -a)]
+        if draw(st.booleans()):
+            entries.append((Fraction(draw(st.integers(7, 60)), 4), rng.uniform(-0.6, 0.6, size=(n, n)) / n))
+        vsys = dl.validate(dl.DelaySystem(n, entries))
+        return dl.approximate_system(vsys, 1), weight
+    q = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 4))
+    steps = sorted(draw(st.sets(st.integers(1, 60), min_size=q, max_size=q)))
+    mats = [
+        np.zeros((n, n)) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, size=(n, n))
+        for _ in steps
+    ]
+    scale = 0.6 / max(sum(np.linalg.norm(a, 2) for a in mats), 0.6)
+    vsys = dl.validate(dl.DelaySystem(n, [(Fraction(k, den), scale * a) for k, a in zip(steps, mats)]))
+    return dl.to_commensurate(vsys), weight
+
+
+class TestNonzeroStepAssembly:
+    """The block system read from the nonzero steps against the one read
+    from every coefficient slot, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=commensurate_forms())
+    def test_matches_every_slot_reference(self, case):
+        form, weight = case
+        assert len(form.nonzero_steps) <= 3
+        assert form.m <= 60
+        assert_blocks_match_reference(form, weight)
+
+    def test_collision_and_all_zero_forms(self, w2):
+        a = np.array([[0.3, -0.2], [0.1, 0.4]])
+        colliding = dl.validate(dl.DelaySystem(2, [(math.sqrt(2.0), a), (math.sqrt(2.0) + 1e-3, -a)]))
+        form = dl.approximate_system(colliding, 1)
+        assert (form.h, form.m, form.nonzero_steps) == (Fraction(3, 2), 1, ())
+        assert_blocks_match_reference(form, w2)
+        zero = dl.validate(dl.DelaySystem(2, [(Fraction(1), np.zeros((2, 2))), (Fraction(3, 2), np.zeros((2, 2)))]))
+        form = dl.to_commensurate(zero)
+        assert form.nonzero_steps == ()
+        assert form.to_system().delays == (Fraction(3, 2),)
+        assert_blocks_match_reference(form, w2)
+
+    def test_scalar_sum_over_many_slots(self, w1):
+        # numpy sums the 8 slots of 1 x 1 blocks pairwise, 0.1 + (0.2 + 0.3)
+        # = 0.6; left to right, with or without the zero slots, the sum is
+        # 0.6000000000000001
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.1]]), (Fraction(7), [[0.2]]), (Fraction(8), [[0.3]])]))
+        form = dl.to_commensurate(vsys)
+        assert form.to_system().coefficient_sum[0, 0] == 0.6000000000000001
+        assert_blocks_match_reference(form, w1)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("last_zero", [False, True])
+    def test_wide_matrices(self, n, last_zero):
+        rng = np.random.default_rng(n)
+        mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(3)]
+        scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+        mats = [scale * a for a in mats]
+        if last_zero:
+            mats[-1] = np.zeros((n, n))
+        delays = (Fraction(1), Fraction(13, 10), Fraction(17, 10))
+        form = dl.to_commensurate(dl.validate(dl.DelaySystem(n, list(zip(delays, mats)))))
+        assert form.m == 17
+        assert [j for j, _ in form.nonzero_steps] == ([10, 13] if last_zero else [10, 13, 17])
+        assert_blocks_match_reference(form, random_weight(rng, n))
+
+    def test_order7_ladder_rung_bitwise(self, ex3, w2, monkeypatch):
+        form = dl.approximate_system(ex3, 7)
+        assert [j for j, _ in form.nonzero_steps] == [408, 577]
+        assert_blocks_match_reference(form, w2)
+        u = dl.build_commensurate(form, w2)
+        monkeypatch.setattr(lyapunov_build, "_commensurate_blocks", reference_blocks)
+        ref = dl.build_commensurate(form, w2)
+        assert_same_bytes(u.coeffs, ref.coeffs)
+        assert_same_bytes(u.slopes, ref.slopes)
+        assert_same_bytes(u.condition_estimate, ref.condition_estimate)
+
+    @pytest.mark.parametrize("per_segment", [1, 2, 7, 50])
+    def test_residual_grid_matches_segment_loop(self, u_scalar, u_ex2a, ex3, w2, per_segment):
+        rung = dl.build_commensurate(dl.approximate_system(ex3, 4), w2)
+        floating = dl.build_single_delay(dl.validate(dl.DelaySystem.single([[0.3]], math.sqrt(2.0))), dl.WeightMatrix.identity(1))
+        for u in (u_scalar, u_ex2a, rung, floating):
+            assert_same_bytes(lyapunov_build.residual_grid(u, per_segment), reference_residual_grid(u, per_segment))
 
 
 class TestScalarClosedForm:
@@ -248,6 +412,24 @@ class TestSingleVsCommensurate:
             np.testing.assert_array_equal(dl.build_single_delay(vsys, w1).coeffs, u.coeffs)
         taus = np.linspace(-u.horizon, u.horizon, 13)
         np.testing.assert_allclose(u.evaluate_many(taus)[:, 0, 0], np.minimum(taus, 0.0), atol=1e-15)
+
+    def test_zero_coefficients_float_delays(self, tmp_path, capsys):
+        # the rewrite keeps its last zero block, so the system U answers to
+        # reaches the form's horizon
+        zero = np.zeros((2, 2))
+        vsys = dl.validate(dl.DelaySystem(2, [(1.0, zero), (math.sqrt(2.0), zero)]))
+        form = dl.approximate_system(vsys, 4)
+        u = dl.build_commensurate(form, dl.WeightMatrix.identity(2))
+        assert form.to_system().h_max == u.horizon
+        path = tmp_path / "zero.json"
+        path.write_text(dl.system_to_json(vsys.system))
+        assert main(["lyap", "--config", str(path), "--order", "4"]) == 0
+        table = np.array([[float(x) for x in line.split(",")] for line in capsys.readouterr().out.splitlines()[1:]])
+        taus = table[:, 0]
+        want = np.minimum(taus, 0.0)[:, None, None] * np.eye(2)
+        np.testing.assert_allclose(table[:, 1:].reshape(-1, 2, 2), want, rtol=0.0, atol=1e-15)
+        assert main(["approx", "--config", str(path), "--orders", "1,2"]) == 0
+        assert main(["jumps", "--config", str(path), "--order", "2"]) == 0
 
 
 class TestFloatSingleDelay:

@@ -364,6 +364,42 @@ class TestFitDecay:
             assert_bits_equal((rep.decay_gain, rep.decay_rate), want)
 
 
+ZERO = np.zeros((2, 2))
+ZERO_RADIUS_SYSTEMS = {
+    "nilpotent": [(Fraction(1), np.array([[0.0, 0.5], [0.0, 0.0]]))],
+    "all_zero": [(Fraction(1), ZERO), (Fraction(3, 2), ZERO)],
+    "all_zero_m31": [(Fraction(1), ZERO), (Fraction(31, 30), ZERO)],
+}
+
+
+class TestZeroRadius:
+    """Spectral radius 0: the rates come from RHO_FLOOR."""
+
+    @pytest.mark.parametrize("name", sorted(ZERO_RADIUS_SYSTEMS))
+    def test_envelope_covers_k(self, name):
+        vsys = dl.validate(dl.DelaySystem(2, ZERO_RADIUS_SYSTEMS[name]))
+        rep = dl.stability_check(vsys)
+        assert (rep.spectral_radius, rep.verdict) == (0.0, "stable")
+        depth = rep.rate_step * math.log(1e-13) / math.log(system_model.RHO_FLOOR)
+        fit_horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
+        kfun = dl.fundamental_matrix(vsys, 2.0 * fit_horizon)
+        # K is constant on each piece and the envelope falls, so each piece
+        # is checked at its right end
+        ends = np.append(kfun.breakpoints[1:], kfun.horizon)
+        norms = np.linalg.norm(kfun.values, 2, axis=(1, 2))
+        with np.errstate(under="ignore"):
+            envelope = rep.decay_gain * np.linalg.norm(kfun.pre_value, 2) * np.exp(-rep.decay_rate * ends)
+        assert np.all(norms <= envelope)
+        assert 3.0 * vsys.h_max <= dl.default_horizon(vsys, rep) < math.inf
+
+    def test_default_horizon_above_floor_unchanged(self, ex2a_half):
+        # the decay fit above the floor is pinned by TestFitDecay
+        rep = dl.stability_check(ex2a_half)
+        assert rep.spectral_radius > system_model.RHO_FLOOR
+        t = rep.rate_step * math.log(1e-12) / math.log(rep.spectral_radius)
+        assert dl.default_horizon(ex2a_half, rep) == max(t, 3.0 * ex2a_half.h_max)
+
+
 class TestStructuredCompanion:
     """The Ehrlich-Aberth route of the companion spectral radius against
     an explicit companion matrix and dense eigvals."""
