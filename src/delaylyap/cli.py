@@ -139,7 +139,8 @@ def _build_u(vsys: ValidatedSystem, weight: WeightMatrix, order: int | None):
     if len(vsys.entries) == 1:
         return lyapunov_build.build_single_delay(vsys, weight), vsys
     if vsys.is_rational:
-        return lyapunov_build.build_commensurate(to_commensurate(vsys), weight), vsys
+        form = to_commensurate(vsys)
+        return lyapunov_build.build_commensurate(form, weight), vsys
     if order is None:
         raise ParseError(
             "system has non-commensurate float delays; pass --order to "

@@ -130,12 +130,13 @@ class ResidualReport:
         }
 
 
-def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix) -> np.ndarray:
+def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix, base: np.ndarray | None = None) -> np.ndarray:
     """The antisymmetric constant P = K0^T [sum_j h_j (W K0 A_j
-    - A_j^T K0^T W)] K0 that closes the symmetry property of U."""
+    - A_j^T K0^T W)] K0 that closes the symmetry property of U; base is
+    K0 when the caller has it."""
     weight.require_positive_definite()
     w = weight.matrix
-    base = k0(vsys)
+    base = k0(vsys) if base is None else base
     n = vsys.n
     inner = np.zeros((n, n))
     for d, a in vsys.entries:
@@ -197,11 +198,13 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     n = form.n
     m = form.m
     h = float(form.h)
-    # zero blocks add nothing to K0, P or the operator, so only the q
-    # nonzero steps are read
+    # zero blocks add nothing to P or the operator, so only the q nonzero
+    # steps are read.  K0 takes the sum over every slot: numpy sums a stack
+    # of 1 x 1 blocks pairwise, and the zero slots set that grouping
     rsys = form.to_system()
-    base = k0(rsys)
-    p_mat = p_matrix(rsys, weight)
+    total = np.sum(form.coefficients, axis=0)
+    base = np.linalg.inv(total - np.eye(n))
+    p_mat = p_matrix(rsys, weight, base)
     nonzero = form.nonzero_steps
     q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
     wk0 = weight.matrix @ base
@@ -220,7 +223,7 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     b_const = np.zeros(unknowns)
     b_slope = np.zeros(unknowns)
     b_slope[: m * n2] = np.tile((-wk0).ravel(order="F"), m)
-    kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
+    kp = (total - np.eye(n)).T @ p_mat
     # symmetry row m - k for k = m..1, one batched product
     ks = np.arange(m, 0, -1)
     b_rows = -(kp + ((-ks * h)[:, None, None] * eye_n + q_mat) @ wk0)

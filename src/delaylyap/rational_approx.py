@@ -11,7 +11,7 @@ gives an empirical convergence picture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -121,13 +121,20 @@ def approximate_system(
             raise ValueError(
                 f"order-{order} convergent of delay {float(d)} is {r}; use a higher order"
             )
-        replaced[r] = replaced[r] + a if r in replaced else a
+        if r in replaced:
+            replaced[r] = replaced[r] + a
+        else:
+            replaced[r] = a
     entries = sorted(replaced.items())
     rationalized = validate(DelaySystem(vsys.n, entries))
     form = to_commensurate(rationalized)
     if form.m > m_cap:
-        raise SizeExceeded(f"rationalized delays need m = {form.m} basic steps, cap is {m_cap}")
-    return replace(form, origin=vsys.system)
+        raise SizeExceeded(
+            f"rationalized delays need m = {form.m} basic steps, cap is {m_cap}"
+        )
+    return CommensurateForm(
+        h=form.h, m=form.m, coefficients=form.coefficients, origin=vsys.system
+    )
 
 
 @dataclass(frozen=True)
@@ -180,14 +187,18 @@ def u_sequence(
     prev: ApproximationStep | None = None
     for order in orders:
         form = approximate_system(vsys, order)
-        u = build_commensurate(form, weight, dense_cutoff=dense_cutoff, max_unknowns=max_unknowns)
+        u = build_commensurate(
+            form, weight, dense_cutoff=dense_cutoff, max_unknowns=max_unknowns
+        )
         rsys = form.to_system()
         rep = stability_check(rsys, with_decay=False)
         sup_diff = None
         if prev is not None:
             shared = min(u.horizon, prev.u.horizon)
             grid = np.linspace(-shared, shared, grid_points)
-            sup_diff = float(np.max(np.abs(u.evaluate_many(grid) - prev.u.evaluate_many(grid))))
+            sup_diff = float(
+                np.max(np.abs(u.evaluate_many(grid) - prev.u.evaluate_many(grid)))
+            )
         step = ApproximationStep(
             order=order,
             delays=tuple(d for d, _ in rsys.entries),

@@ -52,9 +52,11 @@ ABERTH_STOP = 1e-12
 # eigvals evaluations the torus grid may take: 64 points per delay up to
 # three delays; more delays get fewer points per delay
 TORUS_MAX_EVALS = 64 ** 3
-# decay rates use at least this per-step radius, since log 0 is undefined;
-# K of a system below it decays faster anyway (at radius 0 it vanishes after
-# finitely many steps), so the rate, e^-12 per step after slack, still holds
+# decay rates use at least this per-step radius, since log 0 is undefined.
+# Below it the companion, n m blocks of one step each, is nilpotent up to
+# rounding, and K can grow for up to n m steps before it vanishes; so the
+# decay fit and the default horizon also reach one step past n m steps,
+# n h_max + step
 RHO_FLOOR = 1e-6
 
 
@@ -150,9 +152,7 @@ class ValidatedSystem:
 
     @property
     def coefficient_sum(self) -> np.ndarray:
-        # left to right: numpy sums a stack of 1 x 1 blocks pairwise, where
-        # zero blocks would regroup it and move the bits of K0
-        return functools.reduce(np.add, self.matrices)
+        return np.sum(self.matrices, axis=0)
 
 
 @dataclass(frozen=True)
@@ -293,11 +293,10 @@ class StabilityReport:
 class CommensurateForm:
     """Rewrite of a rational-delay system over a basic delay h: delays are
     j*h for j = 1..m with coefficient C_j (zero where the original system
-    has no entry).  Sum of C_j equals the original coefficient sum exactly
-    because the arrays are shared, not copied.  h is an exact Fraction,
-    except that a single float delay H is the form h = H, m = 1.  The
-    construction, K0, P and the stability screen read only the q nonzero
-    C_j (nonzero_steps), so their cost grows with q, not m."""
+    has no entry).  The entries' arrays are shared, not copied.  h is an
+    exact Fraction, except that a single float delay H is the form h = H,
+    m = 1.  The construction, P and the stability screen read only the q
+    nonzero C_j (nonzero_steps), so their cost grows with q, not m."""
 
     h: Delay
     m: int
@@ -350,7 +349,7 @@ def validate(system: DelaySystem, *, det_rtol: float = DET_RTOL) -> ValidatedSys
             raise DimensionMismatch(f"coefficient for delay {dv} has shape {a.shape}, expected {(n, n)}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput("coefficient matrices must be finite")
-    m = ValidatedSystem(system).coefficient_sum - np.eye(n)
+    m = np.sum(system.matrices, axis=0) - np.eye(n)
     det = float(np.linalg.det(m))
     scale = float(np.linalg.norm(m, 2)) ** n
     if abs(det) <= det_rtol * scale:
@@ -379,7 +378,8 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
 
 def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int):
     h = fraction_gcd(delays)
-    m = int(delays[-1] / h)
+    ratio = delays[-1] / h
+    m = int(ratio)
     zero = np.zeros((n, n))
     zero.setflags(write=False)
     coeffs = [zero] * m
@@ -588,19 +588,24 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
     holds on a deep sample horizon.  sigma keeps a 10 percent slack off the
     observed per-step decay so the margin grows with depth; gamma carries a
     further 5 percent cushion over the worst observed ratio.  The rate uses
-    max(rho, RHO_FLOOR).  Where K vanishes there is nothing to bound, and
-    at a fast rate exp(sigma t) there could overflow."""
+    max(rho, RHO_FLOOR); below the floor the horizon reaches past the
+    nilpotent range, and the envelope falls by at most 1e-200 over it, so
+    that exp(sigma t) stays finite."""
     from . import fundamental
 
     log_rho = math.log(max(rho, RHO_FLOOR))
-    sigma = 0.9 * (-log_rho) / step
     depth = step * math.log(1e-13) / log_rho
-    horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
+    horizon = min(depth, 3000.0 * vsys.h_min)
+    horizon = max(horizon, 3.0 * vsys.h_max)
+    if rho < RHO_FLOOR:
+        horizon = max(horizon, vsys.n * vsys.h_max + step)
+        log_rho = max(log_rho, step * math.log(1e-200) / horizon)
+    sigma = 0.9 * (-log_rho) / step
     kfun = fundamental.fundamental_matrix(vsys, horizon)
     k0n = float(np.linalg.norm(kfun.pre_value, 2))
     norms = np.linalg.norm(kfun.values, 2, axis=(1, 2)).tolist()
     ends = np.append(kfun.breakpoints[1:], kfun.horizon).tolist()
-    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends) if v > 0.0])
+    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends)])
     return 1.05 * gamma, sigma
 
 
@@ -708,9 +713,12 @@ def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label:
 
 def default_horizon(vsys: ValidatedSystem, report: StabilityReport, target: float = 1e-12) -> float:
     """Horizon at which the per-step decay max(rho, RHO_FLOOR) has fallen to
-    target, floored at a few top delays so short systems integrate something."""
-    rho = max(report.spectral_radius, RHO_FLOOR)
-    t = report.rate_step * math.log(target) / math.log(rho)
+    target, floored at a few top delays so short systems integrate something,
+    and below the floor at the end of the nilpotent range."""
+    rho = report.spectral_radius
+    t = report.rate_step * math.log(target) / math.log(max(rho, RHO_FLOOR))
+    if rho < RHO_FLOOR:
+        t = max(t, vsys.n * vsys.h_max + report.rate_step)
     return max(t, 3.0 * vsys.h_max)
 
 

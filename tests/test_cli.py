@@ -262,11 +262,14 @@ class TestZeroRadius:
     @pytest.mark.parametrize("entries, commands", [
         ([[[0.0, 0.5], [0.0, 0.0]]], ("check", "jumps", "verify")),
         ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], ("check", "verify")),
+        # K of the 5 x 5 shift times 2 is nonzero up to t = 4, past 3 h_max
+        ([(2.0 * np.eye(5, k=1)).tolist()], ("check", "jumps", "verify")),
+        ([(2.0 * np.eye(5, k=1)).tolist()] * 2, ("check", "jumps", "verify")),
     ])
     def test_commands_succeed(self, tmp_path, capsys, entries, commands):
         delays = [{"delay": 1, "A": entries[0]}] + [{"delay": {"num": 3, "den": 2}, "A": a} for a in entries[1:]]
         path = tmp_path / "zero_radius.json"
-        path.write_text(json.dumps({"n": 2, "entries": delays}))
+        path.write_text(json.dumps({"n": len(entries[0]), "entries": delays}))
         for cmd in commands:
             assert main([cmd, "--config", str(path)]) == 0
             out, err = capsys.readouterr()

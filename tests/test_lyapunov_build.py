@@ -109,13 +109,20 @@ def reference_gap(u, ref, taus):
 def reference_blocks(form, weight):
     """The block system as it was built from every coefficient slot: K0
     and P of the rewrite with its zero blocks kept, and one product per
-    symmetry row.  The bitwise reference for the nonzero-step assembly."""
+    symmetry row.  The bitwise reference for the nonzero-step assembly.
+    Its coefficient sum is numpy's over all m slots, which adds a stack
+    of 1 x 1 blocks pairwise."""
     n = form.n
     m = form.m
     h = float(form.h)
     rsys = dl.validate(dl.DelaySystem(n, [(form.h * (j + 1), c) for j, c in enumerate(form.coefficients)]))
-    base = dl.k0(rsys)
-    p_mat = dl.p_matrix(rsys, weight)
+    total = np.sum(rsys.matrices, axis=0)
+    base = np.linalg.inv(total - np.eye(n))
+    w = weight.matrix
+    inner = np.zeros((n, n))
+    for d, a in rsys.entries:
+        inner += float(d) * (w @ base @ a - a.T @ base.T @ w)
+    p_mat = base.T @ inner @ base
     nonzero = [(j, c) for j, c in enumerate(form.coefficients, start=1) if np.any(c)]
     q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
     wk0 = weight.matrix @ base
@@ -134,7 +141,7 @@ def reference_blocks(form, weight):
     b_const = np.zeros(unknowns)
     b_slope = np.zeros(unknowns)
     b_slope[: m * n2] = np.tile((-wk0).ravel(order="F"), m)
-    kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
+    kp = (total - np.eye(n)).T @ p_mat
     for k in range(1, m + 1):
         row = m - k
         b_const[row * n2:(row + 1) * n2] = (-(kp + (-k * h * eye_n + q_mat) @ wk0)).ravel(order="F")
@@ -227,11 +234,12 @@ class TestNonzeroStepAssembly:
 
     def test_scalar_sum_over_many_slots(self, w1):
         # numpy sums the 8 slots of 1 x 1 blocks pairwise, 0.1 + (0.2 + 0.3)
-        # = 0.6; left to right, with or without the zero slots, the sum is
-        # 0.6000000000000001
+        # = 0.6; the 3 nonzero ones it adds left to right, 0.6000000000000001.
+        # K0 of the assembly follows the sum over every slot.
         vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.1]]), (Fraction(7), [[0.2]]), (Fraction(8), [[0.3]])]))
         form = dl.to_commensurate(vsys)
-        assert form.to_system().coefficient_sum[0, 0] == 0.6000000000000001
+        assert np.sum(form.coefficients, axis=0)[0, 0] == 0.6
+        assert vsys.coefficient_sum[0, 0] == form.to_system().coefficient_sum[0, 0] == 0.6000000000000001
         assert_blocks_match_reference(form, w1)
 
     @pytest.mark.parametrize("n", [8, 12])

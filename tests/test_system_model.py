@@ -365,23 +365,36 @@ class TestFitDecay:
 
 
 ZERO = np.zeros((2, 2))
+NIL2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+JORDAN5 = 10.0 * np.eye(5, k=1)
 ZERO_RADIUS_SYSTEMS = {
-    "nilpotent": [(Fraction(1), np.array([[0.0, 0.5], [0.0, 0.0]]))],
+    "nilpotent": [(Fraction(1), 0.5 * NIL2)],
     "all_zero": [(Fraction(1), ZERO), (Fraction(3, 2), ZERO)],
     "all_zero_m31": [(Fraction(1), ZERO), (Fraction(31, 30), ZERO)],
+    # K = J^(k+1) K0 on [k, k+1) grows to about 1e4 and is nonzero up to
+    # t = 4, past 3 h_max
+    "jordan5": [(Fraction(1), JORDAN5)],
+    # n m = 15 steps of h = 1/2; K is nonzero up to t = 6, past 3 h_max
+    "commensurate_jordan5": [(Fraction(1), JORDAN5), (Fraction(3, 2), JORDAN5)],
+    # K is nonzero for 60 steps of h = 1/60, where exp(sigma t) at the
+    # floor rate would overflow
+    "long_nilpotent": [(Fraction(1, 60), NIL2), (Fraction(1), NIL2)],
 }
 
 
 class TestZeroRadius:
-    """Spectral radius 0: the rates come from RHO_FLOOR."""
+    """Spectral radius 0: the rates come from RHO_FLOOR, and the fit and
+    the default horizon reach past the nilpotent range n h_max."""
 
     @pytest.mark.parametrize("name", sorted(ZERO_RADIUS_SYSTEMS))
     def test_envelope_covers_k(self, name):
-        vsys = dl.validate(dl.DelaySystem(2, ZERO_RADIUS_SYSTEMS[name]))
+        entries = ZERO_RADIUS_SYSTEMS[name]
+        vsys = dl.validate(dl.DelaySystem(entries[0][1].shape[0], entries))
         rep = dl.stability_check(vsys)
         assert (rep.spectral_radius, rep.verdict) == (0.0, "stable")
         depth = rep.rate_step * math.log(1e-13) / math.log(system_model.RHO_FLOOR)
-        fit_horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
+        nilpotent_end = vsys.n * vsys.h_max
+        fit_horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max, nilpotent_end + rep.rate_step)
         kfun = dl.fundamental_matrix(vsys, 2.0 * fit_horizon)
         # K is constant on each piece and the envelope falls, so each piece
         # is checked at its right end
@@ -390,7 +403,9 @@ class TestZeroRadius:
         with np.errstate(under="ignore"):
             envelope = rep.decay_gain * np.linalg.norm(kfun.pre_value, 2) * np.exp(-rep.decay_rate * ends)
         assert np.all(norms <= envelope)
-        assert 3.0 * vsys.h_max <= dl.default_horizon(vsys, rep) < math.inf
+        assert np.all(norms[ends > nilpotent_end] == 0.0)
+        last = float(np.max(ends[norms > 0.0], initial=0.0))
+        assert last <= dl.default_horizon(vsys, rep) < math.inf
 
     def test_default_horizon_above_floor_unchanged(self, ex2a_half):
         # the decay fit above the floor is pinned by TestFitDecay
