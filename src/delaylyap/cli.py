@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -73,18 +74,30 @@ def _load_validated(path: str) -> ValidatedSystem:
         raise ParseError(f"cannot read system descriptor {path}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; ParseError when the file cannot
+    be read, is not JSON or holds a number that is not finite (NaN,
+    Infinity, or one that overflows a float)."""
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite number {token!r} in {what} {path}")
+        return value
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=finite, parse_constant=finite)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {what} {path}: {exc}") from exc
+
+
 def _load_weight(source: str | None, n: int) -> WeightMatrix:
     if source is None or source == "identity":
         return WeightMatrix.identity(n)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=lambda s: (_ for _ in ()).throw(
-                ParseError(f"non-finite number {s!r} in weight file")
-            ))
-    except OSError as exc:
-        raise ParseError(f"cannot read weight file {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in weight file {source}: {exc}") from exc
+    data = _read_json(source, "weight file")
     if isinstance(data, dict):
         data = data.get("W")
     try:
@@ -102,13 +115,7 @@ def _load_weight(source: str | None, n: int) -> WeightMatrix:
 def _load_phi(source: str | None, n: int) -> InitialFunction:
     if source is None:
         return InitialFunction.constant(np.ones(n))
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read initial function file {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in initial function file {source}: {exc}") from exc
+    data = _read_json(source, "initial function file")
     if not isinstance(data, dict):
         raise ParseError("initial function file must hold a JSON object")
     if "constant" in data:

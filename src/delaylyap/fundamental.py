@@ -36,7 +36,10 @@ from .errors import (
 )
 from .system_model import InitialFunction, ValidatedSystem, fraction_gcd, k0
 
-DEFAULT_LATTICE_CAP = 1_000_000
+# most lattice points K, dK and the convolution response may generate
+LATTICE_CAP = 1_000_000
+# most time points the recursion response may visit
+NODE_CAP = 1_000_000
 # relative merge tolerance for float-delay lattices
 MERGE_TOL_SCALE = 1e-9
 # jump entries smaller than this (max abs) are dropped from tables
@@ -67,9 +70,9 @@ class _Lattice:
     snap: float
 
     @classmethod
-    def generate(cls, delays: Sequence, horizon: float, cap: int) -> "_Lattice":
+    def generate(cls, delays: Sequence, horizon: float) -> "_Lattice":
         if all(isinstance(d, Fraction) for d in delays):
-            return cls._exact(delays, horizon, cap)
+            return cls._exact(delays, horizon)
         if not math.isfinite(horizon):
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} has no last point")
         steps = [float(d) for d in delays]
@@ -85,8 +88,8 @@ class _Lattice:
         while heap:
             t = heapq.heappop(heap)
             out.append(t)
-            if len(out) > cap:
-                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {cap} points")
+            if len(out) > LATTICE_CAP:
+                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {LATTICE_CAP} points")
             for d in steps:
                 s = t + d
                 if s > limit:
@@ -100,7 +103,7 @@ class _Lattice:
         return cls(floats, np.array(steps), tol, floats, tol)
 
     @classmethod
-    def _exact(cls, delays: Sequence[Fraction], horizon: float, cap: int) -> "_Lattice":
+    def _exact(cls, delays: Sequence[Fraction], horizon: float) -> "_Lattice":
         """The instants k h <= horizon as int64 k, grown in blocks of m_1:
         an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
         b m_1, and every block holds one (an instant of the block before
@@ -119,8 +122,8 @@ class _Lattice:
             lo, hi = np.searchsorted(known, [start - steps, start + m1 - steps])
             new = np.unique(np.concatenate([known[a:b] + m for a, b, m in zip(lo, hi, steps)]))
             new = new[new <= top]
-            if size + len(new) > cap:
-                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {cap} points")
+            if size + len(new) > LATTICE_CAP:
+                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {LATTICE_CAP} points")
             if size + len(new) > len(keys):
                 keys = np.concatenate([keys, np.empty(max(len(keys), len(new)), dtype=np.int64)])
             keys[size:size + len(new)] = new
@@ -158,13 +161,11 @@ def _blocks(src: np.ndarray, first: int) -> Iterator[tuple[int, int]]:
         s = e
 
 
-def discontinuity_instants(
-    vsys: ValidatedSystem, horizon: float, *, cap: int = DEFAULT_LATTICE_CAP
-) -> list[float]:
+def discontinuity_instants(vsys: ValidatedSystem, horizon: float) -> list[float]:
     """All possible discontinuity instants of K in [0, horizon], ordered.
-    Raises HorizonTooLarge past cap points or, for rational delays, past
-    int64 steps of h."""
-    return _Lattice.generate(vsys.delays, horizon, cap).floats.tolist()
+    Raises HorizonTooLarge past LATTICE_CAP points or, for rational delays,
+    past int64 steps of h."""
+    return _Lattice.generate(vsys.delays, horizon).floats.tolist()
 
 
 def snapped_lookup(
@@ -314,13 +315,7 @@ class JumpTable:
         return float(np.min(np.diff(self.times)))
 
 
-def fundamental_matrix(
-    vsys: ValidatedSystem,
-    horizon: float,
-    side: str = "right",
-    *,
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> StepMatrixFunction:
+def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right") -> StepMatrixFunction:
     """Evaluate K on [0, horizon] from K(t) = sum_j K(t-h_j) A_j (side
     "right") or K(t) = sum_j A_j K(t-h_j) (side "left").  Both recursions
     describe the same function; computing each gives an independent check.
@@ -329,7 +324,7 @@ def fundamental_matrix(
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    lat = _Lattice.generate(vsys.delays, horizon, cap)
+    lat = _Lattice.generate(vsys.delays, horizon)
     base = k0(vsys)
     n = vsys.n
     src = lat.sources()
@@ -351,13 +346,7 @@ def fundamental_matrix(
     )
 
 
-def delta_k(
-    vsys: ValidatedSystem,
-    horizon: float,
-    *,
-    drop_tol: float = JUMP_DROP_TOL,
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> JumpTable:
+def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DROP_TOL) -> JumpTable:
     """Jump table from the recursion dK(0) = I,
     dK(t) = sum_j dK(t-h_j) A_j on the lattice, zero elsewhere.
 
@@ -365,7 +354,7 @@ def delta_k(
     compared.  Entries below drop_tol (max abs) are filtered at the end;
     the instant 0 always stays.
     """
-    lat = _Lattice.generate(vsys.delays, horizon, cap)
+    lat = _Lattice.generate(vsys.delays, horizon)
     n = vsys.n
     src = lat.sources(instants=True)
     jumps = np.zeros((len(lat), n, n))
@@ -395,13 +384,7 @@ def _response_grid(grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def simulate(
-    vsys: ValidatedSystem,
-    phi: InitialFunction,
-    grid: Sequence[float],
-    *,
-    node_cap: int = 1_000_000,
-) -> np.ndarray:
+def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float]) -> np.ndarray:
     """Time response on grid (finite points >= 0) by the recursion
     x(t) = sum_j A_j x(t - h_j) down to the initial function.
 
@@ -409,7 +392,7 @@ def simulate(
     1e-12 relative quantum; a key keeps the float of the first point to
     reach it.  Points below -quantum/2 read phi, the rest are evaluated in
     key order in blocks: the bits of a memoized per-point descent.  Past
-    node_cap points (the path t, t - h_min, ... alone has max(grid) / h_min),
+    NODE_CAP points (the path t, t - h_min, ... alone has max(grid) / h_min),
     checked per level, it raises RecursionDepthExceeded.
     """
     grid = _response_grid(grid)
@@ -422,8 +405,8 @@ def simulate(
         level, first = np.unique(-np.rint(frontier / quantum).astype(np.int64), return_index=True)
         new = snapped_lookup(neg[:size], level, 0, math.inf, instants=True) < 0
         level, fresh, end = level[new], frontier[first[new]], size + int(np.count_nonzero(new))
-        if max(end, tmax / vsys.h_min) > node_cap:
-            raise RecursionDepthExceeded(f"response recursion exceeded {node_cap} nodes")
+        if max(end, tmax / vsys.h_min) > NODE_CAP:
+            raise RecursionDepthExceeded(f"response recursion exceeded {NODE_CAP} nodes")
         if end > len(neg):
             neg, ts = np.resize(neg, 2 * end), np.resize(ts, 2 * end)
         # a merge moves only the points after the first insertion
@@ -447,13 +430,7 @@ def simulate(
     return values[snapped_lookup(keys, np.rint(grid / quantum).astype(np.int64), 0, math.inf, instants=True)]
 
 
-def simulate_cauchy(
-    vsys: ValidatedSystem,
-    phi: InitialFunction,
-    grid: Sequence[float],
-    *,
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> np.ndarray:
+def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float]) -> np.ndarray:
     """Time response through the jump table: the solution is a sum of
     initial-function samples weighted by fundamental-matrix jumps,
 
@@ -466,7 +443,7 @@ def simulate_cauchy(
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
-    table = delta_k(vsys, tmax, cap=cap)
+    table = delta_k(vsys, tmax)
     btol = table.tol
     delays = np.array([float(d) for d in vsys.delays])
     mats = np.array(vsys.matrices)

@@ -42,6 +42,7 @@ from .system_model import (
 )
 
 STABLE_LABEL = "jump series need"
+# slope jumps smaller than this (max abs) are left out of a spectrum
 SPECTRUM_DROP_TOL = 1e-14
 
 
@@ -218,14 +219,12 @@ def u_prime_series(
     return TruncatedSeries(value=acc, tail_bound=tail, horizon=float(horizon))
 
 
-def jumps_from_segments(
-    u: PiecewiseAffineMatrixFunction, *, drop_tol: float = SPECTRUM_DROP_TOL
-) -> JumpSpectrum:
+def jumps_from_segments(u: PiecewiseAffineMatrixFunction) -> JumpSpectrum:
     """Exact jump spectrum of U' read from slope differences at interior
-    knots of a built U.  No truncation is involved; a constant-slope U
-    yields an empty spectrum."""
+    knots of a built U, above SPECTRUM_DROP_TOL.  No truncation is
+    involved; a constant-slope U yields an empty spectrum."""
     jumps = np.diff(u.slopes, axis=0)
-    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
+    keep = np.max(np.abs(jumps), axis=(1, 2)) > SPECTRUM_DROP_TOL
     return JumpSpectrum(
         taus=u.knots()[1:2 * u.m][keep],
         jumps=jumps[keep],

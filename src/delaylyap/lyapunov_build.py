@@ -39,9 +39,13 @@ from .system_model import (
 
 # unknown counts above this use the sparse path
 DENSE_CUTOFF = 2000
+# larger block systems raise SizeExceeded
 MAX_UNKNOWNS = 500_000
+# condition estimates above these warn, and raise CriticalSystem
 COND_WARN = 1e10
 COND_FAIL = 1e12
+# residual grid points per segment
+RESIDUAL_PER_SEGMENT = 50
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,21 @@ class PiecewiseAffineMatrixFunction:
 class ResidualReport:
     """Worst-case defect of a built function against its defining
     identities, sampled on a grid that always contains the knots.
-    All values are max-abs entry norms."""
+    All values are max-abs entry norms.  scale is max(1, max |U|) over
+    the grid, so the gate tol * scale is relative for a large U."""
 
     symmetry: float
     dynamic: float
     continuity: float
     grid_points: int
     condition_estimate: float
+    scale: float
 
     def max_residual(self) -> float:
         return max(self.symmetry, self.dynamic, self.continuity)
 
     def passed(self, tol: float) -> bool:
-        return self.max_residual() <= tol
+        return self.max_residual() <= tol * self.scale
 
     def to_dict(self) -> dict:
         return {
@@ -127,6 +133,7 @@ class ResidualReport:
             "grid_points": self.grid_points,
             "condition_estimate": self.condition_estimate,
             "max_residual": self.max_residual(),
+            "scale": self.scale,
         }
 
 
@@ -155,14 +162,14 @@ def _condition(anorm: float, solve, solve_t, shape) -> float:
         return math.inf
 
 
-def _check_condition(cond: float, cond_warn: float, cond_fail: float) -> None:
-    if not math.isfinite(cond) or cond > cond_fail:
+def _check_condition(cond: float) -> None:
+    if not math.isfinite(cond) or cond > COND_FAIL:
         raise CriticalSystem(
             "commensurate block system is numerically singular "
             f"(condition estimate {cond:.3e}); the delay configuration sits "
             "at or near a critical pairing of coefficient eigenvalues"
         )
-    if cond > cond_warn:
+    if cond > COND_WARN:
         warnings.warn(
             "commensurate block system is poorly conditioned "
             f"(condition estimate {cond:.3e}); results may lose accuracy",
@@ -231,13 +238,7 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     return mat, b_const, b_slope
 
 
-def build_single_delay(
-    vsys: ValidatedSystem,
-    weight: WeightMatrix,
-    *,
-    cond_warn: float = COND_WARN,
-    cond_fail: float = COND_FAIL,
-) -> PiecewiseAffineMatrixFunction:
+def build_single_delay(vsys: ValidatedSystem, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """U for a single delay system x(t) = A x(t - H): the commensurate
     construction with h = H, m = 1 and C_1 = A.  H may be an exact
     Fraction or a float; a float H stays a float and h_exact is None.
@@ -247,41 +248,31 @@ def build_single_delay(
         raise ValueError("single delay construction needs exactly one entry")
     ((delay, a),) = vsys.entries
     form = CommensurateForm(h=delay, m=1, coefficients=(a,), origin=vsys.system)
-    return _solve_form(form, weight, DENSE_CUTOFF, MAX_UNKNOWNS, cond_warn, cond_fail)
+    return _solve_form(form, weight)
 
 
-def build_commensurate(
-    form: CommensurateForm,
-    weight: WeightMatrix,
-    *,
-    dense_cutoff: int = DENSE_CUTOFF,
-    max_unknowns: int = MAX_UNKNOWNS,
-    cond_warn: float = COND_WARN,
-    cond_fail: float = COND_FAIL,
-) -> PiecewiseAffineMatrixFunction:
+def build_commensurate(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """U for a commensurate form with basic delay h and m blocks.
 
     Solves for the 2m affine segments of U over [-m h, m h] in one linear
     system of 2 m n^2 unknowns (solved twice, for the constant and slope
     parts of the affine right side).  Uses a dense LU with a reciprocal
-    condition estimate up to dense_cutoff unknowns and a sparse LU with a
+    condition estimate up to DENSE_CUTOFF unknowns and a sparse LU with a
     one-norm condition estimate beyond; raises SizeExceeded past
-    max_unknowns and CriticalSystem when the operator is singular."""
-    return _solve_form(form, weight, dense_cutoff, max_unknowns, cond_warn, cond_fail)
+    MAX_UNKNOWNS and CriticalSystem when the operator is singular (a
+    condition estimate above COND_FAIL; above COND_WARN it warns)."""
+    return _solve_form(form, weight)
 
 
-def _solve_form(
-    form: CommensurateForm, weight: WeightMatrix, dense_cutoff: int, max_unknowns: int,
-    cond_warn: float, cond_fail: float,
-) -> PiecewiseAffineMatrixFunction:
+def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     n = form.n
     m = form.m
     n2 = n * n
     unknowns = 2 * m * n2
-    if unknowns > max_unknowns:
-        raise SizeExceeded(f"construction needs {unknowns} unknowns, cap is {max_unknowns}")
+    if unknowns > MAX_UNKNOWNS:
+        raise SizeExceeded(f"construction needs {unknowns} unknowns, cap is {MAX_UNKNOWNS}")
     mat, b_const, b_slope = _commensurate_blocks(form, weight)
-    if unknowns <= dense_cutoff:
+    if unknowns <= DENSE_CUTOFF:
         solver = "dense"
         mat = mat.toarray()
         try:
@@ -290,7 +281,7 @@ def _solve_form(
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
         solve = functools.partial(sla.lu_solve, lu_piv)
         cond = _condition(float(np.linalg.norm(mat, 1)), solve, lambda v: solve(v, trans=1), mat.shape)
-        _check_condition(cond, cond_warn, cond_fail)
+        _check_condition(cond)
         sol_c = sla.lu_solve(lu_piv, b_const)
         sol_s = sla.lu_solve(lu_piv, b_slope)
     else:
@@ -301,7 +292,7 @@ def _solve_form(
         except RuntimeError as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
         cond = _condition(float(spla.norm(mat, 1)), lu.solve, lambda v: lu.solve(v, trans="T"), mat.shape)
-        _check_condition(cond, cond_warn, cond_fail)
+        _check_condition(cond)
         sol_c = lu.solve(b_const)
         sol_s = lu.solve(b_slope)
     if not (np.all(np.isfinite(sol_c)) and np.all(np.isfinite(sol_s))):
@@ -322,7 +313,7 @@ def _solve_form(
     )
 
 
-def residual_grid(u: PiecewiseAffineMatrixFunction, per_segment: int = 50) -> np.ndarray:
+def residual_grid(u: PiecewiseAffineMatrixFunction, per_segment: int) -> np.ndarray:
     """Sample grid on [-H, H]: per_segment points inside every segment
     plus every knot."""
     offs = np.linspace(0.0, u.h, per_segment, endpoint=False)[1:]
@@ -330,13 +321,7 @@ def residual_grid(u: PiecewiseAffineMatrixFunction, per_segment: int = 50) -> np
     return np.unique(np.concatenate([u.knots(), inner.ravel()]))
 
 
-def residuals(
-    u: PiecewiseAffineMatrixFunction,
-    vsys: ValidatedSystem,
-    weight: WeightMatrix,
-    *,
-    per_segment: int = 50,
-) -> ResidualReport:
+def residuals(u: PiecewiseAffineMatrixFunction, vsys: ValidatedSystem, weight: WeightMatrix) -> ResidualReport:
     """Defect of u against the identities that define the Lyapunov matrix
     of vsys: symmetry with the antisymmetric constant P, the delay
     difference dynamic property, and continuity across segment ends."""
@@ -344,7 +329,7 @@ def residuals(
     base = k0(vsys)
     p = p_matrix(vsys, weight)
     wk = base.T @ w @ base
-    taus = residual_grid(u, per_segment)
+    taus = residual_grid(u, RESIDUAL_PER_SEGMENT)
     nonneg = taus[taus >= 0.0]
     u_pos = u.evaluate_many(nonneg)
     u_neg = u.evaluate_many(-nonneg)
@@ -363,6 +348,7 @@ def residuals(
         continuity=cont,
         grid_points=len(taus),
         condition_estimate=u.condition_estimate,
+        scale=max(1.0, float(np.max(np.abs(u_pos))), float(np.max(np.abs(u_neg)))),
     )
 
 

@@ -18,12 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteInput, OrderUnavailable, SizeExceeded
-from .lyapunov_build import (
-    DENSE_CUTOFF,
-    MAX_UNKNOWNS,
-    PiecewiseAffineMatrixFunction,
-    build_commensurate,
-)
+from .lyapunov_build import PiecewiseAffineMatrixFunction, build_commensurate
 from .system_model import (
     CommensurateForm,
     DelaySystem,
@@ -34,7 +29,9 @@ from .system_model import (
     validate,
 )
 
+# continued fraction terms expanded by default and for approximate_system
 MAX_TERMS = 64
+# largest basic step count m a rationalized system may need
 BASIC_DELAY_CAP = 100_000
 
 
@@ -95,18 +92,12 @@ def convergents(cf: ContinuedFraction) -> list[Fraction]:
     return [convergent(cf, s) for s in range(len(cf.coefficients))]
 
 
-def approximate_system(
-    vsys: ValidatedSystem,
-    order: int,
-    *,
-    max_terms: int = MAX_TERMS,
-    m_cap: int = BASIC_DELAY_CAP,
-) -> CommensurateForm:
+def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
     """Commensurate form whose delays replace every float delay by its
     order-s convergent.  Exact rational delays pass through untouched, so
     an already rational system gives the same form at every order.
     Convergent collisions merge by summing coefficients.  Raises
-    SizeExceeded when the gcd step count m would exceed m_cap."""
+    SizeExceeded when the gcd step count m would exceed BASIC_DELAY_CAP."""
     if vsys.is_rational:
         return to_commensurate(vsys)
     replaced: dict[Fraction, np.ndarray] = {}
@@ -114,7 +105,7 @@ def approximate_system(
         if isinstance(d, Fraction):
             r = d
         else:
-            cf = continued_fraction(d, max_terms)
+            cf = continued_fraction(d, MAX_TERMS)
             s = min(order, len(cf.coefficients) - 1)
             r = convergent(cf, s)
         if r <= 0:
@@ -128,9 +119,9 @@ def approximate_system(
     entries = sorted(replaced.items())
     rationalized = validate(DelaySystem(vsys.n, entries))
     form = to_commensurate(rationalized)
-    if form.m > m_cap:
+    if form.m > BASIC_DELAY_CAP:
         raise SizeExceeded(
-            f"rationalized delays need m = {form.m} basic steps, cap is {m_cap}"
+            f"rationalized delays need m = {form.m} basic steps, cap is {BASIC_DELAY_CAP}"
         )
     return CommensurateForm(
         h=form.h, m=form.m, coefficients=form.coefficients, origin=vsys.system
@@ -176,8 +167,6 @@ def u_sequence(
     orders: Sequence[int],
     *,
     grid_points: int = 401,
-    dense_cutoff: int = DENSE_CUTOFF,
-    max_unknowns: int = MAX_UNKNOWNS,
 ) -> list[ApproximationStep]:
     """Build U for each approximation order and measure successive sup
     differences on a shared grid over the common horizon.  Stability
@@ -187,9 +176,7 @@ def u_sequence(
     prev: ApproximationStep | None = None
     for order in orders:
         form = approximate_system(vsys, order)
-        u = build_commensurate(
-            form, weight, dense_cutoff=dense_cutoff, max_unknowns=max_unknowns
-        )
+        u = build_commensurate(form, weight)
         rsys = form.to_system()
         rep = stability_check(rsys, with_decay=False)
         sup_diff = None

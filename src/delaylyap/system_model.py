@@ -52,6 +52,19 @@ ABERTH_STOP = 1e-12
 # eigvals evaluations the torus grid may take: 64 points per delay up to
 # three delays; more delays get fewer points per delay
 TORUS_MAX_EVALS = 64 ** 3
+# torus grid points per delay, and the distance from 1 within which a
+# torus radius stays inconclusive
+TORUS_POINTS = 64
+TORUS_MARGIN = 1e-3
+# distance from 1 within which an exact (single delay or companion) radius
+# stays inconclusive; the certified companion radius must be accurate to a
+# tenth of it
+EXACT_MARGIN = 1e-9
+# largest companion size n*m the rational screen takes; larger rational
+# systems go to the torus grid
+COMPANION_CAP = 4000
+# per-step decay at which default_horizon truncates
+HORIZON_TARGET = 1e-12
 # decay rates use at least this per-step radius, since log 0 is undefined.
 # Below it the companion, n m blocks of one step each, is nilpotent up to
 # rounding, and K can grow for up to n m steps before it vanishes; so the
@@ -190,14 +203,14 @@ class WeightMatrix:
 class InitialFunction:
     """Piecewise linear initial data on [-H, 0), evaluated right of each
     segment start.  Constant functions get an unbounded left domain so the
-    same object works for any system."""
+    same object works for any system.  Raises NonFiniteInput for NaN or
+    infinite data, apart from the -inf start of a constant first segment."""
 
     starts: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    left_end: float
 
-    def __init__(self, starts, values, slopes=None, left_end=None):
+    def __init__(self, starts, values, slopes=None):
         starts = np.asarray(starts, dtype=float)
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != starts.shape[0]:
@@ -208,6 +221,11 @@ class InitialFunction:
             slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
             if slopes.shape != values.shape:
                 raise DimensionMismatch("slopes must match values in shape")
+        unbounded = starts.size > 0 and starts[0] == -math.inf and not slopes[0].any()
+        if not all(np.all(np.isfinite(a)) for a in (starts[int(unbounded):], values, slopes)):
+            raise NonFiniteInput(
+                "initial function data must be finite; only a constant first segment may start at -inf"
+            )
         if np.any(np.diff(starts) <= 0):
             raise NonincreasingDelays("segment starts must be strictly increasing")
         if starts[-1] >= 0:
@@ -217,7 +235,6 @@ class InitialFunction:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "left_end", float(starts[0]) if left_end is None else float(left_end))
 
     @classmethod
     def constant(cls, vector) -> "InitialFunction":
@@ -236,7 +253,7 @@ class InitialFunction:
         float overshoot below the left end is clamped; anything at or above
         0 (or NaN) raises OutOfDomain naming the first such theta."""
         thetas = np.asarray(thetas, dtype=float)
-        lo = self.left_end
+        lo = float(self.starts[0])
         slack = 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else math.inf
         bad = np.flatnonzero(~((thetas < 0.0) & (thetas >= lo - slack)))
         if bad.size:
@@ -323,12 +340,12 @@ class CommensurateForm:
         return validate(DelaySystem(self.n, [(self.h * j, c) for j, c in steps]))
 
 
-def validate(system: DelaySystem, *, det_rtol: float = DET_RTOL) -> ValidatedSystem:
+def validate(system: DelaySystem) -> ValidatedSystem:
     """Check structure and the invertibility of sum(A_j) - I.
 
     Raises DimensionMismatch, NonincreasingDelays, NonFiniteInput or
     SingularK0.  The determinant test is relative: |det| must exceed
-    det_rtol * ||sum A_j - I||_2 ** n.
+    DET_RTOL * ||sum A_j - I||_2 ** n.
     """
     n = system.n
     if n < 1:
@@ -352,7 +369,7 @@ def validate(system: DelaySystem, *, det_rtol: float = DET_RTOL) -> ValidatedSys
     m = np.sum(system.matrices, axis=0) - np.eye(n)
     det = float(np.linalg.det(m))
     scale = float(np.linalg.norm(m, 2)) ** n
-    if abs(det) <= det_rtol * scale:
+    if abs(det) <= DET_RTOL * scale:
         raise SingularK0(
             f"sum of coefficients minus identity is numerically singular (|det| = {abs(det):.3e})"
         )
@@ -388,32 +405,11 @@ def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n
     return h, m, tuple(coeffs)
 
 
-def to_commensurate(vsys: ValidatedSystem, rational_delays: Sequence[Delay] | None = None) -> CommensurateForm:
-    """Exact rewrite over the gcd of the delays.
-
-    rational_delays, when given, replaces the system's own delays entry by
-    entry and must be exact (Fraction or int), positive and strictly
-    increasing.  Without it the system's own delays must already be exact.
-    """
-    if rational_delays is None:
-        if not vsys.is_rational:
-            raise NonRationalInput(
-                "system has float delays; pass exact replacements or approximate first"
-            )
-        exact = [_exact(d) for d in vsys.delays]
-    else:
-        if len(rational_delays) != len(vsys.entries):
-            raise NonRationalInput(
-                f"expected {len(vsys.entries)} delays, got {len(rational_delays)}"
-            )
-        exact = []
-        for d in rational_delays:
-            if not _is_exact(d):
-                raise NonRationalInput(f"delay {d!r} is not an exact rational")
-            exact.append(_exact(d))
-        if any(d <= 0 for d in exact) or any(b <= a for a, b in zip(exact, exact[1:])):
-            raise NonRationalInput("replacement delays must be positive and strictly increasing")
-    h, m, coeffs = _commensurate_data(exact, vsys.matrices, vsys.n)
+def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
+    """Exact rewrite over the gcd of the delays, which must all be exact."""
+    if not vsys.is_rational:
+        raise NonRationalInput("system has float delays; approximate them first")
+    h, m, coeffs = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices, vsys.n)
     return CommensurateForm(h=h, m=m, coefficients=coeffs, origin=vsys.system)
 
 
@@ -609,35 +605,28 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
     return 1.05 * gamma, sigma
 
 
-def stability_check(
-    system: DelaySystem | ValidatedSystem,
-    *,
-    torus_points: int = 64,
-    torus_margin: float = 1e-3,
-    exact_margin: float = 1e-9,
-    companion_cap: int = 4000,
-    with_decay: bool = True,
-) -> StabilityReport:
+def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool = True) -> StabilityReport:
     """Classify the system as stable, unstable or inconclusive.
 
     Single delay: spectral radius of the lone coefficient.
 
-    All delays exact rationals: spectral radius of the block companion
-    matrix of the commensurate rewrite (per basic-delay step).  For n*m >=
-    STRUCTURED_CUTOFF and n^2 <= m it is the largest root of the monic
-    det(z^m I - sum_j C_j z^(m-j)), found by an Ehrlich-Aberth iteration
-    at O((n m)^2) per sweep and certified by Weierstrass inclusion disks:
-    when they are pairwise disjoint each holds exactly one eigenvalue, and
-    the radius is exact to within the largest disk radius, which must not
-    exceed exact_margin / 10.  Without that certificate (C_m = 0, no
-    convergence, a non-finite value, overlapping or too wide disks), and
-    for smaller companions, dense eigvals gives the radius.
+    All delays exact rationals, with n*m <= COMPANION_CAP: spectral radius
+    of the block companion matrix of the commensurate rewrite (per
+    basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
+    the largest root of the monic det(z^m I - sum_j C_j z^(m-j)), found by
+    an Ehrlich-Aberth iteration at O((n m)^2) per sweep and certified by
+    Weierstrass inclusion disks: when they are pairwise disjoint each
+    holds exactly one eigenvalue, and the radius is exact to within the
+    largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without
+    that certificate (C_m = 0, no convergence, a non-finite value,
+    overlapping or too wide disks), and for smaller companions, dense
+    eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
-    stability; near-unity results within torus_margin stay inconclusive.
-    The grid has torus_points per delay unless that exceeds
-    TORUS_MAX_EVALS evaluations; then it shrinks to the largest grid
-    within the cap and the report gives the reason.
+    stability; near-unity results within TORUS_MARGIN stay inconclusive
+    (EXACT_MARGIN for the exact radii).  The grid has TORUS_POINTS per
+    delay unless that exceeds TORUS_MAX_EVALS evaluations; then it shrinks
+    to the largest grid within the cap and the report gives the reason.
     """
     raw = system.system if isinstance(system, ValidatedSystem) else system
     delays = raw.delays
@@ -652,24 +641,24 @@ def stability_check(
         method = "single_delay_spectral"
         rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
         step = float(delays[0])
-        margin = exact_margin
-    elif rewrite is not None and n * rewrite[1] <= companion_cap:
+        margin = EXACT_MARGIN
+    elif rewrite is not None and n * rewrite[1] <= COMPANION_CAP:
         h, _, coeffs = rewrite
         method = "commensurate_companion"
-        rho = _companion_radius(coeffs, n, exact_margin / 10.0)
+        rho = _companion_radius(coeffs, n, EXACT_MARGIN / 10.0)
         step = float(h)
-        margin = exact_margin
+        margin = EXACT_MARGIN
     else:
         method = "torus_grid_heuristic"
-        grid_points = _torus_grid(torus_points, len(delays))
-        if grid_points < torus_points:
+        grid_points = _torus_grid(TORUS_POINTS, len(delays))
+        if grid_points < TORUS_POINTS:
             reason = (
                 f"torus grid capped at {grid_points}^{len(delays)} evaluations "
-                f"(TORUS_MAX_EVALS = {TORUS_MAX_EVALS}), {torus_points} points per delay asked"
+                f"(TORUS_MAX_EVALS = {TORUS_MAX_EVALS}), {TORUS_POINTS} points per delay asked"
             )
         rho = _torus_radius([float(d) for d in delays], mats, grid_points)
         step = float(delays[-1])
-        margin = torus_margin
+        margin = TORUS_MARGIN
 
     if rho >= 1.0 + margin:
         verdict = "unstable"
@@ -711,12 +700,12 @@ def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label:
     return report
 
 
-def default_horizon(vsys: ValidatedSystem, report: StabilityReport, target: float = 1e-12) -> float:
+def default_horizon(vsys: ValidatedSystem, report: StabilityReport) -> float:
     """Horizon at which the per-step decay max(rho, RHO_FLOOR) has fallen to
-    target, floored at a few top delays so short systems integrate something,
-    and below the floor at the end of the nilpotent range."""
+    HORIZON_TARGET, floored at a few top delays so short systems integrate
+    something, and below the floor at the end of the nilpotent range."""
     rho = report.spectral_radius
-    t = report.rate_step * math.log(target) / math.log(max(rho, RHO_FLOOR))
+    t = report.rate_step * math.log(HORIZON_TARGET) / math.log(max(rho, RHO_FLOOR))
     if rho < RHO_FLOOR:
         t = max(t, vsys.n * vsys.h_max + report.rate_step)
     return max(t, 3.0 * vsys.h_max)

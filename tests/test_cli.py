@@ -135,6 +135,17 @@ class TestSim:
         rc = main(["sim", "--config", configs["two_delay"], "--phi", str(phi)])
         assert rc == 3
 
+    @pytest.mark.parametrize("text", [
+        '{"constant": [NaN, 1.0]}',
+        '{"constant": [1e400, 1.0]}',
+        '{"segments": [{"start": -1.5, "value": [1.0, -Infinity]}]}',
+    ])
+    def test_non_finite_phi_exits_three(self, configs, tmp_path, capsys, text):
+        phi = tmp_path / "phi.json"
+        phi.write_text(text)
+        assert main(["sim", "--config", configs["two_delay"], "--phi", str(phi)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestLyap:
     def test_stdout_with_residual_diag(self, configs, capsys):
@@ -265,6 +276,9 @@ class TestZeroRadius:
         # K of the 5 x 5 shift times 2 is nonzero up to t = 4, past 3 h_max
         ([(2.0 * np.eye(5, k=1)).tolist()], ("check", "jumps", "verify")),
         ([(2.0 * np.eye(5, k=1)).tolist()] * 2, ("check", "jumps", "verify")),
+        # U of the 5 x 5 shift times 10 reaches about 1e8, and its residual
+        # of about 6e-8 passes the gate relative to that scale
+        ([(10.0 * np.eye(5, k=1)).tolist()], ("check", "verify")),
     ])
     def test_commands_succeed(self, tmp_path, capsys, entries, commands):
         delays = [{"delay": 1, "A": entries[0]}] + [{"delay": {"num": 3, "den": 2}, "A": a} for a in entries[1:]]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap import fundamental
 from delaylyap.fundamental import (
-    DEFAULT_LATTICE_CAP,
     JUMP_DROP_TOL,
+    LATTICE_CAP,
     MERGE_TOL_SCALE,
     exact_multiples,
     row_chunks,
@@ -101,7 +102,7 @@ class ReferenceLattice:
     evaluated on: Fraction instants for rational delays, merged floats
     otherwise.  Kept as the bitwise reference for the block recursions."""
 
-    def __init__(self, delays, horizon, cap=DEFAULT_LATTICE_CAP):
+    def __init__(self, delays, horizon, cap=LATTICE_CAP):
         exact = all(isinstance(d, Fraction) for d in delays)
         h_max = float(delays[-1])
         if exact:
@@ -217,9 +218,10 @@ class TestLattice:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_cap_enforced(self, ex2a):
+    def test_cap_enforced(self, ex2a, monkeypatch):
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", 10)
         with pytest.raises(dl.HorizonTooLarge):
-            dl.discontinuity_instants(ex2a, 1000.0, cap=10)
+            dl.discontinuity_instants(ex2a, 1000.0)
 
     def test_sparse_rational_lattice_stays_sparse(self):
         # h = 1e-6: a grid of every multiple of h up to 60 has 6e7 steps
@@ -426,13 +428,15 @@ class TestSimulate:
             want = kl.value_many(grid)[:, :, i]
             assert np.max(np.abs(out - want)) <= 1e-12
 
-    def test_node_cap(self, scalar_half, ex3):
+    def test_node_cap(self, scalar_half, ex3, monkeypatch):
         phi = dl.InitialFunction.constant([1.0])
+        monkeypatch.setattr(fundamental, "NODE_CAP", 10)
         with pytest.raises(dl.RecursionDepthExceeded):
-            dl.simulate(scalar_half, phi, [50.0], node_cap=10)
+            dl.simulate(scalar_half, phi, [50.0])
         # 20 levels deep, but the lattice of {1, sqrt 2} passes 60 points first
+        monkeypatch.setattr(fundamental, "NODE_CAP", 60)
         with pytest.raises(dl.RecursionDepthExceeded):
-            dl.simulate(ex3, dl.InitialFunction.constant([1.0, 0.0]), [20.0], node_cap=60)
+            dl.simulate(ex3, dl.InitialFunction.constant([1.0, 0.0]), [20.0])
 
     def test_node_cap_long_horizon_short_delay_fails_fast(self):
         vsys = dl.validate(dl.DelaySystem.single(0.5, Fraction(1, 1000)))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -379,6 +381,28 @@ class TestResiduals:
         rep = dl.residuals(u, vsys, dl.WeightMatrix.identity(vsys.n))
         assert rep.passed(1e-8)
 
+    def test_gate_is_relative_to_u(self):
+        # U of x(t) = 10 J x(t - 1), J the 5 x 5 shift, reaches about 1e8
+        vsys = dl.validate(dl.DelaySystem.single(10.0 * np.eye(5, k=1), Fraction(1)))
+        w = dl.WeightMatrix.identity(5)
+        u = dl.build_single_delay(vsys, w)
+        rep = dl.residuals(u, vsys, w)
+        grid = lyapunov_build.residual_grid(u, lyapunov_build.RESIDUAL_PER_SEGMENT)
+        assert rep.scale == pytest.approx(np.max(np.abs(u.evaluate_many(grid))), rel=1e-12)
+        assert rep.scale > 1e7 and rep.to_dict()["scale"] == rep.scale
+        assert rep.max_residual() > 1e-8 and rep.passed(1e-8)
+        coeffs = u.coeffs.copy()
+        coeffs[0, 0, 0] += 1e-6 * rep.scale
+        bad = dl.residuals(dataclasses.replace(u, coeffs=coeffs), vsys, w)
+        assert not bad.passed(1e-8)
+
+    def test_gate_scale_floored_at_one(self, scalar_half):
+        # the weight 0.01 scales U down to about 0.05; the gate stays absolute
+        w = dl.WeightMatrix([[0.01]])
+        u = dl.build_single_delay(scalar_half, w)
+        assert np.max(np.abs(u.coeffs)) < 0.1
+        assert dl.residuals(u, scalar_half, w).scale == 1.0
+
 
 class TestSingleVsCommensurate:
     def test_single_delay_reduction(self, ex1, w2):
@@ -464,10 +488,11 @@ class TestFloatSingleDelay:
 
 
 class TestSolverRoutes:
-    def test_sparse_agrees_with_dense(self, ex2a, w2):
+    def test_sparse_agrees_with_dense(self, ex2a, w2, monkeypatch):
         form = dl.to_commensurate(ex2a)
         dense = dl.build_commensurate(form, w2)
-        sparse = dl.build_commensurate(form, w2, dense_cutoff=0)
+        monkeypatch.setattr(lyapunov_build, "DENSE_CUTOFF", 0)
+        sparse = dl.build_commensurate(form, w2)
         assert dense.solver == "dense"
         assert sparse.solver == "sparse"
         taus = np.linspace(-1.5, 1.5, 301)
@@ -482,7 +507,8 @@ class TestSolverRoutes:
         mat, _, _ = _commensurate_blocks(form, w)
         np.testing.assert_array_equal(mat.toarray(), reference_operator(form))
         dense = dl.build_commensurate(form, w)
-        sparse = dl.build_commensurate(form, w, dense_cutoff=0)
+        with patch.object(lyapunov_build, "DENSE_CUTOFF", 0):
+            sparse = dl.build_commensurate(form, w)
         assert (dense.solver, sparse.solver) == ("dense", "sparse")
         taus = np.linspace(-dense.horizon, dense.horizon, 201)
         assert np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus))) <= 1e-10

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
+from delaylyap import rational_approx
 
 
 class TestContinuedFraction:
@@ -108,9 +109,10 @@ class TestApproximateSystem:
         assert back.delays == (Fraction(3, 2),)
         np.testing.assert_allclose(back.matrices[0], a1 + a2)
 
-    def test_m_cap(self, ex3):
+    def test_m_cap(self, ex3, monkeypatch):
+        monkeypatch.setattr(rational_approx, "BASIC_DELAY_CAP", 100)
         with pytest.raises(dl.SizeExceeded):
-            dl.approximate_system(ex3, 7, m_cap=100)
+            dl.approximate_system(ex3, 7)
 
     def test_high_order_clamped_to_expansion(self, ex2a_half):
         # asking past the last term of an exact expansion must not blow up

@@ -200,6 +200,8 @@ class TestInitialFunction:
         phi = dl.InitialFunction.constant([1.0, 2.0])
         np.testing.assert_array_equal(phi.value(-0.7), [1.0, 2.0])
         np.testing.assert_array_equal(phi.value(-100.0), [1.0, 2.0])
+        with pytest.raises(dl.NonFiniteInput):
+            dl.InitialFunction.constant([1.0, math.nan])
 
     def test_domain_ends_before_zero(self):
         phi = dl.InitialFunction.constant([1.0])
@@ -222,6 +224,19 @@ class TestInitialFunction:
         assert phi.value(-1.5)[0] == pytest.approx(1.0)
         assert phi.value(-1.0)[0] == pytest.approx(3.0)
         assert phi.value(-0.5)[0] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("starts, values, slopes", [
+        ([-1.0], [[math.nan]], None),
+        ([-1.0], [[math.inf]], None),
+        ([-1.0], [[1.0]], [[-math.inf]]),
+        ([math.nan], [[1.0]], None),
+        ([-2.0, -math.inf], [[1.0], [2.0]], None),
+        # only a constant segment may reach back to -inf
+        ([-math.inf, -1.0], [[1.0], [2.0]], [[1.0], [0.0]]),
+    ])
+    def test_non_finite_data_rejected(self, starts, values, slopes):
+        with pytest.raises(dl.NonFiniteInput):
+            dl.InitialFunction(starts, values, slopes)
 
     def test_starts_must_increase(self):
         with pytest.raises(dl.NonincreasingDelays):
@@ -256,15 +271,6 @@ class TestCommensurate:
     def test_irrational_rejected(self, ex3):
         with pytest.raises(dl.NonRationalInput):
             dl.to_commensurate(ex3)
-
-    def test_explicit_replacement_delays(self, ex3):
-        form = dl.to_commensurate(ex3, rational_delays=[Fraction(1), Fraction(3, 2)])
-        assert form.h == Fraction(1, 2)
-        assert form.m == 3
-
-    def test_replacement_count_must_match(self, ex3):
-        with pytest.raises(dl.NonRationalInput):
-            dl.to_commensurate(ex3, rational_delays=[Fraction(1)])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -322,8 +328,10 @@ class TestStabilityCheck:
         assert rep.verdict == "unstable"
         assert rep.spectral_radius == pytest.approx(1.19986, abs=1e-4)
 
-    def test_rational_past_companion_cap_uses_torus(self, ex2a):
-        rep = dl.stability_check(ex2a, companion_cap=4, torus_points=16)
+    def test_rational_past_companion_cap_uses_torus(self, ex2a, monkeypatch):
+        monkeypatch.setattr(system_model, "COMPANION_CAP", 4)
+        monkeypatch.setattr(system_model, "TORUS_POINTS", 16)
+        rep = dl.stability_check(ex2a)
         assert (rep.method, rep.grid_points, rep.rate_step) == ("torus_grid_heuristic", 16, 1.5)
         assert rep.verdict == "inconclusive"
 
