@@ -10,6 +10,7 @@ verified, 6 size or horizon cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -75,9 +76,9 @@ def _load_validated(path: str) -> ValidatedSystem:
 
 
 def _read_json(path: str, what: str):
-    """The JSON value in the file at path; ParseError when the file cannot
-    be read, is not JSON or holds a number that is not finite (NaN,
-    Infinity, or one that overflows a float)."""
+    """The JSON value in the file at path, every number a float;
+    ParseError when the file cannot be read, is not JSON or holds a number
+    that is not finite (NaN, Infinity, or one that overflows a float)."""
 
     def finite(token: str) -> float:
         value = float(token)
@@ -87,7 +88,7 @@ def _read_json(path: str, what: str):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_int=finite, parse_constant=finite)
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -119,7 +120,10 @@ def _load_phi(source: str | None, n: int) -> InitialFunction:
     if not isinstance(data, dict):
         raise ParseError("initial function file must hold a JSON object")
     if "constant" in data:
-        vec = np.array(data["constant"], dtype=float)
+        try:
+            vec = np.array(data["constant"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed constant initial value: {exc}") from exc
         if vec.shape != (n,):
             raise ParseError(f"constant initial value must have length {n}")
         return InitialFunction.constant(vec)
@@ -332,7 +336,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: add_argument is slow."""
     parser = argparse.ArgumentParser(
         prog="delaylyap",
         description="Delay Lyapunov matrices of linear delay difference equations",

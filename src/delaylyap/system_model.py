@@ -35,9 +35,9 @@ Delay = Union[float, Fraction]
 # |det(sum A_j - I)| must exceed this times the matrix norm to the n-th
 # power, otherwise K0 is declared unreliable.
 DET_RTOL = 1e-12
-# complex entries per chunked temporary (1 MiB): the stacked eigvals calls
-# of the torus grid and the root-pair sums of the Ehrlich-Aberth route
-CHUNK_ENTRIES = 1 << 16
+# entries per chunked temporary (128-256 KiB, so the few live ones stay in
+# cache): torus eigvals, batched n x n solves and root-pair blocks
+CHUNK_ENTRIES = 1 << 14
 # block companions of at least this size n*m take the Ehrlich-Aberth route
 # when also n^2 <= m, so that the n x n solves of a sweep cost no more than
 # its root pairs.  Dense eigvals switches to multishift QR above n*m = 75
@@ -213,15 +213,15 @@ class InitialFunction:
     def __init__(self, starts, values, slopes=None):
         starts = np.asarray(starts, dtype=float)
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != starts.shape[0]:
-            raise DimensionMismatch("one value row per segment start required")
+        if starts.size == 0 or values.shape[0] != starts.shape[0]:
+            raise DimensionMismatch("one value row per segment start, and at least one segment, required")
         if slopes is None:
             slopes = np.zeros_like(values)
         else:
             slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
             if slopes.shape != values.shape:
                 raise DimensionMismatch("slopes must match values in shape")
-        unbounded = starts.size > 0 and starts[0] == -math.inf and not slopes[0].any()
+        unbounded = starts[0] == -math.inf and not slopes[0].any()
         if not all(np.all(np.isfinite(a)) for a in (starts[int(unbounded):], values, slopes)):
             raise NonFiniteInput(
                 "initial function data must be finite; only a constant first segment may start at -inf"
@@ -354,7 +354,7 @@ def validate(system: DelaySystem) -> ValidatedSystem:
         raise DimensionMismatch("at least one delay entry is required")
     prev = None
     for d, a in system.entries:
-        dv = float(d)
+        dv = float(d) if abs(d) <= np.finfo(float).max else math.inf
         if not math.isfinite(dv):
             raise NonFiniteInput("delays must be finite")
         if dv <= 0.0:
@@ -431,15 +431,25 @@ def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(big))))
 
 
-def _pair_chunks(z: np.ndarray, rows: np.ndarray):
-    """(chunk of rows, z[i] - z[k] for its i and every k) in chunks of
-    CHUNK_ENTRIES, with the self pair k = i set to infinity."""
-    size = max(1, CHUNK_ENTRIES // z.size)
-    for start in range(0, rows.size, size):
-        ii = rows[start:start + size]
-        diff = z[ii, None] - z[None, :]
-        diff[np.arange(ii.size), ii] = np.inf
-        yield slice(start, start + ii.size), diff
+def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
+    """sum_(k != i) 1/(z_i - z_k) for the first rows roots, taking each pair
+    k > i once, as conj(d) / |d|^2, in row blocks of about CHUNK_ENTRIES
+    pairs: a block's row sums add to its rows, its column sums subtract."""
+    x, y = z.real.copy(), z.imag.copy()
+    re, im = np.zeros(rows), np.zeros(rows)
+    start = 0
+    while start < rows:
+        stop = min(start + max(1, CHUNK_ENTRIES // (z.size - start)), rows)
+        dx = np.subtract.outer(x[start:stop], x[start:])
+        dy = np.subtract.outer(y[start:stop], y[start:])
+        inv = np.divide(1.0, dx * dx + dy * dy)
+        inv[:, :stop - start][np.tri(stop - start, dtype=bool)] = 0.0
+        for part, out in ((dx, re), (dy, im)):
+            part *= inv
+            out[start:stop] += np.sum(part, axis=1)
+            out[start:] -= np.sum(part, axis=0)[:rows - start]
+        start = stop
+    return re - 1j * im
 
 
 def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
@@ -466,14 +476,13 @@ def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
     return np.concatenate(circles)
 
 
-def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton correction 1/(log det P)'(z) = 1/tr(P^-1 P') and log|det P(z)|
-    for each z, CHUNK_ENTRIES matrix entries at a time.  Where |z| > 1
-    they come from Q(z) = z^-m P(z) = I - sum C_j z^-j, so no power
-    overflows, with det P = z^(n m) det Q.  An exactly singular P(z) makes
-    z a root to working precision: its correction is zero."""
+def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
+    """Newton correction p/p' = 1/tr(P^-1 P') of p = det P at each z,
+    CHUNK_ENTRIES matrix entries at a time.  Where |z| > 1 it comes from
+    Q(z) = z^-m P(z) = I - sum C_j z^-j, so no power overflows, with
+    p = z^(n m) det Q.  An exactly singular P(z) makes z a root to working
+    precision: its correction is zero."""
     newton = np.empty(z.size, dtype=complex)
-    log_abs = np.empty(z.size)
     eye = np.eye(n)
     size = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, z.size, size):
@@ -485,32 +494,33 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, np
         der = np.where(outside, 0.0, m * w ** (m - 1))[:, None, None] * eye
         for j, c in zip(steps, blocks):
             mat = mat - (w ** np.where(outside, j, m - j))[:, None, None] * c
-            dw = np.where(outside, -j * w ** (j + 1), (m - j) * w ** max(m - j - 1, 0))
+            dw = np.where(outside, -j, m - j) * w ** np.where(outside, j + 1, max(m - j - 1, 0))
             der = der - dw[:, None, None] * c
-        sign, log_abs[part] = np.linalg.slogdet(mat)
-        singular = sign == 0
-        mat[singular] = eye
-        logd = np.trace(np.linalg.solve(mat, der), axis1=1, axis2=2)
-        logd = np.where(outside, logd + n * m / zz, logd)
-        newton[part] = np.where(singular, 0.0, 1.0 / logd)
-        log_abs[part] += np.where(outside, n * m * np.log(np.abs(zz)), 0.0)
-    return newton, log_abs
+        try:
+            x, singular = np.linalg.solve(mat, der), False
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(mat) == 0.0
+            mat[singular] = eye
+            x = np.linalg.solve(mat, der)
+        logd = np.trace(x, axis1=1, axis2=2)
+        newton[part] = np.where(singular, 0.0, 1.0 / np.where(outside, logd + n * m / zz, logd))
+    return newton
 
 
 def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[float, float | None]:
-    """Spectral radius of the block companion matrix from the n*m roots of
-    the monic det P(z), P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
+    """Spectral radius of the block companion matrix from the N = n*m roots
+    of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
     certified error) or, after a fallback, (dense radius, None).
 
-    A vectorised (Jacobi) Ehrlich-Aberth iteration moves all roots at once:
-    Newton corrections 1/tr(P^-1 P') come from batched n x n solves over
-    the nonzero C_j only, and the pair sums are chunked.  Converged roots
-    are certified by Weierstrass inclusion disks |x - z_i| <= N |W_i|,
-    W_i = p(z_i) / prod_(k != i) (z_i - z_k), computed in log space.  When
-    the disks are pairwise disjoint each holds exactly one eigenvalue, so
-    max |z_i| is the radius to within the largest disk radius.  Dense
-    eigvals answers instead when C_m = 0, the sweep cap is reached, a
-    value is non-finite, disks overlap or a disk radius exceeds tol.
+    A vectorised (Jacobi) Ehrlich-Aberth iteration moves the roots still
+    moving, kept in front of z, at once: p/p' from batched n x n solves
+    over the nonzero C_j only, pair sums from the upper triangle.  Newton
+    disks |x - z_i| <= N |p(z_i)/p'(z_i)| each hold a root of p; widened by
+    N ulps of max |z_i| for rounding (so never of radius zero) and pairwise
+    disjoint (checked on pairs closer in real part than twice the largest
+    radius), they hold one each, and max |z_i| is the radius to within the
+    largest radius.  Dense eigvals answers instead when C_m = 0, the sweep
+    cap is reached, a value is non-finite, disks overlap or a radius exceeds tol.
     """
     m = len(coeffs)
     size = n * m
@@ -519,37 +529,30 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
     z = _newton_polygon_start(steps, blocks, n, m)
     if z is None:
         return _dense_companion_radius(coeffs, n), None
-    moving = np.arange(size)
+    moving = size
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
-            if moving.size == 0:
+            newton = _det_p(z[:moving], steps, blocks, n, m)
+            step = newton / (1.0 - newton * _pair_sums(z, moving))
+            z[:moving] -= step
+            # a non-finite step never stops, so it ends in the fallback
+            still = np.abs(step) <= ABERTH_STOP * np.abs(z[:moving])
+            z[:moving] = z[:moving][np.argsort(still, kind="stable")]
+            moving -= int(np.count_nonzero(still))
+            if moving == 0 or not np.all(np.isfinite(step)):
                 break
-            newton = _det_p(z[moving], steps, blocks, n, m)[0]
-            pairs = np.empty(moving.size, dtype=complex)
-            for part, diff in _pair_chunks(z, moving):
-                pairs[part] = np.sum(1.0 / diff, axis=1)
-            step = newton / (1.0 - newton * pairs)
-            if not np.all(np.isfinite(step)):
-                return _dense_companion_radius(coeffs, n), None
-            z[moving] -= step
-            moving = moving[np.abs(step) > ABERTH_STOP * np.abs(z[moving])]
-        else:
-            return _dense_companion_radius(coeffs, n), None
-        log_p = _det_p(z, steps, blocks, n, m)[1]
-        log_prod = np.empty(size)
-        nearest = np.empty(size)
-        everyone = np.arange(size)
-        for part, diff in _pair_chunks(z, everyone):
-            dist = np.abs(diff)
-            nearest[part] = np.min(dist, axis=1)
-            dist[np.arange(dist.shape[0]), everyone[part]] = 1.0
-            log_prod[part] = np.sum(np.log(dist), axis=1)
-        disk = size * np.exp(log_p - log_prod)
+        disk = size * (np.abs(_det_p(z, steps, blocks, n, m)) + np.finfo(float).eps * np.max(np.abs(z)))
     worst = float(np.max(disk))
-    # pairwise disjoint when every disk clears its nearest root by the
-    # largest disk radius
-    if not (math.isfinite(worst) and worst <= tol and np.all(disk + worst < nearest)):
+    if moving or not (math.isfinite(worst) and worst <= tol):
         return _dense_companion_radius(coeffs, n), None
+    order = np.argsort(z.real)
+    z, disk = z[order], disk[order]
+    for offset in range(1, size):
+        near = np.flatnonzero(z.real[offset:] - z.real[:-offset] <= 2.0 * worst)
+        if near.size == 0:
+            break
+        if np.any(np.abs(z[near + offset] - z[near]) <= disk[near + offset] + disk[near]):
+            return _dense_companion_radius(coeffs, n), None
     return float(np.max(np.abs(z))), worst
 
 
@@ -613,11 +616,12 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     All delays exact rationals, with n*m <= COMPANION_CAP: spectral radius
     of the block companion matrix of the commensurate rewrite (per
     basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
-    the largest root of the monic det(z^m I - sum_j C_j z^(m-j)), found by
-    an Ehrlich-Aberth iteration at O((n m)^2) per sweep and certified by
-    Weierstrass inclusion disks: when they are pairwise disjoint each
-    holds exactly one eigenvalue, and the radius is exact to within the
-    largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without
+    the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
+    found by an Ehrlich-Aberth iteration at (n m)^2 / 2 root pairs per
+    sweep and certified in O(n m log(n m)) by Newton disks of radius
+    n m |p / p'| plus a rounding allowance: when they are pairwise disjoint
+    each holds exactly one eigenvalue, and the radius is exact to within
+    the largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without
     that certificate (C_m = 0, no convergence, a non-finite value,
     overlapping or too wide disks), and for smaller companions, dense
     eigvals gives the radius.
@@ -763,7 +767,7 @@ def system_from_json(text: str) -> DelaySystem:
         delay = _delay_from_json(item["delay"])
         try:
             a = np.array(item["A"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"matrix for delay {delay} is malformed: {exc}") from exc
         if a.shape != (n, n):
             raise ParseError(f"matrix for delay {delay} must be {n}x{n}, got {a.shape}")

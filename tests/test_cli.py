@@ -66,6 +66,18 @@ class TestCheck:
     def test_malformed_json_exits_three(self, configs, capsys):
         assert main(["check", "--config", configs["garbage"]]) == 3
 
+    def test_integer_too_large_for_a_float_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"n": 1, "entries": [{"delay": 1, "A": [[%s]]}]}' % ("1" * 400))
+        assert main(["check", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_delay_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "far.json"
+        cfg.write_text('{"n": 1, "entries": [{"delay": %s, "A": [[0.5]]}]}' % ("1" * 400))
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert "invalid system" in capsys.readouterr().err
+
     def test_missing_file_exits_three(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -135,8 +147,15 @@ class TestSim:
         rc = main(["sim", "--config", configs["two_delay"], "--phi", str(phi)])
         assert rc == 3
 
+    def test_non_numeric_phi_exits_three(self, configs, tmp_path, capsys):
+        phi = tmp_path / "phi.json"
+        phi.write_text('{"constant": ["a", 1.0]}')
+        assert main(["sim", "--config", configs["two_delay"], "--phi", str(phi)]) == 3
+        assert "parse error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         '{"constant": [NaN, 1.0]}',
+        '{"segments": [{"start": -%s, "value": [1.0, 0.0]}]}' % ("1" * 400),
         '{"constant": [1e400, 1.0]}',
         '{"segments": [{"start": -1.5, "value": [1.0, -Infinity]}]}',
     ])
@@ -188,6 +207,13 @@ class TestLyap:
         wpath = tmp_path / "w.json"
         wpath.write_text(json.dumps([[1.0, 0.5], [0.4, 1.0]]))
         assert main(["lyap", "--config", configs["two_delay"], "--w", str(wpath)]) == 3
+
+
+    def test_weight_integer_too_large_for_a_float(self, configs, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        wpath.write_text("[[%s, 0], [0, 1]]" % ("1" * 400))
+        assert main(["lyap", "--config", configs["two_delay"], "--w", str(wpath)]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestJumps:
@@ -308,3 +334,34 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
+
+    def test_import_leaves_scipy_spatial_out(self):
+        # scipy.spatial costs about 130 ms to import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, delaylyap.cli; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, configs, capsys, monkeypatch):
+        # the parser is built once per process; an argparse error in the
+        # middle must leave later calls as they would be on their own
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = [
+            ["check", "--config", configs["scalar"]],
+            ["k", "--config", configs["scalar"], "--horizon", "2"],
+            ["check", "--orders", "1"],
+            ["sim", "--config", configs["two_delay"], "--horizon", "1", "--samples", "3"],
+        ]
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "delaylyap.cli", *argv], capture_output=True, timeout=120)
+            assert (code, out, err) == (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert code == 0

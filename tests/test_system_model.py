@@ -136,6 +136,10 @@ class TestValidate:
         with pytest.raises(dl.NonincreasingDelays):
             dl.validate(bad)
 
+    def test_delay_too_large_for_a_float(self):
+        with pytest.raises(dl.NonFiniteInput):
+            dl.validate(dl.DelaySystem.single(0.5, Fraction(10 ** 400)))
+
     def test_nan_matrix(self):
         with pytest.raises(dl.NonFiniteInput):
             dl.validate(dl.DelaySystem.single(float("nan"), Fraction(1)))
@@ -209,6 +213,10 @@ class TestInitialFunction:
             phi.value(0.0)
         with pytest.raises(dl.OutOfDomain):
             phi.value(0.5)
+
+    def test_no_segments_rejected(self):
+        with pytest.raises(dl.DimensionMismatch):
+            dl.InitialFunction([], np.zeros((0, 2)))
 
     def test_left_end_enforced(self):
         phi = dl.InitialFunction([-1.0], [[2.0]])
@@ -500,6 +508,56 @@ class TestStructuredCompanion:
         assert verdict(rho) == verdict(ref) == "unstable"
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("chunk", [40, 1 << 14])
+    def test_pair_sums_match_row_sums(self, seed, chunk, monkeypatch):
+        # roots with conjugate pairs and real ones; small chunks give many
+        # row blocks, growing as the triangle narrows
+        monkeypatch.setattr(system_model, "CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(seed)
+        upper = rng.normal(size=40) + 1j * rng.normal(size=40)
+        z = rng.permutation(np.concatenate([upper, upper.conj(), rng.normal(size=17) + 0j]))
+        recip = 1.0 / (z[:, None] - z[None, :] + np.diag(np.full(z.size, np.inf)))
+        want = np.sum(recip, axis=1)
+        scale = np.sum(np.abs(recip), axis=1)
+        for rows in (z.size, 31, 1):
+            with np.errstate(divide="ignore"):
+                got = system_model._pair_sums(z, rows)
+            assert got.shape == (rows,)
+            assert np.all(np.abs(got - want[:rows]) <= z.size * EPS * scale[:rows])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_doubled_roots_fall_back(self, seed):
+        # every C_j = c_j I_2 doubles each root, so no disk set is disjoint
+        rng = np.random.default_rng(seed)
+        coeffs = [np.zeros((2, 2))] * 50
+        for j in (7, 19, 50):
+            coeffs[j - 1] = rng.uniform(-0.4, 0.4) * np.eye(2)
+        rho, radius = system_model._aberth_radius(coeffs, 2, 1e-10)
+        assert radius is None
+        assert rho == reference_companion_radius(coeffs, 2)
+
+    def test_singular_p_keeps_a_nonzero_disk(self):
+        # P(1/2) = diag(0, 0.2) is exactly singular: a zero correction, but
+        # the disk keeps its rounding allowance
+        c = np.diag([0.5, 0.3])
+        assert system_model._det_p(np.array([0.5 + 0.0j]), [1], [c], 2, 1)[0] == 0.0
+        rho, radius = system_model._aberth_radius([c], 2, 1e-10)
+        assert rho == 0.5
+        assert radius >= 2 * EPS * rho > 0.0
+
+    def test_order_8_sqrt2_rung_certifies(self, ex3, monkeypatch):
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        form = dl.approximate_system(ex3, 8)
+        assert 2 * form.m == 2786
+        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
+        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        # the radius the root-pair Weierstrass certificate gave on this rung
+        assert abs(rho - 1.0001411454177214) <= radius <= 1e-11
+
+
 class TestTorusCap:
     def test_five_float_delays_shrink_the_grid(self):
         delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0)]
@@ -558,6 +616,11 @@ class TestJson:
         '{"n": 1, "entries": [{"delay": {"num": 1, "den": 0}, "A": [[0.5]]}]}',
     ])
     def test_malformed_rejected(self, text):
+        with pytest.raises(dl.ParseError):
+            dl.system_from_json(text)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        text = '{"n": 1, "entries": [{"delay": 1, "A": [[%s]]}]}' % ("1" * 400)
         with pytest.raises(dl.ParseError):
             dl.system_from_json(text)
 
