@@ -46,7 +46,7 @@ MERGE_TOL_SCALE = 1e-9
 JUMP_DROP_TOL = 1e-14
 # (grid point, instant, delay) triples per chunk of the convolution response
 CAUCHY_CHUNK_PAIRS = 1 << 12
-# matrix entries per chunk of padded rows in sequential_sums
+# matrix entries per chunk of row_chunks: the size of a gathered temporary
 SUM_CHUNK_ENTRIES = 1 << 14
 
 
@@ -205,21 +205,6 @@ def sequential_sum(terms: np.ndarray) -> np.ndarray:
     if not len(terms):
         return np.zeros(terms.shape[1:])
     return np.cumsum(terms, axis=0)[-1]
-
-
-def sequential_sums(terms: np.ndarray, counts) -> np.ndarray:
-    """sequential_sum of each run of consecutive terms, counts[r] of them
-    for row r: the bits of one sequential_sum per row, zeros for an empty
-    run.  The runs become rows padded with -0.0, which adds nothing to any
-    sum, and one cumsum adds every row."""
-    counts = np.asarray(counts).tolist()
-    padded = np.full((len(counts), max(1, max(counts, default=0))) + terms.shape[1:], -0.0)
-    start = 0
-    for row, count in zip(padded, counts):
-        row[:count] = terms[start:start + count]
-        start += count
-    padded[np.equal(counts, 0), 0] = 0.0
-    return np.cumsum(padded, axis=1, out=padded)[:, -1]
 
 
 def row_chunks(rows: int, row_entries: int) -> Iterator[slice]:

@@ -7,7 +7,10 @@ jumps.  For a stable system the jump at shift tau is the convergent series
 
 over the semigroup lattice, and the derivative itself is
 U'(tau) = sum_q (K(t_q - tau) - K0)^T W dK(t_q).  Both series are
-truncated with explicit geometric tail bounds.  The same jumps can be read
+truncated with explicit geometric tail bounds.  The left factors
+dK(t_q)^T W of the jump series do not depend on tau: they are stacked
+once, and a chunk of shifts costs one gather of the partners dK(t_q + tau)
+and one matmul, exact up to rounding.  The same jumps can be read
 directly off the segment slopes of a built U with no truncation at all,
 which makes the two routes independently checkable.
 """
@@ -27,7 +30,6 @@ from .fundamental import (
     fundamental_matrix,
     row_chunks,
     sequential_sum,
-    sequential_sums,
     write_csv,
 )
 from .lyapunov_build import PiecewiseAffineMatrixFunction
@@ -35,6 +37,7 @@ from .system_model import (
     StabilityReport,
     ValidatedSystem,
     WeightMatrix,
+    _require_weight,
     default_horizon,
     k0,
     require_stable,
@@ -147,11 +150,12 @@ def delta_u_prime(
     shape.  One table, built unless the given one reaches
     horizon + max(tau, 0), serves all shifts; the default horizon covers
     the largest |tau|.  Off-lattice shifts give an exact zero, -0.0, since
-    the series has no aligned terms.  The shifts are taken in chunks, one
-    row of aligned terms each, and every row is added left to right.  For
+    the series has no aligned terms.  The shifts are taken in chunks, and
+    a shift's value does not depend on the chunk it falls in.  For
     non-commensurate systems the reported bound uses the smallest gap seen
     on the generated lattice, which is a heuristic because deeper lattice
     gaps can shrink further."""
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
@@ -163,13 +167,14 @@ def delta_u_prime(
     w = weight.matrix
     n = vsys.n
     count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
+    # the left factors dK_q^T W side by side, one (n, count n) matrix
+    left = np.swapaxes(np.matmul(np.swapaxes(table.jumps[:count], 1, 2), w), 0, 1).reshape(n, -1)
+    # the right factors, and a zero last row for an instant with no partner
+    right = np.concatenate([table.jumps, np.zeros((1, n, n))])
     value = np.empty((flat.size, n, n))
     for rows in row_chunks(flat.size, count * n * n):
         other = table.index_many(table.times[:count] + flat[rows, None])
-        hit = other >= 0
-        left = np.swapaxes(np.take(table.jumps, np.nonzero(hit)[1], axis=0), 1, 2)
-        right = np.take(table.jumps, other[hit], axis=0)
-        value[rows] = -sequential_sums(np.matmul(np.matmul(left, w), right), hit.sum(axis=1))
+        value[rows] = -np.matmul(left, np.take(right, other, axis=0).reshape(len(other), -1, n))
     w2 = float(np.linalg.norm(w, 2))
     base_norm = float(np.linalg.norm(k0(vsys), 2))
     gap = table.min_gap()
@@ -191,10 +196,13 @@ def u_prime_series(
 ) -> TruncatedSeries:
     """Derivative of U at an off-knot shift tau by the truncated series,
     with its tail bound.  Requires horizon >= |tau|."""
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     tau = float(tau)
     if horizon is None:
         horizon = max(default_horizon(vsys, report), abs(tau) + vsys.h_min)
+    if horizon < abs(tau):
+        raise ValueError(f"horizon {horizon} must be at least |tau| = {abs(tau)}")
     table = delta_k(vsys, horizon + vsys.h_min, drop_tol=0.0)
     kfun = fundamental_matrix(vsys, horizon + max(-tau, 0.0) + vsys.h_min)
     base = k0(vsys)
@@ -259,6 +267,7 @@ def check_jump_properties(
     before sharing its value, and one delta_u_prime pass over one
     jump table sums all their series.
     """
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = default_horizon(vsys, report)

@@ -24,9 +24,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CriticalSystem, OutOfDomain, SizeExceeded
 from .fundamental import exact_multiples, write_csv
@@ -34,6 +31,7 @@ from .system_model import (
     CommensurateForm,
     ValidatedSystem,
     WeightMatrix,
+    _require_weight,
     k0,
 )
 
@@ -141,6 +139,7 @@ def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix, base: np.ndarray | Non
     """The antisymmetric constant P = K0^T [sum_j h_j (W K0 A_j
     - A_j^T K0^T W)] K0 that closes the symmetry property of U; base is
     K0 when the caller has it."""
+    _require_weight(weight, vsys.n)
     weight.require_positive_definite()
     w = weight.matrix
     base = k0(vsys) if base is None else base
@@ -155,6 +154,8 @@ def _condition(anorm: float, solve, solve_t, shape) -> float:
     """Exact ||A||_1 times the onenormest estimate of ||A^-1||_1 from the
     factor's solves; t=1 draws no random numbers, and unlike LAPACK gecon
     the estimate repeats bit for bit from process to process."""
+    import scipy.sparse.linalg as spla
+
     inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t)
     try:
         return anorm * float(spla.onenormest(inv_op, t=1))
@@ -202,6 +203,8 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     the rewrite itself, whose delays j h are the ones residuals check.
     Returns the operator as a COO matrix plus the two right-hand sides.
     """
+    import scipy.sparse as sp
+
     n = form.n
     m = form.m
     h = float(form.h)
@@ -265,7 +268,12 @@ def build_commensurate(form: CommensurateForm, weight: WeightMatrix) -> Piecewis
 
 
 def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
+    # scipy loads at the first build, so commands that build no U never pay for it
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
     n = form.n
+    _require_weight(weight, n)
     m = form.m
     n2 = n * n
     unknowns = 2 * m * n2

@@ -8,9 +8,15 @@ and the antisymmetric constant has
 
     P = integral_0^inf (K(t)^T W K0 - K0^T W K(t)) dt.
 
-Both integrands are piecewise constant, so truncating at a horizon T and
-summing cells exactly gives the value up to a geometric tail controlled by
-the fitted decay envelope of K.  Nothing here touches the block solvers:
+Both integrands are piecewise constant, so truncating at a horizon T gives
+sums that are exact up to rounding, and a geometric tail controlled by
+the fitted decay envelope of K.  The U integral is summed over K's jumps:
+with Lambda(s) = integral_s^T (K(t) - K0)^T W dt, piecewise linear,
+
+    U_T(tau) = Lambda(0) K0 + sum_k Lambda(max(0, b_k - tau)) dK(b_k)
+
+over K's breakpoints b_k, so every shift reads one shift-independent
+table of Lambda.  Nothing here touches the block solvers:
 agreement between these sums and the algebraic construction is a genuine
 two-route check.
 """
@@ -23,12 +29,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fundamental import StepMatrixFunction, fundamental_matrix, row_chunks, sequential_sum, sequential_sums
+from .fundamental import StepMatrixFunction, fundamental_matrix, row_chunks, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .system_model import (
     StabilityReport,
     ValidatedSystem,
     WeightMatrix,
+    _require_weight,
     default_horizon,
     k0,
     require_stable,
@@ -58,29 +65,46 @@ def _u_sum_from_k(
     kfun: StepMatrixFunction, base: np.ndarray, w: np.ndarray, tau: float | Sequence[float], horizon: float
 ) -> np.ndarray:
     """The finite part of the U integral at each shift of tau, shaped
-    tau's shape + (n, n).  A shift's cells are cut by the breakpoints of
-    K(t) and K(t + tau) on [0, horizon]; the shifts are taken in chunks,
-    one row of cells each, and every row is added left to right."""
+    tau's shape + (n, n), exact up to rounding.
+
+    Let L(t) = (K(t) - K0)^T W and Lambda(s) = integral_s^T L dt with
+    T = horizon: piecewise linear, from suffix sums over K's cells cut at
+    T, and 0 from T on.  K(t + tau) is K's value before 0 plus its jumps
+    dK_k at the breakpoints b_k with b_k <= t + tau, so
+
+        I(tau) = Lambda(0) K(0-) + sum_k Lambda(max(0, b_k - tau)) dK_k.
+
+    The first term is a jump at b = -inf.  Per chunk of shifts, one lookup
+    and one gather give Lambda at every (shift, breakpoint), and one matmul
+    against the stacked jumps sums them."""
     taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
     n = kfun.n
-    cuts = np.concatenate([kfun.breakpoints[kfun.breakpoints <= horizon], [0.0, horizon]])
+    if flat.size:
+        # OutOfDomain when K stops short of T + tau
+        kfun.value_many(horizon + np.max(flat))
+    starts = kfun.breakpoints[kfun.breakpoints < horizon]
+    cells = len(starts)
+    bounds = np.append(starts, horizon)
+    ends = np.append(bounds[1:], horizon)
+    # per cell, and a zero row for s >= T: L, and Lambda at the cell's end
+    slope = np.zeros((cells + 1, n, n))
+    slope[:cells] = np.matmul(np.swapaxes(kfun.values[:cells] - base, 1, 2), w)
+    at_end = np.zeros_like(slope)
+    at_end[:cells - 1] = np.cumsum((np.diff(bounds)[:, None, None] * slope[:cells])[:0:-1], axis=0)[::-1]
+    # both as rows (cell, i) of n entries
+    slope, at_end = slope.reshape(-1, n), at_end.reshape(-1, n)
+    points = np.append(-np.inf, kfun.breakpoints)
+    jumps = np.concatenate([kfun.pre_value[None], kfun.jumps()]).reshape(-1, n)
     out = np.empty((flat.size, n, n))
-    for rows in row_chunks(flat.size, (len(cuts) + len(kfun.breakpoints)) * n * n):
-        shifted = kfun.breakpoints - flat[rows, None]
-        shifted[~((shifted > 0.0) & (shifted < horizon))] = np.inf
-        pts = np.sort(np.concatenate([np.broadcast_to(cuts, (len(shifted), len(cuts))), shifted], axis=1), axis=1)
-        # each row's distinct finite points, as np.unique would give them
-        new = np.isfinite(pts)
-        new[:, 1:] &= pts[:, 1:] != pts[:, :-1]
-        cells = new.sum(axis=1) - 1
-        pts = pts[new]
-        row = np.repeat(np.arange(len(cells)), cells + 1)
-        inner = row[:-1] == row[1:]
-        mids, widths = (0.5 * (pts[:-1] + pts[1:]))[inner], np.diff(pts)[inner]
-        left = widths[:, None, None] * np.swapaxes(kfun.value_many(mids) - base, 1, 2)
-        right = kfun.value_many(mids + np.repeat(flat[rows], cells))
-        out[rows] = sequential_sums(np.matmul(np.matmul(left, w), right), cells)
+    for rows in row_chunks(flat.size, len(points) * n * n):
+        s = np.maximum(points - flat[rows, None], 0.0)
+        cell = np.searchsorted(bounds, s, side="right") - 1
+        # Lambda(s) as rows (shift, i) of (breakpoint, j) entries
+        at = cell[:, None, :] * n + np.arange(n)[:, None]
+        lam = np.take(slope, at, axis=0).reshape(len(s), n, -1) * np.repeat(ends[cell] - s, n, axis=1)[:, None]
+        lam += np.take(at_end, at, axis=0).reshape(len(s), n, -1)
+        out[rows] = np.matmul(lam, jumps)
     return out.reshape(taus.shape + (n, n))
 
 
@@ -94,11 +118,10 @@ def u_integral_oracle(
 ) -> IntegralEstimate:
     """Truncated integral for U(tau) with its geometric tail bound.
 
-    The integrand is sampled at cell midpoints of the union of the
-    discontinuity partitions of K(t) and K(t + tau), so the finite part is
-    exact up to rounding.  Requires horizon >= |tau| for the tail bound to
-    be valid.
+    The finite part is summed over the jumps of K, exact up to
+    rounding.  Requires horizon >= |tau| for the tail bound to be valid.
     """
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = default_horizon(vsys, report)
@@ -123,6 +146,7 @@ def p_integral_oracle(
     report: StabilityReport | None = None,
 ) -> IntegralEstimate:
     """Truncated integral route to the antisymmetric constant P."""
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = default_horizon(vsys, report)
@@ -178,13 +202,14 @@ def cross_check(
     [-H, H] (101 uniform points by default).  Each point must agree within
     the point's tail bound plus slack.  The fundamental matrix is built
     once, and one batched pass sums the integral at every grid point, in
-    chunks of points, with the bits of one sum per point."""
+    chunks of points; a point's value does not depend on its chunk."""
     hz = u.horizon
     if grid is None:
         grid = np.linspace(-hz, hz, 101)
     grid = np.asarray(grid, dtype=float)
     if not grid.size:
         raise ValueError("cross_check needs a nonempty grid, got an empty one")
+    _require_weight(weight, vsys.n)
     report = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
         horizon = max(default_horizon(vsys, report), 2.0 * hz)

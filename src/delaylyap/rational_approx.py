@@ -24,6 +24,7 @@ from .system_model import (
     DelaySystem,
     ValidatedSystem,
     WeightMatrix,
+    _require_weight,
     stability_check,
     to_commensurate,
     validate,
@@ -172,6 +173,7 @@ def u_sequence(
     differences on a shared grid over the common horizon.  Stability
     verdicts ride along because rationalizations of a borderline system
     can disagree across orders; callers should flag that."""
+    _require_weight(weight, vsys.n)
     steps: list[ApproximationStep] = []
     prev: ApproximationStep | None = None
     for order in orders:

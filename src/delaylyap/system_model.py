@@ -199,6 +199,12 @@ class WeightMatrix:
             )
 
 
+def _require_weight(weight: WeightMatrix, n: int) -> None:
+    """DimensionMismatch unless the weight is n x n."""
+    if weight.n != n:
+        raise DimensionMismatch(f"weight matrix is {weight.n}x{weight.n}, the system needs {n}x{n}")
+
+
 @dataclass(frozen=True)
 class InitialFunction:
     """Piecewise linear initial data on [-H, 0), evaluated right of each

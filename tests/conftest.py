@@ -134,6 +134,15 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def gamma(count):
+    """gamma_N = N u / (1 - N u), u the unit roundoff: a chain of N
+    floating-point operations on terms t_i is within gamma_N sum |t_i| of
+    its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1)."""
+    nu = count * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu)
+
+
 def random_stable_single(seed, n=2, radius=0.8):
     """Deterministic random single-delay system with spectral radius
     exactly `radius`."""

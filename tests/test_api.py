@@ -4,6 +4,10 @@ keyword knob that comes back, or any other change to a public signature,
 has to change this table too."""
 
 import inspect
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 import delaylyap as dl
 
@@ -67,3 +71,26 @@ def test_public_signatures():
         if not (inspect.isclass(obj) and issubclass(obj, Exception)):
             public[name] = tuple(inspect.signature(obj).parameters)
     assert public == SIGNATURES
+
+
+# each entry point that takes a weight, called with a 3 x 3 weight for a
+# 2 x 2 system (callables of the system and the weight)
+WEIGHT_ENTRY_POINTS = {
+    "build_single_delay": dl.build_single_delay,
+    "build_commensurate": lambda v, w: dl.build_commensurate(dl.to_commensurate(v), w),
+    "p_matrix": dl.p_matrix,
+    "u_sequence": lambda v, w: dl.u_sequence(v, w, [1]),
+    "cross_check": lambda v, w: dl.cross_check(dl.build_single_delay(v, dl.WeightMatrix.identity(2)), v, w),
+    "u_integral_oracle": lambda v, w: dl.u_integral_oracle(v, w, 0.5),
+    "p_integral_oracle": dl.p_integral_oracle,
+    "delta_u_prime": lambda v, w: dl.delta_u_prime(v, w, 0.5),
+    "check_jump_properties": dl.check_jump_properties,
+    "u_prime_series": lambda v, w: dl.u_prime_series(v, w, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_ENTRY_POINTS))
+def test_weight_of_the_wrong_size_raises_dimension_mismatch(name):
+    vsys = dl.validate(dl.DelaySystem.single(np.array([[0.5, 0.1], [0.0, -0.3]]), Fraction(1)))
+    with pytest.raises(dl.DimensionMismatch, match="weight matrix is 3x3, the system needs 2x2"):
+        WEIGHT_ENTRY_POINTS[name](vsys, dl.WeightMatrix.identity(3))

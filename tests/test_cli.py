@@ -335,14 +335,16 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
 
-    def test_import_leaves_scipy_spatial_out(self):
-        # scipy.spatial costs about 130 ms to import
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, delaylyap.cli; print('scipy.spatial' in sys.modules)"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    def test_import_leaves_scipy_spatial_out(self, tmp_path):
+        # scipy loads at the first build of U (scipy.spatial alone costs
+        # about 130 ms): importing the CLI, or a check, loads none of it
+        path = tmp_path / "single.json"
+        path.write_text('{"n": 2, "entries": [{"delay": 1, "A": [[0.5, 0.1], [0.0, -0.3]]}]}')
+        probe = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        for run in ("import delaylyap.cli", f"from delaylyap.cli import main; main(['check', '--config', {str(path)!r}])"):
+            proc = subprocess.run([sys.executable, "-c", probe.format(run)], capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestParserReuse:

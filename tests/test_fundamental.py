@@ -18,8 +18,6 @@ from delaylyap.fundamental import (
     MERGE_TOL_SCALE,
     exact_multiples,
     row_chunks,
-    sequential_sum,
-    sequential_sums,
     snapped_lookup,
     write_csv,
 )
@@ -684,20 +682,7 @@ class TestSnappedLookup:
         np.testing.assert_array_equal(k.value_many(iter([0.5, 1.5])), k.value_many([0.5, 1.5]))
 
 
-class TestSequentialSums:
-    @settings(max_examples=40, deadline=None)
-    @given(counts=st.lists(st.integers(0, 6), max_size=6), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
-    def test_rows_equal_sequential_sum(self, counts, seed, n):
-        # signed zeros and mixed signs, where the order of additions shows
-        rng = np.random.default_rng(seed)
-        terms = rng.choice([-0.0, 0.0, 1.0, -1.0, 1e-17, -3.5, 1e16], size=(sum(counts), n, n))
-        got = sequential_sums(terms, counts)
-        assert got.shape == (len(counts), n, n)
-        start = 0
-        for row, count in zip(got, counts):
-            assert_bits_equal(row, sequential_sum(terms[start:start + count]))
-            start += count
-
+class TestRowChunks:
     def test_row_chunks_cover_in_order(self, monkeypatch):
         import delaylyap.fundamental as fundamental
 

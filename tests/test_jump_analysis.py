@@ -8,9 +8,8 @@ from hypothesis import given, settings
 
 import delaylyap as dl
 from delaylyap import fundamental, jump_analysis
-from delaylyap.fundamental import sequential_sum
 
-from conftest import assert_bits_equal, certificate, two_route_cases
+from conftest import assert_bits_equal, certificate, gamma, two_route_cases
 
 
 def reference_delta_series(table, w, tau, horizon):
@@ -26,25 +25,42 @@ def reference_delta_series(table, w, tau, horizon):
     return acc
 
 
-def reference_delta_one(vsys, weight, tau, horizon, report, table):
-    """The jump series of U' at one shift by one vectorised sum, as
-    delta_u_prime once summed it: the bitwise reference, signs of zeros
-    included, for the batched rows.  Returns (value, tail bound)."""
-    w = weight.matrix
+def series_rounding_bound(table, w, tau, horizon):
+    """Entrywise bound on |delta_u_prime - reference_delta_series| at one
+    shift, in the form gamma_N sum |terms|.  Both add the same terms
+    dK(t_q)^T W dK(t_q + tau), in different orders, so each is within
+    gamma_N sum |dK(t_q)|^T |W| |dK(t_q + tau)| of the exact sum, for
+    N = count n + 2n + 2 covering the longer chain (the stacked matmul
+    adds count n products)."""
     count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
     other = table.index_many(table.times[:count] + tau)
     hit = other >= 0
-    left = np.swapaxes(table.jumps[:count][hit], 1, 2)
-    acc = -sequential_sum(np.matmul(np.matmul(left, w), table.jumps[other[hit]]))
+    terms = np.abs(np.swapaxes(table.jumps[:count][hit], 1, 2)) @ np.abs(w) @ np.abs(table.jumps[other[hit]])
+    return 2.0 * gamma((count + 2) * table.n + 2) * np.sum(terms, axis=0)
+
+
+def assert_series_within_rounding(value, table, w, tau, horizon):
+    gap = np.abs(value - reference_delta_series(table, w, tau, horizon))
+    assert np.all(gap <= series_rounding_bound(table, w, tau, horizon))
+
+
+def reference_delta_one(vsys, weight, tau, horizon, report, table):
+    """The jump series of U' at one shift by its own delta_u_prime call,
+    and its tail bound by the formula: the bitwise reference, signs of
+    zeros included, for the batched rows, since a shift's chunk does not
+    change its value.  Returns (value, tail bound)."""
+    value = dl.delta_u_prime(vsys, weight, tau, horizon, report=report, table=table).value
+    w = weight.matrix
     tail = jump_analysis._delta_series_tail(
         report, float(np.linalg.norm(w, 2)), float(np.linalg.norm(dl.k0(vsys), 2)), tau, horizon, table.min_gap()
     )
-    return acc, tail
+    return value, tail
 
 
 def reference_jump_properties(vsys, weight, tau_grid, horizon, report):
     """check_jump_properties with its lazy per-shift cache, as it once
-    ran: the bitwise reference for the batched pass."""
+    ran, each shift summed by its own delta_u_prime call: the bitwise
+    reference for the batched pass and its key sharing."""
     hmax = vsys.h_max
     max_shift = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
     horizon = max(horizon, max_shift + 2.0 * hmax + vsys.h_min)
@@ -160,6 +176,14 @@ class TestUPrimeSeries:
             est = dl.u_prime_series(ex2a_half, w2, mid, report=report_ex2a_half)
             slope = u_ex2a_half.segment(k)[1]
             assert np.max(np.abs(est.value - slope)) <= est.tail_bound + 1e-8
+
+    def test_horizon_shorter_than_shift_rejected(self, ex2a_half, w2, report_ex2a_half):
+        # at horizon 0.5 the only term, t_q = 0, reads K(-1.2) = K0, so the
+        # series would be zero, under a tail bound derived for horizon >= |tau|
+        with pytest.raises(ValueError, match=r"horizon 0.5 must be at least \|tau\| = 1.2"):
+            dl.u_prime_series(ex2a_half, w2, 1.2, 0.5, report=report_ex2a_half)
+        with pytest.raises(ValueError, match=r"must be at least \|tau\| = 1.2"):
+            dl.u_prime_series(ex2a_half, w2, -1.2, 0.5, report=report_ex2a_half)
 
 
 class TestJumpsFromSegments:
@@ -305,9 +329,9 @@ class TestVectorisedSeries:
         for tau in taus:
             est = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert)
             table = dl.delta_k(vsys, horizon + max(tau, 0.0) + vsys.h_min, drop_tol=0.0)
-            np.testing.assert_array_equal(est.value, reference_delta_series(table, w, tau, horizon))
+            assert_series_within_rounding(est.value, table, w, tau, horizon)
             est = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert, table=shared)
-            np.testing.assert_array_equal(est.value, reference_delta_series(shared, w, tau, horizon))
+            assert_series_within_rounding(est.value, shared, w, tau, horizon)
             est = dl.u_prime_series(vsys, weight, tau, horizon, report=cert)
             table = dl.delta_k(vsys, horizon + vsys.h_min, drop_tol=0.0)
             kfun = dl.fundamental_matrix(vsys, horizon + max(-tau, 0.0) + vsys.h_min)
@@ -321,7 +345,8 @@ class TestVectorisedSeries:
 
 
 class TestBatchedSeries:
-    """One batched series pass returns the bits of one sum per shift."""
+    """One batched series pass gives each shift the bits of its own call,
+    within rounding of the per-instant loop."""
 
     @settings(max_examples=20, deadline=None)
     @given(case=two_route_cases())
@@ -337,8 +362,8 @@ class TestBatchedSeries:
             want, want_tail = reference_delta_one(vsys, weight, tau, horizon, cert, shared)
             assert_bits_equal(value, want)
             assert_bits_equal(tail, want_tail)
+            assert_series_within_rounding(value, shared, weight.matrix, tau, horizon)
             one = dl.delta_u_prime(vsys, weight, tau, horizon, report=cert, table=shared)
-            assert_bits_equal(one.value, want)
             assert isinstance(one.tail_bound, float) and one.tail_bound == want_tail
 
     @settings(max_examples=15, deadline=None)
@@ -376,23 +401,26 @@ class TestBatchedSeries:
     def test_tiny_chunks_and_a_shift_with_no_hits(self, ex2a_half, w2, report_ex2a_half, monkeypatch):
         horizon = 6.0
         table = dl.delta_k(ex2a_half, horizon + 2.0, drop_tol=0.0)
-        # 0.3 lies on no lattice point: its row is empty and its sum -0.0
+        # 0.3 lies on no lattice point: its series has no terms and sums to -0.0
         taus = np.array([0.0, 0.3, -1.5, 1.0, 0.5, 1.5, -0.5])
-        counts = []
+        whole = dl.delta_u_prime(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table).value
+        chunks = []
 
-        def spy(terms, rows):
-            counts.append(np.array(rows))
-            return fundamental.sequential_sums(terms, rows)
+        def spy(rows, row_entries):
+            got = list(fundamental.row_chunks(rows, row_entries))
+            chunks.extend(got)
+            return got
 
         count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
         monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * count * 4)
-        monkeypatch.setattr(jump_analysis, "sequential_sums", spy)
+        monkeypatch.setattr(jump_analysis, "row_chunks", spy)
         series = dl.delta_u_prime(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table)
-        for tau, value in zip(taus.tolist(), series.value):
-            assert_bits_equal(value, reference_delta_one(ex2a_half, w2, tau, horizon, report_ex2a_half, table)[0])
+        # a shift's value does not depend on the chunk it falls in
+        assert_bits_equal(series.value, whole)
+        assert [c.stop - c.start for c in chunks] == [3, 3, 1]
         assert_bits_equal(series.value[1], np.full((2, 2), -0.0))
-        assert [len(c) for c in counts] == [3, 3, 1]
-        assert counts[0][1] == 0 and len(set(counts[0].tolist())) == 3
+        for tau, value in zip(taus.tolist(), series.value):
+            assert_series_within_rounding(value, table, w2.matrix, tau, horizon)
 
     def test_table_extension_fallback(self, scalar_half, w1, scalar_report):
         # a table too short for the shifts is rebuilt, as delta_u_prime did

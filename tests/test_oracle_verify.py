@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap import fundamental, oracle_verify
-from delaylyap.fundamental import sequential_sum
 from delaylyap.oracle_verify import _u_sum_from_k
 
-from conftest import assert_bits_equal, certificate, random_stable_single, two_route_cases
+from conftest import assert_bits_equal, certificate, gamma, random_stable_single, two_route_cases
 
 
 def reference_u_sum(kfun, base, w, tau, horizon):
@@ -25,20 +24,41 @@ def reference_u_sum(kfun, base, w, tau, horizon):
     return acc
 
 
-def reference_u_sums(kfun, base, w, taus, horizon):
-    """One vectorised U integral per shift, as cross_check once summed its
-    grid: the bitwise reference, signs of zeros included, for the batched
-    rows of _u_sum_from_k."""
-    out = []
-    for tau in np.asarray(taus, dtype=float).tolist():
-        cuts = kfun.breakpoints[kfun.breakpoints <= horizon]
-        shifted = kfun.breakpoints - tau
-        shifted = shifted[(shifted > 0.0) & (shifted < horizon)]
-        pts = np.unique(np.concatenate([cuts, shifted, [0.0, horizon]]))
-        mids, widths = 0.5 * (pts[:-1] + pts[1:]), np.diff(pts)
-        left = widths[:, None, None] * np.swapaxes(kfun.value_many(mids) - base, 1, 2)
-        out.append(sequential_sum(np.matmul(np.matmul(left, w), kfun.value_many(mids + tau))))
-    return np.array(out).reshape(np.shape(taus) + base.shape)
+def u_sum_rounding_bound(kfun, base, w, tau, horizon):
+    """Entrywise bound on |_u_sum_from_k - reference_u_sum| at one shift,
+    in the form gamma_N sum |terms|.
+
+    Let L = (K - K0)^T W and V(s) = |K(0-)| + sum over b_k <= s of |dK_k|,
+    which is at least |K(s)|.  Over the loop's cells,
+    M = sum width |K - K0|^T |W| V(right end + tau) bounds the absolute
+    terms of the loop and, swapping the sums, those of the sum over jumps,
+    sum_k |Lambda(s_k)| |dK_k|.  A cut s_k = b_k - tau is off by at most
+    gamma_N (|b_k| + |tau|): its own rounding and that of the lattice sum
+    behind b_k.  That moves either route by at most that much times
+    Lmax |dK_k|, with Lmax the largest |L| of a cell.  Each route is
+    within gamma_N (M + moves) of the exact integral, for N counting its
+    longest chain of operations: the cells and 2n + 2 for the loop; the
+    cells, n + 5 and (B + 1) n for the sum over B breakpoints."""
+    cuts = kfun.breakpoints[kfun.breakpoints <= horizon]
+    shifted = kfun.breakpoints - tau
+    shifted = shifted[(shifted > 0.0) & (shifted < horizon)]
+    pts = np.unique(np.concatenate([cuts, shifted, [0.0, horizon]]))
+    jumps = np.abs(np.concatenate([kfun.pre_value[None], kfun.jumps()]))
+    points = np.append(-np.inf, kfun.breakpoints)
+    absl = np.matmul(np.abs(np.swapaxes(kfun.value_many(0.5 * (pts[:-1] + pts[1:])) - base, 1, 2)), np.abs(w))
+    var = np.cumsum(jumps, axis=0)[np.searchsorted(points, pts[1:] + tau, side="right") - 1]
+    total = np.sum(np.diff(pts)[:, None, None] * np.matmul(absl, var), axis=0)
+    lmax = np.max(absl, axis=0, initial=0.0)
+    moves = np.sum((np.abs(kfun.breakpoints) + abs(tau))[:, None, None] * np.matmul(lmax, jumps[1:]), axis=0)
+    n = len(base)
+    return 2.0 * gamma(len(pts) + (len(points) + 2) * n + 5) * (total + moves)
+
+
+def assert_u_sums_within_rounding(got, kfun, base, w, taus, horizon):
+    """Each shift's sum within u_sum_rounding_bound of the per-cell loop."""
+    for tau, value in zip(np.asarray(taus, dtype=float).ravel().tolist(), got.reshape(-1, *base.shape)):
+        gap = np.abs(value - reference_u_sum(kfun, base, w, tau, horizon))
+        assert np.all(gap <= u_sum_rounding_bound(kfun, base, w, tau, horizon))
 
 
 def random_u(vsys, seed, m=5):
@@ -194,6 +214,9 @@ class TestCrossCheck:
 
 
 class TestVectorisedSums:
+    """The U sum over K's jumps agrees with the per-cell loop within the
+    rounding bound of both; the P sum keeps the loop's bits."""
+
     @settings(max_examples=25, deadline=None)
     @given(case=two_route_cases())
     def test_sums_equal_reference_loops(self, case):
@@ -201,10 +224,9 @@ class TestVectorisedSums:
         w, base = weight.matrix, dl.k0(vsys)
         horizon = 3.0 * vsys.h_max
         kfun = dl.fundamental_matrix(vsys, 2.0 * horizon + vsys.h_min)
-        for tau in (0.0, vsys.h_min, -vsys.h_max, 0.37 * vsys.h_max, -horizon, horizon):
-            np.testing.assert_array_equal(
-                _u_sum_from_k(kfun, base, w, tau, horizon), reference_u_sum(kfun, base, w, tau, horizon)
-            )
+        taus = [0.0, vsys.h_min, -vsys.h_max, 0.37 * vsys.h_max, -horizon, horizon]
+        for tau in taus:
+            assert_u_sums_within_rounding(_u_sum_from_k(kfun, base, w, tau, horizon), kfun, base, w, tau, horizon)
         est = dl.p_integral_oracle(vsys, weight, horizon, report=certificate(vsys))
         want = reference_p_sum(dl.fundamental_matrix(vsys, horizon + vsys.h_min), base, w, horizon)
         np.testing.assert_array_equal(est.value, want)
@@ -213,13 +235,15 @@ class TestVectorisedSums:
         rep = dl.cross_check(u_ex2a_half, ex2a_half, w2, grid=[-1.5, -0.2, 0.0, 0.5, 1.5], report=report_ex2a_half)
         kfun = dl.fundamental_matrix(ex2a_half, rep.horizon + 1.5 + ex2a_half.h_min)
         base = dl.k0(ex2a_half)
-        for tau, err in zip(rep.grid, rep.errors):
-            want = reference_u_sum(kfun, base, w2.matrix, float(tau), rep.horizon)
-            assert err == float(np.max(np.abs(u_ex2a_half.evaluate(float(tau)) - want)))
+        for tau, err in zip(rep.grid.tolist(), rep.errors.tolist()):
+            want = reference_u_sum(kfun, base, w2.matrix, tau, rep.horizon)
+            bound = u_sum_rounding_bound(kfun, base, w2.matrix, tau, rep.horizon)
+            assert abs(err - float(np.max(np.abs(u_ex2a_half.evaluate(tau) - want)))) <= np.max(bound)
 
 
 class TestBatchedCrossCheck:
-    """The batched U integral returns the bits of one sum per shift."""
+    """The batched U integral gives each shift the bits of its own call,
+    within rounding of the per-cell loop."""
 
     @settings(max_examples=20, deadline=None)
     @given(case=two_route_cases(), seed=st.integers(0, 2**32 - 1))
@@ -230,16 +254,14 @@ class TestBatchedCrossCheck:
         hz = u.horizon
         grid = two_route_grid(vsys, hz)
         # under h_min a shift whose K(t + tau) does not jump inside the
-        # horizon has a single cell, and the rows differ in length
+        # horizon has a single cell
         for horizon in (0.5 * vsys.h_min, 3.0 * vsys.h_max):
             rep = dl.cross_check(u, vsys, weight, grid=grid, horizon=horizon, report=certificate(vsys))
             kfun = dl.fundamental_matrix(vsys, horizon + hz + vsys.h_min)
-            want = [
-                float(np.max(np.abs(u.evaluate(tau) - reference_u_sum(kfun, base, w, tau, horizon))))
-                for tau in grid.tolist()
-            ]
-            assert_bits_equal(rep.errors, want)
-            assert_bits_equal(_u_sum_from_k(kfun, base, w, grid, horizon), reference_u_sums(kfun, base, w, grid, horizon))
+            sums = _u_sum_from_k(kfun, base, w, grid, horizon)
+            assert_bits_equal(sums, [_u_sum_from_k(kfun, base, w, tau, horizon) for tau in grid.tolist()])
+            assert_bits_equal(rep.errors, np.max(np.abs(u.evaluate_many(grid) - sums), axis=(1, 2)))
+            assert_u_sums_within_rounding(sums, kfun, base, w, grid, horizon)
 
     def test_shapes(self, ex2a_half):
         kfun = dl.fundamental_matrix(ex2a_half, 12.0)
@@ -254,17 +276,17 @@ class TestBatchedCrossCheck:
         base, w = dl.k0(ex2a_half), w2.matrix
         horizon = 0.4
         grid = np.array([0.0, 0.8, 1.3, -0.3, 1.5, 0.05, -1.5])
-        counts = []
+        whole = _u_sum_from_k(kfun, base, w, grid, horizon)
+        chunks = []
 
-        def spy(terms, rows):
-            counts.append(np.array(rows))
-            return fundamental.sequential_sums(terms, rows)
+        def spy(rows, row_entries):
+            got = list(fundamental.row_chunks(rows, row_entries))
+            chunks.extend(got)
+            return got
 
-        cuts = np.count_nonzero(kfun.breakpoints <= horizon) + 2
-        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * (cuts + len(kfun.breakpoints)) * 4)
-        monkeypatch.setattr(oracle_verify, "sequential_sums", spy)
-        got = _u_sum_from_k(kfun, base, w, grid, horizon)
-        assert_bits_equal(got, reference_u_sums(kfun, base, w, grid, horizon))
-        # three shifts a chunk, rows of one and two cells side by side
-        assert [len(c) for c in counts] == [3, 3, 1]
-        assert {1, 2} <= set(counts[0].tolist())
+        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * (len(kfun.breakpoints) + 1) * 4)
+        monkeypatch.setattr(oracle_verify, "row_chunks", spy)
+        # a shift's value does not depend on the chunk it falls in
+        assert_bits_equal(_u_sum_from_k(kfun, base, w, grid, horizon), whole)
+        assert [c.stop - c.start for c in chunks] == [3, 3, 1]
+        assert_u_sums_within_rounding(whole, kfun, base, w, grid, horizon)
