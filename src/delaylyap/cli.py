@@ -144,6 +144,14 @@ def _load_phi(source: str | None, n: int) -> InitialFunction:
     raise ParseError("initial function file needs 'constant' or 'segments'")
 
 
+def _require_finite_nonnegative(args, *names: str) -> None:
+    """ParseError for any given --name among names not in [0, inf)."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not 0 <= value < math.inf:
+            raise ParseError(f"--{name} must be finite and nonnegative, got {value}")
+
+
 def _build_u(vsys: ValidatedSystem, weight: WeightMatrix, order: int | None):
     """Route to the right construction.  Returns (U, system whose delays
     the function answers to), which differ only for approximated delays."""
@@ -188,6 +196,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_k(args) -> int:
+    _require_finite_nonnegative(args, "horizon")
     vsys = _load_validated(args.config)
     horizon = args.horizon if args.horizon is not None else 5.0 * vsys.h_max
     kfun = fundamental_matrix(vsys, horizon, side=args.side)
@@ -198,6 +207,7 @@ def cmd_k(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    _require_finite_nonnegative(args, "horizon", "samples")
     vsys = _load_validated(args.config)
     horizon = args.horizon if args.horizon is not None else 5.0 * vsys.h_max
     samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
@@ -217,6 +227,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_lyap(args) -> int:
+    _require_finite_nonnegative(args, "samples")
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     u, rsys = _build_u(vsys, weight, args.order)
@@ -257,6 +268,7 @@ def cmd_jumps(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    _require_finite_nonnegative(args, "samples")
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     try:
@@ -288,6 +300,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_finite_nonnegative(args, "tol")
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     tol = args.tol

@@ -107,7 +107,8 @@ class _Lattice:
         """The instants k h <= horizon as int64 k, grown in blocks of m_1:
         an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
         b m_1, and every block holds one (an instant of the block before
-        plus m_1), so the point cap also bounds the block count."""
+        plus m_1), so the point cap also bounds the block count.  The first
+        full block ends the growth; gcd(m_j) = 1 guarantees one."""
         h = fraction_gcd(delays)
         shifts = [int(d / h) for d in delays]
         top = math.floor(Fraction(horizon) / h) if math.isfinite(horizon) else None
@@ -121,13 +122,17 @@ class _Lattice:
             known = keys[:size]
             lo, hi = np.searchsorted(known, [start - steps, start + m1 - steps])
             new = np.unique(np.concatenate([known[a:b] + m for a, b, m in zip(lo, hi, steps)]))
-            new = new[new <= top]
-            if size + len(new) > LATTICE_CAP:
+            # a full block is past the conductor: every later k is a member plus c m1
+            full = len(new) == m1
+            count = top + 1 - start if full else int(np.searchsorted(new, top, side="right"))
+            if size + count > LATTICE_CAP:
                 raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {LATTICE_CAP} points")
-            if size + len(new) > len(keys):
-                keys = np.concatenate([keys, np.empty(max(len(keys), len(new)), dtype=np.int64)])
-            keys[size:size + len(new)] = new
-            size += len(new)
+            if size + count > len(keys):
+                keys = np.concatenate([keys, np.empty(max(len(keys), count), dtype=np.int64)])
+            keys[size:size + count] = np.arange(start, top + 1) if full else new[:count]
+            size += count
+            if full:
+                break
         keys = keys[:size].copy()
         return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * max(1.0, float(delays[-1])))
 
@@ -304,13 +309,21 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     """Evaluate K on [0, horizon] from K(t) = sum_j K(t-h_j) A_j (side
     "right") or K(t) = sum_j A_j K(t-h_j) (side "left").  Both recursions
     describe the same function; computing each gives an independent check.
+
+    Rational delays: vsys keeps the longest K per side, and a shorter
+    horizon gets its prefix, the bits of a direct build (K is causal).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    kept = vsys._fundamental_cache.get(side)
+    if kept is not None and horizon <= kept[1].horizon:
+        keys, kfun = kept
+        cut = int(np.searchsorted(keys, math.floor(Fraction(horizon) / fraction_gcd(vsys.delays)), side="right"))
+        return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
     lat = _Lattice.generate(vsys.delays, horizon)
-    base = k0(vsys)
+    base, mats = k0(vsys), vsys.matrices
     n = vsys.n
     src = lat.sources()
     # row 0 holds K0, the value before the first instant (source -1)
@@ -318,17 +331,14 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     values[0] = base
     for s, e in _blocks(src, 0):
         acc = np.zeros((e - s, n, n))
-        for j, a in enumerate(vsys.matrices):
+        for j, a in enumerate(mats):
             prev = values[src[s:e, j] + 1]
             acc += prev @ a if side == "right" else a @ prev
         values[s + 1:e + 1] = acc
-    return StepMatrixFunction(
-        pre_value=base.copy(),
-        breakpoints=lat.floats,
-        values=values[1:],
-        horizon=float(horizon),
-        snap=lat.snap,
-    )
+    kfun = StepMatrixFunction(base.copy(), lat.floats, values[1:], float(horizon), lat.snap)
+    if vsys.is_rational:
+        vsys._fundamental_cache[side] = (lat.keys, kfun)
+    return kfun
 
 
 def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DROP_TOL) -> JumpTable:
@@ -340,13 +350,13 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
     the instant 0 always stays.
     """
     lat = _Lattice.generate(vsys.delays, horizon)
-    n = vsys.n
+    n, mats = vsys.n, vsys.matrices
     src = lat.sources(instants=True)
     jumps = np.zeros((len(lat), n, n))
     jumps[0] = np.eye(n)
     for s, e in _blocks(src, 1):
         acc = np.zeros((e - s, n, n))
-        for j, a in enumerate(vsys.matrices):
+        for j, a in enumerate(mats):
             rows = src[s:e, j]
             # a missing source adds nothing, not even a zero (signs of zeros stay)
             np.add(acc, jumps[np.maximum(rows, 0)] @ a, out=acc, where=(rows >= 0)[:, None, None])

@@ -167,6 +167,11 @@ class ValidatedSystem:
     def coefficient_sum(self) -> np.ndarray:
         return np.sum(self.matrices, axis=0)
 
+    @functools.cached_property
+    def _fundamental_cache(self) -> dict:
+        """side -> (int64 keys, K): fundamental_matrix's longest rational K."""
+        return {}
+
 
 @dataclass(frozen=True)
 class WeightMatrix:

@@ -27,6 +27,11 @@ def configs(tmp_path):
         (Fraction(1), 0.5 * np.array([[-0.4, -0.3], [0.1, 0.15]])),
         (Fraction(3, 2), 0.5 * np.array([[0.1, 0.25], [-0.9, -0.1]])),
     ])))
+    put("three_delay", dl.validate(dl.DelaySystem(2, [
+        (Fraction(1), np.array([[0.2, -0.1], [0.05, 0.1]])),
+        (Fraction(13, 10), np.array([[-0.1, 0.1], [0.0, 0.15]])),
+        (Fraction(17, 10), np.array([[0.1, 0.05], [-0.1, 0.05]])),
+    ])))
     put("unstable", dl.validate(dl.DelaySystem(2, [
         (Fraction(1), np.array([[1.1, 0.0], [-0.4, 0.0]])),
         (Fraction(3, 2), np.array([[0.25, -0.125], [-0.4, -0.5]])),
@@ -293,6 +298,56 @@ class TestVerify:
     def test_scalar(self, configs, capsys):
         assert main(["verify", "--config", configs["scalar"]]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["k", "--horizon", "-1"],
+        ["k", "--horizon", "nan"],
+        ["sim", "--horizon", "-2.5"],
+        ["sim", "--horizon", "inf"],
+        ["sim", "--samples", "-1"],
+        ["lyap", "--samples", "-3"],
+        ["approx", "--samples", "-1", "--orders", "1"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "-0.5"],
+    ])
+    def test_bad_value_is_a_parse_error_before_any_work(self, argv, configs, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError("the system was loaded")
+
+        monkeypatch.setattr(dl.cli, "_load_validated", no_load)
+        assert main(argv + ["--config", configs["two_delay"]]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"parse error: {argv[1]} must be finite and nonnegative, got ")
+
+
+class TestLatticeReuse:
+    """One K per system and side in a command: nested horizons read the
+    prefix of the first build."""
+
+    @pytest.fixture()
+    def lattices(self, monkeypatch):
+        calls, generate = [], dl.fundamental._Lattice.generate
+
+        def counting(delays, horizon):
+            calls.append(horizon)
+            return generate(delays, horizon)
+
+        monkeypatch.setattr(dl.fundamental._Lattice, "generate", staticmethod(counting))
+        return calls
+
+    def test_verify_generates_one_lattice(self, configs, capsys, lattices):
+        assert main(["verify", "--config", configs["three_delay"]]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(lattices) == 1
+
+    def test_jumps_generates_two(self, configs, capsys, lattices):
+        # one for K (the decay envelope), one for the jump table
+        assert main(["jumps", "--config", configs["three_delay"]]) == 0
+        capsys.readouterr()
+        assert len(lattices) == 2
 
 
 class TestZeroRadius:

@@ -1,8 +1,10 @@
 import csv
+import gc
 import heapq
 import io
 import math
 import time
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -278,6 +280,69 @@ class TestLattice:
         assert len(dl.fundamental_matrix(near, 3.0).breakpoints) == len(dl.delta_k(near, 3.0, drop_tol=0.0))
 
 
+def first_full_block(shifts):
+    """Start of the first block [b m_1, (b+1) m_1) of the numerical
+    semigroup generated by shifts (gcd 1) that holds every integer, by a
+    membership table over the integers."""
+    m1, member = shifts[0], [True]
+    while True:
+        k = len(member)
+        member.append(any(k >= m and member[k - m] for m in shifts))
+        b = k - m1 + 1
+        if b > 0 and b % m1 == 0 and all(member[b:]):
+            return b
+
+
+@st.composite
+def rational_delay_sets(draw):
+    """q = 1..4 distinct delays k / den, k in 1..12 and den in 1..5."""
+    q = draw(st.integers(1, 4))
+    den = draw(st.integers(1, 5))
+    return [Fraction(k, den) for k in sorted(draw(st.sets(st.integers(1, 12), min_size=q, max_size=q)))]
+
+
+class TestConductorStop:
+    """The exact lattice stops growing at its first full block and fills
+    in every later step of h, which is the heap-grown lattice bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(delays=rational_delay_sets(), offset=st.integers(-12, 40), part=st.sampled_from([0.0, 0.3, 0.999]))
+    def test_equals_reference_around_first_full_block(self, delays, offset, part):
+        h = fundamental.fraction_gcd(delays)
+        shifts = [int(d / h) for d in delays]
+        # offsets run from before the first full block, through it, to past it
+        horizon = float(max(0, first_full_block(shifts) + offset + part) * h)
+        lat = fundamental._Lattice.generate(delays, horizon)
+        ref = ReferenceLattice(delays, horizon)
+        assert [k * h for k in lat.keys.tolist()] == ref.instants
+        assert_bits_equal(lat.floats, ref.floats)
+        assert lat.snap == ref.snap
+
+    def test_conductor_of_workload_steps(self):
+        # steps 10, 13 and 17: the Frobenius number is 58, so 59 on are all points
+        assert first_full_block([10, 13, 17]) == 60
+        lat = fundamental._Lattice.generate([Fraction(1), Fraction(13, 10), Fraction(17, 10)], 100.0)
+        assert lat.keys[-942:].tolist() == list(range(59, 1001))
+        assert 58 not in lat.keys.tolist()
+
+    def test_cap_counts_the_filled_steps(self, monkeypatch):
+        delays = [Fraction(1), Fraction(13, 10), Fraction(17, 10)]
+        size = len(fundamental._Lattice.generate(delays, 100.0))
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", size)
+        assert len(fundamental._Lattice.generate(delays, 100.0)) == size
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", size - 1)
+        with pytest.raises(dl.HorizonTooLarge, match=f"exceeds {size - 1} points"):
+            fundamental._Lattice.generate(delays, 100.0)
+
+    def test_cap_fails_fast_on_a_far_horizon(self, monkeypatch):
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", 1000)
+        delays = [Fraction(1), Fraction(13, 10), Fraction(17, 10)]
+        t0 = time.perf_counter()
+        with pytest.raises(dl.HorizonTooLarge, match="exceeds 1000 points"):
+            fundamental._Lattice.generate(delays, 1e12)
+        assert time.perf_counter() - t0 < 0.5
+
+
 class TestBlockRecursionsMatchReference:
     """K (both sides) and dK from the block recursions equal, bit for bit,
     the instant-by-instant loops over the heap-grown lattice."""
@@ -365,6 +430,73 @@ class TestFundamentalMatrix:
         kl = dl.fundamental_matrix(vsys, 8.0, "left")
         ts = np.linspace(0.0, 8.0, 200)
         assert np.max(np.abs(kr.value_many(ts) - kl.value_many(ts))) <= 1e-12
+
+
+def count_lattices(monkeypatch):
+    """A list that gets the horizon of every lattice generated from now on."""
+    calls, generate = [], fundamental._Lattice.generate
+
+    def counting(delays, horizon):
+        calls.append(horizon)
+        return generate(delays, horizon)
+
+    monkeypatch.setattr(fundamental._Lattice, "generate", staticmethod(counting))
+    return calls
+
+
+def assert_same_step_function(got, want):
+    for field in ("pre_value", "breakpoints", "values"):
+        assert_bits_equal(getattr(got, field), getattr(want, field))
+    assert (got.horizon, got.snap) == (want.horizon, want.snap)
+
+
+class TestKReuse:
+    """A rational system keeps its longest K per side; any horizon it
+    serves equals a build on a fresh instance, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=two_route_cases(),
+        reaches=st.lists(st.one_of(st.floats(0.0, 6.0), st.integers(0, 40), st.just(0)), min_size=1, max_size=5),
+        order=st.sampled_from(["drawn", "ascending", "descending"]),
+    )
+    def test_every_horizon_equals_a_fresh_build(self, case, reaches, order):
+        vsys, _ = case
+        if not vsys.is_rational:
+            return
+        h = fundamental.fraction_gcd(vsys.delays)
+        # floats are multiples of h_max, integers lattice steps k h
+        horizons = [float(r * h) if isinstance(r, int) else r * vsys.h_max for r in reaches]
+        if order != "drawn":
+            horizons.sort(reverse=order == "descending")
+        for horizon in horizons + horizons[:1]:
+            for side in ("right", "left"):
+                want = dl.fundamental_matrix(dl.validate(vsys.system), horizon, side)
+                assert_same_step_function(dl.fundamental_matrix(vsys, horizon, side), want)
+
+    def test_one_lattice_per_side_for_nested_horizons(self, monkeypatch):
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(13, 10), [[0.2]])]))
+        calls = count_lattices(monkeypatch)
+        for horizon in (20.0, 7.5, 0.0, 20.0, 13.0):
+            dl.fundamental_matrix(vsys, horizon)
+        dl.fundamental_matrix(vsys, 5.0, side="left")
+        assert calls == [20.0, 5.0]
+        dl.fundamental_matrix(vsys, 20.5)
+        assert calls == [20.0, 5.0, 20.5]
+
+    def test_float_system_builds_every_call(self, ex3, monkeypatch):
+        calls = count_lattices(monkeypatch)
+        for horizon in (6.0, 3.0, 6.0):
+            dl.fundamental_matrix(ex3, horizon)
+        assert calls == [6.0, 3.0, 6.0]
+
+    def test_kept_k_goes_with_its_system(self):
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(13, 10), [[0.2]])]))
+        kept = weakref.ref(dl.fundamental_matrix(vsys, 20.0))
+        assert kept() is not None
+        del vsys
+        gc.collect()
+        assert kept() is None
 
 
 class TestJumpTable:
