@@ -26,6 +26,7 @@ from .errors import (
     NotStable,
     OutOfDomain,
     ParseError,
+    RecursionDepthExceeded,
     SizeExceeded,
 )
 from .fundamental import (
@@ -44,9 +45,6 @@ from .system_model import (
     to_commensurate,
     validate,
 )
-
-DEFAULT_TOL = 1e-8
-DEFAULT_SAMPLES = 201
 
 
 def _diag(msg: str) -> None:
@@ -144,10 +142,9 @@ def _load_phi(source: str | None, n: int) -> InitialFunction:
     raise ParseError("initial function file needs 'constant' or 'segments'")
 
 
-def _require_finite_nonnegative(args, *names: str) -> None:
-    """ParseError for any given --name among names not in [0, inf)."""
-    for name in names:
-        value = getattr(args, name)
+def _require_finite_nonnegative(**flags) -> None:
+    """ParseError for any flag given a value not in [0, inf)."""
+    for name, value in flags.items():
         if value is not None and not 0 <= value < math.inf:
             raise ParseError(f"--{name} must be finite and nonnegative, got {value}")
 
@@ -196,7 +193,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_k(args) -> int:
-    _require_finite_nonnegative(args, "horizon")
+    _require_finite_nonnegative(horizon=args.horizon)
     vsys = _load_validated(args.config)
     horizon = args.horizon if args.horizon is not None else 5.0 * vsys.h_max
     kfun = fundamental_matrix(vsys, horizon, side=args.side)
@@ -207,12 +204,11 @@ def cmd_k(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    _require_finite_nonnegative(args, "horizon", "samples")
+    _require_finite_nonnegative(horizon=args.horizon, samples=args.samples)
     vsys = _load_validated(args.config)
     horizon = args.horizon if args.horizon is not None else 5.0 * vsys.h_max
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
     phi = _load_phi(args.phi, vsys.n)
-    grid = np.linspace(0.0, horizon, samples)
+    grid = np.linspace(0.0, horizon, args.samples)
     if args.method in ("recursive", "both"):
         states = simulate(vsys, phi, grid)
     else:
@@ -227,12 +223,11 @@ def cmd_sim(args) -> int:
 
 
 def cmd_lyap(args) -> int:
-    _require_finite_nonnegative(args, "samples")
+    _require_finite_nonnegative(samples=args.samples, order=args.order)
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     u, rsys = _build_u(vsys, weight, args.order)
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    grid = _sample_grid(u, samples)
+    grid = _sample_grid(u, args.samples)
     with _out_stream(args.out) as fh:
         lyapunov_build.piecewise_to_csv(u, grid, fh)
     report = lyapunov_build.residuals(u, rsys, weight)
@@ -245,6 +240,7 @@ def cmd_lyap(args) -> int:
 
 
 def cmd_jumps(args) -> int:
+    _require_finite_nonnegative(order=args.order)
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     u, rsys = _build_u(vsys, weight, args.order)
@@ -255,12 +251,8 @@ def cmd_jumps(args) -> int:
         series = jump_analysis.delta_u_prime(
             rsys, weight, spectrum.taus, props.horizon, report=report, table=props.table
         )
-        deviation = max(
-            [0.0]
-            + [float(np.max(np.abs(v - spectrum.jump_at(t)))) for t, v in zip(spectrum.taus.tolist(), series.value)]
-        )
         summary = props.to_dict()
-        summary["route_deviation_max"] = deviation
+        summary["route_deviation_max"] = float(np.max(np.abs(series.value - spectrum.jumps), initial=0.0))
         _diag(json.dumps(summary, sort_keys=True))
     with _out_stream(args.out) as fh:
         spectrum.to_csv(fh)
@@ -268,17 +260,16 @@ def cmd_jumps(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    _require_finite_nonnegative(args, "samples")
-    vsys = _load_validated(args.config)
-    weight = _load_weight(args.weight, vsys.n)
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParseError(f"cannot parse --orders {args.orders!r}: {exc}") from exc
     if not orders:
         raise ParseError("--orders must name at least one order")
-    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-    steps = rational_approx.u_sequence(vsys, weight, orders, grid_points=samples)
+    _require_finite_nonnegative(samples=args.samples, orders=min(orders))
+    vsys = _load_validated(args.config)
+    weight = _load_weight(args.weight, vsys.n)
+    steps = rational_approx.u_sequence(vsys, weight, orders, grid_points=args.samples)
     verdicts = {s.stability_verdict for s in steps}
     summary = {
         "orders": orders,
@@ -288,7 +279,7 @@ def cmd_approx(args) -> int:
     if args.out:
         for step in steps:
             path = f"{args.out}_s{step.order}.csv"
-            grid = _sample_grid(step.u, samples)
+            grid = _sample_grid(step.u, args.samples)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 lyapunov_build.piecewise_to_csv(step.u, grid, fh)
             _diag(f"order {step.order}: wrote {path}")
@@ -300,7 +291,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_finite_nonnegative(args, "tol")
+    _require_finite_nonnegative(tol=args.tol, order=args.order)
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     tol = args.tol
@@ -333,20 +324,30 @@ def cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# the flags a command may read; each command takes only those it reads
+_FLAGS = {
+    "tol": (("--tol",), {"type": float, "default": 1e-8, "help": "verification tolerance"}),
+    "horizon": (("--horizon",), {"type": float, "help": "time horizon"}),
+    "order": (("--order",), {"type": int, "help": "continued fraction order for float delays"}),
+    "samples": (("--samples",), {"type": int, "default": 201, "help": "number of grid samples"}),
+    "weight": (
+        ("--w", "--weight"),
+        {"dest": "weight", "default": "identity", "help": "'identity' or path to a JSON symmetric matrix"},
+    ),
+}
+
+
+def _command(sub, name: str, func, about: str, *flags: str) -> argparse.ArgumentParser:
+    """A subparser with --config, --out and the named _FLAGS.  Abbreviations
+    are off, so that a flag a command lacks cannot match a longer one."""
+    p = sub.add_parser(name, help=about, allow_abbrev=False)
     p.add_argument("--config", required=True, help="JSON system descriptor")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verification tolerance")
-    p.add_argument("--horizon", type=float, help="time horizon")
-    p.add_argument("--order", type=int, help="continued fraction order for float delays")
-    p.add_argument("--samples", type=int, help="number of grid samples")
-    p.add_argument(
-        "--w",
-        "--weight",
-        dest="weight",
-        default="identity",
-        help="'identity' or path to a JSON symmetric matrix",
-    )
+    for flag in flags:
+        names, kwargs = _FLAGS[flag]
+        p.add_argument(*names, **kwargs)
+    p.set_defaults(func=func)
+    return p
 
 
 @functools.cache
@@ -358,44 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a system and report stability")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
+    _command(sub, "check", cmd_check, "validate a system and report stability")
 
-    p = sub.add_parser("k", help="evaluate the fundamental matrix to CSV")
-    _add_common(p)
+    p = _command(sub, "k", cmd_k, "evaluate the fundamental matrix to CSV", "horizon")
     p.add_argument("--side", choices=("right", "left"), default="right")
-    p.set_defaults(func=cmd_k)
 
-    p = sub.add_parser("sim", help="simulate the time response to CSV")
-    _add_common(p)
-    p.add_argument(
-        "--method", choices=("recursive", "cauchy", "both"), default="recursive"
-    )
+    p = _command(sub, "sim", cmd_sim, "simulate the time response to CSV", "horizon", "samples")
+    p.add_argument("--method", choices=("recursive", "cauchy", "both"), default="recursive")
     p.add_argument("--phi", help="JSON initial function (default: constant ones)")
-    p.set_defaults(func=cmd_sim)
 
-    p = sub.add_parser("lyap", help="construct the Lyapunov matrix to CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_lyap)
+    _command(sub, "lyap", cmd_lyap, "construct the Lyapunov matrix to CSV", "order", "samples", "weight")
 
-    p = sub.add_parser("jumps", help="jump spectrum of the derivative of U")
-    _add_common(p)
-    p.add_argument(
-        "--segments-only",
-        action="store_true",
-        help="skip the series route (works for unstable systems)",
-    )
-    p.set_defaults(func=cmd_jumps)
+    p = _command(sub, "jumps", cmd_jumps, "jump spectrum of the derivative of U", "order", "weight")
+    p.add_argument("--segments-only", action="store_true", help="skip the series route (works for unstable systems)")
 
-    p = sub.add_parser("approx", help="continued fraction order ladder")
-    _add_common(p)
+    p = _command(sub, "approx", cmd_approx, "continued fraction order ladder", "samples", "weight")
     p.add_argument("--orders", required=True, help="comma separated orders, e.g. 1,4,7")
-    p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("verify", help="run all verification gates")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _command(sub, "verify", cmd_verify, "run all verification gates", "tol", "order", "weight")
 
     return parser
 
@@ -414,7 +395,7 @@ def main(argv=None) -> int:
     except NotStable as exc:
         _diag(f"stability required: {exc}")
         return 5
-    except (SizeExceeded, HorizonTooLarge) as exc:
+    except (SizeExceeded, HorizonTooLarge, RecursionDepthExceeded) as exc:
         _diag(f"size cap: {exc}")
         return 6
     except OutOfDomain as exc:

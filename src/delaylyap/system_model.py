@@ -28,6 +28,7 @@ from .errors import (
     OutOfDomain,
     ParseError,
     SingularK0,
+    SizeExceeded,
 )
 
 Delay = Union[float, Fraction]
@@ -404,10 +405,14 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
     return Fraction(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
 
 
-def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int):
+def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int, max_steps: int):
+    """(h, m, (C_1..C_m)) over the gcd h of the delays, with coefficients
+    None when m exceeds max_steps: m = h_max / h is known before any of
+    its m slots is built."""
     h = fraction_gcd(delays)
-    ratio = delays[-1] / h
-    m = int(ratio)
+    m = int(delays[-1] / h)
+    if m > max_steps:
+        return h, m, None
     zero = np.zeros((n, n))
     zero.setflags(write=False)
     coeffs = [zero] * m
@@ -417,10 +422,17 @@ def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n
 
 
 def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
-    """Exact rewrite over the gcd of the delays, which must all be exact."""
+    """Exact rewrite over the gcd of the delays, which must all be exact.
+    Raises SizeExceeded past MAX_UNKNOWNS // 2 steps, the most that
+    build_commensurate takes (2 m n^2 unknowns at n = 1)."""
+    from .lyapunov_build import MAX_UNKNOWNS
+
     if not vsys.is_rational:
         raise NonRationalInput("system has float delays; approximate them first")
-    h, m, coeffs = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices, vsys.n)
+    cap = MAX_UNKNOWNS // 2
+    h, m, coeffs = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices, vsys.n, cap)
+    if coeffs is None:
+        raise SizeExceeded(f"commensurate rewrite needs m = {m} basic steps, cap is {cap}")
     return CommensurateForm(h=h, m=m, coefficients=coeffs, origin=vsys.system)
 
 
@@ -650,14 +662,14 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     grid_points = reason = None
     rewrite = None
     if len(delays) > 1 and all(_is_exact(d) for d in delays):
-        rewrite = _commensurate_data([_exact(d) for d in delays], mats, n)
+        rewrite = _commensurate_data([_exact(d) for d in delays], mats, n, COMPANION_CAP // n)
 
     if len(delays) == 1:
         method = "single_delay_spectral"
         rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
         step = float(delays[0])
         margin = EXACT_MARGIN
-    elif rewrite is not None and n * rewrite[1] <= COMPANION_CAP:
+    elif rewrite is not None and rewrite[2] is not None:
         h, _, coeffs = rewrite
         method = "commensurate_companion"
         rho = _companion_radius(coeffs, n, EXACT_MARGIN / 10.0)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import shutil
@@ -7,9 +10,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap.cli import main
+from delaylyap.cli import build_parser, main
+
+# the flags each command reads, with their defaults; every command also
+# takes --config and --out, and refuses every other flag
+FLAGS = {
+    "check": {},
+    "k": {"--horizon": None, "--side": "right"},
+    "sim": {"--horizon": None, "--samples": 201, "--method": "recursive", "--phi": None},
+    "lyap": {"--order": None, "--samples": 201, "--w/--weight": "identity"},
+    "jumps": {"--order": None, "--w/--weight": "identity", "--segments-only": False},
+    "approx": {"--samples": 201, "--w/--weight": "identity", "--orders": None},
+    "verify": {"--tol": 1e-8, "--order": None, "--w/--weight": "identity"},
+}
+# a value each flag parses, None for a switch
+FLAG_VALUES = {
+    "--tol": "1e-6", "--horizon": "5", "--order": "2", "--samples": "11", "--w": "identity",
+    "--weight": "identity", "--side": "left", "--method": "both", "--phi": "phi.json",
+    "--segments-only": None, "--orders": "1",
+}
+# 10^30 - 1 basic steps between the delays
+TINY_GCD = 10**30 - 1
 
 
 @pytest.fixture()
@@ -146,6 +170,14 @@ class TestSim:
                    "--samples", "11", "--phi", str(phi)])
         assert rc == 0
 
+    def test_node_cap_exits_six(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text('{"n": 1, "entries": [{"delay": 1e-4, "A": [[0.5]]}]}')
+        assert main(["sim", "--config", str(path), "--horizon", "200"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("size cap: response recursion exceeded")
+
     def test_bad_phi(self, configs, tmp_path):
         phi = tmp_path / "phi.json"
         phi.write_text('{"constant": [1.0]}')
@@ -243,6 +275,18 @@ class TestJumps:
         assert len(builds) == 1
         assert summary["route_deviation_max"] <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1, 10**9])
+    def test_routes_agree_row_by_row(self, tmp_path, capsys, scale):
+        # at h = 5e-10 a lookup of each shift within 1e-9 read a neighbour
+        mats = (0.5 * np.array([[-0.4, -0.3], [0.1, 0.15]]), 0.5 * np.array([[0.1, 0.25], [-0.9, -0.1]]))
+        path = tmp_path / "scaled.json"
+        path.write_text(dl.system_to_json(dl.DelaySystem(2, [
+            (Fraction(1, scale), mats[0]), (Fraction(3, 2 * scale), mats[1]),
+        ])))
+        assert main(["jumps", "--config", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert summary["route_deviation_max"] <= 1e-12
+
     def test_unstable_needs_segments_only(self, configs, capsys):
         assert main(["jumps", "--config", configs["unstable"]]) == 5
         capsys.readouterr()
@@ -311,6 +355,11 @@ class TestFlagValues:
         ["approx", "--samples", "-1", "--orders", "1"],
         ["verify", "--tol", "nan"],
         ["verify", "--tol", "-0.5"],
+        ["lyap", "--order", "-1"],
+        ["jumps", "--order", "-1"],
+        ["verify", "--order", "-2"],
+        ["approx", "--orders", "-1"],
+        ["approx", "--orders", "4,-1"],
     ])
     def test_bad_value_is_a_parse_error_before_any_work(self, argv, configs, capsys, monkeypatch):
         def no_load(path):
@@ -321,6 +370,126 @@ class TestFlagValues:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"parse error: {argv[1]} must be finite and nonnegative, got ")
+
+
+class TestTinyGcd:
+    @pytest.mark.parametrize("command, code", [("check", 0), ("lyap", 6), ("verify", 6)])
+    def test_fails_fast(self, tmp_path, capsys, command, code):
+        path = tmp_path / "tiny_gcd.json"
+        path.write_text(dl.system_to_json(dl.DelaySystem(1, [
+            (Fraction(1, TINY_GCD), [[0.3]]), (Fraction(1), [[0.2]]),
+        ])))
+        assert main([command, "--config", str(path)]) == code
+        out, err = capsys.readouterr()
+        if command == "check":
+            assert json.loads(out)["stability"]["method"] == "torus_grid_heuristic"
+        else:
+            assert err.startswith(f"size cap: commensurate rewrite needs m = {TINY_GCD} basic steps")
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagSurface:
+    def test_each_command_takes_the_flags_it_reads(self):
+        subs = _subparsers()
+        assert set(subs) == set(FLAGS)
+        total = 0
+        for command, parser in subs.items():
+            options = {
+                "/".join(a.option_strings): a.default
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            assert options.pop("--config") is None and options.pop("--out") is None
+            assert options == FLAGS[command], command
+            total += len(options) + 2
+        assert total == 32
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_every_other_flag_is_refused(self, command, capsys):
+        base = [command, "--config", "sys.json"] + (["--orders", "1"] if command == "approx" else [])
+        row = {name for key in FLAGS[command] for name in key.split("/")}
+        for flag, value in FLAG_VALUES.items():
+            argv = base + [flag] + ([value] if value is not None else [])
+            if flag in row:
+                build_parser().parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_no_flag_is_read_as_the_prefix_of_another(self, configs, capsys):
+        for argv in (["--order", "7"], ["--orders", "1", "--order", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["approx", "--config", configs["irrational"]] + argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
+
+_MESSY = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), True, None, "0.5", [], {}])
+_GOOD_DELAYS = st.one_of(
+    st.lists(st.floats(1e-3, 5.0), min_size=2, max_size=2),
+    st.lists(st.integers(1, 8), min_size=2, max_size=2),
+    st.lists(st.builds(lambda num, den: {"num": num, "den": den}, st.integers(1, 40), st.integers(1, 20)), min_size=2, max_size=2),
+    st.lists(st.floats(5e-324, 1e-6), min_size=2, max_size=2),
+    st.integers(1, 5).map(lambda k: [{"num": 1, "den": TINY_GCD}, {"num": k * TINY_GCD, "den": TINY_GCD}]),
+)
+_BAD_DELAYS = st.one_of(
+    _MESSY,
+    st.builds(lambda num, den: {"num": num, "den": den}, st.one_of(st.integers(-3, 3), _MESSY), st.one_of(st.integers(-3, 3), _MESSY)),
+)
+
+
+def _bad_matrix(n):
+    return st.one_of(
+        _MESSY,
+        st.just([]),
+        st.just([[]] * n),
+        st.lists(st.lists(st.one_of(st.floats(-1, 1), _MESSY), max_size=4), max_size=4),
+    )
+
+
+@st.composite
+def mutated_descriptors(draw):
+    """A check descriptor with n <= 3 and one or two delays (three make a
+    torus grid of 64^3 evaluations), about one in six of its parts swapped
+    for a wrong type, a huge integer, an empty or ragged array or a NaN
+    token; its delays are floats, integers, fractions, tiny floats or
+    fractions whose gcd is tiny."""
+    def mutate():
+        return draw(st.sampled_from((False,) * 5 + (True,)))
+
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2))
+    delays = sorted(draw(_GOOD_DELAYS)[:q], key=lambda d: d["num"] / d["den"] if isinstance(d, dict) else d)
+    entries = []
+    for delay in delays:
+        a = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n * n, max_size=n * n))).reshape(n, n).tolist()
+        entries.append({"delay": draw(_BAD_DELAYS) if mutate() else delay, "A": draw(_bad_matrix(n)) if mutate() else a})
+    desc = {"n": draw(st.one_of(_MESSY, st.integers(-1, 10**400))) if mutate() else n, "entries": entries}
+    if mutate():
+        desc = draw(st.sampled_from([[], {}, "x", None, {"n": n}, {"n": n, "entries": []}, {"n": n, "entries": [1]}]))
+    return desc
+
+
+class TestCheckDescriptorProperty:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("descriptors") / "sys.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(desc=mutated_descriptors())
+    def test_check_exits_with_a_documented_code(self, path, desc):
+        path.write_text(json.dumps(desc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--config", str(path)])
+        assert code in range(7)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestLatticeReuse:

@@ -280,6 +280,28 @@ class TestCommensurate:
         with pytest.raises(dl.NonRationalInput):
             dl.to_commensurate(ex3)
 
+    def test_step_cap_is_the_largest_build(self, monkeypatch):
+        # the rewrite takes every m that build_commensurate takes at n = 1
+        # (2 m unknowns), and refuses the next before it builds its slots
+        monkeypatch.setattr(dl.lyapunov_build, "MAX_UNKNOWNS", 20)
+        w = dl.WeightMatrix.identity(1)
+        for m, fits in ((10, True), (11, False)):
+            sys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(m), [[0.2]])]))
+            if fits:
+                assert dl.build_commensurate(dl.to_commensurate(sys), w).m == m
+            else:
+                with pytest.raises(dl.SizeExceeded):
+                    dl.to_commensurate(sys)
+
+    def test_tiny_gcd_fails_fast(self):
+        # m = 10^30 - 1 steps: a list of m slots could never be built
+        sys = dl.validate(dl.DelaySystem(1, [
+            (Fraction(1, 10**30 - 1), [[0.3]]), (Fraction(1), [[0.2]]),
+        ]))
+        with pytest.raises(dl.SizeExceeded, match="m = 999999999999999999999999999999"):
+            dl.to_commensurate(sys)
+        assert dl.stability_check(sys).method == "torus_grid_heuristic"
+
     @settings(max_examples=20, deadline=None)
     @given(
         p1=st.integers(1, 12), q1=st.integers(1, 12),
