@@ -106,9 +106,11 @@ def _load_weight(source: str | None, n: int) -> WeightMatrix:
     if mat.shape != (n, n):
         raise ParseError(f"weight must be {n}x{n}, got {mat.shape}")
     try:
-        return WeightMatrix(mat)
-    except DelayLyapError as exc:
+        weight = WeightMatrix(mat)
+        weight.require_positive_definite()
+    except (DelayLyapError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
+    return weight
 
 
 def _load_phi(source: str | None, n: int) -> InitialFunction:
@@ -137,7 +139,7 @@ def _load_phi(source: str | None, n: int) -> InitialFunction:
             raise ParseError(f"malformed initial function segments: {exc}") from exc
         try:
             return InitialFunction(starts, values, slopes)
-        except DelayLyapError as exc:
+        except (DelayLyapError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError("initial function file needs 'constant' or 'segments'")
 

@@ -134,7 +134,7 @@ class _Lattice:
             if full:
                 break
         keys = keys[:size].copy()
-        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * max(1.0, float(delays[-1])))
+        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -247,7 +247,7 @@ class StepMatrixFunction:
         the horizon (with a small slack) or at NaN."""
         if isinstance(ts, Iterator):
             ts = list(ts)
-        limit = self.horizon + max(self.snap, 1e-12 * max(1.0, self.horizon))
+        limit = self.horizon + max(self.snap, 1e-12 * self.horizon)
         domain = f"function built on [0, {self.horizon}]"
         i = snapped_lookup(self.breakpoints, ts, self.snap, limit, domain=domain)
         return np.take(self._rows, i + 1, axis=0)
@@ -367,7 +367,7 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
         times=lat.floats[keep],
         jumps=jumps[keep],
         horizon=float(horizon),
-        tol=max(lat.snap, 1e-12 * max(1.0, float(horizon))),
+        tol=max(lat.snap, 1e-12 * float(horizon)),
     )
 
 
@@ -392,7 +392,7 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
-    quantum = 1e-12 * max(1.0, vsys.h_max, tmax)
+    quantum = 1e-12 * max(vsys.h_max, tmax)
     delays, mats = np.array([float(d) for d in vsys.delays]), vsys.matrices
     # -key of each point found, ascending, and its float, in doubling buffers
     neg, ts, size, frontier = np.empty(64, dtype=np.int64), np.empty(64), 0, grid

@@ -290,7 +290,7 @@ def check_jump_properties(
     delays = [float(d) for d in vsys.delays]
     mats = list(vsys.matrices)
     w = weight.matrix
-    scale = max(1.0, max_shift + 2.0 * hmax)
+    scale = max_shift + 2.0 * hmax
 
     def key(tau: float) -> int:
         return round(tau / (1e-12 * scale))

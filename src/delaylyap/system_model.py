@@ -369,8 +369,8 @@ def validate(system: DelaySystem) -> ValidatedSystem:
         dv = float(d) if abs(d) <= np.finfo(float).max else math.inf
         if not math.isfinite(dv):
             raise NonFiniteInput("delays must be finite")
-        if dv <= 0.0:
-            raise NonincreasingDelays(f"delays must be positive, got {dv}")
+        if 1e-12 * dv < np.finfo(float).tiny:
+            raise NonincreasingDelays(f"delays must be positive with 1e-12 * delay a normal float, got {dv}")
         if prev is not None and not (d > prev):
             raise NonincreasingDelays("delays must be strictly increasing")
         prev = d
@@ -455,24 +455,24 @@ def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
 
 
 def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
-    """sum_(k != i) 1/(z_i - z_k) for the first rows roots, taking each pair
-    k > i once, as conj(d) / |d|^2, in row blocks of about CHUNK_ENTRIES
-    pairs: a block's row sums add to its rows, its column sums subtract."""
-    x, y = z.real.copy(), z.imag.copy()
-    re, im = np.zeros(rows), np.zeros(rows)
+    """sum_(k != i) 1/(z_i - z_k) for the first rows roots, as conj(d)/|d|^2
+    in row blocks of about CHUNK_ENTRIES pairs from the diagonal on, real and
+    imaginary parts in one (2, rows, cols) block: its row sums add to its
+    rows, its column sums right of its square subtract, each a BLAS product."""
+    xy = np.stack([z.real, z.imag])
+    out = np.zeros((2, rows))
+    ones = np.ones(z.size)
     start = 0
     while start < rows:
         stop = min(start + max(1, CHUNK_ENTRIES // (z.size - start)), rows)
-        dx = np.subtract.outer(x[start:stop], x[start:])
-        dy = np.subtract.outer(y[start:stop], y[start:])
-        inv = np.divide(1.0, dx * dx + dy * dy)
-        inv[:, :stop - start][np.tri(stop - start, dtype=bool)] = 0.0
-        for part, out in ((dx, re), (dy, im)):
-            part *= inv
-            out[start:stop] += np.sum(part, axis=1)
-            out[start:] -= np.sum(part, axis=0)[:rows - start]
+        part = xy[:, start:stop, None] - xy[:, None, start:]
+        inv = np.divide(1.0, part[0] * part[0] + part[1] * part[1])
+        np.fill_diagonal(inv, 0.0)
+        part *= inv
+        out[:, start:stop] += part @ ones[start:]
+        out[:, stop:] -= ones[:stop - start] @ part[:, :, stop - start:rows - start]
         start = stop
-    return re - 1j * im
+    return out[0] - 1j * out[1]
 
 
 def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
@@ -499,26 +499,39 @@ def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
     return np.concatenate(circles)
 
 
+def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """w ** e for each row e of the int array exponents >= 0 (k rows of
+    w.size): the product of the squares w, w^2, w^4, ... of one ladder at
+    the set bits of e."""
+    out, square = np.ones(exponents.shape, dtype=complex), w
+    for bit in range(int(exponents.max()).bit_length()):
+        out = np.where(exponents >> bit & 1, out * square, out)
+        square = square * square
+    return out
+
+
 def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
     """Newton correction p/p' = 1/tr(P^-1 P') of p = det P at each z,
-    CHUNK_ENTRIES matrix entries at a time.  Where |z| > 1 it comes from
-    Q(z) = z^-m P(z) = I - sum C_j z^-j, so no power overflows, with
-    p = z^(n m) det Q.  An exactly singular P(z) makes z a root to working
-    precision: its correction is zero."""
+    CHUNK_ENTRIES matrix entries at a time, from P(w) at w = z or, where
+    |z| > 1, from Q(w) = I - sum C_j w^j at w = 1/z with p = z^(n m) det Q.
+    So |w| <= 1, and no power of w from _powers overflows.  An exactly
+    singular P(z) makes z a root to working precision: its correction is zero."""
     newton = np.empty(z.size, dtype=complex)
     eye = np.eye(n)
     size = max(1, CHUNK_ENTRIES // (n * n))
+    in_q = np.array([0, 0] + list(steps) + [j + 1 for j in steps])[:, None]
+    in_p = np.array([m, m - 1] + [m - j for j in steps] + [max(m - j - 1, 0) for j in steps])[:, None]
     for start in range(0, z.size, size):
         part = slice(start, start + size)
         zz = z[part]
         outside = np.abs(zz) > 1.0
         w = np.where(outside, 1.0 / np.where(outside, zz, 1.0), zz)
-        mat = np.where(outside, 1.0, w ** m)[:, None, None] * eye
-        der = np.where(outside, 0.0, m * w ** (m - 1))[:, None, None] * eye
-        for j, c in zip(steps, blocks):
-            mat = mat - (w ** np.where(outside, j, m - j))[:, None, None] * c
-            dw = np.where(outside, -j, m - j) * w ** np.where(outside, j + 1, max(m - j - 1, 0))
-            der = der - dw[:, None, None] * c
+        pw = _powers(w, np.where(outside, in_q, in_p))
+        mat = pw[0][:, None, None] * eye
+        der = np.where(outside, 0.0, m * pw[1])[:, None, None] * eye
+        for j, c, a, da in zip(steps, blocks, pw[2:], pw[2 + len(steps):]):
+            mat = mat - a[:, None, None] * c
+            der = der - (np.where(outside, -j, m - j) * da)[:, None, None] * c
         try:
             x, singular = np.linalg.solve(mat, der), False
         except np.linalg.LinAlgError:

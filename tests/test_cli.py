@@ -387,6 +387,42 @@ class TestTinyGcd:
             assert err.startswith(f"size cap: commensurate rewrite needs m = {TINY_GCD} basic steps")
 
 
+class TestTinyDelays:
+    """Snap quanta relative to h_max, the horizon or the shift span: the
+    basic step 1 / (10^30 - 1) reads what the step 1 reads, and a delay
+    whose 1e-12 quantum is subnormal fails fast."""
+
+    @staticmethod
+    def write(tmp_path, den):
+        path = tmp_path / "steps.json"
+        path.write_text(dl.system_to_json(dl.DelaySystem(1, [(Fraction(1, den), [[0.3]]), (Fraction(2, den), [[0.2]])])))
+        return str(path)
+
+    @pytest.mark.parametrize("den", [1, TINY_GCD])
+    def test_jump_identities_hold(self, tmp_path, capsys, den):
+        assert main(["jumps", "--config", self.write(tmp_path, den)]) == 0
+        summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert summary["max_residual"] <= 1e-12
+        assert summary["route_deviation_max"] <= 1e-12
+
+    def test_response_is_the_unit_step_response(self, tmp_path, capsys):
+        columns = []
+        for den in (1, TINY_GCD):
+            assert main(["sim", "--config", self.write(tmp_path, den), "--samples", "21"]) == 0
+            columns.append([line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]])
+        assert columns[0] == columns[1]
+        assert "nan" not in columns[1]
+
+    @pytest.mark.parametrize("command, delay", [("verify", 5e-324), ("jumps", 1e-300)])
+    def test_delay_below_every_relative_quantum_exits_two(self, tmp_path, capsys, command, delay):
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"n": 1, "entries": [{"delay": delay, "A": [[0.3]]}]}))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid input: delays must be positive with 1e-12 * delay a normal float")
+
+
 def _subparsers():
     action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
@@ -453,6 +489,11 @@ def _bad_matrix(n):
     )
 
 
+def _swap(draw):
+    """True for about one part in six: swap that part for a messy value."""
+    return draw(st.sampled_from((False,) * 5 + (True,)))
+
+
 @st.composite
 def mutated_descriptors(draw):
     """A check descriptor with n <= 3 and one or two delays (three make a
@@ -460,20 +501,24 @@ def mutated_descriptors(draw):
     for a wrong type, a huge integer, an empty or ragged array or a NaN
     token; its delays are floats, integers, fractions, tiny floats or
     fractions whose gcd is tiny."""
-    def mutate():
-        return draw(st.sampled_from((False,) * 5 + (True,)))
-
     n = draw(st.integers(1, 3))
     q = draw(st.integers(1, 2))
     delays = sorted(draw(_GOOD_DELAYS)[:q], key=lambda d: d["num"] / d["den"] if isinstance(d, dict) else d)
     entries = []
     for delay in delays:
         a = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n * n, max_size=n * n))).reshape(n, n).tolist()
-        entries.append({"delay": draw(_BAD_DELAYS) if mutate() else delay, "A": draw(_bad_matrix(n)) if mutate() else a})
-    desc = {"n": draw(st.one_of(_MESSY, st.integers(-1, 10**400))) if mutate() else n, "entries": entries}
-    if mutate():
+        entries.append({"delay": draw(_BAD_DELAYS) if _swap(draw) else delay, "A": draw(_bad_matrix(n)) if _swap(draw) else a})
+    desc = {"n": draw(st.one_of(_MESSY, st.integers(-1, 10**400))) if _swap(draw) else n, "entries": entries}
+    if _swap(draw):
         desc = draw(st.sampled_from([[], {}, "x", None, {"n": n}, {"n": n, "entries": []}, {"n": n, "entries": [1]}]))
     return desc
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 class TestCheckDescriptorProperty:
@@ -485,11 +530,89 @@ class TestCheckDescriptorProperty:
     @given(desc=mutated_descriptors())
     def test_check_exits_with_a_documented_code(self, path, desc):
         path.write_text(json.dumps(desc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", "--config", str(path)])
+        code, err = _run_quietly(["check", "--config", str(path)])
         assert code in range(7)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+def _messy_vector(draw, n):
+    """n numbers (sometimes one too few or too many), each possibly messy."""
+    size = draw(st.sampled_from((n,) * 5 + (n - 1, n + 1)))
+    return [draw(_MESSY) if _swap(draw) else draw(st.floats(-2.0, 2.0)) for _ in range(size)]
+
+
+@st.composite
+def mutated_weights(draw):
+    """A 2 x 2 weight as a bare matrix or as {"W": matrix}, symmetric or
+    not, definite or not, with entries, the matrix or the document swapped
+    for a wrong type, a huge integer, an empty or ragged array or a NaN
+    token."""
+    a, b, c = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    mat = [[a, b], [b if draw(st.booleans()) else -b, c]]
+    mat = [[draw(_MESSY) if _swap(draw) else x for x in row] for row in mat]
+    if _swap(draw):
+        mat = draw(_bad_matrix(2))
+    doc = {"W": mat} if draw(st.booleans()) else mat
+    if _swap(draw):
+        doc = draw(st.sampled_from([{}, {"w": mat}, "x", None, 1.0, [[1.0]], {"W": None}]))
+    return doc
+
+
+@st.composite
+def mutated_phis(draw):
+    """A 2-vector initial function (h_max is 3/2) as a constant or as up to
+    three segments starting in [-3, 0], with a start, value or slope
+    swapped for a messy value, a key dropped, or the document replaced by
+    a wrong type."""
+    if draw(st.booleans()):
+        doc = {"constant": _messy_vector(draw, 2)}
+    else:
+        starts = sorted(draw(st.lists(st.floats(-3.0, 0.0), min_size=1, max_size=3)))
+        segs = []
+        for start in starts:
+            seg = {"start": draw(_MESSY) if _swap(draw) else start, "value": _messy_vector(draw, 2)}
+            if draw(st.booleans()):
+                seg["slope"] = _messy_vector(draw, 2)
+            if _swap(draw):
+                del seg[draw(st.sampled_from(sorted(seg)))]
+            segs.append(seg)
+        doc = {"segments": segs}
+    if _swap(draw):
+        doc = draw(st.sampled_from([[], {}, "x", None, {"segments": []}, {"segments": "x"}, {"segments": [1]}, {"constant": None}]))
+    return doc
+
+
+class TestInputFileProperty:
+    """Mutated weight and initial-function files: a documented exit code,
+    never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("inputs")
+        system = base / "sys.json"
+        system.write_text(dl.system_to_json(dl.DelaySystem(2, [
+            (Fraction(1), 0.5 * np.array([[-0.4, -0.3], [0.1, 0.15]])),
+            (Fraction(3, 2), 0.5 * np.array([[0.1, 0.25], [-0.9, -0.1]])),
+        ])))
+        return str(system), base / "input.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=mutated_weights())
+    def test_lyap_weight_exits_with_a_documented_code(self, files, doc):
+        system, path = files
+        path.write_text(json.dumps(doc))
+        code, err = _run_quietly(["lyap", "--config", system, "--samples", "11", "--weight", str(path)])
+        assert code in range(7)
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=mutated_phis())
+    def test_sim_phi_exits_with_a_documented_code(self, files, doc):
+        system, path = files
+        path.write_text(json.dumps(doc))
+        code, err = _run_quietly(["sim", "--config", system, "--horizon", "2", "--samples", "11", "--method", "both", "--phi", str(path)])
+        assert code in range(7)
+        assert "Traceback" not in err
 
 
 class TestLatticeReuse:

@@ -57,7 +57,7 @@ def reference_simulate(vsys, phi, grid, node_cap=1_000_000):
     grid = np.asarray(grid, dtype=float)
     if grid.size and float(np.min(grid)) < 0.0:
         raise ValueError("simulation grid must be nonnegative")
-    scale = max(1.0, vsys.h_max, float(np.max(grid)) if grid.size else 1.0)
+    scale = max(vsys.h_max, float(np.max(grid)) if grid.size else 0.0)
     quantum = 1e-12 * scale
     entries = [(float(d), a) for d, a in vsys.entries]
     memo = {}
@@ -106,7 +106,7 @@ class ReferenceLattice:
         exact = all(isinstance(d, Fraction) for d in delays)
         h_max = float(delays[-1])
         if exact:
-            steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * max(1.0, h_max)
+            steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * h_max
         else:
             steps, start = [float(d) for d in delays], 0.0
             tol = snap = MERGE_TOL_SCALE * h_max
@@ -611,7 +611,7 @@ def response_grid(vsys, reach, seed):
     key of a point is decided by round-off, is avoided, since there the
     value follows which path reaches the key first."""
     instants = np.array(dl.discontinuity_instants(vsys, reach))
-    quantum = 1e-12 * max(1.0, vsys.h_max, reach)
+    quantum = 1e-12 * max(vsys.h_max, reach)
     grid = np.concatenate([instants + off * quantum for off in (0.0, -0.25, 0.25, -3.0, 3.0)] + [[0.0], instants[::2]])
     grid = grid[grid >= 0.0]
     np.random.default_rng(seed).shuffle(grid)
@@ -639,7 +639,7 @@ def assert_response_matches_reference(vsys, phi, grid):
         assert_bits_equal(got, want)
         return
     tmax = float(np.max(grid))
-    quantum = 1e-12 * max(1.0, vsys.h_max, tmax)
+    quantum = 1e-12 * max(vsys.h_max, tmax)
     gain = max(1.0, sum(float(np.max(np.sum(np.abs(a), axis=1))) for a in vsys.matrices)) ** (tmax / vsys.h_min + 1)
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want))) <= gain * 2.0 * quantum * slope
@@ -695,7 +695,7 @@ class TestCauchyVectorised:
             phi = dl.InitialFunction.constant(rng.uniform(-1, 1, n))
         horizon = 3.0 * hmax
         instants = np.array(dl.discontinuity_instants(vsys, horizon))
-        snap = 1e-12 * max(1.0, horizon)
+        snap = 1e-12 * horizon
         grid = np.sort(np.concatenate([
             np.linspace(0.0, horizon, 41), instants, instants[1:] - 0.5 * snap, instants[:-1] + 0.5 * snap,
         ]))

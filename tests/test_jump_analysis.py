@@ -68,7 +68,7 @@ def reference_jump_properties(vsys, weight, tau_grid, horizon, report):
     delays = [float(d) for d in vsys.delays]
     mats = list(vsys.matrices)
     w = weight.matrix
-    scale = max(1.0, max_shift + 2.0 * hmax)
+    scale = max_shift + 2.0 * hmax
     cache = {}
 
     def du(tau):

@@ -580,6 +580,47 @@ class TestStructuredCompanion:
         assert abs(rho - 1.0001411454177214) <= radius <= 1e-11
 
 
+class TestScreenKernels:
+    """The powers and the rung guard behind the certified companion screen."""
+
+    def test_powers_match_fifty_digits(self):
+        import mpmath
+
+        # |w| from 0.8 keeps w^3000 above 1e-300, clear of underflow
+        rng = np.random.default_rng(5)
+        w = np.concatenate([
+            rng.uniform(0.8, 1.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6)),
+            np.exp(2j * np.pi * rng.uniform(size=3)), [1.0, -1.0, 1j, -0.8, 0.0],
+        ])
+        top = 3000
+        got = system_model._powers(w, np.broadcast_to(np.arange(top + 1)[:, None], (top + 1, w.size)))
+        # a complex product rounds by at most sqrt(5) u relatively (u = eps / 2;
+        # Brent, Percival & Zimmermann, Math. Comp. 76, 2007); the ladder's
+        # w^e passes the error of its square w^(2^b) on with weight e >> b,
+        # so its roundings weigh e - 1 in all, as e - 1 plain products would
+        unit = math.sqrt(5.0) * EPS / 2
+        with mpmath.workdps(50):
+            for k, wk in enumerate(w):
+                base, exact = mpmath.mpc(wk.real, wk.imag), mpmath.mpc(1)
+                for e in range(top + 1):
+                    bound = math.expm1(max(e - 1, 0) * math.log1p(unit)) * float(abs(exact))
+                    assert float(abs(mpmath.mpc(got[e, k].real, got[e, k].imag) - exact)) <= bound, (wk, e)
+                    exact *= base
+
+    def test_half_sqrt2_rungs_certify(self, ex3, monkeypatch):
+        # example 3 times 0.5 (torus radius 0.6) at orders 4 to 8, n m = 82 to 2786
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        half = dl.validate(dl.DelaySystem(2, [(d, 0.5 * a) for d, a in ex3.system.entries]))
+        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
+        for order in range(4, 9):
+            form = dl.approximate_system(half, order)
+            assert 2 * form.m >= system_model.STRUCTURED_CUTOFF
+            rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+            assert radius <= 1e-10
+            assert verdict(rho) == "stable"
+
 class TestTorusCap:
     def test_five_float_delays_shrink_the_grid(self):
         delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0)]
