@@ -41,10 +41,11 @@ from .system_model import (
     ValidatedSystem,
     WeightMatrix,
     load_system,
-    stability_check,
+    numbers_from_json,
     to_commensurate,
     validate,
 )
+from .stability import stability_check
 
 
 def _diag(msg: str) -> None:
@@ -74,22 +75,14 @@ def _load_validated(path: str) -> ValidatedSystem:
 
 
 def _read_json(path: str, what: str):
-    """The JSON value in the file at path, every number a float;
-    ParseError when the file cannot be read, is not JSON or holds a number
-    that is not finite (NaN, Infinity, or one that overflows a float)."""
-
-    def finite(token: str) -> float:
-        value = float(token)
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite number {token!r} in {what} {path}")
-        return value
-
+    """The JSON value in the file at path; ParseError when the file cannot
+    be read or is not JSON.  Its numbers are checked where they are read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_int=finite, parse_constant=finite)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ParseError(f"invalid JSON in {what} {path}: {exc}") from exc
 
 
@@ -99,10 +92,7 @@ def _load_weight(source: str | None, n: int) -> WeightMatrix:
     data = _read_json(source, "weight file")
     if isinstance(data, dict):
         data = data.get("W")
-    try:
-        mat = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"weight file {source} does not hold a matrix") from exc
+    mat = numbers_from_json(data, f"weight file {source}")
     if mat.shape != (n, n):
         raise ParseError(f"weight must be {n}x{n}, got {mat.shape}")
     try:
@@ -120,23 +110,19 @@ def _load_phi(source: str | None, n: int) -> InitialFunction:
     if not isinstance(data, dict):
         raise ParseError("initial function file must hold a JSON object")
     if "constant" in data:
-        try:
-            vec = np.array(data["constant"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed constant initial value: {exc}") from exc
+        vec = numbers_from_json(data["constant"], "constant initial value")
         if vec.shape != (n,):
             raise ParseError(f"constant initial value must have length {n}")
         return InitialFunction.constant(vec)
     if "segments" in data:
         segs = data["segments"]
-        try:
-            starts = [float(s["start"]) for s in segs]
-            values = [np.array(s["value"], dtype=float) for s in segs]
-            slopes = [
-                np.array(s.get("slope", [0.0] * n), dtype=float) for s in segs
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed initial function segments: {exc}") from exc
+        if not isinstance(segs, list) or not all(isinstance(s, dict) and {"start", "value"} <= s.keys() for s in segs):
+            raise ParseError("initial function segments must be a list of objects with 'start' and 'value'")
+        starts = numbers_from_json([s["start"] for s in segs], "segment starts")
+        values = numbers_from_json([s["value"] for s in segs], "segment values")
+        slopes = numbers_from_json([s.get("slope", [0.0] * n) for s in segs], "segment slopes")
+        if starts.shape != (len(segs),) or values.shape != (len(segs), n) or slopes.shape != values.shape:
+            raise ParseError(f"each initial function segment needs one start, and {n} values and slopes")
         try:
             return InitialFunction(starts, values, slopes)
         except (DelayLyapError, ValueError) as exc:

@@ -17,7 +17,6 @@ which makes the two routes independently checkable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -33,16 +32,8 @@ from .fundamental import (
     write_csv,
 )
 from .lyapunov_build import PiecewiseAffineMatrixFunction
-from .system_model import (
-    StabilityReport,
-    ValidatedSystem,
-    WeightMatrix,
-    _require_weight,
-    default_horizon,
-    k0,
-    require_stable,
-    to_commensurate,
-)
+from .stability import StabilityReport, require_stable
+from .system_model import ValidatedSystem, WeightMatrix, _require_weight, k0, to_commensurate
 
 STABLE_LABEL = "jump series need"
 # slope jumps smaller than this (max abs) are left out of a spectrum
@@ -117,24 +108,6 @@ class JumpPropertyReport:
         }
 
 
-# the series truncate at the same per-step decay as the integral oracle
-default_series_horizon = default_horizon
-
-
-def _delta_series_tail(report: StabilityReport, w2: float, k0n: float, tau: float, horizon: float, gap: float) -> float:
-    gamma, sigma = report.decay_gain, report.decay_rate
-    denom = 1.0 - math.exp(-2.0 * sigma * gap)
-    return (
-        4.0
-        * gamma**2
-        * k0n**2
-        * w2
-        * math.exp(-sigma * tau)
-        * math.exp(-2.0 * sigma * horizon)
-        / denom
-    )
-
-
 def delta_u_prime(
     vsys: ValidatedSystem,
     weight: WeightMatrix,
@@ -156,11 +129,11 @@ def delta_u_prime(
     on the generated lattice, which is a heuristic because deeper lattice
     gaps can shrink further."""
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
+    env = require_stable(vsys, report, STABLE_LABEL)
     taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
     if horizon is None:
-        horizon = max(default_horizon(vsys, report), float(np.max(np.abs(flat), initial=0.0)) + vsys.h_min)
+        horizon = max(env.horizon, float(np.max(np.abs(flat), initial=0.0)) + vsys.h_min)
     reach = max(float(np.max(flat, initial=0.0)), 0.0)
     if table is None or table.horizon < horizon + reach:
         table = delta_k(vsys, horizon + reach + vsys.h_min, drop_tol=0.0)
@@ -175,10 +148,10 @@ def delta_u_prime(
     for rows in row_chunks(flat.size, count * n * n):
         other = table.index_many(table.times[:count] + flat[rows, None])
         value[rows] = -np.matmul(left, np.take(right, other, axis=0).reshape(len(other), -1, n))
+    # ||dK(t)|| <= 2 bound(t) at each of the instants t_q > T, at least gap apart
     w2 = float(np.linalg.norm(w, 2))
-    base_norm = float(np.linalg.norm(k0(vsys), 2))
     gap = table.min_gap()
-    tails = [_delta_series_tail(report, w2, base_norm, t, horizon, gap) for t in flat.tolist()]
+    tails = [4.0 * w2 * env.lattice_sum(horizon, gap, t) for t in flat.tolist()]
     return TruncatedSeries(
         value=value.reshape(taus.shape + (n, n)),
         tail_bound=tails[0] if taus.ndim == 0 else np.array(tails).reshape(taus.shape),
@@ -197,10 +170,10 @@ def u_prime_series(
     """Derivative of U at an off-knot shift tau by the truncated series,
     with its tail bound.  Requires horizon >= |tau|."""
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
+    env = require_stable(vsys, report, STABLE_LABEL)
     tau = float(tau)
     if horizon is None:
-        horizon = max(default_horizon(vsys, report), abs(tau) + vsys.h_min)
+        horizon = max(env.horizon, abs(tau) + vsys.h_min)
     if horizon < abs(tau):
         raise ValueError(f"horizon {horizon} must be at least |tau| = {abs(tau)}")
     table = delta_k(vsys, horizon + vsys.h_min, drop_tol=0.0)
@@ -210,19 +183,10 @@ def u_prime_series(
     count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
     left = np.swapaxes(kfun.value_many(table.times[:count] - tau) - base, 1, 2)
     acc = sequential_sum(np.matmul(np.matmul(left, w), table.jumps[:count]))
-    gamma, sigma = report.decay_gain, report.decay_rate
-    w2 = float(np.linalg.norm(w, 2))
-    k0n = float(np.linalg.norm(base, 2))
+    # ||K(t_q - tau) - K0|| <= bound(t_q - tau) + ||K0|| and ||dK(t_q)|| <= 2 bound(t_q)
     gap = table.min_gap()
-    tail = (
-        2.0
-        * gamma
-        * w2
-        * k0n**2
-        * (
-            gamma * math.exp(sigma * tau) * math.exp(-2.0 * sigma * horizon) / (1.0 - math.exp(-2.0 * sigma * gap))
-            + math.exp(-sigma * horizon) / (1.0 - math.exp(-sigma * gap))
-        )
+    tail = 2.0 * float(np.linalg.norm(w, 2)) * (
+        env.lattice_sum(horizon, gap, -tau) + env.k0_norm * env.lattice_sum(horizon, gap)
     )
     return TruncatedSeries(value=acc, tail_bound=tail, horizon=float(horizon))
 
@@ -268,9 +232,8 @@ def check_jump_properties(
     jump table sums all their series.
     """
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
-    if horizon is None:
-        horizon = default_horizon(vsys, report)
+    env = require_stable(vsys, report, STABLE_LABEL)
+    horizon = env.horizon if horizon is None else horizon
     hmax = vsys.h_max
     if tau_grid is None:
         if vsys.is_rational:
@@ -309,7 +272,7 @@ def check_jump_properties(
         for t in reads:
             shifts.setdefault(key(t), t)
     shifts.setdefault(key(0.0), 0.0)
-    series = delta_u_prime(vsys, weight, list(shifts.values()), horizon, report=report, table=table)
+    series = delta_u_prime(vsys, weight, list(shifts.values()), horizon, report=env.report, table=table)
     du = dict(zip(shifts, series.value))
 
     sym = dyn = alg = 0.0

@@ -23,7 +23,6 @@ two-route check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,15 +30,8 @@ import numpy as np
 
 from .fundamental import StepMatrixFunction, fundamental_matrix, row_chunks, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
-from .system_model import (
-    StabilityReport,
-    ValidatedSystem,
-    WeightMatrix,
-    _require_weight,
-    default_horizon,
-    k0,
-    require_stable,
-)
+from .stability import DecayEnvelope, StabilityReport, require_stable
+from .system_model import ValidatedSystem, WeightMatrix, _require_weight, k0
 
 STABLE_LABEL = "integral oracle needs"
 
@@ -50,15 +42,9 @@ class IntegralEstimate(NamedTuple):
     horizon: float
 
 
-def _u_tail_bound(report: StabilityReport, w2: float, k0n: float, tau: float, horizon: float) -> float:
-    gamma, sigma = report.decay_gain, report.decay_rate
-    return (
-        gamma
-        * w2
-        * k0n**2
-        * math.exp(-sigma * tau)
-        * (math.exp(-sigma * horizon) / sigma + gamma * math.exp(-2.0 * sigma * horizon) / (2.0 * sigma))
-    )
+def _u_tail_bound(env: DecayEnvelope, w2: float, tau: float, horizon: float) -> float:
+    """Bound on integral_T^inf ||K(t) - K0|| ||W|| ||K(t + tau)|| dt, T = horizon >= |tau|."""
+    return w2 * (env.integral(horizon, tau) + env.k0_norm * env.integral(horizon + tau))
 
 
 def _u_sum_from_k(
@@ -122,19 +108,15 @@ def u_integral_oracle(
     rounding.  Requires horizon >= |tau| for the tail bound to be valid.
     """
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
-    if horizon is None:
-        horizon = default_horizon(vsys, report)
+    env = require_stable(vsys, report, STABLE_LABEL)
+    horizon = env.horizon if horizon is None else horizon
     tau = float(tau)
     if horizon < abs(tau):
         raise ValueError(f"horizon {horizon} must be at least |tau| = {abs(tau)}")
     kfun = fundamental_matrix(vsys, horizon + max(tau, 0.0) + vsys.h_min)
-    base = k0(vsys)
     w = weight.matrix
-    value = _u_sum_from_k(kfun, base, w, tau, horizon)
-    tail = _u_tail_bound(
-        report, float(np.linalg.norm(w, 2)), float(np.linalg.norm(base, 2)), tau, horizon
-    )
+    value = _u_sum_from_k(kfun, k0(vsys), w, tau, horizon)
+    tail = _u_tail_bound(env, float(np.linalg.norm(w, 2)), tau, horizon)
     return IntegralEstimate(value=value, tail_bound=tail, horizon=float(horizon))
 
 
@@ -147,9 +129,8 @@ def p_integral_oracle(
 ) -> IntegralEstimate:
     """Truncated integral route to the antisymmetric constant P."""
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
-    if horizon is None:
-        horizon = default_horizon(vsys, report)
+    env = require_stable(vsys, report, STABLE_LABEL)
+    horizon = env.horizon if horizon is None else horizon
     kfun = fundamental_matrix(vsys, horizon + vsys.h_min)
     base = k0(vsys)
     w = weight.matrix
@@ -157,10 +138,8 @@ def p_integral_oracle(
     wk = w @ base
     kv = kfun.value_many(0.5 * (pts[:-1] + pts[1:]))
     acc = sequential_sum(np.diff(pts)[:, None, None] * (np.matmul(np.swapaxes(kv, 1, 2), wk) - np.matmul(wk.T, kv)))
-    gamma, sigma = report.decay_gain, report.decay_rate
-    w2 = float(np.linalg.norm(w, 2))
-    k0n = float(np.linalg.norm(base, 2))
-    tail = 2.0 * gamma * w2 * k0n**2 * math.exp(-sigma * horizon) / sigma
+    # ||K(t)^T W K0 - K0^T W K(t)|| <= 2 ||W|| ||K0|| bound(t)
+    tail = 2.0 * float(np.linalg.norm(w, 2)) * env.k0_norm * env.integral(horizon)
     return IntegralEstimate(value=acc, tail_bound=tail, horizon=float(horizon))
 
 
@@ -210,17 +189,15 @@ def cross_check(
     if not grid.size:
         raise ValueError("cross_check needs a nonempty grid, got an empty one")
     _require_weight(weight, vsys.n)
-    report = require_stable(vsys, report, STABLE_LABEL)
+    env = require_stable(vsys, report, STABLE_LABEL)
     if horizon is None:
-        horizon = max(default_horizon(vsys, report), 2.0 * hz)
+        horizon = max(env.horizon, 2.0 * hz)
     kfun = fundamental_matrix(vsys, horizon + hz + vsys.h_min)
-    base = k0(vsys)
     w = weight.matrix
     w2 = float(np.linalg.norm(w, 2))
-    k0n = float(np.linalg.norm(base, 2))
-    approx = _u_sum_from_k(kfun, base, w, grid, horizon)
+    approx = _u_sum_from_k(kfun, k0(vsys), w, grid, horizon)
     errors = np.max(np.abs(u.evaluate_many(grid) - approx), axis=(1, 2))
-    bounds = np.array([_u_tail_bound(report, w2, k0n, tau, horizon) + slack for tau in grid.tolist()])
+    bounds = np.array([_u_tail_bound(env, w2, tau, horizon) + slack for tau in grid.tolist()])
     passed = bool(np.all(errors <= bounds))
     return CrossCheckReport(
         grid=grid,

@@ -25,10 +25,10 @@ from .system_model import (
     ValidatedSystem,
     WeightMatrix,
     _require_weight,
-    stability_check,
     to_commensurate,
     validate,
 )
+from .stability import stability_check
 
 # continued fraction terms expanded by default and for approximate_system
 MAX_TERMS = 64

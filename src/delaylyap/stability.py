@@ -1,0 +1,446 @@
+"""Stability of x(t) = sum_j A_j x(t - h_j) and the decay envelope of K.
+
+The verdict comes from a spectral radius per delay step: of the lone
+coefficient for a single delay, of the block companion matrix of the
+commensurate rewrite for rational delays, and otherwise of a torus grid
+that can certify only instability.  A stable system gets a fitted
+envelope ||K(t)||_2 <= gamma ||K0||_2 exp(-sigma t) (Hale & Verduyn Lunel
+1993, ch. 9).  Every oracle and series truncates its integral or lattice
+sum at the envelope's default horizon and bounds the rest by the
+envelope's tail integrals and lattice sums, so this module alone reads
+(gamma, sigma).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+from typing import Sequence
+
+import numpy as np
+
+from . import fundamental
+from .errors import NotStable
+from .system_model import (
+    DelaySystem, ValidatedSystem, _commensurate_data, _exact, _is_exact, _nonzero_steps, k0, validate,
+)
+
+# entries per chunked temporary (128-256 KiB, so the few live ones stay in
+# cache): torus eigvals, batched n x n solves and root-pair blocks
+CHUNK_ENTRIES = 1 << 14
+# block companions of at least this size n*m take the Ehrlich-Aberth route
+# when also n^2 <= m, so that the n x n solves of a sweep cost no more than
+# its root pairs.  Dense eigvals switches to multishift QR above n*m = 75
+# and jumps from about 2 ms to 6 ms there, against 2-3 ms for the
+# Ehrlich-Aberth route.  Wide blocks lose the gain: 28 ms against 11 ms
+# dense at n = 10, m = 12, and 6.5 s against 3.3 s at n = 40, m = 41.
+STRUCTURED_CUTOFF = 76
+# sweep cap of the Ehrlich-Aberth iteration, and the relative correction
+# below which a root counts as converged and stops moving
+ABERTH_SWEEPS = 60
+ABERTH_STOP = 1e-12
+# eigvals evaluations the torus grid may take: 64 points per delay up to
+# three delays; more delays get fewer points per delay
+TORUS_MAX_EVALS = 64 ** 3
+# torus grid points per delay, and the distance from 1 within which a
+# torus radius stays inconclusive
+TORUS_POINTS = 64
+TORUS_MARGIN = 1e-3
+# distance from 1 within which an exact (single delay or companion) radius
+# stays inconclusive; the certified companion radius must be accurate to a
+# tenth of it
+EXACT_MARGIN = 1e-9
+# largest companion size n*m the rational screen takes; larger rational
+# systems go to the torus grid
+COMPANION_CAP = 4000
+# per-step decay at which default_horizon truncates
+HORIZON_TARGET = 1e-12
+# decay rates use at least this per-step radius, since log 0 is undefined.
+# Below it the companion, n m blocks of one step each, is nilpotent up to
+# rounding, and K can grow for up to n m steps before it vanishes; so the
+# decay fit and the default horizon also reach one step past n m steps,
+# n h_max + step
+RHO_FLOOR = 1e-6
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    """Outcome of a stability check.
+
+    verdict is one of "stable", "unstable", "inconclusive".  For stable
+    systems decay_rate (sigma) and decay_gain (gamma) describe the fitted
+    envelope ||K(t)|| <= gamma * ||K0|| * exp(-sigma t); both are None
+    otherwise.  rate_step is the time step the spectral radius refers to.
+    reason, when set, says why the check did less than asked (a capped
+    torus grid).
+    """
+
+    method: str
+    spectral_radius: float
+    verdict: str
+    rate_step: float
+    decay_gain: float | None = None
+    decay_rate: float | None = None
+    grid_points: int | None = None
+    reason: str | None = None
+
+    @property
+    def stable(self) -> bool:
+        return self.verdict == "stable"
+
+    def to_dict(self) -> dict:
+        """Every field, reason only when set."""
+        out = asdict(self)
+        if self.reason is None:
+            del out["reason"]
+        return out
+
+    def envelope(self, vsys: ValidatedSystem) -> "DecayEnvelope":
+        """The decay envelope of vsys, the system this stable report with
+        decay_gain and decay_rate is about."""
+        return DecayEnvelope(self, float(np.linalg.norm(k0(vsys), 2)), default_horizon(vsys, self))
+
+
+@dataclass(frozen=True)
+class DecayEnvelope:
+    """bound(t) = gamma ||K0||_2 exp(-sigma t) >= ||K(t)||_2 for t >= 0,
+    with (gamma, sigma) the report's decay_gain and decay_rate, and the
+    horizon at which the oracles and series truncate by default.  Their
+    tail bounds are sums of the integrals and lattice sums below, of
+    bound(t) or of the products bound(t) bound(t + shift) (t + shift >= 0)."""
+
+    report: StabilityReport
+    k0_norm: float
+    horizon: float
+
+    def bound(self, t: float) -> float:
+        return self.report.decay_gain * self.k0_norm * math.exp(-self.report.decay_rate * t)
+
+    def integral(self, start: float, shift: float | None = None) -> float:
+        """integral_start^inf of bound(t), or of bound(t) bound(t + shift)."""
+        if shift is None:
+            return self.bound(start) / self.report.decay_rate
+        return self.bound(start) * self.bound(start + shift) / (2.0 * self.report.decay_rate)
+
+    def lattice_sum(self, start: float, gap: float, shift: float | None = None) -> float:
+        """The most that bound(t_q), or bound(t_q) bound(t_q + shift), sums
+        to over points t_q >= start at least gap apart: a geometric series."""
+        if shift is None:
+            return self.bound(start) / -math.expm1(-self.report.decay_rate * gap)
+        return self.bound(start) * self.bound(start + shift) / -math.expm1(-2.0 * self.report.decay_rate * gap)
+
+
+def _companion_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> float:
+    """Spectral radius of the block companion matrix of C_1..C_m: the
+    certified Ehrlich-Aberth route (accurate to within tol, else dense) for
+    n*m >= STRUCTURED_CUTOFF and n^2 <= m, dense eigvals otherwise."""
+    m = len(coeffs)
+    if n * m < STRUCTURED_CUTOFF or n * n > m:
+        return _dense_companion_radius(coeffs, n)
+    return _aberth_radius(coeffs, n, tol)[0]
+
+
+def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
+    m = len(coeffs)
+    big = np.zeros((n * m, n * m))
+    big[:n] = np.hstack(coeffs)
+    big[n:, :-n] = np.eye(n * (m - 1))
+    return float(np.max(np.abs(np.linalg.eigvals(big))))
+
+
+def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
+    """sum_(k != i) 1/(z_i - z_k) for the first rows roots, as conj(d)/|d|^2
+    in row blocks of about CHUNK_ENTRIES pairs from the diagonal on, real and
+    imaginary parts in one (2, rows, cols) block: its row sums add to its
+    rows, its column sums right of its square subtract, each a BLAS product."""
+    xy = np.stack([z.real, z.imag])
+    out = np.zeros((2, rows))
+    ones = np.ones(z.size)
+    start = 0
+    while start < rows:
+        stop = min(start + max(1, CHUNK_ENTRIES // (z.size - start)), rows)
+        part = xy[:, start:stop, None] - xy[:, None, start:]
+        inv = np.divide(1.0, part[0] * part[0] + part[1] * part[1])
+        np.fill_diagonal(inv, 0.0)
+        part *= inv
+        out[:, start:stop] += part @ ones[start:]
+        out[:, stop:] -= ones[:stop - start] @ part[:, :, stop - start:rows - start]
+        start = stop
+    return out[0] - 1j * out[1]
+
+
+def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
+    """Starting points for the n*m roots of det P: one circle per edge of
+    the upper convex hull of (degree, log ||coefficient||), holding n roots
+    per unit of degree, at angles that are never conjugate-symmetric.
+    None when C_m = 0 puts roots at 0."""
+    if not steps or steps[-1] != m:
+        return None
+    points = [(m - j, math.log(np.linalg.norm(c, 2))) for j, c in zip(steps[::-1], blocks[::-1])]
+    hull: list = []
+    for p in points + [(m, 0.0)]:
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])
+        ):
+            hull.pop()
+        hull.append(p)
+    circles = []
+    for edge, ((d1, l1), (d2, l2)) in enumerate(zip(hull, hull[1:])):
+        count = n * (d2 - d1)
+        angles = 2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge
+        circles.append(math.exp((l1 - l2) / (d2 - d1)) * np.exp(1j * angles))
+    return np.concatenate(circles)
+
+
+def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """w ** e for each row e of the int array exponents >= 0 (k rows of
+    w.size): the product of the squares w, w^2, w^4, ... of one ladder at
+    the set bits of e."""
+    out, square = np.ones(exponents.shape, dtype=complex), w
+    for bit in range(int(exponents.max()).bit_length()):
+        out = np.where(exponents >> bit & 1, out * square, out)
+        square = square * square
+    return out
+
+
+def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
+    """Newton correction p/p' = 1/tr(P^-1 P') of p = det P at each z,
+    CHUNK_ENTRIES matrix entries at a time, from P(w) at w = z or, where
+    |z| > 1, from Q(w) = I - sum C_j w^j at w = 1/z with p = z^(n m) det Q.
+    So |w| <= 1, and no power of w from _powers overflows.  An exactly
+    singular P(z) makes z a root to working precision: its correction is zero."""
+    newton = np.empty(z.size, dtype=complex)
+    eye = np.eye(n)
+    size = max(1, CHUNK_ENTRIES // (n * n))
+    in_q = np.array([0, 0] + list(steps) + [j + 1 for j in steps])[:, None]
+    in_p = np.array([m, m - 1] + [m - j for j in steps] + [max(m - j - 1, 0) for j in steps])[:, None]
+    for start in range(0, z.size, size):
+        part = slice(start, start + size)
+        zz = z[part]
+        outside = np.abs(zz) > 1.0
+        w = np.where(outside, 1.0 / np.where(outside, zz, 1.0), zz)
+        pw = _powers(w, np.where(outside, in_q, in_p))
+        mat = pw[0][:, None, None] * eye
+        der = np.where(outside, 0.0, m * pw[1])[:, None, None] * eye
+        for j, c, a, da in zip(steps, blocks, pw[2:], pw[2 + len(steps):]):
+            mat = mat - a[:, None, None] * c
+            der = der - (np.where(outside, -j, m - j) * da)[:, None, None] * c
+        try:
+            x, singular = np.linalg.solve(mat, der), False
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(mat) == 0.0
+            mat[singular] = eye
+            x = np.linalg.solve(mat, der)
+        logd = np.trace(x, axis1=1, axis2=2)
+        newton[part] = np.where(singular, 0.0, 1.0 / np.where(outside, logd + n * m / zz, logd))
+    return newton
+
+
+def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[float, float | None]:
+    """Spectral radius of the block companion matrix from the N = n*m roots
+    of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
+    certified error) or, after a fallback, (dense radius, None).
+
+    A vectorised (Jacobi) Ehrlich-Aberth iteration moves the roots still
+    moving, kept in front of z, at once: p/p' from batched n x n solves
+    over the nonzero C_j only, pair sums from the upper triangle.  Newton
+    disks |x - z_i| <= N |p(z_i)/p'(z_i)| each hold a root of p; widened by
+    N ulps of max |z_i| for rounding (so never of radius zero) and pairwise
+    disjoint (checked on pairs closer in real part than twice the largest
+    radius), they hold one each, and max |z_i| is the radius to within the
+    largest radius.  Dense eigvals answers instead when C_m = 0, the sweep
+    cap is reached, a value is non-finite, disks overlap or a radius exceeds tol.
+    """
+    m = len(coeffs)
+    size = n * m
+    steps = _nonzero_steps(coeffs)
+    blocks = [coeffs[j - 1] for j in steps]
+    z = _newton_polygon_start(steps, blocks, n, m)
+    if z is None:
+        return _dense_companion_radius(coeffs, n), None
+    moving = size
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_SWEEPS):
+            newton = _det_p(z[:moving], steps, blocks, n, m)
+            step = newton / (1.0 - newton * _pair_sums(z, moving))
+            z[:moving] -= step
+            # a non-finite step never stops, so it ends in the fallback
+            still = np.abs(step) <= ABERTH_STOP * np.abs(z[:moving])
+            z[:moving] = z[:moving][np.argsort(still, kind="stable")]
+            moving -= int(np.count_nonzero(still))
+            if moving == 0 or not np.all(np.isfinite(step)):
+                break
+        disk = size * (np.abs(_det_p(z, steps, blocks, n, m)) + np.finfo(float).eps * np.max(np.abs(z)))
+    worst = float(np.max(disk))
+    if moving or not (math.isfinite(worst) and worst <= tol):
+        return _dense_companion_radius(coeffs, n), None
+    order = np.argsort(z.real)
+    z, disk = z[order], disk[order]
+    for offset in range(1, size):
+        near = np.flatnonzero(z.real[offset:] - z.real[:-offset] <= 2.0 * worst)
+        if near.size == 0:
+            break
+        if np.any(np.abs(z[near + offset] - z[near]) <= disk[near + offset] + disk[near]):
+            return _dense_companion_radius(coeffs, n), None
+    return float(np.max(np.abs(z))), worst
+
+
+def _torus_grid(points: int, q: int) -> int:
+    """points per delay, or the most whose q-th power fits TORUS_MAX_EVALS."""
+    p = min(points, int(TORUS_MAX_EVALS ** (1.0 / q)) + 1)
+    while p ** q > TORUS_MAX_EVALS:
+        p -= 1
+    return p
+
+
+def _torus_radius(delays: Sequence[float], mats: Sequence[np.ndarray], points: int) -> float:
+    """Largest spectral radius of sum A_j exp(i theta_j) over a uniform
+    grid on the torus.  A sampled lower bound of the true supremum, hence
+    only a heuristic certificate.  Stacked eigvals calls walk the grid in
+    row-major order, CHUNK_ENTRIES matrix entries at a time."""
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
+    total = points ** len(delays)
+    chunk = max(1, CHUNK_ENTRIES // mats[0].size)
+    worst = 0.0
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * len(delays))
+        acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
+        for a, i in zip(mats, idx):
+            acc = acc + a * phases[i][:, None, None]
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(acc)))))
+    return worst
+
+
+def _horizon(vsys: ValidatedSystem, rho: float, step: float, target: float, cap: float = math.inf) -> float:
+    """Time, at most cap, at which the per-step decay max(rho, RHO_FLOOR)
+    has fallen to target; floored at three top delays so short systems
+    integrate something, and below RHO_FLOOR at one step past the
+    nilpotent range n h_max."""
+    t = min(step * math.log(target) / math.log(max(rho, RHO_FLOOR)), cap)
+    if rho < RHO_FLOOR:
+        t = max(t, vsys.n * vsys.h_max + step)
+    return max(t, 3.0 * vsys.h_max)
+
+
+def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, float]:
+    """Fit (gamma, sigma) so that ||K(t)||_2 <= gamma ||K0||_2 exp(-sigma t)
+    holds on a deep sample horizon, where the decay reaches 1e-13 (at most
+    3000 h_min).  sigma keeps a 10 percent slack off the observed per-step
+    decay so the margin grows with depth; gamma carries a further 5 percent
+    cushion over the worst observed ratio.  The rate uses max(rho,
+    RHO_FLOOR), slowed where needed so that the envelope falls by at most
+    1e-200 over the horizon and exp(sigma t) stays finite: below the floor,
+    and where the floor of 3 h_max lies far past the decay depth."""
+    horizon = _horizon(vsys, rho, step, 1e-13, 3000.0 * vsys.h_min)
+    log_rho = max(math.log(max(rho, RHO_FLOOR)), step * math.log(1e-200) / horizon)
+    sigma = 0.9 * (-log_rho) / step
+    kfun = fundamental.fundamental_matrix(vsys, horizon)
+    k0n = float(np.linalg.norm(kfun.pre_value, 2))
+    norms = np.linalg.norm(kfun.values, 2, axis=(1, 2)).tolist()
+    ends = np.append(kfun.breakpoints[1:], kfun.horizon).tolist()
+    gamma = max([1.0] + [v * math.exp(sigma * t_end) / k0n for v, t_end in zip(norms, ends)])
+    return 1.05 * gamma, sigma
+
+
+def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool = True) -> StabilityReport:
+    """Classify the system as stable, unstable or inconclusive.
+
+    Single delay: spectral radius of the lone coefficient.
+
+    All delays exact rationals, with n*m <= COMPANION_CAP: spectral radius
+    of the block companion matrix of the commensurate rewrite (per
+    basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
+    the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
+    found by an Ehrlich-Aberth iteration at (n m)^2 / 2 root pairs per
+    sweep and certified in O(n m log(n m)) by Newton disks of radius
+    n m |p / p'| plus a rounding allowance: when they are pairwise disjoint
+    each holds exactly one eigenvalue, and the radius is exact to within
+    the largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without
+    that certificate (C_m = 0, no convergence, a non-finite value,
+    overlapping or too wide disks), and for smaller companions, dense
+    eigvals gives the radius.
+
+    Otherwise a torus grid search that can certify instability but never
+    stability; near-unity results within TORUS_MARGIN stay inconclusive
+    (EXACT_MARGIN for the exact radii).  The grid has TORUS_POINTS per
+    delay unless that exceeds TORUS_MAX_EVALS evaluations; then it shrinks
+    to the largest grid within the cap and the report gives the reason.
+    """
+    raw = system.system if isinstance(system, ValidatedSystem) else system
+    delays = raw.delays
+    mats = raw.matrices
+    n = raw.n
+    grid_points = reason = None
+    rewrite = None
+    if len(delays) > 1 and all(_is_exact(d) for d in delays):
+        rewrite = _commensurate_data([_exact(d) for d in delays], mats, n, COMPANION_CAP // n)
+
+    if len(delays) == 1:
+        method = "single_delay_spectral"
+        rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
+        step = float(delays[0])
+        margin = EXACT_MARGIN
+    elif rewrite is not None and rewrite[2] is not None:
+        h, _, coeffs = rewrite
+        method = "commensurate_companion"
+        rho = _companion_radius(coeffs, n, EXACT_MARGIN / 10.0)
+        step = float(h)
+        margin = EXACT_MARGIN
+    else:
+        method = "torus_grid_heuristic"
+        grid_points = _torus_grid(TORUS_POINTS, len(delays))
+        if grid_points < TORUS_POINTS:
+            reason = (
+                f"torus grid capped at {grid_points}^{len(delays)} evaluations "
+                f"(TORUS_MAX_EVALS = {TORUS_MAX_EVALS}), {TORUS_POINTS} points per delay asked"
+            )
+        rho = _torus_radius([float(d) for d in delays], mats, grid_points)
+        step = float(delays[-1])
+        margin = TORUS_MARGIN
+
+    if rho >= 1.0 + margin:
+        verdict = "unstable"
+    elif rho <= 1.0 - margin:
+        # the sampled torus maximum is a lower bound, so a small value
+        # cannot certify stability
+        verdict = "inconclusive" if method == "torus_grid_heuristic" else "stable"
+    else:
+        verdict = "inconclusive"
+
+    gamma = sigma = None
+    if verdict == "stable" and with_decay:
+        vsys = system if isinstance(system, ValidatedSystem) else validate(system)
+        gamma, sigma = _fit_decay(vsys, rho, step)
+    return StabilityReport(
+        method=method,
+        spectral_radius=rho,
+        verdict=verdict,
+        rate_step=step,
+        decay_gain=gamma,
+        decay_rate=sigma,
+        grid_points=grid_points,
+        reason=reason,
+    )
+
+
+def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label: str) -> DecayEnvelope:
+    """The decay envelope of the given or a fresh stability report;
+    NotStable, starting with label, unless the verdict is stable."""
+    if report is None:
+        report = stability_check(vsys)
+    if not report.stable:
+        raise NotStable(
+            f"{label} a verified stable system, got verdict {report.verdict!r} "
+            f"(method {report.method}, radius {report.spectral_radius:.6g})"
+        )
+    if report.decay_gain is None or report.decay_rate is None:
+        report = stability_check(vsys)
+    return report.envelope(vsys)
+
+
+def default_horizon(vsys: ValidatedSystem, report: StabilityReport) -> float:
+    """Horizon at which the per-step decay max(rho, RHO_FLOOR) has fallen to
+    HORIZON_TARGET: at least 3 h_max, and below RHO_FLOOR one step past
+    n h_max."""
+    return _horizon(vsys, report.spectral_radius, report.rate_step, HORIZON_TARGET)

@@ -3,8 +3,11 @@ literal table.  Thresholds are module constants (see the README), so a
 keyword knob that comes back, or any other change to a public signature,
 has to change this table too."""
 
+import importlib
 import inspect
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ SIGNATURES = {
     "convergents": ("cf",),
     "cross_check": ("u", "vsys", "weight", "grid", "horizon", "slack", "report"),
     "default_horizon": ("vsys", "report"),
-    "default_series_horizon": ("vsys", "report"),
     "delta_k": ("vsys", "horizon", "drop_tol"),
     "delta_u_prime": ("vsys", "weight", "tau", "horizon", "report", "table"),
     "discontinuity_instants": ("vsys", "horizon"),
@@ -94,3 +96,30 @@ def test_weight_of_the_wrong_size_raises_dimension_mismatch(name):
     vsys = dl.validate(dl.DelaySystem.single(np.array([[0.5, 0.1], [0.0, -0.3]]), Fraction(1)))
     with pytest.raises(dl.DimensionMismatch, match="weight matrix is 3x3, the system needs 2x2"):
         WEIGHT_ENTRY_POINTS[name](vsys, dl.WeightMatrix.identity(3))
+
+
+def _readme_thresholds():
+    """(module, NAME) for every constant the README's Thresholds section
+    names: `module.NAME`, and a bare `NAME` in the same bullet after it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Thresholds\n", 1)[1].split("\n## ", 1)[0]
+    named = []
+    for bullet in section.split("\n- "):
+        module = None
+        for token in re.findall(r"`([^`]+)`", bullet):
+            qualified = re.match(r"(?:delaylyap\.)?([a-z_]+)\.([A-Z][A-Z0-9_]*)", token)
+            bare = re.match(r"([A-Z][A-Z0-9_]*)\b", token)
+            if qualified:
+                module = qualified.group(1)
+                named.append(qualified.groups())
+            elif bare and module is not None:
+                named.append((module, bare.group(1)))
+    return named
+
+
+def test_readme_thresholds_name_live_constants():
+    # a constant set where it no longer lives would silently do nothing
+    named = _readme_thresholds()
+    assert ("stability", "EXACT_MARGIN") in named and ("fundamental", "NODE_CAP") in named
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"delaylyap.{module}"), name), f"{module}.{name}"

@@ -116,6 +116,48 @@ class TestCheck:
         assert json.loads(out.read_text())["valid"] is True
 
 
+class TestJsonNumbersOnly:
+    """Booleans, numeric strings and integers past Python's digit limit
+    are parse errors wherever a coefficient, weight or initial value is
+    read: exit 3, with nothing on stdout."""
+
+    HUGE = "1" * 5000
+
+    @pytest.mark.parametrize("descriptor", [
+        '{"n": 1, "entries": [{"delay": 1, "A": [["0.5"]]}]}',
+        '{"n": 1, "entries": [{"delay": 1, "A": [[true]]}]}',
+        '{"n": 1, "entries": [{"delay": {"num": true, "den": 2}, "A": [[0.5]]}]}',
+        '{"n": 1, "entries": [{"delay": 1, "A": [[%s]]}]}' % HUGE,
+    ])
+    def test_descriptor(self, tmp_path, capsys, descriptor):
+        path = tmp_path / "sys.json"
+        path.write_text(descriptor)
+        assert main(["check", "--config", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("weight", ['[["1"]]', "[[true]]", '{"W": [[false]]}', "[[%s]]" % HUGE])
+    def test_weight(self, configs, tmp_path, capsys, weight):
+        path = tmp_path / "w.json"
+        path.write_text(weight)
+        assert main(["lyap", "--config", configs["scalar"], "--weight", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("phi", [
+        '{"constant": [true]}',
+        '{"constant": ["1"]}',
+        '{"constant": [%s]}' % HUGE,
+        '{"segments": [{"start": "-1", "value": [1.0]}]}',
+        '{"segments": [{"start": true, "value": [1.0]}]}',
+        '{"segments": [{"start": -1, "value": [false]}]}',
+        '{"segments": [{"start": -1, "value": [1.0], "slope": ["0"]}]}',
+    ])
+    def test_phi(self, configs, tmp_path, capsys, phi):
+        path = tmp_path / "phi.json"
+        path.write_text(phi)
+        assert main(["sim", "--config", configs["scalar"], "--phi", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+
 class TestK:
     def test_stdout_csv(self, configs, capsys):
         assert main(["k", "--config", configs["scalar"], "--horizon", "3"]) == 0
@@ -466,14 +508,21 @@ class TestFlagSurface:
             assert capsys.readouterr().out == ""
 
 
-_MESSY = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), True, None, "0.5", [], {}])
-_GOOD_DELAYS = st.one_of(
-    st.lists(st.floats(1e-3, 5.0), min_size=2, max_size=2),
-    st.lists(st.integers(1, 8), min_size=2, max_size=2),
-    st.lists(st.builds(lambda num, den: {"num": num, "den": den}, st.integers(1, 40), st.integers(1, 20)), min_size=2, max_size=2),
-    st.lists(st.floats(5e-324, 1e-6), min_size=2, max_size=2),
-    st.integers(1, 5).map(lambda k: [{"num": 1, "den": TINY_GCD}, {"num": k * TINY_GCD, "den": TINY_GCD}]),
-)
+_MESSY = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None, "0.5", "1", [], {}])
+
+
+def _good_delays(num, den):
+    """Two delays: floats, integers up to num, fractions up to num / den,
+    tiny floats, or fractions whose gcd is tiny."""
+    return st.one_of(
+        st.lists(st.floats(1e-3, 5.0), min_size=2, max_size=2),
+        st.lists(st.integers(1, min(num, 8)), min_size=2, max_size=2),
+        st.lists(st.builds(lambda p, q: {"num": p, "den": q}, st.integers(1, num), st.integers(1, den)), min_size=2, max_size=2),
+        st.lists(st.floats(5e-324, 1e-6), min_size=2, max_size=2),
+        st.integers(1, 5).map(lambda k: [{"num": 1, "den": TINY_GCD}, {"num": k * TINY_GCD, "den": TINY_GCD}]),
+    )
+
+
 _BAD_DELAYS = st.one_of(
     _MESSY,
     st.builds(lambda num, den: {"num": num, "den": den}, st.one_of(st.integers(-3, 3), _MESSY), st.one_of(st.integers(-3, 3), _MESSY)),
@@ -495,15 +544,15 @@ def _swap(draw):
 
 
 @st.composite
-def mutated_descriptors(draw):
-    """A check descriptor with n <= 3 and one or two delays (three make a
+def mutated_descriptors(draw, n_max=3, num=40, den=20):
+    """A descriptor with n <= n_max and one or two delays (three make a
     torus grid of 64^3 evaluations), about one in six of its parts swapped
-    for a wrong type, a huge integer, an empty or ragged array or a NaN
-    token; its delays are floats, integers, fractions, tiny floats or
-    fractions whose gcd is tiny."""
-    n = draw(st.integers(1, 3))
+    for a wrong type, a boolean, a numeric string, a huge integer, an
+    empty or ragged array or a NaN token; its delays are floats, integers,
+    fractions up to num / den, tiny floats or fractions whose gcd is tiny."""
+    n = draw(st.integers(1, n_max))
     q = draw(st.integers(1, 2))
-    delays = sorted(draw(_GOOD_DELAYS)[:q], key=lambda d: d["num"] / d["den"] if isinstance(d, dict) else d)
+    delays = sorted(draw(_good_delays(num, den))[:q], key=lambda d: d["num"] / d["den"] if isinstance(d, dict) else d)
     entries = []
     for delay in delays:
         a = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n * n, max_size=n * n))).reshape(n, n).tolist()
@@ -512,6 +561,15 @@ def mutated_descriptors(draw):
     if _swap(draw):
         desc = draw(st.sampled_from([[], {}, "x", None, {"n": n}, {"n": n, "entries": []}, {"n": n, "entries": [1]}]))
     return desc
+
+
+def _holds_bool_or_text(doc) -> bool:
+    """Whether a boolean or a string stands anywhere in doc as a value;
+    every number the commands read must be a JSON number."""
+    if isinstance(doc, (bool, str)):
+        return True
+    items = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return any(_holds_bool_or_text(x) for x in items)
 
 
 def _run_quietly(argv):
@@ -533,6 +591,20 @@ class TestCheckDescriptorProperty:
         code, err = _run_quietly(["check", "--config", str(path)])
         assert code in range(7)
         assert "Traceback" not in err
+        assert code == 3 or not _holds_bool_or_text(desc)
+
+    # n <= 2 and fractions up to 8/4, so that m <= 32 and a build has at
+    # most 256 unknowns
+    @pytest.mark.parametrize("command", ["lyap", "jumps", "verify"])
+    @settings(max_examples=40, deadline=None)
+    @given(desc=mutated_descriptors(n_max=2, num=8, den=4))
+    def test_building_commands_exit_with_a_documented_code(self, path, command, desc):
+        path.write_text(json.dumps(desc))
+        argv = [command, "--config", str(path)] + (["--samples", "11"] if command == "lyap" else [])
+        code, err = _run_quietly(argv)
+        assert code in range(7)
+        assert "Traceback" not in err
+        assert code == 3 or not _holds_bool_or_text(desc)
 
 
 def _messy_vector(draw, n):
@@ -604,6 +676,7 @@ class TestInputFileProperty:
         code, err = _run_quietly(["lyap", "--config", system, "--samples", "11", "--weight", str(path)])
         assert code in range(7)
         assert "Traceback" not in err
+        assert code == 3 or not _holds_bool_or_text(doc)
 
     @settings(max_examples=60, deadline=None)
     @given(doc=mutated_phis())
@@ -613,6 +686,7 @@ class TestInputFileProperty:
         code, err = _run_quietly(["sim", "--config", system, "--horizon", "2", "--samples", "11", "--method", "both", "--phi", str(path)])
         assert code in range(7)
         assert "Traceback" not in err
+        assert code == 3 or not _holds_bool_or_text(doc)
 
 
 class TestLatticeReuse:

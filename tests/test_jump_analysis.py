@@ -46,14 +46,13 @@ def assert_series_within_rounding(value, table, w, tau, horizon):
 
 def reference_delta_one(vsys, weight, tau, horizon, report, table):
     """The jump series of U' at one shift by its own delta_u_prime call,
-    and its tail bound by the formula: the bitwise reference, signs of
-    zeros included, for the batched rows, since a shift's chunk does not
-    change its value.  Returns (value, tail bound)."""
+    and its tail bound from the decay envelope, 4 ||W|| times the lattice
+    sum of bound(t_q) bound(t_q + tau) from the horizon: the bitwise
+    reference, signs of zeros included, for the batched rows, since a
+    shift's chunk does not change its value.  Returns (value, tail bound)."""
     value = dl.delta_u_prime(vsys, weight, tau, horizon, report=report, table=table).value
-    w = weight.matrix
-    tail = jump_analysis._delta_series_tail(
-        report, float(np.linalg.norm(w, 2)), float(np.linalg.norm(dl.k0(vsys), 2)), tau, horizon, table.min_gap()
-    )
+    envelope = report.envelope(vsys)
+    tail = 4.0 * float(np.linalg.norm(weight.matrix, 2)) * envelope.lattice_sum(horizon, table.min_gap(), tau)
     return value, tail
 
 

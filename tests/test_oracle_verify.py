@@ -146,8 +146,20 @@ class TestDefaultHorizon:
         rep = dl.stability_check(fast)
         assert dl.default_horizon(fast, rep) >= 3.0
 
-    def test_series_horizon_is_the_same_function(self):
-        assert dl.default_series_horizon is dl.default_horizon
+    def test_series_horizon_is_the_same_function(self, scalar_half, w1, scalar_report):
+        # one horizon rule: the oracles and the series default to the
+        # horizon of the decay envelope, and the old aliases are gone
+        assert not hasattr(dl.jump_analysis, "default_series_horizon")
+        assert not hasattr(dl.oracle_verify, "default_horizon")
+        t = dl.default_horizon(scalar_half, scalar_report)
+        assert scalar_report.envelope(scalar_half).horizon == t
+        for est in (
+            dl.u_integral_oracle(scalar_half, w1, 0.0, report=scalar_report),
+            dl.p_integral_oracle(scalar_half, w1, report=scalar_report),
+            dl.delta_u_prime(scalar_half, w1, 0.0, report=scalar_report),
+            dl.check_jump_properties(scalar_half, w1, report=scalar_report),
+        ):
+            assert est.horizon == t
 
     def test_scalar_depth(self, scalar_half, scalar_report):
         # 0.5^T reaches 1e-12 around T = 40

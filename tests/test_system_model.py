@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap import system_model
+from delaylyap import stability
 
 from conftest import assert_bits_equal, random_stable_single, two_route_cases
 
@@ -359,8 +359,8 @@ class TestStabilityCheck:
         assert rep.spectral_radius == pytest.approx(1.19986, abs=1e-4)
 
     def test_rational_past_companion_cap_uses_torus(self, ex2a, monkeypatch):
-        monkeypatch.setattr(system_model, "COMPANION_CAP", 4)
-        monkeypatch.setattr(system_model, "TORUS_POINTS", 16)
+        monkeypatch.setattr(stability, "COMPANION_CAP", 4)
+        monkeypatch.setattr(stability, "TORUS_POINTS", 16)
         rep = dl.stability_check(ex2a)
         assert (rep.method, rep.grid_points, rep.rate_step) == ("torus_grid_heuristic", 16, 1.5)
         assert rep.verdict == "inconclusive"
@@ -388,7 +388,7 @@ class TestFitDecay:
     @given(case=two_route_cases(), rho=st.floats(0.05, 0.3))
     def test_equals_per_breakpoint_reference(self, case, rho):
         vsys, _ = case
-        assert_bits_equal(system_model._fit_decay(vsys, rho, vsys.h_min), reference_fit_decay(vsys, rho, vsys.h_min))
+        assert_bits_equal(stability._fit_decay(vsys, rho, vsys.h_min), reference_fit_decay(vsys, rho, vsys.h_min))
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_worked_and_wide_systems(self, ex2a_half, n):
@@ -430,7 +430,7 @@ class TestZeroRadius:
         vsys = dl.validate(dl.DelaySystem(entries[0][1].shape[0], entries))
         rep = dl.stability_check(vsys)
         assert (rep.spectral_radius, rep.verdict) == (0.0, "stable")
-        depth = rep.rate_step * math.log(1e-13) / math.log(system_model.RHO_FLOOR)
+        depth = rep.rate_step * math.log(1e-13) / math.log(stability.RHO_FLOOR)
         nilpotent_end = vsys.n * vsys.h_max
         fit_horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max, nilpotent_end + rep.rate_step)
         kfun = dl.fundamental_matrix(vsys, 2.0 * fit_horizon)
@@ -448,7 +448,7 @@ class TestZeroRadius:
     def test_default_horizon_above_floor_unchanged(self, ex2a_half):
         # the decay fit above the floor is pinned by TestFitDecay
         rep = dl.stability_check(ex2a_half)
-        assert rep.spectral_radius > system_model.RHO_FLOOR
+        assert rep.spectral_radius > stability.RHO_FLOOR
         t = rep.rate_step * math.log(1e-12) / math.log(rep.spectral_radius)
         assert dl.default_horizon(ex2a_half, rep) == max(t, 3.0 * ex2a_half.h_max)
 
@@ -461,7 +461,7 @@ class TestStructuredCompanion:
     @given(case=commensurate_coefficients())
     def test_certified_or_dense(self, case):
         coeffs, n = case
-        rho, radius = system_model._aberth_radius(coeffs, n, 1e-10)
+        rho, radius = stability._aberth_radius(coeffs, n, 1e-10)
         ref = reference_companion_radius(coeffs, n)
         if radius is None:
             assert rho == ref
@@ -472,14 +472,14 @@ class TestStructuredCompanion:
 
     def test_all_zero_coefficients_fall_back(self):
         coeffs = [np.zeros((2, 2))] * 40
-        assert system_model._aberth_radius(coeffs, 2, 1e-10) == (0.0, None)
+        assert stability._aberth_radius(coeffs, 2, 1e-10) == (0.0, None)
 
     def test_zero_column_in_last_coefficient_falls_back(self):
         # P(z) keeps a column divisible by z^(m-1): a multiple root at 0
         coeffs = [np.zeros((2, 2))] * 40
         coeffs[0] = np.array([[0.4, -0.7], [0.9, 0.2]])
         coeffs[-1] = np.array([[0.5, 0.0], [0.3, 0.0]])
-        rho, radius = system_model._aberth_radius(coeffs, 2, 1e-10)
+        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
         assert radius is None
         assert rho == reference_companion_radius(coeffs, 2)
 
@@ -490,7 +490,7 @@ class TestStructuredCompanion:
         def boom(*args):
             raise AssertionError("structured route")
 
-        monkeypatch.setattr(system_model, "_aberth_radius", boom)
+        monkeypatch.setattr(stability, "_aberth_radius", boom)
         rng = np.random.default_rng(n)
         vsys = dl.validate(dl.DelaySystem(n, [
             (Fraction(2), rng.uniform(-0.2, 0.2, (n, n)) / n),
@@ -506,10 +506,10 @@ class TestStructuredCompanion:
 
         rsys = dl.approximate_system(ex3, 7).to_system()
         form = dl.to_commensurate(rsys)
-        assert 2 * form.m == 1154 >= system_model.STRUCTURED_CUTOFF
-        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
+        assert 2 * form.m == 1154 >= stability.STRUCTURED_CUTOFF
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         state = np.random.get_state()
-        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
         first = dl.stability_check(rsys, with_decay=False)
         second = dl.stability_check(rsys, with_decay=False)
         # dense eigvals on this companion, about 2 s
@@ -523,7 +523,7 @@ class TestStructuredCompanion:
     def test_order_6_sqrt2_rung_matches_dense(self, ex3):
         form = dl.approximate_system(ex3, 6)
         assert (form.m, 2 * form.m) == (239, 478)
-        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
         ref = reference_companion_radius(form.coefficients, 2)
         assert radius is not None
         assert abs(rho - ref) <= radius + 8 * EPS * rho
@@ -535,7 +535,7 @@ class TestStructuredCompanion:
     def test_pair_sums_match_row_sums(self, seed, chunk, monkeypatch):
         # roots with conjugate pairs and real ones; small chunks give many
         # row blocks, growing as the triangle narrows
-        monkeypatch.setattr(system_model, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(stability, "CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(seed)
         upper = rng.normal(size=40) + 1j * rng.normal(size=40)
         z = rng.permutation(np.concatenate([upper, upper.conj(), rng.normal(size=17) + 0j]))
@@ -544,7 +544,7 @@ class TestStructuredCompanion:
         scale = np.sum(np.abs(recip), axis=1)
         for rows in (z.size, 31, 1):
             with np.errstate(divide="ignore"):
-                got = system_model._pair_sums(z, rows)
+                got = stability._pair_sums(z, rows)
             assert got.shape == (rows,)
             assert np.all(np.abs(got - want[:rows]) <= z.size * EPS * scale[:rows])
 
@@ -555,7 +555,7 @@ class TestStructuredCompanion:
         coeffs = [np.zeros((2, 2))] * 50
         for j in (7, 19, 50):
             coeffs[j - 1] = rng.uniform(-0.4, 0.4) * np.eye(2)
-        rho, radius = system_model._aberth_radius(coeffs, 2, 1e-10)
+        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
         assert radius is None
         assert rho == reference_companion_radius(coeffs, 2)
 
@@ -563,8 +563,8 @@ class TestStructuredCompanion:
         # P(1/2) = diag(0, 0.2) is exactly singular: a zero correction, but
         # the disk keeps its rounding allowance
         c = np.diag([0.5, 0.3])
-        assert system_model._det_p(np.array([0.5 + 0.0j]), [1], [c], 2, 1)[0] == 0.0
-        rho, radius = system_model._aberth_radius([c], 2, 1e-10)
+        assert stability._det_p(np.array([0.5 + 0.0j]), [1], [c], 2, 1)[0] == 0.0
+        rho, radius = stability._aberth_radius([c], 2, 1e-10)
         assert rho == 0.5
         assert radius >= 2 * EPS * rho > 0.0
 
@@ -574,8 +574,8 @@ class TestStructuredCompanion:
 
         form = dl.approximate_system(ex3, 8)
         assert 2 * form.m == 2786
-        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
-        rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
         # the radius the root-pair Weierstrass certificate gave on this rung
         assert abs(rho - 1.0001411454177214) <= radius <= 1e-11
 
@@ -593,7 +593,7 @@ class TestScreenKernels:
             np.exp(2j * np.pi * rng.uniform(size=3)), [1.0, -1.0, 1j, -0.8, 0.0],
         ])
         top = 3000
-        got = system_model._powers(w, np.broadcast_to(np.arange(top + 1)[:, None], (top + 1, w.size)))
+        got = stability._powers(w, np.broadcast_to(np.arange(top + 1)[:, None], (top + 1, w.size)))
         # a complex product rounds by at most sqrt(5) u relatively (u = eps / 2;
         # Brent, Percival & Zimmermann, Math. Comp. 76, 2007); the ladder's
         # w^e passes the error of its square w^(2^b) on with weight e >> b,
@@ -613,11 +613,11 @@ class TestScreenKernels:
             raise AssertionError("dense fallback")
 
         half = dl.validate(dl.DelaySystem(2, [(d, 0.5 * a) for d, a in ex3.system.entries]))
-        monkeypatch.setattr(system_model, "_dense_companion_radius", boom)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         for order in range(4, 9):
             form = dl.approximate_system(half, order)
-            assert 2 * form.m >= system_model.STRUCTURED_CUTOFF
-            rho, radius = system_model._aberth_radius(form.coefficients, 2, 1e-10)
+            assert 2 * form.m >= stability.STRUCTURED_CUTOFF
+            rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
             assert radius <= 1e-10
             assert verdict(rho) == "stable"
 
@@ -627,9 +627,9 @@ class TestTorusCap:
         mats = [np.array([[c]]) for c in (0.1, -0.05, 0.08, 0.02, -0.07)]
         vsys = dl.validate(dl.DelaySystem(1, list(zip(delays, mats))))
         rep = dl.stability_check(vsys)
-        assert 64 ** 5 > system_model.TORUS_MAX_EVALS
+        assert 64 ** 5 > stability.TORUS_MAX_EVALS
         assert rep.grid_points == 12
-        assert 12 ** 5 <= system_model.TORUS_MAX_EVALS < 13 ** 5
+        assert 12 ** 5 <= stability.TORUS_MAX_EVALS < 13 ** 5
         assert rep.method == "torus_grid_heuristic" and rep.verdict == "inconclusive"
         assert "12^5" in rep.reason and rep.to_dict()["reason"] == rep.reason
 
