@@ -255,6 +255,8 @@ def cmd_approx(args) -> int:
     if not orders:
         raise ParseError("--orders must name at least one order")
     _require_finite_nonnegative(samples=args.samples, orders=min(orders))
+    if args.samples == 0:
+        raise ParseError("--samples must be at least 1: the sup differences need a grid point")
     vsys = _load_validated(args.config)
     weight = _load_weight(args.weight, vsys.n)
     steps = rational_approx.u_sequence(vsys, weight, orders, grid_points=args.samples)

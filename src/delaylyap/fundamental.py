@@ -46,8 +46,10 @@ MERGE_TOL_SCALE = 1e-9
 JUMP_DROP_TOL = 1e-14
 # (grid point, instant, delay) triples per chunk of the convolution response
 CAUCHY_CHUNK_PAIRS = 1 << 12
-# matrix entries per chunk of row_chunks: the size of a gathered temporary
-SUM_CHUNK_ENTRIES = 1 << 14
+# entries per chunked temporary (128-256 KiB, so the few live ones stay in
+# cache): gathers of row_chunks, torus eigvals, batched n x n solves and
+# root-pair blocks of the stability screen
+CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,9 @@ def sequential_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def row_chunks(rows: int, row_entries: int) -> Iterator[slice]:
-    """Slices of range(rows) holding about SUM_CHUNK_ENTRIES entries each
+    """Slices of range(rows) holding about CHUNK_ENTRIES entries each
     (at least one row), for rows of row_entries entries."""
-    step = max(1, SUM_CHUNK_ENTRIES // max(1, row_entries))
+    step = max(1, CHUNK_ENTRIES // max(1, row_entries))
     for s in range(0, rows, step):
         yield slice(s, min(s + step, rows))
 

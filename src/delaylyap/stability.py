@@ -25,9 +25,6 @@ from .system_model import (
     DelaySystem, ValidatedSystem, _commensurate_data, _exact, _is_exact, _nonzero_steps, k0, validate,
 )
 
-# entries per chunked temporary (128-256 KiB, so the few live ones stay in
-# cache): torus eigvals, batched n x n solves and root-pair blocks
-CHUNK_ENTRIES = 1 << 14
 # block companions of at least this size n*m take the Ehrlich-Aberth route
 # when also n^2 <= m, so that the n x n solves of a sweep cost no more than
 # its root pairs.  Dense eigvals switches to multishift QR above n*m = 75
@@ -158,7 +155,7 @@ def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
     ones = np.ones(z.size)
     start = 0
     while start < rows:
-        stop = min(start + max(1, CHUNK_ENTRIES // (z.size - start)), rows)
+        stop = min(start + max(1, fundamental.CHUNK_ENTRIES // (z.size - start)), rows)
         part = xy[:, start:stop, None] - xy[:, None, start:]
         inv = np.divide(1.0, part[0] * part[0] + part[1] * part[1])
         np.fill_diagonal(inv, 0.0)
@@ -212,11 +209,9 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
     singular P(z) makes z a root to working precision: its correction is zero."""
     newton = np.empty(z.size, dtype=complex)
     eye = np.eye(n)
-    size = max(1, CHUNK_ENTRIES // (n * n))
     in_q = np.array([0, 0] + list(steps) + [j + 1 for j in steps])[:, None]
     in_p = np.array([m, m - 1] + [m - j for j in steps] + [max(m - j - 1, 0) for j in steps])[:, None]
-    for start in range(0, z.size, size):
-        part = slice(start, start + size)
+    for part in fundamental.row_chunks(z.size, n * n):
         zz = z[part]
         outside = np.abs(zz) > 1.0
         w = np.where(outside, 1.0 / np.where(outside, zz, 1.0), zz)
@@ -300,11 +295,9 @@ def _torus_radius(delays: Sequence[float], mats: Sequence[np.ndarray], points: i
     only a heuristic certificate.  Stacked eigvals calls walk the grid in
     row-major order, CHUNK_ENTRIES matrix entries at a time."""
     phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
-    total = points ** len(delays)
-    chunk = max(1, CHUNK_ENTRIES // mats[0].size)
     worst = 0.0
-    for start in range(0, total, chunk):
-        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), (points,) * len(delays))
+    for rows in fundamental.row_chunks(points ** len(delays), mats[0].size):
+        idx = np.unravel_index(np.arange(rows.start, rows.stop), (points,) * len(delays))
         acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
         for a, i in zip(mats, idx):
             acc = acc + a * phases[i][:, None, None]

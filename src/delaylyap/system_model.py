@@ -205,8 +205,10 @@ class InitialFunction:
             raise NonincreasingDelays("segment starts must be strictly increasing")
         if starts[-1] >= 0:
             raise ValueError("all segments must start before 0")
-        for arr in (starts, values, slopes):
+        floors = starts - 1e-9 * np.maximum(1.0, np.abs(starts))
+        for arr in (starts, values, slopes, floors):
             arr.setflags(write=False)
+        object.__setattr__(self, "_floors", floors)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slopes", slopes)
@@ -224,20 +226,20 @@ class InitialFunction:
         return self.value_many(float(theta))
 
     def value_many(self, thetas) -> np.ndarray:
-        """Evaluate at every theta < 0, shaped thetas.shape + (n,).  Tiny
-        float overshoot below the left end is clamped; anything at or above
-        0 (or NaN) raises OutOfDomain naming the first such theta."""
+        """Evaluate at every theta < 0, shaped thetas.shape + (n,).  A theta
+        at most 1e-9 max(1, |a|) below a segment start a reads that segment
+        as at a, so float overshoot such as fl(t - h - t_q) an ulp below a
+        start lands on it; anything else outside [starts[0], 0) (or NaN)
+        raises OutOfDomain naming the first such theta."""
         thetas = np.asarray(thetas, dtype=float)
         lo = float(self.starts[0])
-        slack = 1e-9 * max(1.0, abs(lo)) if math.isfinite(lo) else math.inf
-        bad = np.flatnonzero(~((thetas < 0.0) & (thetas >= lo - slack)))
+        bad = np.flatnonzero(~((thetas < 0.0) & (thetas >= self._floors[0])))
         if bad.size:
             raise OutOfDomain(f"initial function is defined on [{lo}, 0), got {float(thetas.flat[bad[0]])}")
-        thetas = np.maximum(thetas, lo)
-        k = np.maximum(np.searchsorted(self.starts, thetas, side="right") - 1, 0)
+        k = np.searchsorted(self._floors[1:], thetas, side="right")
         sloped = self.slopes[k].any(axis=-1)
         # constant segments, which may start at -inf, return values[k] untouched
-        offset = np.subtract(thetas, self.starts[k], out=np.zeros(thetas.shape), where=sloped)
+        offset = np.maximum(np.subtract(thetas, self.starts[k], out=np.zeros(thetas.shape), where=sloped), 0.0)
         return np.where(sloped[..., None], self.values[k] + offset[..., None] * self.slopes[k], self.values[k])
 
 

@@ -202,6 +202,19 @@ class TestSim:
         err = capsys.readouterr().err
         assert "max gap" in err
 
+    def test_steps_on_lattice_arguments_keep_the_routes_together(self, configs, tmp_path, capsys):
+        # fl(t - h_j - t_q) lands an ulp below the step at -1.0; both routes
+        # must read the piece from -1.0 there
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"segments": [
+            {"start": -1.7, "value": [1, -1], "slope": [0.5, 0]},
+            {"start": -1.0, "value": [-2, 3]},
+        ]}))
+        rc = main(["sim", "--config", configs["three_delay"], "--phi", str(phi), "--method", "both",
+                   "--horizon", "10", "--samples", "101"])
+        assert rc == 0
+        assert float(capsys.readouterr().err.rsplit(":", 1)[1]) <= 1e-9
+
     def test_phi_segments(self, configs, tmp_path, capsys):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"segments": [
@@ -412,6 +425,17 @@ class TestFlagValues:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"parse error: {argv[1]} must be finite and nonnegative, got ")
+
+    def test_approx_without_samples_is_a_parse_error_before_any_work(self, configs, capsys, monkeypatch):
+        # the sup differences between orders need a grid point
+        def no_load(path):
+            raise AssertionError("the system was loaded")
+
+        monkeypatch.setattr(dl.cli, "_load_validated", no_load)
+        assert main(["approx", "--samples", "0", "--orders", "1,4", "--config", configs["irrational"]]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: --samples must be at least 1")
 
 
 class TestTinyGcd:

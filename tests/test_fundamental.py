@@ -4,6 +4,7 @@ import heapq
 import io
 import math
 import time
+import warnings
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
@@ -680,25 +681,48 @@ class TestResponseMatchesReference:
             assert_response_matches_reference(vsys, phi, response_grid(vsys, 3.0 * vsys.h_max, 2))
 
 
+def scaled(vsys, gain):
+    """vsys with every coefficient times gain."""
+    return dl.validate(dl.DelaySystem(vsys.n, [(d, gain * a) for d, a in vsys.entries]))
+
+
+def lattice_grid(vsys, horizon):
+    """41 uniform points, and the instants to horizon, each also moved
+    either way by half the jump table's tol, by that tol and by 1e-9 (the
+    initial function's slack at starts within 1 of 0): the loop's tests on
+    theta then decide by round-off."""
+    instants = np.array(dl.discontinuity_instants(vsys, horizon))
+    tol = dl.delta_k(vsys, horizon).tol
+    moved = [instants + s * off for off in (0.5 * tol, tol, 1e-9) for s in (-1.0, 1.0)]
+    grid = np.concatenate([np.linspace(0.0, horizon, 41), instants] + moved)
+    return np.sort(grid[(grid >= 0.0) & (grid <= horizon)])
+
+
 class TestCauchyVectorised:
-    @settings(max_examples=25, deadline=None)
-    @given(case=two_route_cases(), sloped=st.booleans())
-    def test_equals_reference_loop(self, case, sloped):
-        vsys, _ = case
+    """The vectorised sum against the per-(t, t_q, h_j) loop, bit for bit:
+    a misclassified instant moves a whole term."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=two_route_cases(),
+        kind=st.sampled_from(["constant", "stepped", "sloped"]),
+        gain=st.sampled_from([1.0, 3.0]),
+    )
+    def test_equals_reference_loop(self, case, kind, gain):
+        # gain 3 puts the sum of the coefficient 2-norms at 1.8: dK grows
+        vsys = scaled(case[0], gain)
         n, hmax = vsys.n, vsys.h_max
         rng = np.random.default_rng(n)
-        if sloped:
-            phi = dl.InitialFunction(
-                [-hmax, -0.4 * hmax], rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1, (2, n))
-            )
-        else:
+        if kind == "constant":
             phi = dl.InitialFunction.constant(rng.uniform(-1, 1, n))
-        horizon = 3.0 * hmax
-        instants = np.array(dl.discontinuity_instants(vsys, horizon))
-        snap = 1e-12 * horizon
-        grid = np.sort(np.concatenate([
-            np.linspace(0.0, horizon, 41), instants, instants[1:] - 0.5 * snap, instants[:-1] + 0.5 * snap,
-        ]))
+        else:
+            # the stepped jump sits at -h_1, a difference of lattice instants
+            # when h_1 < h_max
+            step = -vsys.h_min if vsys.h_min < hmax else -0.5 * hmax
+            starts = [-hmax, step] if kind == "stepped" else [-hmax, -0.4 * hmax]
+            slopes = rng.uniform(-1, 1, (2, n)) if kind == "sloped" else None
+            phi = dl.InitialFunction(starts, rng.uniform(-1, 1, (2, n)), slopes)
+        grid = lattice_grid(vsys, 3.0 * hmax)
         np.testing.assert_array_equal(dl.simulate_cauchy(vsys, phi, grid), reference_cauchy(vsys, phi, grid))
 
     def test_chunked_walk_equals_reference(self, ex2a_half, monkeypatch):
@@ -713,6 +737,15 @@ class TestCauchyVectorised:
         phi = dl.InitialFunction.constant([1.0, 2.0])
         assert dl.simulate_cauchy(ex2a, phi, []).shape == (0, 2)
         assert dl.simulate(ex2a, phi, []).shape == (0, 2)
+
+    def test_phi_short_of_the_delay_raises_as_the_loop(self, ex2a):
+        # phi stops short of -h_max = -1.5: the first term past it fails, and
+        # an empty grid reads nothing
+        short = dl.InitialFunction([-1.0], [[1.0, 2.0]])
+        for route in (dl.simulate_cauchy, reference_cauchy):
+            with pytest.raises(dl.OutOfDomain, match=r"defined on \[-1.0, 0\)"):
+                route(ex2a, short, np.linspace(0.0, 3.0, 13))
+            assert route(ex2a, short, []).shape == (0, 2)
 
     def test_origin_only(self, ex2a):
         phi = dl.InitialFunction.constant([1.0, 2.0])
@@ -799,6 +832,31 @@ class TestSnappedLookup:
         # constant segments return their stored values untouched
         assert np.signbit(phi.value(-1.9)[0]) and np.signbit(stacked[0][0])
 
+    def test_initial_function_snaps_onto_piece_starts(self):
+        # an argument an ulp below -1.0, as fl(t - h_j - t_q) can give,
+        # reads the piece at -1.0, as at -1.0; one past the slack 1e-9 does not
+        phi = dl.InitialFunction([-1.7, -1.0], [[1.0, -1.0], [-2.0, 3.0]], [[0.5, 0.0], [1.0, 0.0]])
+        below = np.nextafter(-1.0, -2.0)
+        np.testing.assert_array_equal(phi.value_many([below, -1.0 - 0.9e-9]), [[-2.0, 3.0], [-2.0, 3.0]])
+        np.testing.assert_allclose(phi.value(-1.0 - 2e-9), [1.0 + 0.5 * (0.7 - 2e-9), -1.0], rtol=1e-15)
+        np.testing.assert_array_equal(phi.value(np.nextafter(-1.7, -2.0)), [1.0, -1.0])
+        with pytest.raises(dl.OutOfDomain):
+            phi.value(-1.7 - 2e-9 * 1.7)
+
+    def test_initial_function_slack_is_per_start(self):
+        # a far left first start does not widen the slack at the others
+        phi = dl.InitialFunction([-1e6, -1.0], [[1.0], [2.0]])
+        assert phi.value(-1.0005)[0] == 1.0
+        assert phi.value(-1.0 - 2e-9)[0] == 1.0
+        assert phi.value(np.nextafter(-1.0, -2.0))[0] == 2.0
+        assert phi.value(-1e6 - 0.9e-3)[0] == 1.0
+        # a -inf first start reads -inf without a NaN warning
+        const = dl.InitialFunction([-math.inf, -200.0], [[1.0], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(const.value_many([-math.inf, -200.0 - 1e-7]), [[1.0], [2.0]])
+            np.testing.assert_array_equal(dl.InitialFunction.constant([1.0]).value_many([-math.inf]), [[1.0]])
+
     def test_shapes_kept(self, ex2a):
         k = dl.fundamental_matrix(ex2a, 5.0)
         table = dl.delta_k(ex2a, 5.0)
@@ -818,7 +876,7 @@ class TestRowChunks:
     def test_row_chunks_cover_in_order(self, monkeypatch):
         import delaylyap.fundamental as fundamental
 
-        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 100)
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", 100)
         assert list(row_chunks(7, 30)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
         assert list(row_chunks(2, 1000)) == [slice(0, 1), slice(1, 2)]
         assert list(row_chunks(0, 30)) == []

@@ -411,7 +411,7 @@ class TestBatchedSeries:
             return got
 
         count = int(np.searchsorted(table.times, horizon + table.tol, side="right"))
-        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * count * 4)
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", 3 * count * 4)
         monkeypatch.setattr(jump_analysis, "row_chunks", spy)
         series = dl.delta_u_prime(ex2a_half, w2, taus, horizon, report=report_ex2a_half, table=table)
         # a shift's value does not depend on the chunk it falls in

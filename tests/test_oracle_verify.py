@@ -296,7 +296,7 @@ class TestBatchedCrossCheck:
             chunks.extend(got)
             return got
 
-        monkeypatch.setattr(fundamental, "SUM_CHUNK_ENTRIES", 3 * (len(kfun.breakpoints) + 1) * 4)
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", 3 * (len(kfun.breakpoints) + 1) * 4)
         monkeypatch.setattr(oracle_verify, "row_chunks", spy)
         # a shift's value does not depend on the chunk it falls in
         assert_bits_equal(_u_sum_from_k(kfun, base, w, grid, horizon), whole)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap import stability
+from delaylyap import fundamental, stability
 
 from conftest import assert_bits_equal, random_stable_single, two_route_cases
 
@@ -535,7 +535,7 @@ class TestStructuredCompanion:
     def test_pair_sums_match_row_sums(self, seed, chunk, monkeypatch):
         # roots with conjugate pairs and real ones; small chunks give many
         # row blocks, growing as the triangle narrows
-        monkeypatch.setattr(stability, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(seed)
         upper = rng.normal(size=40) + 1j * rng.normal(size=40)
         z = rng.permutation(np.concatenate([upper, upper.conj(), rng.normal(size=17) + 0j]))
