@@ -18,7 +18,6 @@ a per-point loop.
 
 from __future__ import annotations
 
-import csv
 import functools
 import heapq
 import math
@@ -468,10 +467,10 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
 def write_csv(fh, header: Sequence[str], table: np.ndarray) -> None:
     """header, then one row per row of the 2-d table, every entry written
     as repr of a Python float (the shortest string that reads back to
-    the same bits), which is what csv writes for a float field."""
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(table.tolist())
+    the same bits), with CRLF line ends: the bytes of csv.writer, since no
+    header or float field needs its quoting."""
+    fh.write(",".join(header) + "\r\n")
+    fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
 def _matrix_header(prefix: str, n: int) -> list[str]:

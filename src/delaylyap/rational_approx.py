@@ -98,7 +98,8 @@ def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
     order-s convergent.  Exact rational delays pass through untouched, so
     an already rational system gives the same form at every order.
     Convergent collisions merge by summing coefficients.  Raises
-    SizeExceeded when the gcd step count m would exceed BASIC_DELAY_CAP."""
+    OrderUnavailable when a convergent is 0, and SizeExceeded when the gcd
+    step count m would exceed BASIC_DELAY_CAP."""
     if vsys.is_rational:
         return to_commensurate(vsys)
     replaced: dict[Fraction, np.ndarray] = {}
@@ -110,7 +111,7 @@ def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
             s = min(order, len(cf.coefficients) - 1)
             r = convergent(cf, s)
         if r <= 0:
-            raise ValueError(
+            raise OrderUnavailable(
                 f"order-{order} convergent of delay {float(d)} is {r}; use a higher order"
             )
         if r in replaced:

@@ -149,10 +149,12 @@ def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
     """sum_(k != i) 1/(z_i - z_k) for the first rows roots, as conj(d)/|d|^2
     in row blocks of about CHUNK_ENTRIES pairs from the diagonal on, real and
     imaginary parts in one (2, rows, cols) block: its row sums add to its
-    rows, its column sums right of its square subtract, each a BLAS product."""
-    xy = np.stack([z.real, z.imag])
+    rows, its column sums right of its square subtract, each a BLAS product;
+    all in float32, as the sums only steer, on z / max|z| to stay in range."""
+    scale = np.max(np.abs(z))
+    xy = (np.stack([z.real, z.imag]) / scale).astype(np.float32)
     out = np.zeros((2, rows))
-    ones = np.ones(z.size)
+    ones = np.ones(z.size, dtype=np.float32)
     start = 0
     while start < rows:
         stop = min(start + max(1, fundamental.CHUNK_ENTRIES // (z.size - start)), rows)
@@ -163,7 +165,7 @@ def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
         out[:, start:stop] += part @ ones[start:]
         out[:, stop:] -= ones[:stop - start] @ part[:, :, stop - start:rows - start]
         start = stop
-    return out[0] - 1j * out[1]
+    return (out[0] - 1j * out[1]) / scale
 
 
 def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
@@ -239,13 +241,15 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
 
     A vectorised (Jacobi) Ehrlich-Aberth iteration moves the roots still
     moving, kept in front of z, at once: p/p' from batched n x n solves
-    over the nonzero C_j only, pair sums from the upper triangle.  Newton
-    disks |x - z_i| <= N |p(z_i)/p'(z_i)| each hold a root of p; widened by
-    N ulps of max |z_i| for rounding (so never of radius zero) and pairwise
-    disjoint (checked on pairs closer in real part than twice the largest
-    radius), they hold one each, and max |z_i| is the radius to within the
-    largest radius.  Dense eigvals answers instead when C_m = 0, the sweep
-    cap is reached, a value is non-finite, disks overlap or a radius exceeds tol.
+    over the nonzero C_j only, pair sums in single precision from the upper
+    triangle (they only steer; the stop test and the disks read the double
+    p/p' alone).  Newton disks |x - z_i| <= N |p(z_i)/p'(z_i)| each hold a
+    root of p; widened by N ulps of max |z_i| for rounding (so never of
+    radius zero) and pairwise disjoint (checked on pairs closer in real part
+    than twice the largest radius), they hold one each, and max |z_i| is
+    the radius to within the largest radius.  Dense eigvals answers instead
+    when C_m = 0, the sweep cap is reached, a value is non-finite, disks
+    overlap or a radius exceeds tol.
     """
     m = len(coeffs)
     size = n * m
@@ -346,7 +350,8 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
     the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
     found by an Ehrlich-Aberth iteration at (n m)^2 / 2 root pairs per
-    sweep and certified in O(n m log(n m)) by Newton disks of radius
+    sweep, summed in single precision only to steer, and certified in
+    double precision in O(n m log(n m)) by Newton disks of radius
     n m |p / p'| plus a rounding allowance: when they are pairwise disjoint
     each holds exactly one eigenvalue, and the radius is exact to within
     the largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without

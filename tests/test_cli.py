@@ -377,6 +377,19 @@ class TestApprox:
     def test_oversized_order_exits_six(self, configs):
         assert main(["approx", "--config", configs["irrational"], "--orders", "14"]) == 6
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--orders", "0"], ["lyap", "--order", "0"], ["jumps", "--order", "0"],
+        ["verify", "--order", "0"],
+    ])
+    def test_zero_convergent_exits_two(self, argv, tmp_path, capsys):
+        # the order-0 convergent of the delay 0.3 is 0: no order this low
+        # exists for it, an invalid input (exit 2) and not a failed gate
+        path = tmp_path / "short.json"
+        path.write_text('{"n": 1, "entries": [{"delay": 0.3, "A": [[0.2]]}, '
+                        '{"delay": 0.7071067811865476, "A": [[0.3]]}]}')
+        assert main(argv + ["--config", str(path)]) == 2
+        assert "order-0 convergent of delay 0.3 is 0" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_stable_passes_all_gates(self, configs, capsys):

@@ -897,6 +897,25 @@ class TestCsv:
         write_csv(new, ["a", "b", "c", "d"], table)
         assert new.getvalue() == old.getvalue()
 
+    @pytest.mark.parametrize("header, table", [
+        (["a", "b", "c", "d"], np.array([
+            [np.nan, np.inf, -np.inf, -0.0],
+            [5e-324, -2.2e-308, 1e16, 1e-5],
+            [1.0, -3.0, 2.0**53, 1e300],
+        ])),
+        (["t", "x1"], np.zeros((0, 2))),
+        (["t"], np.array([[0.0], [-0.0], [7.0], [1e-320]])),
+    ])
+    def test_write_csv_equals_csv_writer_bytes(self, header, table):
+        # csv.writer writes a float field as its repr, with CRLF line ends
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+        got = io.StringIO(newline="")
+        write_csv(got, header, table)
+        assert got.getvalue().encode() == want.getvalue().encode()
+
     def test_step_csv_header_and_determinism(self, ex2a):
         k = dl.fundamental_matrix(ex2a, 2.0)
         buf1, buf2 = io.StringIO(), io.StringIO()

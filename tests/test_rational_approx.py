@@ -114,6 +114,12 @@ class TestApproximateSystem:
         with pytest.raises(dl.SizeExceeded):
             dl.approximate_system(ex3, 7)
 
+    def test_zero_convergent_is_an_unavailable_order(self):
+        vsys = dl.validate(dl.DelaySystem(1, [(0.3, np.array([[0.2]])), (math.sqrt(0.5), np.array([[0.3]]))]))
+        with pytest.raises(dl.OrderUnavailable, match="order-0 convergent of delay 0.3 is 0"):
+            dl.approximate_system(vsys, 0)
+        assert dl.approximate_system(vsys, 1).to_system().delays == (Fraction(1, 3), Fraction(1, 1))
+
     def test_high_order_clamped_to_expansion(self, ex2a_half):
         # asking past the last term of an exact expansion must not blow up
         vsys = dl.validate(dl.DelaySystem(1, [(1.5, np.array([[0.4]]))]))

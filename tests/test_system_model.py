@@ -13,6 +13,7 @@ from delaylyap import fundamental, stability
 from conftest import assert_bits_equal, random_stable_single, two_route_cases
 
 EPS = np.finfo(float).eps
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def companion_matrix(coeffs, n):
@@ -542,11 +543,49 @@ class TestStructuredCompanion:
         recip = 1.0 / (z[:, None] - z[None, :] + np.diag(np.full(z.size, np.inf)))
         want = np.sum(recip, axis=1)
         scale = np.sum(np.abs(recip), axis=1)
+        # the blocks are single precision on z / max|z|: rounding there moves
+        # each root by at most (EPS32 + EPS) / 2 max|z|, so a difference d by
+        # at most twice that, delta, and 1/d by |delta| / (|d| (|d| - |delta|));
+        # the float32 arithmetic (about 7 roundings a term) and sums then add
+        # at most gamma_(N+6) sum |1/d| <= N EPS32 sum |1/d| for N >= 7
+        dist = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(z.size, np.inf))
+        delta = (EPS32 + EPS) * np.max(np.abs(z))
+        moved = np.sum(delta / (dist * (dist - delta)), axis=1)
         for rows in (z.size, 31, 1):
             with np.errstate(divide="ignore"):
                 got = stability._pair_sums(z, rows)
             assert got.shape == (rows,)
-            assert np.all(np.abs(got - want[:rows]) <= z.size * EPS * scale[:rows])
+            assert np.all(np.abs(got - want[:rows]) <= z.size * EPS32 * scale[:rows] + moved[:rows])
+
+    @pytest.mark.parametrize("factor", [1e30, 1e-30])
+    def test_pair_sums_of_far_roots_stay_finite(self, factor):
+        # float32 alone overflows past 1.8e19 and underflows below 1e-19 on
+        # |d|^2; the sums are taken on z / max|z| and scaled back
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=60) + 1j * rng.normal(size=60)
+        with np.errstate(divide="ignore"):
+            base = stability._pair_sums(z, z.size)
+            got = stability._pair_sums(z * factor, z.size)
+        assert got.dtype == np.complex128
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got * factor - base) <= 1e-6 * np.max(np.abs(base)))
+
+    def test_certificate_does_not_trust_the_pair_sums(self, ex3, monkeypatch):
+        # the sums only steer the iteration: with a relative error of 1e-3
+        # in each, the order-6 rung still certifies by its Newton disks
+        exact = stability._pair_sums
+        wobble = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=478))
+
+        def off(z, rows):
+            return exact(z, rows) * (1.0 + 1e-3 * wobble[:rows])
+
+        monkeypatch.setattr(stability, "_pair_sums", off)
+        form = dl.approximate_system(ex3, 6)
+        assert 2 * form.m == 478
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        ref = reference_companion_radius(form.coefficients, 2)
+        assert radius is not None and radius <= 1e-10
+        assert abs(rho - ref) <= radius + 8 * EPS * rho
 
     @pytest.mark.parametrize("seed", range(3))
     def test_doubled_roots_fall_back(self, seed):
