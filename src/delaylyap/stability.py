@@ -146,36 +146,108 @@ def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
 
 
 def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
-    """sum_(k != i) 1/(z_i - z_k) for the first rows roots, as conj(d)/|d|^2
-    in row blocks of about CHUNK_ENTRIES pairs from the diagonal on, real and
-    imaginary parts in one (2, rows, cols) block: its row sums add to its
-    rows, its column sums right of its square subtract, each a BLAS product;
-    all in float32, as the sums only steer, on z / max|z| to stay in range."""
+    """sum_(k != i) 1/(z_i - z_k) for the first rows roots."""
+    return _block_sums(z, rows, None)
+
+
+def _mirror_sums(z: np.ndarray, rows: int, mirrored: np.ndarray) -> np.ndarray:
+    """sum 1/(z_i - conj z_k) over the mirrored z_k for the first rows
+    roots: the pair sums against the mirrors, a mirrored root's own mirror
+    1/(2i Im z_i) included."""
+    return _block_sums(z, rows, mirrored) - 0.5j / np.where(mirrored[:rows], z.imag[:rows], np.inf)
+
+
+def _block_sums(z: np.ndarray, rows: int, mirrored: np.ndarray | None) -> np.ndarray:
+    """sum_(k != i) w_k / (z_i - f_k) for the first rows roots, with f_k =
+    z_k and w_k = 1, or f_k = conj z_k and w_k = 1 where mirrored, else 0.
+    The pair matrix, as conj(d)/|d|^2 with real and imaginary parts in one
+    (2, rows, cols) array, is taken in row blocks of about CHUNK_ENTRIES
+    pairs from the diagonal on: it is antisymmetric, or M_ki = -conj(M_ik)
+    against the mirrors, so a block's row sums add to its rows and its
+    column sums right of its square subtract from theirs (conjugated
+    against the mirrors), each a BLAS product with w.  All in float32, as
+    the sums only steer, on z / max|z| to stay in range."""
     scale = np.max(np.abs(z))
     xy = (np.stack([z.real, z.imag]) / scale).astype(np.float32)
+    if mirrored is None:
+        w, sign, cols = np.ones(z.size, dtype=np.float32), 1.0, xy
+    else:
+        w, sign, cols = mirrored.astype(np.float32), -1.0, xy * np.array([[1.0], [-1.0]], dtype=np.float32)
     out = np.zeros((2, rows))
-    ones = np.ones(z.size, dtype=np.float32)
     start = 0
     while start < rows:
         stop = min(start + max(1, fundamental.CHUNK_ENTRIES // (z.size - start)), rows)
-        part = xy[:, start:stop, None] - xy[:, None, start:]
+        part = xy[:, start:stop, None] - cols[:, None, start:]
         inv = np.divide(1.0, part[0] * part[0] + part[1] * part[1])
         np.fill_diagonal(inv, 0.0)
         part *= inv
-        out[:, start:stop] += part @ ones[start:]
-        out[:, stop:] -= ones[:stop - start] @ part[:, :, stop - start:rows - start]
+        out[:, start:stop] += part @ w[start:]
+        col = w[start:stop] @ part[:, :, stop - start:rows - start]
+        out[0, stop:] -= col[0]
+        out[1, stop:] -= sign * col[1]
         start = stop
     return (out[0] - 1j * out[1]) / scale
 
 
-def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
-    """Starting points for the n*m roots of det P: one circle per edge of
-    the upper convex hull of (degree, log ||coefficient||), holding n roots
-    per unit of degree, at angles that are never conjugate-symmetric.
-    None when C_m = 0 puts roots at 0."""
+def _real_roots(steps, blocks, logs: list, n: int, m: int) -> np.ndarray | None:
+    """Midpoints of the brackets where p = det P changes sign on the real
+    segments of the root annulus r <= |x| <= R.  A root x has
+    1 <= sum_j ||C_j|| |x|^-j and sigma_min(C_m) <= |x|^m + sum_(j<m)
+    ||C_j|| |x|^(m-j), q terms on each right side, so one of them reaches a
+    q-th of the left: R and r are the largest and smallest |x| at which one
+    can, from logs, the log ||C_j|| of blocks.  The scan steps at most
+    1/(n m) in log |x|, from one step inside r to one past R.  Two roots
+    less than a step apart change no sign but leave a dip: each interior
+    local minimum of |p| with one sign around it is scanned again, n m
+    points over its two steps.  Roots closer still can hide each other.
+    None when C_m is singular, so that r = 0."""
+    size = n * m
+    low = float(np.linalg.svd(blocks[-1], compute_uv=False)[-1])
+    if low == 0.0:
+        return None
+    share = math.log(len(steps))
+    top = max((v + share) / j for j, v in zip(steps, logs))
+    bottom = min((math.log(low) - share - v) / (m - j) for j, v in zip([0] + steps[:-1], [0.0] + logs[:-1]))
+    t = np.linspace(bottom - 1.0 / size, top + 1.0 / size, math.ceil(max(top - bottom, 0.0) * size) + 3)
+    x = np.exp(t) * np.array([[1.0], [-1.0]])
+    sign, mag = (v.reshape(x.shape) for v in _sign_p(x.ravel(), steps, blocks, n, m))
+    same = (sign[:, 1:-1] == sign[:, :-2]) & (sign[:, 1:-1] == sign[:, 2:])
+    dip = same & (mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] < mag[:, 2:])
+    scans = [(x, sign)]
+    if dip.any():
+        side, k = np.nonzero(dip)
+        fine = np.exp(np.linspace(t[k], t[k + 2], size + 1, axis=1)) * np.where(side, -1.0, 1.0)[:, None]
+        scans.append((fine, _sign_p(fine.ravel(), steps, blocks, n, m)[0].reshape(fine.shape)))
+    return np.concatenate([0.5 * (grid[:, 1:] + grid[:, :-1])[signs[:, 1:] != signs[:, :-1]] for grid, signs in scans])
+
+
+def _sign_p(x: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log |.| of p = det P at the real points x: of det P(x), or
+    where |x| > 1 of x^(n m) det Q(1/x), as _det_p reads p."""
+    sign, mag = np.empty(x.size), np.empty(x.size)
+    for part in fundamental.row_chunks(x.size, n * n):
+        outside, mat, _ = _p_matrices(x[part], steps, blocks, n, m)
+        s, logdet = np.linalg.slogdet(mat)
+        sign[part] = s * np.where(outside & (x[part] < 0.0), (-1.0) ** (n * m), 1.0)
+        mag[part] = logdet + np.where(outside, n * m * np.log(np.abs(x[part])), 0.0)
+    return sign, mag
+
+
+def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
+    """Starting points (z, mirrored, real) for the n*m roots of det P on
+    one circle per edge of the upper convex hull of (degree, log
+    ||coefficient||), holding n roots per unit of degree.  The asymmetric
+    start puts them at angles that are never conjugate-symmetric, none
+    mirrored or real.  The symmetric start puts one real root at each
+    bracket of _real_roots and the rest on the upper halves of the circles,
+    each mirrored, less the surplus starts nearest the real roots found
+    (nearest the real axis if none).  None when C_m = 0 puts roots at 0,
+    and, for the symmetric start, when the real roots cannot be counted or
+    their count has the wrong parity."""
     if not steps or steps[-1] != m:
         return None
-    points = [(m - j, math.log(np.linalg.norm(c, 2))) for j, c in zip(steps[::-1], blocks[::-1])]
+    logs = [math.log(np.linalg.norm(c, 2)) for c in blocks]
+    points = [(m - j, v) for j, v in zip(steps[::-1], logs[::-1])]
     hull: list = []
     for p in points + [(m, 0.0)]:
         while len(hull) > 1 and (
@@ -184,45 +256,65 @@ def _newton_polygon_start(steps, blocks, n: int, m: int) -> np.ndarray | None:
         ):
             hull.pop()
         hull.append(p)
-    circles = []
-    for edge, ((d1, l1), (d2, l2)) in enumerate(zip(hull, hull[1:])):
-        count = n * (d2 - d1)
-        angles = 2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge
-        circles.append(math.exp((l1 - l2) / (d2 - d1)) * np.exp(1j * angles))
-    return np.concatenate(circles)
+    circles = [(math.exp((l1 - l2) / (d2 - d1)), n * (d2 - d1)) for (d1, l1), (d2, l2) in zip(hull, hull[1:])]
+    if not symmetric:
+        z = np.concatenate([
+            radius * np.exp(1j * (2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge))
+            for edge, (radius, count) in enumerate(circles)
+        ])
+        return z, np.zeros(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
+    reals = _real_roots(steps, blocks, logs, n, m)
+    if reals is None or (n * m - reals.size) % 2:
+        return None
+    halves = [(radius, (count + 1) // 2) for radius, count in circles]
+    upper = np.concatenate([radius * np.exp(1j * math.pi * (np.arange(half) + 0.25) / half) for radius, half in halves])
+    near = np.min(np.abs(upper[:, None] - reals), axis=1, initial=np.inf)
+    keep = np.lexsort((upper.imag, near))[upper.size - (n * m - reals.size) // 2:]
+    z = np.concatenate([upper[keep], reals + 0j])
+    mirrored = np.arange(z.size) < keep.size
+    return z, mirrored, ~mirrored
 
 
 def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """w ** e for each row e of the int array exponents >= 0 (k rows of
     w.size): the product of the squares w, w^2, w^4, ... of one ladder at
     the set bits of e."""
-    out, square = np.ones(exponents.shape, dtype=complex), w
-    for bit in range(int(exponents.max()).bit_length()):
-        out = np.where(exponents >> bit & 1, out * square, out)
+    out, square = np.ones(exponents.shape, dtype=w.dtype), w
+    for bit in exponents >> np.arange(int(exponents.max()).bit_length())[:, None, None] & 1 == 1:
+        np.multiply(out, square, out=out, where=bit)
         square = square * square
     return out
 
 
-def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
-    """Newton correction p/p' = 1/tr(P^-1 P') of p = det P at each z,
-    CHUNK_ENTRIES matrix entries at a time, from P(w) at w = z or, where
-    |z| > 1, from Q(w) = I - sum C_j w^j at w = 1/z with p = z^(n m) det Q.
-    So |w| <= 1, and no power of w from _powers overflows.  An exactly
-    singular P(z) makes z a root to working precision: its correction is zero."""
-    newton = np.empty(z.size, dtype=complex)
+def _p_matrices(z: np.ndarray, steps, blocks, n: int, m: int):
+    """(outside, mat, der) at each z: mat = P(z) and der = P'(z) where
+    |z| <= 1, and where |z| > 1 (outside) mat = Q(w) = I - sum C_j w^j at
+    w = 1/z and der its derivative in z, with p = z^(n m) det Q.  So
+    |w| <= 1, and no power of w from _powers overflows."""
     eye = np.eye(n)
     in_q = np.array([0, 0] + list(steps) + [j + 1 for j in steps])[:, None]
     in_p = np.array([m, m - 1] + [m - j for j in steps] + [max(m - j - 1, 0) for j in steps])[:, None]
+    outside = np.abs(z) > 1.0
+    w = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
+    pw = _powers(w, np.where(outside, in_q, in_p))
+    mat = pw[0][:, None, None] * eye
+    der = np.where(outside, 0.0, m * pw[1])[:, None, None] * eye
+    for j, c, a, da in zip(steps, blocks, pw[2:], pw[2 + len(steps):]):
+        mat = mat - a[:, None, None] * c
+        der = der - (np.where(outside, -j, m - j) * da)[:, None, None] * c
+    return outside, mat, der
+
+
+def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
+    """Newton correction p/p' = 1/tr(P^-1 P') of p = det P at each z,
+    CHUNK_ENTRIES matrix entries at a time, from _p_matrices: where
+    |z| > 1, p'/p = n m / z + tr(Q^-1 dQ/dz).  An exactly singular P(z)
+    makes z a root to working precision: its correction is zero."""
+    newton = np.empty(z.size, dtype=complex)
+    eye = np.eye(n)
     for part in fundamental.row_chunks(z.size, n * n):
         zz = z[part]
-        outside = np.abs(zz) > 1.0
-        w = np.where(outside, 1.0 / np.where(outside, zz, 1.0), zz)
-        pw = _powers(w, np.where(outside, in_q, in_p))
-        mat = pw[0][:, None, None] * eye
-        der = np.where(outside, 0.0, m * pw[1])[:, None, None] * eye
-        for j, c, a, da in zip(steps, blocks, pw[2:], pw[2 + len(steps):]):
-            mat = mat - a[:, None, None] * c
-            der = der - (np.where(outside, -j, m - j) * da)[:, None, None] * c
+        outside, mat, der = _p_matrices(zz, steps, blocks, n, m)
         try:
             x, singular = np.linalg.solve(mat, der), False
         except np.linalg.LinAlgError:
@@ -234,55 +326,87 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
     return newton
 
 
+def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[float, float] | None:
+    """The _certificate of the roots that a vectorised (Jacobi)
+    Ehrlich-Aberth iteration reaches from start = (z, mirrored, real); None
+    when the sweep cap is reached or a step is non-finite.  A mirrored root
+    stands for itself and its conjugate, and a real one moves along the
+    real axis, where p is real.  The roots still moving are kept in front
+    of z and move at once: p/p' from _det_p, and the pair sums over the
+    full set from _pair_sums and, against the mirrors, _mirror_sums."""
+    z, mirrored, real = start
+    moving = z.size
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_SWEEPS):
+            newton = _det_p(z[:moving], steps, blocks, n, m)
+            sums = _pair_sums(z, moving)
+            if mirrored.any():
+                sums += _mirror_sums(z, moving, mirrored)
+            step = newton / (1.0 - newton * sums)
+            step.imag[real[:moving]] = 0.0
+            z[:moving] -= step
+            # a non-finite step never stops, so it ends in the fallback
+            still = np.abs(step) <= ABERTH_STOP * np.abs(z[:moving])
+            order = np.argsort(still, kind="stable")
+            for a in (z, mirrored, real):
+                a[:moving] = a[:moving][order]
+            moving -= int(np.count_nonzero(still))
+            if moving == 0 or not np.all(np.isfinite(step)):
+                break
+        newton = _det_p(z, steps, blocks, n, m)
+    return None if moving else _certificate(z, mirrored, newton, tol)
+
+
+def _certificate(z: np.ndarray, mirrored: np.ndarray, newton: np.ndarray, tol: float) -> tuple[float, float] | None:
+    """(max |x|, largest disk radius) over the full root set, z and the
+    mirrors of z[mirrored], from the Newton corrections p/p' at z, or None.
+    The Newton disks |x - z_i| <= N |p(z_i)/p'(z_i)| (N the size of the
+    full set; a mirror's disk is its root's, mirrored) each hold a root of
+    p.  Widened by N ulps of max |z_i| for rounding (so never of radius
+    zero), at most tol and pairwise disjoint, a near-real root against its
+    own mirror included (checked on pairs closer in real part than twice
+    the largest radius), they hold one root each, and max |z_i| is the
+    spectral radius to within the largest radius."""
+    z = np.concatenate([z, z[mirrored].conj()])
+    disk = z.size * (np.abs(np.concatenate([newton, newton[mirrored]])) + np.finfo(float).eps * np.max(np.abs(z)))
+    worst = float(np.max(disk))
+    if not (math.isfinite(worst) and worst <= tol):
+        return None
+    order = np.argsort(z.real)
+    z, disk = z[order], disk[order]
+    for offset in range(1, z.size):
+        near = np.flatnonzero(z.real[offset:] - z.real[:-offset] <= 2.0 * worst)
+        if near.size == 0:
+            break
+        if np.any(np.abs(z[near + offset] - z[near]) <= disk[near + offset] + disk[near]):
+            return None
+    return float(np.max(np.abs(z))), worst
+
+
 def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[float, float | None]:
     """Spectral radius of the block companion matrix from the N = n*m roots
     of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
     certified error) or, after a fallback, (dense radius, None).
 
-    A vectorised (Jacobi) Ehrlich-Aberth iteration moves the roots still
-    moving, kept in front of z, at once: p/p' from batched n x n solves
-    over the nonzero C_j only, pair sums in single precision from the upper
-    triangle (they only steer; the stop test and the disks read the double
-    p/p' alone).  Newton disks |x - z_i| <= N |p(z_i)/p'(z_i)| each hold a
-    root of p; widened by N ulps of max |z_i| for rounding (so never of
-    radius zero) and pairwise disjoint (checked on pairs closer in real part
-    than twice the largest radius), they hold one each, and max |z_i| is
-    the radius to within the largest radius.  Dense eigvals answers instead
-    when C_m = 0, the sweep cap is reached, a value is non-finite, disks
-    overlap or a radius exceeds tol.
+    p has real coefficients, so its non-real roots come in conjugate pairs.
+    _aberth_roots first runs from the symmetric start: the real roots that
+    _real_roots brackets and one root of each pair, about N / 2 roots.  A
+    sweep then takes (N/2)^2 / 2 pairs in each of its two pair matrices,
+    (N/2)^2 in all against N^2 / 2 on all N roots, and N / 2 Newton
+    corrections, each from batched n x n solves over the nonzero C_j only.
+    A wrong real-root count does not certify; the same iteration then runs
+    once from the asymmetric start on all N roots.  Dense eigvals answers
+    when C_m = 0 or neither run certifies.
     """
     m = len(coeffs)
-    size = n * m
     steps = _nonzero_steps(coeffs)
     blocks = [coeffs[j - 1] for j in steps]
-    z = _newton_polygon_start(steps, blocks, n, m)
-    if z is None:
-        return _dense_companion_radius(coeffs, n), None
-    moving = size
-    with np.errstate(all="ignore"):
-        for _ in range(ABERTH_SWEEPS):
-            newton = _det_p(z[:moving], steps, blocks, n, m)
-            step = newton / (1.0 - newton * _pair_sums(z, moving))
-            z[:moving] -= step
-            # a non-finite step never stops, so it ends in the fallback
-            still = np.abs(step) <= ABERTH_STOP * np.abs(z[:moving])
-            z[:moving] = z[:moving][np.argsort(still, kind="stable")]
-            moving -= int(np.count_nonzero(still))
-            if moving == 0 or not np.all(np.isfinite(step)):
-                break
-        disk = size * (np.abs(_det_p(z, steps, blocks, n, m)) + np.finfo(float).eps * np.max(np.abs(z)))
-    worst = float(np.max(disk))
-    if moving or not (math.isfinite(worst) and worst <= tol):
-        return _dense_companion_radius(coeffs, n), None
-    order = np.argsort(z.real)
-    z, disk = z[order], disk[order]
-    for offset in range(1, size):
-        near = np.flatnonzero(z.real[offset:] - z.real[:-offset] <= 2.0 * worst)
-        if near.size == 0:
-            break
-        if np.any(np.abs(z[near + offset] - z[near]) <= disk[near + offset] + disk[near]):
-            return _dense_companion_radius(coeffs, n), None
-    return float(np.max(np.abs(z))), worst
+    for symmetric in (True, False):
+        start = _newton_polygon_start(steps, blocks, n, m, symmetric)
+        found = None if start is None else _aberth_roots(start, steps, blocks, n, m, tol)
+        if found is not None:
+            return found
+    return _dense_companion_radius(coeffs, n), None
 
 
 def _torus_grid(points: int, q: int) -> int:
@@ -349,15 +473,19 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     of the block companion matrix of the commensurate rewrite (per
     basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
     the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
-    found by an Ehrlich-Aberth iteration at (n m)^2 / 2 root pairs per
-    sweep, summed in single precision only to steer, and certified in
-    double precision in O(n m log(n m)) by Newton disks of radius
-    n m |p / p'| plus a rounding allowance: when they are pairwise disjoint
-    each holds exactly one eigenvalue, and the radius is exact to within
-    the largest disk radius, which must not exceed EXACT_MARGIN / 10.  Without
-    that certificate (C_m = 0, no convergence, a non-finite value,
-    overlapping or too wide disks), and for smaller companions, dense
-    eigvals gives the radius.
+    found by an Ehrlich-Aberth iteration.  p is real, so the iteration
+    moves the real roots, counted by a sign scan of p on the real axis, and
+    one root of each conjugate pair: (n m)^2 / 4 root pairs per sweep,
+    summed in single precision only to steer.  The full mirrored set is
+    certified in double precision in O(n m log(n m)) by Newton disks of
+    radius n m |p / p'| plus a rounding allowance: when they are pairwise
+    disjoint each holds exactly one eigenvalue, and the radius is exact to
+    within the largest disk radius, which must not exceed EXACT_MARGIN / 10.
+    A wrong real-root count leaves the disks uncertified, and the iteration
+    reruns once on all n m roots from a start that is not conjugate-
+    symmetric.  Without a certificate (C_m = 0, no convergence, a
+    non-finite value, overlapping or too wide disks), and for smaller
+    companions, dense eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive

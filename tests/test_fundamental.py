@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap import fundamental
@@ -25,7 +25,7 @@ from delaylyap.fundamental import (
     write_csv,
 )
 
-from conftest import assert_bits_equal, random_stable_single, two_route_cases
+from conftest import assert_bits_equal, gamma, random_stable_single, two_route_cases
 
 
 def reference_cauchy(vsys, phi, grid):
@@ -425,12 +425,25 @@ class TestFundamentalMatrix:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    @example(seed=1452)
     def test_sides_agree_random(self, seed):
+        # K_k = K_(k-1) A on one side and A K_(k-1) on the other, from K0. A
+        # step rounds by D_k with ||D_k||_F <= gamma_n ||K_(k-1)||_F ||A||_F
+        # (inner products of length n; the sum starts at zero, so adds
+        # nothing), and the later steps carry it on as D_k A^(k'-k). So, to
+        # first order, each side is within gamma_n n max|K| ||A||_F
+        # sum_(j<k) ||A^j||_F of K_k, with ||K_(k-1)||_F <= n max|K|, and the
+        # sides within twice that. Seed 1452 has max|K| = 47.2 and a gap of
+        # 1.25e-12, past an absolute 1e-12
         vsys = random_stable_single(seed)
         kr = dl.fundamental_matrix(vsys, 8.0, "right")
         kl = dl.fundamental_matrix(vsys, 8.0, "left")
         ts = np.linspace(0.0, 8.0, 200)
-        assert np.max(np.abs(kr.value_many(ts) - kl.value_many(ts))) <= 1e-12
+        a, n = vsys.matrices[0], vsys.n
+        top = max(float(np.max(np.abs(k.values), initial=np.max(np.abs(k.pre_value)))) for k in (kr, kl))
+        spread = sum(np.linalg.norm(np.linalg.matrix_power(a, j)) for j in range(len(kr.values)))
+        bound = 2.0 * gamma(n) * n * top * np.linalg.norm(a) * spread
+        assert np.max(np.abs(kr.value_many(ts) - kl.value_many(ts))) <= bound
 
 
 def count_lattices(monkeypatch):

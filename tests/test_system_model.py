@@ -91,6 +91,37 @@ def commensurate_coefficients(draw):
     return coeffs, n
 
 
+@st.composite
+def real_root_companions(draw):
+    """(C_1..C_m, n) with n m odd, so that p = det P has a real root: n = 1
+    or 3 and m odd in 31..399, of four kinds.  "blocks": random C_j at
+    q = 1..3 steps, m among them.  "scalar": n = 1 and x^m = +-c alone, one
+    real root among m roots on one circle.  "tiny": blocks with C_m scaled
+    by 1e-40..1e-8, so several Newton-polygon circles and roots near 0.
+    "close": n = 3 and C_m = S diag(c, c (1 + d), -c') S^-1 with
+    d <= 0.3, whose real roots c^(1/m) and (c (1 + d))^(1/m) are less than
+    the scan's step 1/(n m) apart in log |x|, so the scan may miss both."""
+    kind = draw(st.sampled_from(["blocks", "scalar", "tiny", "close"]))
+    n = {"scalar": 1, "close": 3}.get(kind) or draw(st.sampled_from([1, 3]))
+    m = 2 * draw(st.integers(15, 199)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [np.zeros((n, n))] * m
+    if kind == "scalar":
+        coeffs[-1] = np.array([[rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)]])
+    elif kind == "close":
+        s = rng.normal(size=(3, 3))
+        c = rng.uniform(0.5, 2.0)
+        coeffs[-1] = s @ np.diag([c, c * (1.0 + rng.uniform(1e-3, 0.3)), -rng.uniform(0.5, 2.0)]) @ np.linalg.inv(s)
+    else:
+        q = draw(st.integers(1, 3))
+        scale = draw(st.floats(0.1, 3.0))
+        for j in set(rng.choice(np.arange(1, m), q - 1, replace=False).tolist()) | {m}:
+            coeffs[j - 1] = rng.normal(size=(n, n)) * scale / n
+        if kind == "tiny":
+            coeffs[-1] = coeffs[-1] * 10.0 ** rng.uniform(-40.0, -8.0)
+    return coeffs, n
+
+
 class TestDelaySystem:
     def test_int_delay_becomes_exact(self):
         s = dl.DelaySystem.single(0.5, 1)
@@ -617,6 +648,108 @@ class TestStructuredCompanion:
         rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
         # the radius the root-pair Weierstrass certificate gave on this rung
         assert abs(rho - 1.0001411454177214) <= radius <= 1e-11
+
+    @settings(max_examples=10, deadline=None)
+    @given(case=real_root_companions())
+    def test_real_roots_certified_or_dense(self, case):
+        coeffs, n = case
+        rho, radius = stability._aberth_radius(coeffs, n, 1e-10)
+        ref = reference_companion_radius(coeffs, n)
+        if radius is None:
+            assert rho == ref
+            return
+        assert radius <= 1e-10
+        # the dense error bound takes eigenvectors, O(N^3) again: only asked
+        # for when the distance exceeds the certified error
+        near = radius + 8 * EPS * rho
+        assert abs(rho - ref) <= near or abs(rho - ref) <= near + dense_error_bound(coeffs, n)
+        assert verdict(rho) == verdict(ref)
+
+    @pytest.mark.parametrize("wrong", ["none", "one", "extra"])
+    def test_wrong_real_root_count_retries(self, ex3, wrong, monkeypatch):
+        # the order-6 rung has two real roots; a count of 0 or 4 leaves the
+        # symmetric run uncertified, and a count of 1 has the wrong parity
+        # and no symmetric start; either way the asymmetric run answers
+        scan, start = stability._real_roots, stability._newton_polygon_start
+        asked = []
+
+        def miscount(*args):
+            reals = scan(*args)
+            assert reals.size == 2
+            return {"none": reals[:0], "one": reals[:1], "extra": np.append(reals, [0.5, 0.6])}[wrong]
+
+        def record(steps, blocks, n, m, symmetric):
+            asked.append(symmetric)
+            return start(steps, blocks, n, m, symmetric)
+
+        monkeypatch.setattr(stability, "_real_roots", miscount)
+        monkeypatch.setattr(stability, "_newton_polygon_start", record)
+        form = dl.approximate_system(ex3, 6)
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        ref = reference_companion_radius(form.coefficients, 2)
+        assert asked == [True, False]
+        assert radius is not None and radius <= 1e-10
+        assert abs(rho - ref) <= radius + 8 * EPS * rho
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("chunk", [40, 1 << 14])
+    def test_mirror_sums_complete_the_full_set(self, seed, chunk, monkeypatch):
+        # 40 mirrored roots, some near the real axis, and 9 real ones in a
+        # shuffled order: the direct and mirror sums of a root add to its
+        # sum over the full set of 89, within the float32 bound of
+        # test_pair_sums_match_row_sums taken over that set
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(seed)
+        upper = rng.normal(size=40) + 1j * np.abs(rng.normal(size=40)) * np.where(np.arange(40) < 5, 1e-3, 1.0)
+        z = np.concatenate([upper, rng.normal(size=9) + 0j])
+        order = rng.permutation(z.size)
+        z, mirrored = z[order], (np.arange(z.size) < 40)[order]
+        full = np.concatenate([z, z[mirrored].conj()])
+        dist = np.abs(full[:, None] - full[None, :]) + np.diag(np.full(full.size, np.inf))
+        want = np.sum(1.0 / (full[:, None] - full[None, :] + np.diag(np.full(full.size, np.inf))), axis=1)
+        delta = (EPS32 + EPS) * np.max(np.abs(full))
+        bound = full.size * EPS32 * np.sum(1.0 / dist, axis=1) + np.sum(delta / (dist * (dist - delta)), axis=1)
+        for rows in (z.size, 31, 1):
+            with np.errstate(divide="ignore"):
+                got = stability._pair_sums(z, rows) + stability._mirror_sums(z, rows, mirrored)
+            assert np.all(np.abs(got - want[:rows]) <= bound[:rows])
+
+    def test_near_real_root_meets_its_own_mirror(self):
+        # one mirrored root stands for z and conj(z); with |p/p'| = 1e-13 its
+        # disk has radius 2 (1e-13 + eps |z|) and meets its mirror's when
+        # Im z = 1e-13, not when Im z = 1e-6
+        newton, mirrored = np.array([1e-13]), np.array([True])
+        assert stability._certificate(np.array([0.5 + 1e-13j]), mirrored, newton, 1e-10) is None
+        rho, radius = stability._certificate(np.array([0.5 + 1e-6j]), mirrored, newton, 1e-10)
+        assert rho == abs(0.5 + 1e-6j)
+        assert 2e-13 < radius < 3e-13
+        # as a plain root, with no mirror, the same disk certifies
+        assert stability._certificate(np.array([0.5 + 1e-13j]), ~mirrored, newton, 1e-10) is not None
+
+    @pytest.mark.parametrize("order", [4, 7])
+    def test_perturbed_sqrt2_rungs_certify_symmetric(self, ex3, order, monkeypatch):
+        # example 3 with each entry scaled by 1 + U(-0.02, 0.02), as the
+        # benchmark's ladder draws it: the symmetric start certifies, with
+        # neither the asymmetric retry nor dense eigvals to fall back on
+        start = stability._newton_polygon_start
+
+        def symmetric_only(steps, blocks, n, m, symmetric):
+            if not symmetric:
+                raise AssertionError("asymmetric retry")
+            return start(steps, blocks, n, m, symmetric)
+
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            entries = [(d, a * (1.0 + rng.uniform(-0.02, 0.02, a.shape))) for d, a in ex3.system.entries]
+            form = dl.approximate_system(dl.validate(dl.DelaySystem(2, entries)), order)
+            rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+            assert radius <= 1e-10
+            assert verdict(rho) == "unstable"
 
 
 class TestScreenKernels:
