@@ -275,6 +275,7 @@ def check_jump_properties(
     series = delta_u_prime(vsys, weight, list(shifts.values()), horizon, report=env.report, table=table)
     du = dict(zip(shifts, series.value))
 
+    pairs = [(hi, hj, ai, aj) for hi, ai in zip(delays, mats) for hj, aj in zip(delays, mats)]
     sym = dyn = alg = 0.0
     for tau in tau_grid.tolist():
         here = du[key(tau)]
@@ -282,20 +283,12 @@ def check_jump_properties(
             sym = max(sym, float(np.max(np.abs(du[key(-tau)] - here.T))))
             dk = table.jump_at(tau)
             dk = np.zeros_like(w) if dk is None else dk
-            acc = -here - w @ dk
-            for hi, ai in zip(delays, mats):
-                for hj, aj in zip(delays, mats):
-                    acc = acc + ai.T @ du[key(tau + hi - hj)] @ aj
+            acc = sum((ai.T @ du[key(tau + hi - hj)] @ aj for hi, hj, ai, aj in pairs), -here - w @ dk)
             alg = max(alg, float(np.max(np.abs(acc))))
-        if tau > 0.0:
-            acc = -here
-            for hj, aj in zip(delays, mats):
-                acc = acc + du[key(tau - hj)] @ aj
-            dyn = max(dyn, float(np.max(np.abs(acc))))
-        elif tau < 0.0:
-            acc = -here
-            for hj, aj in zip(delays, mats):
-                acc = acc + aj.T @ du[key(tau + hj)]
+        if tau != 0.0:
+            # sum_j dU'(tau - h_j) A_j for tau > 0, sum_j A_j^T dU'(tau + h_j) for tau < 0
+            terms = (du[key(tau - hj)] @ aj if tau > 0.0 else aj.T @ du[key(tau + hj)] for hj, aj in zip(delays, mats))
+            acc = sum(terms, -here)
             dyn = max(dyn, float(np.max(np.abs(acc))))
     at_zero = du[key(0.0)] + w
     nsd = float(np.max(np.linalg.eigvalsh(0.5 * (at_zero + at_zero.T))))

@@ -42,8 +42,6 @@ MAX_UNKNOWNS = 500_000
 # condition estimates above these warn, and raise CriticalSystem
 COND_WARN = 1e10
 COND_FAIL = 1e12
-# residual grid points per segment
-RESIDUAL_PER_SEGMENT = 50
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,11 @@ class PiecewiseAffineMatrixFunction:
         """Values at every tau, shaped taus.shape + (n, n).  Points within
         a relative 1e-9 of +-H are clipped onto the domain; any other point
         outside it raises OutOfDomain naming the first such tau."""
+        return self._values(taus, None)
+
+    def _values(self, taus, within) -> np.ndarray:
+        """evaluate_many, each tau read on the segment holding its point of
+        within (broadcast to taus): at a knot, a one-sided limit."""
         taus = np.asarray(taus, dtype=float)
         flat = taus.ravel()
         hz = self.horizon
@@ -96,7 +99,8 @@ class PiecewiseAffineMatrixFunction:
         if bad.size:
             raise OutOfDomain(f"function defined on [{-hz}, {hz}], got {float(flat[bad[0]])}")
         flat = np.clip(flat, -hz, hz)
-        k = np.clip(np.floor(flat / self.h).astype(int), -self.m, self.m - 1)
+        side = flat if within is None else np.broadcast_to(within, taus.shape).ravel()
+        k = np.clip(np.floor(side / self.h).astype(int), -self.m, self.m - 1)
         xi = flat - k * self.h
         p = k + self.m
         out = self.coeffs[p] + xi[:, None, None] * self.slopes[p]
@@ -106,9 +110,10 @@ class PiecewiseAffineMatrixFunction:
 @dataclass(frozen=True)
 class ResidualReport:
     """Worst-case defect of a built function against its defining
-    identities, sampled on a grid that always contains the knots.
-    All values are max-abs entry norms.  scale is max(1, max |U|) over
-    the grid, so the gate tol * scale is relative for a large U."""
+    identities: the exact sup over [-H, H], read at the breakpoints that
+    grid_points counts, the knots k h in [0, H] and those shifted by each
+    delay.  All values are max-abs entry norms.  scale is max(1, max |U|)
+    at the breakpoints, so the gate tol * scale is relative for a large U."""
 
     symmetry: float
     dynamic: float
@@ -288,10 +293,7 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         except (sla.LinAlgError, ValueError) as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
         solve = functools.partial(sla.lu_solve, lu_piv)
-        cond = _condition(float(np.linalg.norm(mat, 1)), solve, lambda v: solve(v, trans=1), mat.shape)
-        _check_condition(cond)
-        sol_c = sla.lu_solve(lu_piv, b_const)
-        sol_s = sla.lu_solve(lu_piv, b_slope)
+        solve_t, anorm = functools.partial(solve, trans=1), np.linalg.norm(mat, 1)
     else:
         solver = "sparse"
         mat = mat.tocsc()
@@ -299,10 +301,10 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
             lu = spla.splu(mat)
         except RuntimeError as exc:
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
-        cond = _condition(float(spla.norm(mat, 1)), lu.solve, lambda v: lu.solve(v, trans="T"), mat.shape)
-        _check_condition(cond)
-        sol_c = lu.solve(b_const)
-        sol_s = lu.solve(b_slope)
+        solve, solve_t, anorm = lu.solve, functools.partial(lu.solve, trans="T"), spla.norm(mat, 1)
+    cond = _condition(float(anorm), solve, solve_t, mat.shape)
+    _check_condition(cond)
+    sol_c, sol_s = solve(b_const), solve(b_slope)
     if not (np.all(np.isfinite(sol_c)) and np.all(np.isfinite(sol_s))):
         raise CriticalSystem("commensurate block system produced non-finite segments")
     # segment p is the column-stacked block p of the solution
@@ -321,40 +323,30 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
     )
 
 
-def residual_grid(u: PiecewiseAffineMatrixFunction, per_segment: int) -> np.ndarray:
-    """Sample grid on [-H, H]: per_segment points inside every segment
-    plus every knot."""
-    offs = np.linspace(0.0, u.h, per_segment, endpoint=False)[1:]
-    inner = np.arange(-u.m, u.m)[:, None] * u.h + offs
-    return np.unique(np.concatenate([u.knots(), inner.ravel()]))
-
-
 def residuals(u: PiecewiseAffineMatrixFunction, vsys: ValidatedSystem, weight: WeightMatrix) -> ResidualReport:
     """Defect of u against the identities that define the Lyapunov matrix
     of vsys: symmetry with the antisymmetric constant P, the delay
-    difference dynamic property, and continuity across segment ends."""
-    w = weight.matrix
+    difference dynamic property, and continuity across segment ends.  Each
+    is affine between breakpoints (the knots, shifted too by each delay of
+    vsys that is not a multiple of an exact h), so its sup is read at both
+    ends of each piece, on the segment of its midpoint: one-sided limits."""
     base = k0(vsys)
-    p = p_matrix(vsys, weight)
-    wk = base.T @ w @ base
-    taus = residual_grid(u, RESIDUAL_PER_SEGMENT)
-    nonneg = taus[taus >= 0.0]
-    u_pos = u.evaluate_many(nonneg)
-    u_neg = u.evaluate_many(-nonneg)
-    sym = float(
-        np.max(np.abs(u_neg - np.transpose(u_pos, (0, 2, 1)) - p + nonneg[:, None, None] * wk))
-    )
-    dyn_vals = -u_pos
-    for d, a in vsys.entries:
-        dyn_vals = dyn_vals + u.evaluate_many(nonneg - float(d)) @ a
-    dyn = float(np.max(np.abs(dyn_vals)))
-    left_ends = u.coeffs[:-1] + u.h * u.slopes[:-1]
-    cont = float(np.max(np.abs(left_ends - u.coeffs[1:]), initial=0.0))
+    p = p_matrix(vsys, weight, base)
+    wk = base.T @ weight.matrix @ base
+    knots = u.knots()
+    shifted = np.concatenate([knots[:0]] + [knots + float(d) for d, _ in vsys.entries
+                                            if u.h_exact is None or (Fraction(d) / u.h_exact).denominator > 1])
+    breaks = np.union1d(knots[u.m:], shifted[(shifted > 0.0) & (shifted < u.horizon)])
+    ends = np.stack([breaks[:-1], breaks[1:]], axis=1)
+    mids = 0.5 * (ends[:, :1] + ends[:, 1:])
+    u_pos, u_neg = u._values(ends, mids), u._values(-ends, -mids)
+    sym = float(np.max(np.abs(u_neg - np.swapaxes(u_pos, -1, -2) - p + ends[..., None, None] * wk)))
+    dyn_vals = sum((u._values(ends - float(d), mids - float(d)) @ a for d, a in vsys.entries), -u_pos)
     return ResidualReport(
         symmetry=sym,
-        dynamic=dyn,
-        continuity=cont,
-        grid_points=len(taus),
+        dynamic=float(np.max(np.abs(dyn_vals))),
+        continuity=float(np.max(np.abs(u.coeffs[:-1] + u.h * u.slopes[:-1] - u.coeffs[1:]), initial=0.0)),
+        grid_points=len(breaks),
         condition_estimate=u.condition_estimate,
         scale=max(1.0, float(np.max(np.abs(u_pos))), float(np.max(np.abs(u_neg)))),
     )

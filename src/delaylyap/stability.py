@@ -226,7 +226,7 @@ def _sign_p(x: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, n
     where |x| > 1 of x^(n m) det Q(1/x), as _det_p reads p."""
     sign, mag = np.empty(x.size), np.empty(x.size)
     for part in fundamental.row_chunks(x.size, n * n):
-        outside, mat, _ = _p_matrices(x[part], steps, blocks, n, m)
+        outside, mat, _ = _p_matrices(x[part], steps, blocks, n, m, derivative=False)
         s, logdet = np.linalg.slogdet(mat)
         sign[part] = s * np.where(outside & (x[part] < 0.0), (-1.0) ** (n * m), 1.0)
         mag[part] = logdet + np.where(outside, n * m * np.log(np.abs(x[part])), 0.0)
@@ -234,29 +234,30 @@ def _sign_p(x: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, n
 
 
 def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
-    """Starting points (z, mirrored, real) for the n*m roots of det P on
-    one circle per edge of the upper convex hull of (degree, log
-    ||coefficient||), holding n roots per unit of degree.  The asymmetric
-    start puts them at angles that are never conjugate-symmetric, none
-    mirrored or real.  The symmetric start puts one real root at each
-    bracket of _real_roots and the rest on the upper halves of the circles,
-    each mirrored, less the surplus starts nearest the real roots found
-    (nearest the real axis if none).  None when C_m = 0 puts roots at 0,
-    and, for the symmetric start, when the real roots cannot be counted or
-    their count has the wrong parity."""
+    """Starting points (z, mirrored, real) for the n*m roots of det P, n
+    per unit of degree on each edge of the upper convex hull of (degree,
+    log ||coefficient||).  The asymmetric start puts them on one circle per
+    edge, at angles that are never conjugate-symmetric, none mirrored or
+    real.  The symmetric start puts one real root at each bracket of
+    _real_roots and the rest at the _edge_roots, each mirrored, less the
+    surplus starts nearest the real roots found (nearest the real axis if
+    none).  None when C_m = 0 puts roots at 0, and, for the symmetric
+    start, when the real roots cannot be counted or their count has the
+    wrong parity."""
     if not steps or steps[-1] != m:
         return None
     logs = [math.log(np.linalg.norm(c, 2)) for c in blocks]
-    points = [(m - j, v) for j, v in zip(steps[::-1], logs[::-1])]
+    # (degree, log norm, signed matrix) of each term of z^m I - sum_j C_j z^(m-j)
+    points = [(m - j, v, -c) for j, v, c in zip(steps[::-1], logs[::-1], blocks[::-1])]
     hull: list = []
-    for p in points + [(m, 0.0)]:
+    for p in points + [(m, 0.0, np.eye(n))]:
         while len(hull) > 1 and (
             (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
             >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])
         ):
             hull.pop()
         hull.append(p)
-    circles = [(math.exp((l1 - l2) / (d2 - d1)), n * (d2 - d1)) for (d1, l1), (d2, l2) in zip(hull, hull[1:])]
+    circles = [(math.exp((l1 - l2) / (d2 - d1)), n * (d2 - d1)) for (d1, l1, _), (d2, l2, _) in zip(hull, hull[1:])]
     if not symmetric:
         z = np.concatenate([
             radius * np.exp(1j * (2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge))
@@ -266,13 +267,32 @@ def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
     reals = _real_roots(steps, blocks, logs, n, m)
     if reals is None or (n * m - reals.size) % 2:
         return None
-    halves = [(radius, (count + 1) // 2) for radius, count in circles]
-    upper = np.concatenate([radius * np.exp(1j * math.pi * (np.arange(half) + 0.25) / half) for radius, half in halves])
+    upper = np.concatenate([_edge_roots(low, high, n) for low, high in zip(hull, hull[1:])])
     near = np.min(np.abs(upper[:, None] - reals), axis=1, initial=np.inf)
     keep = np.lexsort((upper.imag, near))[upper.size - (n * m - reals.size) // 2:]
     z = np.concatenate([upper[keep], reals + 0j])
     mirrored = np.arange(z.size) < keep.size
     return z, mirrored, ~mirrored
+
+
+def _edge_roots(low, high, n: int) -> np.ndarray:
+    """Roots of S1 z^d1 + S2 z^d2 on the hull edge from low = (d1, l1, S1)
+    to high = (d2, l2, S2): z^e = lambda, e = d2 - d1, for each eigenvalue
+    lambda of -S2^-1 S1; those strictly above the real axis stand for the
+    conjugate pairs, and those on it are turned a quarter step up.  A
+    singular S2 or S1 puts lambda on the edge's circle, |lambda| = e^(l1 - l2)."""
+    (d1, l1, low_mat), (d2, l2, high_mat), e = low, high, high[0] - low[0]
+    try:
+        lam = np.linalg.eigvals(np.linalg.solve(high_mat, -low_mat))
+    except np.linalg.LinAlgError:
+        lam = np.zeros(n)
+    if not np.all(lam):
+        lam = np.exp(l1 - l2 + 1j * math.pi * (2.0 * np.arange(n) + 1.0) / n)
+    # angles in units of pi / e, in [0, 2 e): a real lambda gives integers
+    turn = (np.angle(lam)[:, None] / math.pi + 2.0 * np.arange(e)) % (2 * e)
+    radius = np.broadcast_to(np.abs(lam)[:, None] ** (1.0 / e), turn.shape)[turn <= e]
+    turn = turn[turn <= e]
+    return radius * np.exp(1j * math.pi / e * np.where(turn % e == 0.0, turn + 0.25 * np.sign(e - 2.0 * turn), turn))
 
 
 def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -286,23 +306,23 @@ def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p_matrices(z: np.ndarray, steps, blocks, n: int, m: int):
+def _p_matrices(z: np.ndarray, steps, blocks, n: int, m: int, derivative: bool = True):
     """(outside, mat, der) at each z: mat = P(z) and der = P'(z) where
     |z| <= 1, and where |z| > 1 (outside) mat = Q(w) = I - sum C_j w^j at
     w = 1/z and der its derivative in z, with p = z^(n m) det Q.  So
-    |w| <= 1, and no power of w from _powers overflows."""
-    eye = np.eye(n)
-    in_q = np.array([0, 0] + list(steps) + [j + 1 for j in steps])[:, None]
-    in_p = np.array([m, m - 1] + [m - j for j in steps] + [max(m - j - 1, 0) for j in steps])[:, None]
+    |w| <= 1, and no power of w from _powers overflows.  Without
+    derivative, der is None and the powers only its terms read are not taken."""
+    terms = [np.eye(n)] + [-c for c in blocks]
+    in_q = [0] + list(steps) + ([0] + [j + 1 for j in steps] if derivative else [])
+    in_p = [m] + [m - j for j in steps] + ([m - 1] + [max(m - j - 1, 0) for j in steps] if derivative else [])
     outside = np.abs(z) > 1.0
     w = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
-    pw = _powers(w, np.where(outside, in_q, in_p))
-    mat = pw[0][:, None, None] * eye
-    der = np.where(outside, 0.0, m * pw[1])[:, None, None] * eye
-    for j, c, a, da in zip(steps, blocks, pw[2:], pw[2 + len(steps):]):
-        mat = mat - a[:, None, None] * c
-        der = der - (np.where(outside, -j, m - j) * da)[:, None, None] * c
-    return outside, mat, der
+    pw = _powers(w, np.where(outside, np.array(in_q)[:, None], np.array(in_p)[:, None]))
+    mat = sum(a[:, None, None] * c for a, c in zip(pw, terms))
+    if not derivative:
+        return outside, mat, None
+    factors = [np.where(outside, 0, m)] + [np.where(outside, -j, m - j) for j in steps]
+    return outside, mat, sum((f * a)[:, None, None] * c for f, a, c in zip(factors, pw[len(terms):], terms))
 
 
 def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
@@ -329,7 +349,9 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
 def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[float, float] | None:
     """The _certificate of the roots that a vectorised (Jacobi)
     Ehrlich-Aberth iteration reaches from start = (z, mirrored, real); None
-    when the sweep cap is reached or a step is non-finite.  A mirrored root
+    when the sweep cap is reached, a step is non-finite, or the only roots
+    still moving are mirrored ones whose Newton step p/p' reaches the real
+    axis, where their mirrors head too (a miscounted start).  A mirrored root
     stands for itself and its conjugate, and a real one moves along the
     real axis, where p is real.  The roots still moving are kept in front
     of z and move at once: p/p' from _det_p, and the pair sums over the
@@ -339,6 +361,7 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[flo
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             newton = _det_p(z[:moving], steps, blocks, n, m)
+            lost = mirrored[:moving] & (np.abs(newton) >= np.abs(z.imag[:moving]))
             sums = _pair_sums(z, moving)
             if mirrored.any():
                 sums += _mirror_sums(z, moving, mirrored)
@@ -353,6 +376,8 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[flo
             moving -= int(np.count_nonzero(still))
             if moving == 0 or not np.all(np.isfinite(step)):
                 break
+            if np.all(still | lost):
+                return None
         newton = _det_p(z, steps, blocks, n, m)
     return None if moving else _certificate(z, mirrored, newton, tol)
 
@@ -390,13 +415,14 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
 
     p has real coefficients, so its non-real roots come in conjugate pairs.
     _aberth_roots first runs from the symmetric start: the real roots that
-    _real_roots brackets and one root of each pair, about N / 2 roots.  A
+    _real_roots brackets and one root of each pair, about N / 2 roots, at
+    the roots of the Newton polygon's edge binomials (_edge_roots).  A
     sweep then takes (N/2)^2 / 2 pairs in each of its two pair matrices,
     (N/2)^2 in all against N^2 / 2 on all N roots, and N / 2 Newton
     corrections, each from batched n x n solves over the nonzero C_j only.
-    A wrong real-root count does not certify; the same iteration then runs
-    once from the asymmetric start on all N roots.  Dense eigvals answers
-    when C_m = 0 or neither run certifies.
+    A wrong real-root count does not certify and ends the run early; the
+    same iteration then runs once from the asymmetric start on all N
+    roots.  Dense eigvals answers when C_m = 0 or neither run certifies.
     """
     m = len(coeffs)
     steps = _nonzero_steps(coeffs)
@@ -427,8 +453,7 @@ def _torus_radius(delays: Sequence[float], mats: Sequence[np.ndarray], points: i
     for rows in fundamental.row_chunks(points ** len(delays), mats[0].size):
         idx = np.unravel_index(np.arange(rows.start, rows.stop), (points,) * len(delays))
         acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
-        for a, i in zip(mats, idx):
-            acc = acc + a * phases[i][:, None, None]
+        acc = sum((a * phases[i][:, None, None] for a, i in zip(mats, idx)), acc)
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(acc)))))
     return worst
 
@@ -473,19 +498,9 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     of the block companion matrix of the commensurate rewrite (per
     basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
     the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
-    found by an Ehrlich-Aberth iteration.  p is real, so the iteration
-    moves the real roots, counted by a sign scan of p on the real axis, and
-    one root of each conjugate pair: (n m)^2 / 4 root pairs per sweep,
-    summed in single precision only to steer.  The full mirrored set is
-    certified in double precision in O(n m log(n m)) by Newton disks of
-    radius n m |p / p'| plus a rounding allowance: when they are pairwise
-    disjoint each holds exactly one eigenvalue, and the radius is exact to
-    within the largest disk radius, which must not exceed EXACT_MARGIN / 10.
-    A wrong real-root count leaves the disks uncertified, and the iteration
-    reruns once on all n m roots from a start that is not conjugate-
-    symmetric.  Without a certificate (C_m = 0, no convergence, a
-    non-finite value, overlapping or too wide disks), and for smaller
-    companions, dense eigvals gives the radius.
+    certified to within EXACT_MARGIN / 10 by Newton disks after an
+    Ehrlich-Aberth iteration (_aberth_radius).  Without a certificate, and
+    for smaller companions, dense eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive

@@ -159,6 +159,64 @@ def reference_residual_grid(u, per_segment):
     return np.unique(np.concatenate(taus))
 
 
+def reference_residuals(u, vsys, weight, per_segment=50):
+    """The residuals sampled at per_segment points per segment and at every
+    knot, as the library took them before it read the exact sup at the
+    breakpoints: the reference for that sup."""
+    w = weight.matrix
+    base = dl.k0(vsys)
+    p = dl.p_matrix(vsys, weight)
+    wk = base.T @ w @ base
+    taus = reference_residual_grid(u, per_segment)
+    nonneg = taus[taus >= 0.0]
+    u_pos = u.evaluate_many(nonneg)
+    u_neg = u.evaluate_many(-nonneg)
+    sym = float(np.max(np.abs(u_neg - np.transpose(u_pos, (0, 2, 1)) - p + nonneg[:, None, None] * wk)))
+    dyn_vals = -u_pos
+    for d, a in vsys.entries:
+        dyn_vals = dyn_vals + u.evaluate_many(nonneg - float(d)) @ a
+    left_ends = u.coeffs[:-1] + u.h * u.slopes[:-1]
+    return lyapunov_build.ResidualReport(
+        symmetry=sym,
+        dynamic=float(np.max(np.abs(dyn_vals))),
+        continuity=float(np.max(np.abs(left_ends - u.coeffs[1:]), initial=0.0)),
+        grid_points=len(taus),
+        condition_estimate=u.condition_estimate,
+        scale=max(1.0, float(np.max(np.abs(u_pos))), float(np.max(np.abs(u_neg)))),
+    )
+
+
+def residual_rounding(u, vsys, weight):
+    """(symmetry, dynamic, value, a): bounds on the rounding of one
+    evaluated defect, and of one value of U, from the same stored segments.
+
+    A value c + xi s of U reads xi = fl(t - fl(k h)) at an argument t that
+    may itself be fl(tau - h_j): three roundings of quantities at most H,
+    so xi is off by at most 1.5 eps H and the value by 1.5 eps H max|s|,
+    and the product and sum add eps (|c| + h |s|).  value doubles that,
+    also for a point a few ulps past its segment.  The dynamic defect
+    -U(tau) + sum_j U(tau - h_j) A_j adds gamma_n per product and
+    gamma_(q+1) for the sum, a = sum_j ||A_j||_1 weighing each row; the
+    symmetry defect U(-tau) - U(tau)^T - P + tau K0^T W K0 adds three
+    sums and a product."""
+    slope = float(np.max(np.abs(u.slopes)))
+    big = float(np.max(np.abs(u.coeffs))) + u.h * slope
+    value = 2.0 * EPS * (big + 2.0 * u.horizon * slope)
+    a = sum(float(np.linalg.norm(mat, 1)) for _, mat in vsys.entries)
+    base = dl.k0(vsys)
+    p = float(np.max(np.abs(dl.p_matrix(vsys, weight))))
+    wk = float(np.max(np.abs(base.T @ weight.matrix @ base)))
+    sym = 2.0 * value + 3.0 * EPS * (2.0 * big + p + u.horizon * wk)
+    dyn = (1.0 + a) * (value + (u.n + len(vsys.entries) + 1) * EPS * big)
+    return sym, dyn, value, a
+
+
+def build_u(vsys, weight):
+    if len(vsys.entries) == 1:
+        return dl.build_single_delay(vsys, weight)
+    return dl.build_commensurate(dl.to_commensurate(vsys), weight)
+
+
 def assert_same_bytes(got, want):
     """Same dtype, shape and bytes: -0.0 differs from 0.0."""
     got, want = np.asarray(got), np.asarray(want)
@@ -270,13 +328,6 @@ class TestNonzeroStepAssembly:
         assert_same_bytes(u.slopes, ref.slopes)
         assert_same_bytes(u.condition_estimate, ref.condition_estimate)
 
-    @pytest.mark.parametrize("per_segment", [1, 2, 7, 50])
-    def test_residual_grid_matches_segment_loop(self, u_scalar, u_ex2a, ex3, w2, per_segment):
-        rung = dl.build_commensurate(dl.approximate_system(ex3, 4), w2)
-        floating = dl.build_single_delay(dl.validate(dl.DelaySystem.single([[0.3]], math.sqrt(2.0))), dl.WeightMatrix.identity(1))
-        for u in (u_scalar, u_ex2a, rung, floating):
-            assert_same_bytes(lyapunov_build.residual_grid(u, per_segment), reference_residual_grid(u, per_segment))
-
 
 class TestScalarClosedForm:
     """x(t) = 0.5 x(t-1) with unit weight has a geometric-series solution
@@ -371,7 +422,8 @@ class TestResiduals:
         d = rep.to_dict()
         for key in ("symmetry", "dynamic", "continuity", "grid_points", "condition_estimate"):
             assert key in d
-        assert d["grid_points"] > 100
+        # the breakpoints: the knots in [0, H], which the delays 1 and 3/2 shift onto knots
+        assert d["grid_points"] == u_ex2a.m + 1 == 4
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -387,8 +439,7 @@ class TestResiduals:
         w = dl.WeightMatrix.identity(5)
         u = dl.build_single_delay(vsys, w)
         rep = dl.residuals(u, vsys, w)
-        grid = lyapunov_build.residual_grid(u, lyapunov_build.RESIDUAL_PER_SEGMENT)
-        assert rep.scale == pytest.approx(np.max(np.abs(u.evaluate_many(grid))), rel=1e-12)
+        assert rep.scale == pytest.approx(np.max(np.abs(u.evaluate_many(u.knots()))), rel=1e-12)
         assert rep.scale > 1e7 and rep.to_dict()["scale"] == rep.scale
         assert rep.max_residual() > 1e-8 and rep.passed(1e-8)
         coeffs = u.coeffs.copy()
@@ -402,6 +453,66 @@ class TestResiduals:
         u = dl.build_single_delay(scalar_half, w)
         assert np.max(np.abs(u.coeffs)) < 0.1
         assert dl.residuals(u, scalar_half, w).scale == 1.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        vsys=st.one_of(commensurate_systems(), st.integers(0, 10_000).map(random_stable_single)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_sup_against_sampled_reference(self, vsys, seed):
+        # every breakpoint is a knot here, which the reference samples from
+        # one side: the sup reads both one-sided limits, so it may exceed a
+        # knot's value by the jump of U there times the weight of the terms
+        # read, and the reference's interior samples add their own rounding
+        w = random_weight(np.random.default_rng(seed), vsys.n)
+        u = build_u(vsys, w)
+        got, ref = dl.residuals(u, vsys, w), reference_residuals(u, vsys, w)
+        sym, dyn, value, a = residual_rounding(u, vsys, w)
+        jump = got.continuity + value
+        assert got.grid_points == u.m + 1
+        assert got.continuity == ref.continuity
+        assert ref.symmetry - 2.0 * sym <= got.symmetry <= ref.symmetry + 2.0 * sym + 2.0 * jump
+        assert ref.dynamic - 2.0 * dyn <= got.dynamic <= ref.dynamic + 2.0 * dyn + (1.0 + a) * jump
+        assert abs(got.scale - ref.scale) <= jump + 2.0 * value
+
+    def test_delays_off_the_knots(self, ex3, w2):
+        # U of the order-4 rung (delays 1 and 41/29, h = 1/29) checked
+        # against delays 1 and 1.41: the knots shifted by 1.41 fall between
+        # knots, 41 of them inside [0, H]
+        u = dl.build_commensurate(dl.approximate_system(ex3, 4), w2)
+        vsys = dl.validate(dl.DelaySystem(2, [(Fraction(1), ex3.matrices[0]), (1.41, ex3.matrices[1])]))
+        got, ref = dl.residuals(u, vsys, w2), reference_residuals(u, vsys, w2, 2000)
+        sym, dyn, value, a = residual_rounding(u, vsys, w2)
+        assert got.grid_points == u.m + 1 + 41
+        assert ref.dynamic > 1e-3
+        assert got.symmetry >= ref.symmetry - 2.0 * sym
+        assert got.dynamic >= ref.dynamic - 2.0 * dyn
+        # and the samples come within a half step of the defect's slope,
+        # at most (1 + a) max|s|, of the sup
+        step = (1.0 + a) * float(np.max(np.abs(u.slopes))) * u.h / 2000
+        assert got.dynamic <= ref.dynamic + step + 2.0 * dyn + (1.0 + a) * (got.continuity + value)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_slope_offset_reads_delta_h(self, k):
+        # x(t) = 0.2 x(t - 1) + 0.1 x(t - 3/2): h = 1/2, m = 3.  A slope
+        # offset delta on segment k (tau in [k h, (k + 1) h)) adds
+        # -delta (tau - k h) to -U(tau), delta h at the segment's right end,
+        # and at most 0.2 delta h through U(tau - 1) elsewhere; for k < 2
+        # that end is a left limit at a knot, which no sample reads
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.2]]), (Fraction(3, 2), [[0.1]])]))
+        w = dl.WeightMatrix.identity(1)
+        u = build_u(vsys, w)
+        assert (u.h, u.m) == (0.5, 3)
+        delta = 2.0**-20
+        slopes = u.slopes.copy()
+        slopes[k + u.m] += delta
+        bad = dataclasses.replace(u, slopes=slopes)
+        base = dl.residuals(u, vsys, w)
+        got = dl.residuals(bad, vsys, w)
+        _, dyn, _, _ = residual_rounding(bad, vsys, w)
+        assert abs(got.dynamic - delta * u.h) <= base.dynamic + 2.0 * dyn
+        if k < 2:
+            assert reference_residuals(bad, vsys, w).dynamic < got.dynamic - 0.01 * delta * u.h
 
 
 class TestSingleVsCommensurate:

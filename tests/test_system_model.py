@@ -485,6 +485,14 @@ class TestZeroRadius:
         assert dl.default_horizon(ex2a_half, rep) == max(t, 3.0 * ex2a_half.h_max)
 
 
+@pytest.fixture(scope="module")
+def order6_rung(ex3):
+    """The order-6 rung of example 3 (n m = 478) and its dense eigvals
+    radius, about 0.2 s, taken once for the tests that compare with it."""
+    form = dl.approximate_system(ex3, 6)
+    return form, reference_companion_radius(form.coefficients, 2)
+
+
 class TestStructuredCompanion:
     """The Ehrlich-Aberth route of the companion spectral radius against
     an explicit companion matrix and dense eigvals."""
@@ -552,11 +560,10 @@ class TestStructuredCompanion:
         for got, want in zip(np.random.get_state(), state):
             assert np.array_equal(got, want)
 
-    def test_order_6_sqrt2_rung_matches_dense(self, ex3):
-        form = dl.approximate_system(ex3, 6)
+    def test_order_6_sqrt2_rung_matches_dense(self, order6_rung):
+        form, ref = order6_rung
         assert (form.m, 2 * form.m) == (239, 478)
         rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
-        ref = reference_companion_radius(form.coefficients, 2)
         assert radius is not None
         assert abs(rho - ref) <= radius + 8 * EPS * rho
         assert verdict(rho) == verdict(ref) == "unstable"
@@ -601,7 +608,7 @@ class TestStructuredCompanion:
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got * factor - base) <= 1e-6 * np.max(np.abs(base)))
 
-    def test_certificate_does_not_trust_the_pair_sums(self, ex3, monkeypatch):
+    def test_certificate_does_not_trust_the_pair_sums(self, order6_rung, monkeypatch):
         # the sums only steer the iteration: with a relative error of 1e-3
         # in each, the order-6 rung still certifies by its Newton disks
         exact = stability._pair_sums
@@ -611,10 +618,9 @@ class TestStructuredCompanion:
             return exact(z, rows) * (1.0 + 1e-3 * wobble[:rows])
 
         monkeypatch.setattr(stability, "_pair_sums", off)
-        form = dl.approximate_system(ex3, 6)
+        form, ref = order6_rung
         assert 2 * form.m == 478
         rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
-        ref = reference_companion_radius(form.coefficients, 2)
         assert radius is not None and radius <= 1e-10
         assert abs(rho - ref) <= radius + 8 * EPS * rho
 
@@ -666,7 +672,7 @@ class TestStructuredCompanion:
         assert verdict(rho) == verdict(ref)
 
     @pytest.mark.parametrize("wrong", ["none", "one", "extra"])
-    def test_wrong_real_root_count_retries(self, ex3, wrong, monkeypatch):
+    def test_wrong_real_root_count_retries(self, order6_rung, wrong, monkeypatch):
         # the order-6 rung has two real roots; a count of 0 or 4 leaves the
         # symmetric run uncertified, and a count of 1 has the wrong parity
         # and no symmetric start; either way the asymmetric run answers
@@ -684,9 +690,8 @@ class TestStructuredCompanion:
 
         monkeypatch.setattr(stability, "_real_roots", miscount)
         monkeypatch.setattr(stability, "_newton_polygon_start", record)
-        form = dl.approximate_system(ex3, 6)
+        form, ref = order6_rung
         rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
-        ref = reference_companion_radius(form.coefficients, 2)
         assert asked == [True, False]
         assert radius is not None and radius <= 1e-10
         assert abs(rho - ref) <= radius + 8 * EPS * rho
@@ -792,6 +797,148 @@ class TestScreenKernels:
             rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
             assert radius <= 1e-10
             assert verdict(rho) == "stable"
+
+class TestEdgeStarts:
+    """The symmetric start at the roots of the Newton polygon's edge
+    binomials, and the early end of a run from a miscounted start."""
+
+    @pytest.mark.parametrize("c, e", [(2.5, 7), (2.5, 6), (-0.7, 5), (-0.7, 6)])
+    def test_scalar_binomial_edge_is_exact(self, c, e):
+        # the edge from -c z^0 to z^e is the binomial z^e - c: its starts are
+        # the roots of z^e = c above the real axis, and each one on the axis
+        # turned a quarter of the ring's step, pi / (4 e), into the upper half
+        import mpmath
+
+        got = stability._edge_roots((0, math.log(abs(c)), np.array([[-c]])), (e, 0.0, np.eye(1)), 1)
+        with mpmath.workdps(40):
+            roots = [complex(mpmath.root(c, e, k)) for k in range(e)]
+        size = abs(c) ** (1.0 / e)
+        above = [z for z in roots if z.imag > 1e-9 * size]
+        turned = [z * np.exp(1j * np.sign(z.real) * np.pi / (4 * e)) for z in roots if abs(z.imag) <= 1e-9 * size]
+        want = np.array(sorted(above + turned, key=np.angle))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got[np.argsort(np.angle(got))] - want) <= 8 * EPS * size)
+
+    def test_scalar_symmetric_start_is_the_roots(self):
+        # p = z^31 - 2.5: the scan brackets the one real root, and the 15
+        # mirrored starts are the roots above the axis, the turned one dropped
+        m, c = 31, 2.5
+        z, mirrored, real = stability._newton_polygon_start([m], [np.array([[c]])], 1, m, True)
+        assert (np.count_nonzero(mirrored), np.count_nonzero(real)) == (15, 1)
+        size = c ** (1.0 / m)
+        assert abs(z[real][0] - size) <= size / m
+        want = size * np.exp(2j * np.pi * np.arange(1, 16) / m)
+        assert np.all(np.abs(np.sort_complex(z[mirrored]) - np.sort_complex(want)) <= 8 * EPS * size)
+
+    @pytest.mark.parametrize("which", ["high", "low"])
+    def test_singular_edge_matrix_keeps_the_circle(self, which):
+        # S2 = -diag(8, 0) has no inverse, and with S1 = -diag(8, 0) the
+        # eigenvalue 0 would start e roots at 0: both edges start on their
+        # circles, |z| = exp((l1 - l2) / e), n e / 2 points above the axis
+        sing = (math.log(8.0), -np.diag([8.0, 0.0]))
+        low, high = {"high": ((0, math.log(0.5), -0.5 * np.eye(2)), (35,) + sing), "low": ((35,) + sing, (40, 0.0, np.eye(2)))}[which]
+        e = high[0] - low[0]
+        got = stability._edge_roots(low, high, 2)
+        assert got.size == e and np.all(got.imag > 0.0)
+        assert np.all(np.abs(np.abs(got) - math.exp((low[1] - high[1]) / e)) <= 8 * EPS * np.abs(got))
+
+    def test_singular_hull_vertex_certifies_symmetric(self, monkeypatch):
+        # C_5 = diag(8, 0) is a vertex of the hull, singular at both its edges
+        start = stability._newton_polygon_start
+
+        def symmetric_only(steps, blocks, n, m, symmetric):
+            if not symmetric:
+                raise AssertionError("asymmetric retry")
+            return start(steps, blocks, n, m, symmetric)
+
+        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
+        coeffs = [np.zeros((2, 2))] * 40
+        coeffs[4], coeffs[39] = np.diag([8.0, 0.0]), np.array([[0.5, 0.1], [-0.2, 0.4]])
+        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
+        assert radius <= 1e-10
+        assert abs(rho - reference_companion_radius(coeffs, 2)) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, 2)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_sweep_budget(self, ex3, scale, monkeypatch):
+        # example 3, plain and times 0.5, at orders 4, 7 and 8: the symmetric
+        # run certifies in at most 5 sweeps (6 or 7 from the circles), one
+        # _det_p call each plus one for the certificate
+        start, det_p = stability._newton_polygon_start, stability._det_p
+        calls = []
+
+        def symmetric_only(steps, blocks, n, m, symmetric):
+            if not symmetric:
+                raise AssertionError("asymmetric retry")
+            return start(steps, blocks, n, m, symmetric)
+
+        def counted(z, *args):
+            calls.append(z.size)
+            return det_p(z, *args)
+
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
+        monkeypatch.setattr(stability, "_det_p", counted)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
+        system = dl.validate(dl.DelaySystem(2, [(d, scale * a) for d, a in ex3.system.entries]))
+        for order in (4, 7, 8):
+            calls.clear()
+            rho, radius = stability._aberth_radius(dl.approximate_system(system, order).coefficients, 2, 1e-10)
+            assert radius <= 1e-10
+            assert len(calls) - 1 <= 5, (order, calls)
+
+    def test_miscounted_start_ends_early(self, order6_rung, monkeypatch):
+        # a scan that misses the two real roots of the order-6 rung leaves a
+        # mirrored root to close on them with its mirror; once it is all that
+        # still moves, its Newton step reaches the axis and the run ends, well
+        # before ABERTH_SWEEPS, and the asymmetric run answers
+        scan, start, det_p = stability._real_roots, stability._newton_polygon_start, stability._det_p
+        events = []
+
+        def record(steps, blocks, n, m, symmetric):
+            events.append(symmetric)
+            return start(steps, blocks, n, m, symmetric)
+
+        def counted(z, *args):
+            events.append("sweep")
+            return det_p(z, *args)
+
+        monkeypatch.setattr(stability, "_real_roots", lambda *args: scan(*args)[:0])
+        monkeypatch.setattr(stability, "_newton_polygon_start", record)
+        monkeypatch.setattr(stability, "_det_p", counted)
+        form, ref = order6_rung
+        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        assert radius is not None and abs(rho - ref) <= radius + 8 * EPS * rho
+        assert events[0] is True and events.count(True) == 1 and events.count(False) == 1
+        assert events.index(False) - 1 <= 10 < stability.ABERTH_SWEEPS
+
+    @pytest.mark.parametrize("seed", [11, 12, 15, 17, 24])
+    def test_slow_pair_near_the_axis_is_not_ended(self, seed, monkeypatch):
+        # z^31 - c_3 z^28 - c_24 z^7 - c_31: a mirrored root closes on a
+        # complex root near the axis at a linear rate, its Newton disk
+        # (31 |p/p'|) across the axis for sweeps but its Newton step not;
+        # ending on the disk gave up these runs at sweep 6 of 8-11
+        start = stability._newton_polygon_start
+
+        def symmetric_only(steps, blocks, n, m, symmetric):
+            if not symmetric:
+                raise AssertionError("asymmetric retry")
+            return start(steps, blocks, n, m, symmetric)
+
+        def boom(*args):
+            raise AssertionError("dense fallback")
+
+        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
+        rng = np.random.default_rng(seed)
+        coeffs = [np.zeros((1, 1))] * 31
+        for j in (3, 24, 31):
+            coeffs[j - 1] = rng.normal(size=(1, 1))
+        rho, radius = stability._aberth_radius(coeffs, 1, 1e-10)
+        assert radius <= 1e-10
+        assert abs(rho - reference_companion_radius(coeffs, 1)) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, 1)
+
 
 class TestTorusCap:
     def test_five_float_delays_shrink_the_grid(self):
