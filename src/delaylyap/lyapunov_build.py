@@ -157,11 +157,12 @@ def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix, base: np.ndarray | Non
 
 def _condition(anorm: float, solve, solve_t, shape) -> float:
     """Exact ||A||_1 times the onenormest estimate of ||A^-1||_1 from the
-    factor's solves; t=1 draws no random numbers, and unlike LAPACK gecon
-    the estimate repeats bit for bit from process to process."""
+    factor's solves (the dtype given, so scipy probes it with no solve);
+    t=1 draws no random numbers, and unlike LAPACK gecon the estimate
+    repeats bit for bit from process to process."""
     import scipy.sparse.linalg as spla
 
-    inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t)
+    inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t, dtype=float)
     try:
         return anorm * float(spla.onenormest(inv_op, t=1))
     except (RuntimeError, ValueError):

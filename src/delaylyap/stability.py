@@ -36,8 +36,8 @@ STRUCTURED_CUTOFF = 76
 # below which a root counts as converged and stops moving
 ABERTH_SWEEPS = 60
 ABERTH_STOP = 1e-12
-# eigvals evaluations the torus grid may take: 64 points per delay up to
-# three delays; more delays get fewer points per delay
+# eigvals evaluations the torus grid may take, its first phase fixed: 64
+# points per delay up to four delays; more delays get fewer points per delay
 TORUS_MAX_EVALS = 64 ** 3
 # torus grid points per delay, and the distance from 1 within which a
 # torus radius stays inconclusive
@@ -436,24 +436,26 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
 
 
 def _torus_grid(points: int, q: int) -> int:
-    """points per delay, or the most whose q-th power fits TORUS_MAX_EVALS."""
-    p = min(points, int(TORUS_MAX_EVALS ** (1.0 / q)) + 1)
-    while p ** q > TORUS_MAX_EVALS:
+    """points per delay, or the most whose (q - 1)-th power fits TORUS_MAX_EVALS."""
+    p = points
+    while p ** (q - 1) > TORUS_MAX_EVALS:
         p -= 1
     return p
 
 
-def _torus_radius(delays: Sequence[float], mats: Sequence[np.ndarray], points: int) -> float:
+def _torus_radius(mats: Sequence[np.ndarray], points: int) -> float:
     """Largest spectral radius of sum A_j exp(i theta_j) over a uniform
-    grid on the torus.  A sampled lower bound of the true supremum, hence
-    only a heuristic certificate.  Stacked eigvals calls walk the grid in
-    row-major order, CHUNK_ENTRIES matrix entries at a time."""
+    torus grid with theta_1 = 0: rho(exp(i psi) M) = rho(M), so this takes
+    the full grid's matrices up to unit factors.  A sampled lower bound of
+    the true supremum, hence only a heuristic certificate.  Stacked eigvals
+    calls walk the grid in row-major order, CHUNK_ENTRIES entries at a time."""
     phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
+    shape = (points,) * (len(mats) - 1)
     worst = 0.0
-    for rows in fundamental.row_chunks(points ** len(delays), mats[0].size):
-        idx = np.unravel_index(np.arange(rows.start, rows.stop), (points,) * len(delays))
-        acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
-        acc = sum((a * phases[i][:, None, None] for a, i in zip(mats, idx)), acc)
+    for rows in fundamental.row_chunks(math.prod(shape), mats[0].size):
+        idx = np.unravel_index(np.arange(rows.start, rows.stop), shape)
+        acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex) + mats[0]
+        acc = sum((a * phases[i][:, None, None] for a, i in zip(mats[1:], idx)), acc)
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(acc)))))
     return worst
 
@@ -504,16 +506,13 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive
-    (EXACT_MARGIN for the exact radii).  The grid has TORUS_POINTS per
-    delay unless that exceeds TORUS_MAX_EVALS evaluations; then it shrinks
-    to the largest grid within the cap and the report gives the reason.
+    (EXACT_MARGIN for the exact radii).  The grid fixes the first phase and
+    has TORUS_POINTS per delay unless its points^(q-1) evaluations exceed
+    TORUS_MAX_EVALS; then it shrinks to fit and the report says why.
     """
     raw = system.system if isinstance(system, ValidatedSystem) else system
-    delays = raw.delays
-    mats = raw.matrices
-    n = raw.n
-    grid_points = reason = None
-    rewrite = None
+    delays, mats, n = raw.delays, raw.matrices, raw.n
+    grid_points = reason = rewrite = None
     if len(delays) > 1 and all(_is_exact(d) for d in delays):
         rewrite = _commensurate_data([_exact(d) for d in delays], mats, n, COMPANION_CAP // n)
 
@@ -533,10 +532,10 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
         grid_points = _torus_grid(TORUS_POINTS, len(delays))
         if grid_points < TORUS_POINTS:
             reason = (
-                f"torus grid capped at {grid_points}^{len(delays)} evaluations "
-                f"(TORUS_MAX_EVALS = {TORUS_MAX_EVALS}), {TORUS_POINTS} points per delay asked"
+                f"torus grid capped at {grid_points} points per delay, {grid_points}^{len(delays) - 1} evaluations "
+                f"with the first phase fixed (TORUS_MAX_EVALS = {TORUS_MAX_EVALS}), {TORUS_POINTS} points asked"
             )
-        rho = _torus_radius([float(d) for d in delays], mats, grid_points)
+        rho = _torus_radius(mats, grid_points)
         step = float(delays[-1])
         margin = TORUS_MARGIN
 

@@ -549,14 +549,14 @@ _MESSY = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), Tr
 
 
 def _good_delays(num, den):
-    """Two delays: floats, integers up to num, fractions up to num / den,
+    """Three delays: floats, integers up to num, fractions up to num / den,
     tiny floats, or fractions whose gcd is tiny."""
     return st.one_of(
-        st.lists(st.floats(1e-3, 5.0), min_size=2, max_size=2),
-        st.lists(st.integers(1, min(num, 8)), min_size=2, max_size=2),
-        st.lists(st.builds(lambda p, q: {"num": p, "den": q}, st.integers(1, num), st.integers(1, den)), min_size=2, max_size=2),
-        st.lists(st.floats(5e-324, 1e-6), min_size=2, max_size=2),
-        st.integers(1, 5).map(lambda k: [{"num": 1, "den": TINY_GCD}, {"num": k * TINY_GCD, "den": TINY_GCD}]),
+        st.lists(st.floats(1e-3, 5.0), min_size=3, max_size=3),
+        st.lists(st.integers(1, min(num, 8)), min_size=3, max_size=3),
+        st.lists(st.builds(lambda p, q: {"num": p, "den": q}, st.integers(1, num), st.integers(1, den)), min_size=3, max_size=3),
+        st.lists(st.floats(5e-324, 1e-6), min_size=3, max_size=3),
+        st.integers(1, 5).map(lambda k: [{"num": 1, "den": TINY_GCD}] + [{"num": j * TINY_GCD, "den": TINY_GCD} for j in (k, k + 1)]),
     )
 
 
@@ -582,13 +582,14 @@ def _swap(draw):
 
 @st.composite
 def mutated_descriptors(draw, n_max=3, num=40, den=20):
-    """A descriptor with n <= n_max and one or two delays (three make a
-    torus grid of 64^3 evaluations), about one in six of its parts swapped
-    for a wrong type, a boolean, a numeric string, a huge integer, an
-    empty or ragged array or a NaN token; its delays are floats, integers,
-    fractions up to num / den, tiny floats or fractions whose gcd is tiny."""
+    """A descriptor with n <= n_max and one to three delays (three float
+    delays make a torus grid of 64^2 evaluations), about one in six of its
+    parts swapped for a wrong type, a boolean, a numeric string, a huge
+    integer, an empty or ragged array or a NaN token; its delays are
+    floats, integers, fractions up to num / den, tiny floats or fractions
+    whose gcd is tiny."""
     n = draw(st.integers(1, n_max))
-    q = draw(st.integers(1, 2))
+    q = draw(st.integers(1, 3))
     delays = sorted(draw(_good_delays(num, den))[:q], key=lambda d: d["num"] / d["den"] if isinstance(d, dict) else d)
     entries = []
     for delay in delays:
@@ -630,8 +631,8 @@ class TestCheckDescriptorProperty:
         assert "Traceback" not in err
         assert code == 3 or not _holds_bool_or_text(desc)
 
-    # n <= 2 and fractions up to 8/4, so that m <= 32 and a build has at
-    # most 256 unknowns
+    # n <= 2 and fractions up to 8/4, so that h >= 1/12, m <= 96 and a
+    # build has at most 768 unknowns
     @pytest.mark.parametrize("command", ["lyap", "jumps", "verify"])
     @settings(max_examples=40, deadline=None)
     @given(desc=mutated_descriptors(n_max=2, num=8, den=4))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -209,6 +210,15 @@ def residual_rounding(u, vsys, weight):
     sym = 2.0 * value + 3.0 * EPS * (2.0 * big + p + u.horizon * wk)
     dyn = (1.0 + a) * (value + (u.n + len(vsys.entries) + 1) * EPS * big)
     return sym, dyn, value, a
+
+
+def reference_condition(anorm, solve, solve_t, shape):
+    """The condition estimate as built before the operator had a dtype:
+    scipy then probes the dtype with one solve of a zero vector."""
+    import scipy.sparse.linalg as spla
+
+    inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t)
+    return anorm * float(spla.onenormest(inv_op, t=1))
 
 
 def build_u(vsys, weight):
@@ -672,6 +682,40 @@ class TestSolverRoutes:
         }
         assert len(outs) == 1
         assert outs.pop().split()[:2] == ["dense", "522"]
+
+    @pytest.mark.parametrize("order", [4, 7])
+    def test_condition_estimate_takes_four_solves(self, ex3, w2, order):
+        # order 4 has 328 unknowns (dense), order 7 has 4616 (sparse)
+        import scipy.linalg as sla
+        import scipy.sparse.linalg as spla
+
+        form = dl.approximate_system(ex3, order)
+        mat = _commensurate_blocks(form, w2)[0]
+        if order == 4:
+            mat = mat.toarray()
+            solve = functools.partial(sla.lu_solve, sla.lu_factor(mat))
+            solve_t, anorm = functools.partial(solve, trans=1), float(np.linalg.norm(mat, 1))
+        else:
+            mat = mat.tocsc()
+            lu = spla.splu(mat)
+            solve, solve_t, anorm = lu.solve, functools.partial(lu.solve, trans="T"), float(spla.norm(mat, 1))
+        calls = []
+
+        def counted(f):
+            def run(x):
+                calls.append(x.dtype)
+                return f(x)
+            return run
+
+        got = lyapunov_build._condition(anorm, counted(solve), counted(solve_t), mat.shape)
+        assert calls == [np.float64] * 4
+        del calls[:]
+        want = reference_condition(anorm, counted(solve), counted(solve_t), mat.shape)
+        assert calls == [np.int8] + [np.float64] * 4
+        assert_same_bytes(got, want)
+        u = dl.build_commensurate(form, w2)
+        assert (u.solver, 2 * u.m * 4) == (("dense", 328) if order == 4 else ("sparse", 4616))
+        assert_same_bytes(u.condition_estimate, want)
 
     def test_condition_reported(self, u_ex2a):
         assert np.isfinite(u_ex2a.condition_estimate)

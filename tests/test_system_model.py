@@ -63,6 +63,49 @@ def dense_error_bound(coeffs, n):
     return 8.0 * big.shape[0] * EPS * np.linalg.norm(big) * kappa
 
 
+def reference_torus_radius(mats, points):
+    """The torus screen over the full points^q grid, as it ran before the
+    first phase was fixed, with the same sums: (radius, grid index of the
+    matrix that attains it, that matrix)."""
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
+    idx = np.unravel_index(np.arange(points ** len(mats)), (points,) * len(mats))
+    acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex)
+    acc = sum((a * phases[i][:, None, None] for a, i in zip(mats, idx)), acc)
+    radii = np.max(np.abs(np.linalg.eigvals(acc)), axis=1)
+    k = int(np.argmax(radii))
+    return float(radii[k]), tuple(int(i[k]) for i in idx), acc[k]
+
+
+def torus_quotient_bound(mats, points, at, full):
+    """How far the fixed-first-phase radius may sit from the full grid's.
+    At the reference's maximising point `at`, the exact matrices of the
+    full grid and of its quotient point (at_j - at_1 mod points) differ by
+    the unit factor exp(i theta_1), so their spectral radii are equal.
+    Each computed matrix differs from its exact one by the rounding of its
+    unit factors (the phases' distance from exp(2 pi i k / points), taken
+    against mpmath) plus that of the products and the sum of q terms, and
+    eigvals adds a backward error of 8 n eps ||M||_F, the generous multiple
+    of dense_error_bound.  Bauer-Fike turns both perturbations into a
+    radius error through the eigenvector condition numbers, doubled for
+    taking them from the computed rather than the exact matrices."""
+    import mpmath
+
+    q, n = len(mats), mats[0].shape[0]
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
+    with mpmath.workdps(40):
+        unit_err = max(abs(mpmath.mpc(p.real, p.imag) - mpmath.expjpi(mpmath.mpf(2 * k) / points))
+                       for k, p in enumerate(phases))
+    delta = float(unit_err) + 1.01 * (1.0 + math.sqrt(2.0) * (q - 1)) * EPS * (1.0 + float(unit_err))
+    pert = delta * np.linalg.norm(sum(np.abs(a) for a in mats))
+    quotient = sum((a * phases[(i - at[0]) % points] for a, i in zip(mats[1:], at[1:])), mats[0] + 0j)
+    total = 0.0
+    kappa = 0.0
+    for mat in (full, quotient):
+        total += pert + 8.0 * n * EPS * np.linalg.norm(mat)
+        kappa = max(kappa, np.linalg.cond(np.linalg.eig(mat)[1]))
+    return 2.0 * kappa * total
+
+
 def verdict(rho, margin=1e-9):
     if rho >= 1.0 + margin:
         return "unstable"
@@ -940,24 +983,66 @@ class TestEdgeStarts:
         assert abs(rho - reference_companion_radius(coeffs, 1)) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, 1)
 
 
+class TestTorusQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(2, 3), n=st.integers(1, 3), points=st.integers(1, 24),
+           scale=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_fixed_first_phase_matches_full_grid(self, q, n, points, scale, seed):
+        rng = np.random.default_rng(seed)
+        mats = [scale * rng.normal(size=(n, n)) for _ in range(q)]
+        want, at, full = reference_torus_radius(mats, points)
+        got = stability._torus_radius(mats, points)
+        assert abs(got - want) <= torus_quotient_bound(mats, points, at, full)
+
+    def test_example3_matches_full_grid(self, ex3):
+        mats = list(ex3.matrices)
+        want, at, full = reference_torus_radius(mats, stability.TORUS_POINTS)
+        got = stability._torus_radius(mats, stability.TORUS_POINTS)
+        assert abs(got - want) <= torus_quotient_bound(mats, stability.TORUS_POINTS, at, full)
+        # the full grid's radius of example 3 written with 0.8 and -1.2,
+        # which the fixture's 0.1 + 0.7 and -0.1 - 1.1 miss by an ulp
+        assert abs(got - 1.1998571264310205) <= 1e-12
+
+    def test_example3_takes_64_evaluations(self, ex3, monkeypatch):
+        # the full grid took 64^2
+        sizes = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        rep = dl.stability_check(ex3)
+        assert (rep.method, rep.grid_points, rep.verdict) == ("torus_grid_heuristic", 64, "unstable")
+        assert sum(sizes) == 64
+
+
 class TestTorusCap:
     def test_five_float_delays_shrink_the_grid(self):
         delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0)]
         mats = [np.array([[c]]) for c in (0.1, -0.05, 0.08, 0.02, -0.07)]
         vsys = dl.validate(dl.DelaySystem(1, list(zip(delays, mats))))
         rep = dl.stability_check(vsys)
-        assert 64 ** 5 > stability.TORUS_MAX_EVALS
-        assert rep.grid_points == 12
-        assert 12 ** 5 <= stability.TORUS_MAX_EVALS < 13 ** 5
+        assert 64 ** 4 > stability.TORUS_MAX_EVALS
+        assert rep.grid_points == 22
+        assert 22 ** 4 <= stability.TORUS_MAX_EVALS < 23 ** 4
         assert rep.method == "torus_grid_heuristic" and rep.verdict == "inconclusive"
-        assert "12^5" in rep.reason and rep.to_dict()["reason"] == rep.reason
+        assert "22^4 evaluations" in rep.reason and rep.to_dict()["reason"] == rep.reason
 
     def test_capped_grid_still_flags_instability(self):
-        delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)]
-        mats = [np.array([[c]]) for c in (0.6, 0.5, -0.4, 0.35)]
+        delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0)]
+        mats = [np.array([[c]]) for c in (0.6, 0.5, -0.4, 0.35, 0.3)]
         rep = dl.stability_check(dl.validate(dl.DelaySystem(1, list(zip(delays, mats)))))
         assert (rep.grid_points, rep.verdict) == (22, "unstable")
         assert rep.reason is not None
+
+    def test_four_float_delays_take_the_full_grid(self):
+        delays = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)]
+        mats = [np.array([[c]]) for c in (0.6, 0.5, -0.4, 0.35)]
+        rep = dl.stability_check(dl.validate(dl.DelaySystem(1, list(zip(delays, mats)))))
+        assert 64 ** 3 == stability.TORUS_MAX_EVALS
+        assert (rep.grid_points, rep.verdict, rep.reason) == (64, "unstable", None)
 
     def test_uncapped_grid_has_no_reason(self, ex3):
         rep = dl.stability_check(ex3)
