@@ -11,7 +11,7 @@ formal: it needs no stability, only solvability of the block system.
 There is one construction path.  A rational system goes through its
 commensurate rewrite, and a single delay H is the rewrite with h = H and
 m = 1 (a float H included); both are solved by the same block system with
-a dense or sparse solver picked by problem size.
+a dense, band or sparse LU picked by problem size and bandwidth.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .system_model import (
 
 # unknown counts above this use the sparse path
 DENSE_CUTOFF = 2000
+# a sparse system whose lower bandwidth on its reverse Cuthill-McKee order
+# is at most this takes the LAPACK band LU (two delays with n <= 3), a
+# wider one SuperLU
+BAND_LIMIT = 64
 # larger block systems raise SizeExceeded
 MAX_UNKNOWNS = 500_000
 # condition estimates above these warn, and raise CriticalSystem
@@ -47,7 +51,12 @@ COND_FAIL = 1e12
 @dataclass(frozen=True)
 class PiecewiseAffineMatrixFunction:
     """Matrix function on [-H, H], affine on each [k h, (k+1) h):
-    value = C[k+m] + xi * D[k+m] with xi = tau - k h, k = -m..m-1."""
+    value = C[k+m] + xi * D[k+m] with xi = tau - k h, k = -m..m-1.
+
+    solver is "dense" or "sparse" by the unknown count; factor names the
+    LU that solved the block system ("dense", "band" or "superlu") and
+    factor_entries the floats it stores: N^2, N (2 kl + ku + 1) or
+    nnz(L) + nnz(U).  bandwidth is (kl, ku) on the band path."""
 
     h: float
     m: int
@@ -56,7 +65,10 @@ class PiecewiseAffineMatrixFunction:
     slopes: np.ndarray
     condition_estimate: float
     solver: str
+    factor: str
+    factor_entries: int
     h_exact: Fraction | None = None
+    bandwidth: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -260,20 +272,65 @@ def build_single_delay(vsys: ValidatedSystem, weight: WeightMatrix) -> Piecewise
     return _solve_form(form, weight)
 
 
+def _band_order(mat, n2: int):
+    """Reverse Cuthill-McKee order of the block graph of the COO operator
+    mat (n2 x n2 blocks, ordered on the pattern of A + A^T), expanded to
+    scalars.  Returns the order (the unknown at each new position), the
+    new position of each unknown, and the scalar lower and upper
+    bandwidths kl, ku of mat on that order."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    blocks = mat.shape[0] // n2
+    graph = sp.csr_matrix((np.ones(mat.nnz), (mat.row // n2, mat.col // n2)), shape=(blocks, blocks))
+    order = (reverse_cuthill_mckee(graph, symmetric_mode=False)[:, None] * n2 + np.arange(n2)).ravel()
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    off = pos[mat.row] - pos[mat.col]
+    return order, pos, int(np.max(off)), int(-np.min(off))
+
+
+def _band_lu(mat, order, pos, kl: int, ku: int):
+    """LAPACK band LU (dgbtrf) of the COO operator mat on the scalar order
+    of _band_order.  Returns a solve for trans 0 or 1 that takes and gives
+    vectors, or one column per right side, in the unknowns' own order, and
+    the band array's entry count N (2 kl + ku + 1)."""
+    from scipy.linalg import lapack
+
+    rows, cols = pos[mat.row], pos[mat.col]
+    ab = np.zeros((2 * kl + ku + 1, mat.shape[0]), order="F")
+    # the assembly places each (row, col) once, so assignment is the sum
+    ab[kl + ku + rows - cols, cols] = mat.data
+    lu, piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise CriticalSystem(f"commensurate block system failed to factor: pivot {info} is exactly zero")
+
+    def solve(b, trans=0):
+        return lapack.dgbtrs(lu, kl, ku, b[order], piv, trans=trans)[0][pos]
+
+    return solve, lu.size
+
+
 def build_commensurate(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """U for a commensurate form with basic delay h and m blocks.
 
     Solves for the 2m affine segments of U over [-m h, m h] in one linear
-    system of 2 m n^2 unknowns (solved twice, for the constant and slope
-    parts of the affine right side).  Uses a dense LU with a reciprocal
-    condition estimate up to DENSE_CUTOFF unknowns and a sparse LU with a
-    one-norm condition estimate beyond; raises SizeExceeded past
-    MAX_UNKNOWNS and CriticalSystem when the operator is singular (a
-    condition estimate above COND_FAIL; above COND_WARN it warns)."""
+    system of 2 m n^2 unknowns, for the constant and slope parts of the
+    affine right side.  Up to DENSE_CUTOFF unknowns the LU is dense.
+    Beyond, the block unknowns are put in reverse Cuthill-McKee order:
+    with a lower bandwidth up to BAND_LIMIT (two delays, n <= 3) the LU is
+    LAPACK's band LU, wider systems take SuperLU.  Each condition estimate
+    is the exact one-norm times a one-norm estimate of the inverse.
+    Raises SizeExceeded past MAX_UNKNOWNS and CriticalSystem when the
+    operator is singular (a condition estimate above COND_FAIL; above
+    COND_WARN it warns)."""
     return _solve_form(form, weight)
 
 
 def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
+    """The block system of form, factored by the LU that build_commensurate
+    describes; the solver ("dense" or "sparse") follows the unknown count
+    alone and the factor ("dense", "band" or "superlu") the bandwidth."""
     # scipy loads at the first build, so commands that build no U never pay for it
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -286,8 +343,9 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
     if unknowns > MAX_UNKNOWNS:
         raise SizeExceeded(f"construction needs {unknowns} unknowns, cap is {MAX_UNKNOWNS}")
     mat, b_const, b_slope = _commensurate_blocks(form, weight)
+    bandwidth = None
     if unknowns <= DENSE_CUTOFF:
-        solver = "dense"
+        solver = factor = "dense"
         mat = mat.toarray()
         try:
             lu_piv = sla.lu_factor(mat)
@@ -295,17 +353,30 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
             raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
         solve = functools.partial(sla.lu_solve, lu_piv)
         solve_t, anorm = functools.partial(solve, trans=1), np.linalg.norm(mat, 1)
+        entries = unknowns * unknowns
     else:
         solver = "sparse"
-        mat = mat.tocsc()
-        try:
-            lu = spla.splu(mat)
-        except RuntimeError as exc:
-            raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
-        solve, solve_t, anorm = lu.solve, functools.partial(lu.solve, trans="T"), spla.norm(mat, 1)
+        order, pos, kl, ku = _band_order(mat, n2)
+        if kl <= BAND_LIMIT:
+            factor, bandwidth = "band", (kl, ku)
+            solve, entries = _band_lu(mat, order, pos, kl, ku)
+            solve_t, anorm = functools.partial(solve, trans=1), np.max(np.bincount(mat.col, np.abs(mat.data)))
+        else:
+            factor = "superlu"
+            mat = mat.tocsc()
+            try:
+                lu = spla.splu(mat)
+            except RuntimeError as exc:
+                raise CriticalSystem(f"commensurate block system failed to factor: {exc}") from exc
+            solve, solve_t, anorm = lu.solve, functools.partial(lu.solve, trans="T"), spla.norm(mat, 1)
+            entries = lu.L.nnz + lu.U.nnz
     cond = _condition(float(anorm), solve, solve_t, mat.shape)
     _check_condition(cond)
-    sol_c, sol_s = solve(b_const), solve(b_slope)
+    if factor == "band":
+        # dgbtrs takes both right sides in one call
+        sol_c, sol_s = solve(np.column_stack([b_const, b_slope])).T
+    else:
+        sol_c, sol_s = solve(b_const), solve(b_slope)
     if not (np.all(np.isfinite(sol_c)) and np.all(np.isfinite(sol_s))):
         raise CriticalSystem("commensurate block system produced non-finite segments")
     # segment p is the column-stacked block p of the solution
@@ -320,7 +391,10 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         slopes=slopes,
         condition_estimate=cond,
         solver=solver,
+        factor=factor,
+        factor_entries=int(entries),
         h_exact=form.h if isinstance(form.h, Fraction) else None,
+        bandwidth=bandwidth,
     )
 
 

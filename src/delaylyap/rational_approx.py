@@ -147,7 +147,8 @@ class ApproximationStep:
     sup_diff_prev: float | None
 
     def to_dict(self) -> dict:
-        return {
+        band = {} if self.u.bandwidth is None else {"bandwidth": list(self.u.bandwidth)}
+        return band | {
             "order": self.order,
             "delays": [
                 {"num": d.numerator, "den": d.denominator} for d in self.delays
@@ -156,6 +157,8 @@ class ApproximationStep:
             "m": self.m,
             "unknowns": 2 * self.m * self.u.n * self.u.n,
             "solver": self.u.solver,
+            "factor": self.u.factor,
+            "factor_entries": self.u.factor_entries,
             "condition_estimate": self.u.condition_estimate,
             "stability_verdict": self.stability_verdict,
             "spectral_radius": self.spectral_radius,

@@ -224,6 +224,8 @@ class TestJumpsFromSegments:
             slopes=np.array([[[1.0]], [[1.0]]]),
             condition_estimate=1.0,
             solver="dense",
+            factor="dense",
+            factor_entries=16,
             h_exact=None,
         )
         spectrum = dl.jumps_from_segments(flat)

@@ -17,21 +17,22 @@ from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap import lyapunov_build
-from delaylyap.lyapunov_build import _block_triplets, _commensurate_blocks
+from delaylyap.lyapunov_build import _band_order, _block_triplets, _commensurate_blocks
 from delaylyap.cli import main
 
-from conftest import random_stable_single
+from conftest import gamma, random_stable_single
 
 EPS = np.finfo(float).eps
 
 
 @st.composite
-def commensurate_systems(draw):
-    """Random rational systems with q = 2..3 delays and m <= 30 steps.
-    The 2-norms of the coefficients sum to 0.6, which keeps every
-    companion eigenvalue below 0.6 and so the block system regular."""
+def commensurate_systems(draw, delays=st.integers(2, 3)):
+    """Random rational systems with q = 2..3 delays (or as drawn from
+    delays) and m <= 30 steps.  The 2-norms of the coefficients sum to
+    0.6, which keeps every companion eigenvalue below 0.6 and so the block
+    system regular."""
     n = draw(st.integers(1, 3))
-    q = draw(st.integers(2, 3))
+    q = draw(delays)
     den = draw(st.integers(1, 4))
     steps = sorted(draw(st.sets(st.integers(1, 30), min_size=q, max_size=q)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -97,6 +98,8 @@ def reference_single_delay(vsys, weight):
         slopes=np.stack([unvec(sol_s[n * n:]), unvec(sol_s[: n * n])]),
         condition_estimate=float(np.linalg.cond(mat, 1)),
         solver="dense",
+        factor="dense",
+        factor_entries=mat.size,
         h_exact=delay if isinstance(delay, Fraction) else None,
     )
 
@@ -210,6 +213,68 @@ def residual_rounding(u, vsys, weight):
     sym = 2.0 * value + 3.0 * EPS * (2.0 * big + p + u.horizon * wk)
     dyn = (1.0 + a) * (value + (u.n + len(vsys.entries) + 1) * EPS * big)
     return sym, dyn, value, a
+
+
+def superlu_reference(form, weight):
+    """The sparse build as SuperLU made it for every sparse system before
+    the band LU: the CSC operator, its splu factor, and the two right
+    sides (constant and slope) and their solutions as columns.  The
+    reference for the band path."""
+    import scipy.sparse.linalg as spla
+
+    mat, b_const, b_slope = _commensurate_blocks(form, weight)
+    mat = mat.tocsc()
+    lu = spla.splu(mat)
+    return mat, lu, np.column_stack([b_const, b_slope]), np.column_stack([lu.solve(b_const), lu.solve(b_slope)])
+
+
+def exact_inverse_norm(mat, lu):
+    """||A^-1||_1 as the largest column sum of A^-1: from a dense inverse
+    up to DENSE_CUTOFF unknowns, beyond it from the columns of A^-1
+    solved by lu in chunks of 512.  Either is A^-1 to within cond * eps
+    relative, which the 1% slack of its callers covers."""
+    size = mat.shape[0]
+    if size <= lyapunov_build.DENSE_CUTOFF:
+        return float(np.max(np.abs(np.linalg.inv(mat.toarray())).sum(axis=0)))
+    best = 0.0
+    for start in range(0, size, 512):
+        cols = np.arange(start, min(start + 512, size))
+        eye = np.zeros((size, cols.size))
+        eye[cols, np.arange(cols.size)] = 1.0
+        best = max(best, float(np.max(np.abs(lu.solve(eye)).sum(axis=0))))
+    return best
+
+
+def assert_band_matches_superlu(form, weight):
+    """The band build's segments against the SuperLU reference, column by
+    column in the one-norm: x_band - x_ref = A^-1 (r_band - r_ref) for the
+    exact residuals r = A x - b, so the gap is at most ||A^-1||_1 times
+    both residual norms.  Each computed residual is within gamma_(k+1)
+    (|A| |x| + |b|) of the exact one, k the most nonzeros in a row."""
+    u = dl.build_commensurate(form, weight)
+    assert (u.solver, u.factor) == ("sparse", "band")
+    mat, lu, rhs, ref = superlu_reference(form, weight)
+    got = np.column_stack([v.transpose(0, 2, 1).ravel() for v in (u.coeffs, u.slopes)])
+    slack = gamma(int(np.max(np.diff(mat.tocsr().indptr))) + 1)
+
+    def residual_norms(x):
+        exact_gap = slack * (abs(mat) @ np.abs(x) + np.abs(rhs))
+        return np.abs(mat @ x - rhs).sum(axis=0) + exact_gap.sum(axis=0)
+
+    bound = 1.01 * exact_inverse_norm(mat, lu) * (residual_norms(got) + residual_norms(ref))
+    gap = np.abs(got - ref).sum(axis=0)
+    assert np.all(gap <= bound), (gap, bound)
+
+
+def three_delay_system():
+    """Delays 1, sqrt(2) and sqrt(3) with 2 x 2 coefficients whose 2-norms
+    sum to 0.6: every rung's block system is regular, and its bandwidth
+    on the Cuthill-McKee order is past BAND_LIMIT from order 4 on."""
+    rng = np.random.default_rng(11)
+    mats = [rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
+    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+    delays = [Fraction(1), math.sqrt(2.0), math.sqrt(3.0)]
+    return dl.validate(dl.DelaySystem(2, [(d, scale * a) for d, a in zip(delays, mats)]))
 
 
 def reference_condition(anorm, solve, solve_t, shape):
@@ -614,8 +679,8 @@ class TestSolverRoutes:
         dense = dl.build_commensurate(form, w2)
         monkeypatch.setattr(lyapunov_build, "DENSE_CUTOFF", 0)
         sparse = dl.build_commensurate(form, w2)
-        assert dense.solver == "dense"
-        assert sparse.solver == "sparse"
+        assert (dense.solver, dense.factor, dense.factor_entries) == ("dense", "dense", 24**2)
+        assert (sparse.solver, sparse.factor) == ("sparse", "band")
         taus = np.linspace(-1.5, 1.5, 301)
         gap = np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus)))
         assert gap <= 1e-10
@@ -628,13 +693,49 @@ class TestSolverRoutes:
         mat, _, _ = _commensurate_blocks(form, w)
         np.testing.assert_array_equal(mat.toarray(), reference_operator(form))
         dense = dl.build_commensurate(form, w)
-        with patch.object(lyapunov_build, "DENSE_CUTOFF", 0):
-            sparse = dl.build_commensurate(form, w)
-        assert (dense.solver, sparse.solver) == ("dense", "sparse")
+        assert (dense.solver, dense.factor) == ("dense", "dense")
         taus = np.linspace(-dense.horizon, dense.horizon, 201)
-        assert np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus))) <= 1e-10
-        for u in (dense, sparse):
-            assert dl.residuals(u, vsys, w).max_residual() <= 1e-8
+        # the band limit as shipped, and patched below every bandwidth so
+        # that SuperLU factors each system
+        for band_limit in (lyapunov_build.BAND_LIMIT, -1):
+            with patch.object(lyapunov_build, "DENSE_CUTOFF", 0), patch.object(lyapunov_build, "BAND_LIMIT", band_limit):
+                sparse = dl.build_commensurate(form, w)
+            assert sparse.solver == "sparse"
+            if band_limit < 0:
+                assert (sparse.factor, sparse.bandwidth) == ("superlu", None)
+            assert np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus))) <= 1e-10
+            assert dl.residuals(sparse, vsys, w).max_residual() <= 1e-8
+        assert dl.residuals(dense, vsys, w).max_residual() <= 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(vsys=commensurate_systems(delays=st.just(2)))
+    def test_band_matches_superlu_random(self, vsys):
+        with patch.object(lyapunov_build, "DENSE_CUTOFF", 0):
+            assert_band_matches_superlu(dl.to_commensurate(vsys), dl.WeightMatrix.identity(vsys.n))
+
+    @pytest.mark.parametrize("order", [7, 8])
+    def test_band_matches_superlu_on_ladder(self, ex3, w2, order):
+        assert_band_matches_superlu(dl.approximate_system(ex3, order), w2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 5000), data=st.data())
+    def test_cuthill_mckee_block_bandwidth(self, m, data):
+        # two coprime steps a < m: the block graph is the scalar graph of
+        # the n = 1 operator, and it stays within bandwidth 5 on its order
+        a = data.draw(st.integers(1, m - 1).filter(lambda a: math.gcd(a, m) == 1))
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(a), np.array([[0.3]])), (Fraction(m), np.array([[0.2]]))]))
+        form = dl.to_commensurate(vsys)
+        assert (form.h, form.m) == (1, m)
+        _, _, kl, ku = _band_order(_commensurate_blocks(form, dl.WeightMatrix.identity(1))[0], 1)
+        assert max(kl, ku) <= 5
+
+    def test_ladder_rungs_take_band(self, ex3, w2):
+        # example 3's rungs 7-10 (4616 to 64952 unknowns)
+        for order in (7, 8, 9, 10):
+            u = dl.build_commensurate(dl.approximate_system(ex3, order), w2)
+            kl, ku = u.bandwidth
+            assert (u.solver, u.factor) == ("sparse", "band")
+            assert kl <= 20 and u.factor_entries == 2 * u.m * 4 * (2 * kl + ku + 1)
 
     def test_order7_ladder_rung(self, ex3, w2):
         # the sqrt(2) convergent 577/408: m = 577, 4616 unknowns, sparse
@@ -643,7 +744,7 @@ class TestSolverRoutes:
         u = dl.build_commensurate(form, w2)
         again = dl.build_commensurate(form, w2)
         after = np.random.get_state()
-        assert (u.solver, 2 * u.m * u.n * u.n) == ("sparse", 4616)
+        assert (u.solver, u.factor, 2 * u.m * u.n * u.n) == ("sparse", "band", 4616)
         assert u.condition_estimate == again.condition_estimate
         assert before[0] == after[0] and before[2:] == after[2:]
         np.testing.assert_array_equal(before[1], after[1])
@@ -671,6 +772,10 @@ class TestSolverRoutes:
             "vsys = dl.validate(dl.DelaySystem(3, [(d, scale * a) for d, a in zip(delays, mats)]))\n"
             "u = dl.build_commensurate(dl.to_commensurate(vsys), dl.WeightMatrix.identity(3))\n"
             "print(u.solver, 2 * u.m * 9, u.condition_estimate.hex())\n"
+            "ex3 = dl.validate(dl.DelaySystem(2, [(Fraction(1), np.array([[-0.4, -0.3], [0.1 + 0.7, 0.15]])),\n"
+            "                                     (2**0.5, np.array([[0.1, 0.25], [-0.9, -0.1 - 1.1]]))]))\n"
+            "u = dl.build_commensurate(dl.approximate_system(ex3, 7), dl.WeightMatrix.identity(2))\n"
+            "print(u.factor, 2 * u.m * 4, u.condition_estimate.hex())\n"
         )
         src = os.path.dirname(os.path.dirname(dl.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -681,24 +786,53 @@ class TestSolverRoutes:
             for _ in range(3)
         }
         assert len(outs) == 1
-        assert outs.pop().split()[:2] == ["dense", "522"]
+        dense, band = outs.pop().splitlines()
+        assert (dense.split()[:2], band.split()[:2]) == (["dense", "522"], ["band", "4616"])
 
-    @pytest.mark.parametrize("order", [4, 7])
-    def test_condition_estimate_takes_four_solves(self, ex3, w2, order):
-        # order 4 has 328 unknowns (dense), order 7 has 4616 (sparse)
+    @pytest.mark.parametrize("case", [
+        pytest.param((4, "dense"), id="4"),
+        pytest.param((7, "band"), id="7"),
+        pytest.param((4, "superlu"), id="three_delay_4"),
+    ])
+    def test_condition_estimate_takes_four_solves(self, ex3, w2, case):
+        # example 3's order 4 has 328 unknowns (dense) and order 7 4616
+        # (band); the order-4 rung of delays 1, sqrt(2), sqrt(3) has 4408
+        # unknowns and a bandwidth past BAND_LIMIT (SuperLU)
         import scipy.linalg as sla
         import scipy.sparse.linalg as spla
+        from scipy.linalg import lapack
 
-        form = dl.approximate_system(ex3, order)
+        order, factor = case
+        form = dl.approximate_system(three_delay_system() if factor == "superlu" else ex3, order)
         mat = _commensurate_blocks(form, w2)[0]
-        if order == 4:
+        kl = ku = None
+        if factor == "dense":
             mat = mat.toarray()
             solve = functools.partial(sla.lu_solve, sla.lu_factor(mat))
             solve_t, anorm = functools.partial(solve, trans=1), float(np.linalg.norm(mat, 1))
+            entries = mat.size
+        elif factor == "band":
+            # LAPACK band storage of the reordered operator, diagonal by diagonal
+            perm, pos, kl, ku = _band_order(mat, 4)
+            size = mat.shape[0]
+            reordered = mat.tocsr()[perm][:, perm]
+            ab = np.zeros((2 * kl + ku + 1, size))
+            for d in range(-kl, ku + 1):
+                ab[kl + ku - d, max(d, 0):size + min(d, 0)] = reordered.diagonal(d)
+            anorm = float(np.max(np.abs(ab).sum(axis=0)))
+            lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+            assert info == 0
+
+            def solve(b, trans=0):
+                return lapack.dgbtrs(lu, kl, ku, b[perm], piv, trans=trans)[0][pos]
+
+            solve_t, entries = functools.partial(solve, trans=1), lu.size
         else:
+            assert _band_order(mat, 4)[2] > lyapunov_build.BAND_LIMIT
             mat = mat.tocsc()
             lu = spla.splu(mat)
             solve, solve_t, anorm = lu.solve, functools.partial(lu.solve, trans="T"), float(spla.norm(mat, 1))
+            entries = lu.L.nnz + lu.U.nnz
         calls = []
 
         def counted(f):
@@ -708,13 +842,18 @@ class TestSolverRoutes:
             return run
 
         got = lyapunov_build._condition(anorm, counted(solve), counted(solve_t), mat.shape)
-        assert calls == [np.float64] * 4
+        # onenormest takes two solves a round: two rounds on example 3's
+        # rungs, three on the three-delay one
+        solves = 6 if factor == "superlu" else 4
+        assert calls == [np.float64] * solves
         del calls[:]
         want = reference_condition(anorm, counted(solve), counted(solve_t), mat.shape)
-        assert calls == [np.int8] + [np.float64] * 4
+        assert calls == [np.int8] + [np.float64] * solves
         assert_same_bytes(got, want)
         u = dl.build_commensurate(form, w2)
-        assert (u.solver, 2 * u.m * 4) == (("dense", 328) if order == 4 else ("sparse", 4616))
+        unknowns = {"dense": 328, "band": 4616, "superlu": 4408}[factor]
+        assert (u.factor, 2 * u.m * 4, u.factor_entries) == (factor, unknowns, entries)
+        assert u.bandwidth == (None if kl is None else (kl, ku))
         assert_same_bytes(u.condition_estimate, want)
 
     def test_condition_reported(self, u_ex2a):
@@ -723,17 +862,29 @@ class TestSolverRoutes:
 
 
 class TestCriticalDetection:
+    # each case runs on the dense LU and, with DENSE_CUTOFF = 0, on the
+    # band LU of the sparse path
+    CUTOFFS = (lyapunov_build.DENSE_CUTOFF, 0)
+
     def test_eigenvalue_product_one(self, w2):
         vsys = dl.validate(dl.DelaySystem.single(np.diag([2.0, 0.5]), Fraction(1)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(dl.CriticalSystem):
-                dl.build_single_delay(vsys, w2)
+        for cutoff in self.CUTOFFS:
+            with warnings.catch_warnings(), patch.object(lyapunov_build, "DENSE_CUTOFF", cutoff):
+                warnings.simplefilter("ignore")
+                # the band LU meets an exactly zero pivot, which dgbtrf reports
+                with pytest.raises(dl.CriticalSystem, match="singular" if cutoff else "pivot 6 is exactly zero"):
+                    dl.build_single_delay(vsys, w2)
 
     def test_near_critical_warns(self, w2):
         vsys = dl.validate(dl.DelaySystem.single(np.diag([2.0, 0.5 + 1e-11]), Fraction(1)))
-        with pytest.warns(RuntimeWarning, match="conditioned"):
-            dl.build_single_delay(vsys, w2)
+        for cutoff in self.CUTOFFS:
+            with patch.object(lyapunov_build, "DENSE_CUTOFF", cutoff):
+                with pytest.warns(RuntimeWarning, match="conditioned") as caught:
+                    line, u = sys._getframe().f_lineno, dl.build_single_delay(vsys, w2)
+            assert u.factor == ("dense" if cutoff else "band")
+            # the warning points at the caller's line
+            (warning,) = caught
+            assert (warning.filename, warning.lineno) == (__file__, line)
 
     def test_commensurate_critical(self, w2):
         # per-step roots are +-sqrt(2) and +-1/sqrt(2); one product is 1
@@ -742,10 +893,11 @@ class TestCriticalDetection:
             (Fraction(3, 2), np.zeros((2, 2))),
         ]
         vsys = dl.validate(dl.DelaySystem(2, pairs))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(dl.CriticalSystem):
-                dl.build_commensurate(dl.to_commensurate(vsys), w2)
+        for cutoff in self.CUTOFFS:
+            with warnings.catch_warnings(), patch.object(lyapunov_build, "DENSE_CUTOFF", cutoff):
+                warnings.simplefilter("ignore")
+                with pytest.raises(dl.CriticalSystem):
+                    dl.build_commensurate(dl.to_commensurate(vsys), w2)
 
 
 class TestPMatrix:

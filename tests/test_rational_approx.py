@@ -147,8 +147,10 @@ class TestUSequence:
         step = dl.u_sequence(ex3, w2, [1])[0]
         d = step.to_dict()
         for key in ("order", "delays", "h", "m", "unknowns", "solver",
-                    "condition_estimate", "stability_verdict",
-                    "spectral_radius", "sup_diff_prev"):
+                    "factor", "factor_entries", "condition_estimate",
+                    "stability_verdict", "spectral_radius", "sup_diff_prev"):
             assert key in d
         assert d["unknowns"] == 2 * 3 * 4
+        # only the band path reports a bandwidth
+        assert (d["factor"], d["factor_entries"], "bandwidth" in d) == ("dense", 24**2, False)
         assert d["delays"][1] == {"num": 3, "den": 2}
