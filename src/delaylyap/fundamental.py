@@ -43,11 +43,10 @@ NODE_CAP = 1_000_000
 MERGE_TOL_SCALE = 1e-9
 # jump entries smaller than this (max abs) are dropped from tables
 JUMP_DROP_TOL = 1e-14
-# (grid point, instant, delay) triples per chunk of the convolution response
-CAUCHY_CHUNK_PAIRS = 1 << 12
 # entries per chunked temporary (128-256 KiB, so the few live ones stay in
-# cache): gathers of row_chunks, torus eigvals, batched n x n solves and
-# root-pair blocks of the stability screen
+# cache): gathers of row_chunks, the n x n products of the convolution
+# response, torus eigvals, batched n x n solves and root-pair blocks of
+# the stability screen
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -447,12 +446,13 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
     # spare; the loop-order tests below pick the terms out exactly
     lo = np.searchsorted(table.times, grid - delays[-1])
     counts = np.searchsorted(table.times, grid + 2.0 * btol, side="right") - lo
-    step = max(1, CAUCHY_CHUNK_PAIRS // (len(delays) * max(1, int(counts.max(initial=0)))))
     out = np.zeros((len(grid), vsys.n))
-    for g0 in range(0, len(grid), step):
-        c = counts[g0:g0 + step]
-        row = np.repeat(np.arange(g0, g0 + len(c)), c)
-        q = np.arange(row.size) + np.repeat(lo[g0:g0 + step] - (np.cumsum(c) - c), c)
+    # each (grid point, instant, delay) triple takes n x n products; a
+    # grid point's terms stay in one chunk, so the sums do not depend on it
+    for part in row_chunks(len(grid), len(delays) * max(1, int(counts.max(initial=0))) * vsys.n ** 2):
+        c = counts[part]
+        row = np.repeat(np.arange(part.start, part.stop), c)
+        q = np.arange(row.size) + np.repeat(lo[part] - (np.cumsum(c) - c), c)
         # triples in the order (grid point, instant, delay) of a plain loop
         row, q, j = np.repeat(row, len(delays)), np.repeat(q, len(delays)), np.tile(np.arange(len(delays)), row.size)
         t, tq, d = grid[row], table.times[q], delays[j]

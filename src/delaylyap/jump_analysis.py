@@ -17,7 +17,7 @@ which makes the two routes independently checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -96,16 +96,8 @@ class JumpPropertyReport:
         return max(self.symmetry, self.dynamic, self.algebraic)
 
     def to_dict(self) -> dict:
-        return {
-            "symmetry": self.symmetry,
-            "dynamic": self.dynamic,
-            "algebraic": self.algebraic,
-            "nsd_max_eigenvalue": self.nsd_max_eigenvalue,
-            "tail_bound": self.tail_bound,
-            "horizon": self.horizon,
-            "grid_points": self.grid_points,
-            "max_residual": self.max_residual(),
-        }
+        own = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
+        return own | {"max_residual": self.max_residual()}
 
 
 def delta_u_prime(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,10 +53,9 @@ class PiecewiseAffineMatrixFunction:
     """Matrix function on [-H, H], affine on each [k h, (k+1) h):
     value = C[k+m] + xi * D[k+m] with xi = tau - k h, k = -m..m-1.
 
-    solver is "dense" or "sparse" by the unknown count; factor names the
-    LU that solved the block system ("dense", "band" or "superlu") and
-    factor_entries the floats it stores: N^2, N (2 kl + ku + 1) or
-    nnz(L) + nnz(U).  bandwidth is (kl, ku) on the band path."""
+    factor names the LU that solved the block system ("dense", "band" or
+    "superlu") and factor_entries the floats it stores: N^2, N (2 kl + ku
+    + 1) or nnz(L) + nnz(U).  bandwidth is (kl, ku) on the band path."""
 
     h: float
     m: int
@@ -64,7 +63,6 @@ class PiecewiseAffineMatrixFunction:
     coeffs: np.ndarray
     slopes: np.ndarray
     condition_estimate: float
-    solver: str
     factor: str
     factor_entries: int
     h_exact: Fraction | None = None
@@ -73,6 +71,11 @@ class PiecewiseAffineMatrixFunction:
     def __post_init__(self):
         self.coeffs.setflags(write=False)
         self.slopes.setflags(write=False)
+
+    @property
+    def solver(self) -> str:
+        """The LU family: "dense" up to DENSE_CUTOFF unknowns, else "sparse"."""
+        return "dense" if self.factor == "dense" else "sparse"
 
     @property
     def horizon(self) -> float:
@@ -141,15 +144,7 @@ class ResidualReport:
         return self.max_residual() <= tol * self.scale
 
     def to_dict(self) -> dict:
-        return {
-            "symmetry": self.symmetry,
-            "dynamic": self.dynamic,
-            "continuity": self.continuity,
-            "grid_points": self.grid_points,
-            "condition_estimate": self.condition_estimate,
-            "max_residual": self.max_residual(),
-            "scale": self.scale,
-        }
+        return asdict(self) | {"max_residual": self.max_residual()}
 
 
 def p_matrix(vsys: ValidatedSystem, weight: WeightMatrix, base: np.ndarray | None = None) -> np.ndarray:
@@ -215,10 +210,10 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
 
     Unknown p = k + m holds the segment U(k h + xi).  Dynamic rows cover
     k = 0..m-1, symmetry rows cover k = 1..m and land at p = m - k.  Each
-    row holds an identity block plus one block per nonzero coefficient
-    C_j, so assembly costs O(m q) blocks for q delays.  The right side is
-    affine in xi; only symmetry rows have nonzero data.  K0 and P come from
-    the rewrite itself, whose delays j h are the ones residuals check.
+    row holds an identity block plus one block per step (j, C_j), so
+    assembly costs O(m q) blocks for q delays.  The right side is affine
+    in xi; only symmetry rows have nonzero data.  K0 and P are those of
+    the rewrite's own system, whose delays j h are the ones residuals check.
     Returns the operator as a COO matrix plus the two right-hand sides.
     """
     import scipy.sparse as sp
@@ -226,32 +221,27 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
     n = form.n
     m = form.m
     h = float(form.h)
-    # zero blocks add nothing to P or the operator, so only the q nonzero
-    # steps are read.  K0 takes the sum over every slot: numpy sums a stack
-    # of 1 x 1 blocks pairwise, and the zero slots set that grouping
     rsys = form.to_system()
-    total = np.sum(form.coefficients, axis=0)
-    base = np.linalg.inv(total - np.eye(n))
+    base = k0(rsys)
     p_mat = p_matrix(rsys, weight, base)
-    nonzero = form.nonzero_steps
-    q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
+    q_mat = sum((j * h * c.T for j, c in form.steps), np.zeros((n, n))) @ base.T
     wk0 = weight.matrix @ base
     n2 = n * n
     unknowns = 2 * m * n2
     eye_n = np.eye(n)
     eye_block = (0, np.eye(n2))
     dyn = _block_triplets(
-        np.arange(m, 2 * m), [eye_block] + [(-j, -np.kron(c.T, eye_n)) for j, c in nonzero], n2
+        np.arange(m, 2 * m), [eye_block] + [(-j, -np.kron(c.T, eye_n)) for j, c in form.steps], n2
     )
     sym = _block_triplets(
-        np.arange(m - 1, -1, -1), [eye_block] + [(j, -np.kron(eye_n, c.T)) for j, c in nonzero], n2
+        np.arange(m - 1, -1, -1), [eye_block] + [(j, -np.kron(eye_n, c.T)) for j, c in form.steps], n2
     )
     rows, cols, data = (np.concatenate(x) for x in zip(dyn, sym))
     mat = sp.coo_matrix((data, (rows, cols)), shape=(unknowns, unknowns))
     b_const = np.zeros(unknowns)
     b_slope = np.zeros(unknowns)
     b_slope[: m * n2] = np.tile((-wk0).ravel(order="F"), m)
-    kp = (total - np.eye(n)).T @ p_mat
+    kp = (rsys.coefficient_sum - np.eye(n)).T @ p_mat
     # symmetry row m - k for k = m..1, one batched product
     ks = np.arange(m, 0, -1)
     b_rows = -(kp + ((-ks * h)[:, None, None] * eye_n + q_mat) @ wk0)
@@ -268,7 +258,7 @@ def build_single_delay(vsys: ValidatedSystem, weight: WeightMatrix) -> Piecewise
     if len(vsys.entries) != 1:
         raise ValueError("single delay construction needs exactly one entry")
     ((delay, a),) = vsys.entries
-    form = CommensurateForm(h=delay, m=1, coefficients=(a,), origin=vsys.system)
+    form = CommensurateForm(h=delay, m=1, n=vsys.n, steps=((1, a),) if np.any(a) else ())
     return _solve_form(form, weight)
 
 
@@ -329,8 +319,8 @@ def build_commensurate(form: CommensurateForm, weight: WeightMatrix) -> Piecewis
 
 def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """The block system of form, factored by the LU that build_commensurate
-    describes; the solver ("dense" or "sparse") follows the unknown count
-    alone and the factor ("dense", "band" or "superlu") the bandwidth."""
+    describes: the factor is "dense" up to DENSE_CUTOFF unknowns, past it
+    "band" or "superlu" by the bandwidth."""
     # scipy loads at the first build, so commands that build no U never pay for it
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -345,7 +335,7 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
     mat, b_const, b_slope = _commensurate_blocks(form, weight)
     bandwidth = None
     if unknowns <= DENSE_CUTOFF:
-        solver = factor = "dense"
+        factor = "dense"
         mat = mat.toarray()
         try:
             lu_piv = sla.lu_factor(mat)
@@ -355,7 +345,6 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         solve_t, anorm = functools.partial(solve, trans=1), np.linalg.norm(mat, 1)
         entries = unknowns * unknowns
     else:
-        solver = "sparse"
         order, pos, kl, ku = _band_order(mat, n2)
         if kl <= BAND_LIMIT:
             factor, bandwidth = "band", (kl, ku)
@@ -390,7 +379,6 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         coeffs=coeffs,
         slopes=slopes,
         condition_estimate=cond,
-        solver=solver,
         factor=factor,
         factor_entries=int(entries),
         h_exact=form.h if isinstance(form.h, Fraction) else None,

@@ -125,9 +125,7 @@ def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
         raise SizeExceeded(
             f"rationalized delays need m = {form.m} basic steps, cap is {BASIC_DELAY_CAP}"
         )
-    return CommensurateForm(
-        h=form.h, m=form.m, coefficients=form.coefficients, origin=vsys.system
-    )
+    return form
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import fundamental
 from .errors import NotStable
 from .system_model import (
-    DelaySystem, ValidatedSystem, _commensurate_data, _exact, _is_exact, _nonzero_steps, k0, validate,
+    DelaySystem, ValidatedSystem, _commensurate_data, _exact, _is_exact, k0, validate,
 )
 
 # block companions of at least this size n*m take the Ehrlich-Aberth route
@@ -127,20 +127,20 @@ class DecayEnvelope:
         return self.bound(start) * self.bound(start + shift) / -math.expm1(-2.0 * self.report.decay_rate * gap)
 
 
-def _companion_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> float:
-    """Spectral radius of the block companion matrix of C_1..C_m: the
-    certified Ehrlich-Aberth route (accurate to within tol, else dense) for
-    n*m >= STRUCTURED_CUTOFF and n^2 <= m, dense eigvals otherwise."""
-    m = len(coeffs)
+def _companion_radius(steps, m: int, n: int, tol: float) -> float:
+    """Spectral radius of the block companion matrix of C_1..C_m, given as
+    the (j, C_j) steps of its nonzero blocks: the certified Ehrlich-Aberth
+    route (accurate to within tol, else dense) for n*m >= STRUCTURED_CUTOFF
+    and n^2 <= m, dense eigvals otherwise."""
     if n * m < STRUCTURED_CUTOFF or n * n > m:
-        return _dense_companion_radius(coeffs, n)
-    return _aberth_radius(coeffs, n, tol)[0]
+        return _dense_companion_radius(steps, m, n)
+    return _aberth_radius(steps, m, n, tol)[0]
 
 
-def _dense_companion_radius(coeffs: Sequence[np.ndarray], n: int) -> float:
-    m = len(coeffs)
+def _dense_companion_radius(steps, m: int, n: int) -> float:
     big = np.zeros((n * m, n * m))
-    big[:n] = np.hstack(coeffs)
+    for j, c in steps:
+        big[:n, (j - 1) * n:j * n] = c
     big[n:, :-n] = np.eye(n * (m - 1))
     return float(np.max(np.abs(np.linalg.eigvals(big))))
 
@@ -408,7 +408,7 @@ def _certificate(z: np.ndarray, mirrored: np.ndarray, newton: np.ndarray, tol: f
     return float(np.max(np.abs(z))), worst
 
 
-def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[float, float | None]:
+def _aberth_radius(steps, m: int, n: int, tol: float) -> tuple[float, float | None]:
     """Spectral radius of the block companion matrix from the N = n*m roots
     of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
     certified error) or, after a fallback, (dense radius, None).
@@ -424,15 +424,13 @@ def _aberth_radius(coeffs: Sequence[np.ndarray], n: int, tol: float) -> tuple[fl
     same iteration then runs once from the asymmetric start on all N
     roots.  Dense eigvals answers when C_m = 0 or neither run certifies.
     """
-    m = len(coeffs)
-    steps = _nonzero_steps(coeffs)
-    blocks = [coeffs[j - 1] for j in steps]
+    js, blocks = [j for j, _ in steps], [c for _, c in steps]
     for symmetric in (True, False):
-        start = _newton_polygon_start(steps, blocks, n, m, symmetric)
-        found = None if start is None else _aberth_roots(start, steps, blocks, n, m, tol)
+        start = _newton_polygon_start(js, blocks, n, m, symmetric)
+        found = None if start is None else _aberth_roots(start, js, blocks, n, m, tol)
         if found is not None:
             return found
-    return _dense_companion_radius(coeffs, n), None
+    return _dense_companion_radius(steps, m, n), None
 
 
 def _torus_grid(points: int, q: int) -> int:
@@ -514,17 +512,17 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     delays, mats, n = raw.delays, raw.matrices, raw.n
     grid_points = reason = rewrite = None
     if len(delays) > 1 and all(_is_exact(d) for d in delays):
-        rewrite = _commensurate_data([_exact(d) for d in delays], mats, n, COMPANION_CAP // n)
+        rewrite = _commensurate_data([_exact(d) for d in delays], mats)
 
     if len(delays) == 1:
         method = "single_delay_spectral"
         rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
         step = float(delays[0])
         margin = EXACT_MARGIN
-    elif rewrite is not None and rewrite[2] is not None:
-        h, _, coeffs = rewrite
+    elif rewrite is not None and n * rewrite[1] <= COMPANION_CAP:
+        h, m, steps = rewrite
         method = "commensurate_companion"
-        rho = _companion_radius(coeffs, n, EXACT_MARGIN / 10.0)
+        rho = _companion_radius(steps, m, n, EXACT_MARGIN / 10.0)
         step = float(h)
         margin = EXACT_MARGIN
     else:

@@ -43,12 +43,6 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def _nonzero_steps(coeffs: Sequence[np.ndarray]) -> list[int]:
-    """The steps j = 1..m whose C_j has a nonzero entry, from one test
-    over the stacked coefficients."""
-    return (np.flatnonzero(np.any(np.asarray(coeffs) != 0.0, axis=(1, 2))) + 1).tolist()
-
-
 def _is_exact(d: Delay) -> bool:
     return isinstance(d, (Fraction, int))
 
@@ -246,34 +240,22 @@ class InitialFunction:
 @dataclass(frozen=True)
 class CommensurateForm:
     """Rewrite of a rational-delay system over a basic delay h: delays are
-    j*h for j = 1..m with coefficient C_j (zero where the original system
-    has no entry).  The entries' arrays are shared, not copied.  h is an
-    exact Fraction, except that a single float delay H is the form h = H,
-    m = 1.  The construction, P and the stability screen read only the q
-    nonzero C_j (nonzero_steps), so their cost grows with q, not m."""
+    j*h for j = 1..m, and steps holds (j, C_j) for the q steps whose C_j
+    is nonzero, by increasing j; every other C_j is zero.  The arrays are
+    the entries' own, not copies.  h is an exact Fraction, except that a
+    single float delay H is the form h = H, m = 1.  Every reader takes the
+    q steps as they are; none builds the m blocks C_1..C_m."""
 
     h: Delay
     m: int
-    coefficients: tuple
-    origin: DelaySystem
-
-    @property
-    def n(self) -> int:
-        return self.origin.n
-
-    def delays(self) -> list[Fraction]:
-        return [self.h * j for j in range(1, self.m + 1)]
-
-    @functools.cached_property
-    def nonzero_steps(self) -> tuple:
-        """(j, C_j) for every step j whose C_j is not all zero, by increasing j."""
-        return tuple((j, self.coefficients[j - 1]) for j in _nonzero_steps(self.coefficients))
+    n: int
+    steps: tuple
 
     def to_system(self) -> "ValidatedSystem":
-        """The commensurate rewrite as a plain system of its nonzero
-        steps.  An all-zero form keeps its last block, at delay m h, so
-        that h_max still equals the form's horizon."""
-        steps = self.nonzero_steps or ((self.m, self.coefficients[-1]),)
+        """The commensurate rewrite as a plain system of its steps.  An
+        all-zero form takes a zero block at delay m h, so that h_max still
+        equals the form's horizon."""
+        steps = self.steps or ((self.m, np.zeros((self.n, self.n))),)
         return validate(DelaySystem(self.n, [(self.h * j, c) for j, c in steps]))
 
 
@@ -330,20 +312,12 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
     return Fraction(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
 
 
-def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray], n: int, max_steps: int):
-    """(h, m, (C_1..C_m)) over the gcd h of the delays, with coefficients
-    None when m exceeds max_steps: m = h_max / h is known before any of
-    its m slots is built."""
+def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray]):
+    """(h, m, steps) over the gcd h of the delays, with m = h_max / h and
+    steps the (j, C_j) of each delay j h whose matrix is nonzero, by
+    increasing j: O(q) work for q delays, whatever m is."""
     h = fraction_gcd(delays)
-    m = int(delays[-1] / h)
-    if m > max_steps:
-        return h, m, None
-    zero = np.zeros((n, n))
-    zero.setflags(write=False)
-    coeffs = [zero] * m
-    for d, a in zip(delays, mats):
-        coeffs[int(d / h) - 1] = a
-    return h, m, tuple(coeffs)
+    return h, int(delays[-1] / h), tuple((int(d / h), a) for d, a in zip(delays, mats) if np.any(a))
 
 
 def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
@@ -355,10 +329,10 @@ def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
     if not vsys.is_rational:
         raise NonRationalInput("system has float delays; approximate them first")
     cap = MAX_UNKNOWNS // 2
-    h, m, coeffs = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices, vsys.n, cap)
-    if coeffs is None:
+    h, m, steps = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices)
+    if m > cap:
         raise SizeExceeded(f"commensurate rewrite needs m = {m} basic steps, cap is {cap}")
-    return CommensurateForm(h=h, m=m, coefficients=coeffs, origin=vsys.system)
+    return CommensurateForm(h=h, m=m, n=vsys.n, steps=steps)
 
 
 def numbers_from_json(obj, what: str) -> np.ndarray:

@@ -164,6 +164,23 @@ FLOAT_DELAY_SETS = (
 
 
 @st.composite
+def commensurate_systems(draw, delays=st.integers(2, 3)):
+    """Random rational systems with q = 2..3 delays (or as drawn from
+    delays) and m <= 30 steps.  The 2-norms of the coefficients sum to
+    0.6, which keeps every companion eigenvalue below 0.6 and so the block
+    system regular."""
+    n = draw(st.integers(1, 3))
+    q = draw(delays)
+    den = draw(st.integers(1, 4))
+    steps = sorted(draw(st.sets(st.integers(1, 30), min_size=q, max_size=q)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(q)]
+    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
+    pairs = [(Fraction(k, den), scale * a) for k, a in zip(steps, mats)]
+    return dl.validate(dl.DelaySystem(n, pairs))
+
+
+@st.composite
 def two_route_cases(draw):
     """(system, weight) pairs for the vectorised two-route sums: either
     rational delays k/den with q = 1..3, or one of the float delay sets
@@ -183,6 +200,21 @@ def two_route_cases(draw):
     vsys = dl.validate(dl.DelaySystem(n, [(d, scale * a) for d, a in zip(delays, mats)]))
     half = rng.uniform(-1.0, 1.0, size=(n, n))
     return vsys, dl.WeightMatrix(half + half.T)
+
+
+def slots(form):
+    """C_1..C_m of a commensurate form, a zero block at each step it does
+    not list: the every-slot layout that the references read."""
+    out = [np.zeros((form.n, form.n))] * form.m
+    for j, c in form.steps:
+        out[j - 1] = c
+    return out
+
+
+def steps_of(coeffs):
+    """(steps, m) of the slot list C_1..C_m: the (j, C_j) of its nonzero
+    blocks by increasing j, and m = len(coeffs)."""
+    return tuple((j, c) for j, c in enumerate(coeffs, start=1) if np.any(c)), len(coeffs)
 
 
 def certificate(vsys):

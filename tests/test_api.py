@@ -16,7 +16,7 @@ import delaylyap as dl
 
 SIGNATURES = {
     "ApproximationStep": ("order", "delays", "h", "m", "u", "system", "stability_verdict", "spectral_radius", "sup_diff_prev"),
-    "CommensurateForm": ("h", "m", "coefficients", "origin"),
+    "CommensurateForm": ("h", "m", "n", "steps"),
     "ContinuedFraction": ("coefficients", "value", "exact"),
     "CrossCheckReport": ("grid", "errors", "bounds", "max_error", "max_bound", "horizon", "slack", "passed"),
     "DelaySystem": ("n", "entries"),
@@ -25,7 +25,7 @@ SIGNATURES = {
     "JumpPropertyReport": ("symmetry", "dynamic", "algebraic", "nsd_max_eigenvalue", "tail_bound", "horizon", "grid_points", "table"),
     "JumpSpectrum": ("taus", "jumps", "method", "truncation_horizon", "tail_bound"),
     "JumpTable": ("times", "jumps", "horizon", "tol"),
-    "PiecewiseAffineMatrixFunction": ("h", "m", "n", "coeffs", "slopes", "condition_estimate", "solver", "factor", "factor_entries", "h_exact", "bandwidth"),
+    "PiecewiseAffineMatrixFunction": ("h", "m", "n", "coeffs", "slopes", "condition_estimate", "factor", "factor_entries", "h_exact", "bandwidth"),
     "ResidualReport": ("symmetry", "dynamic", "continuity", "grid_points", "condition_estimate", "scale"),
     "StabilityReport": ("method", "spectral_radius", "verdict", "rate_step", "decay_gain", "decay_rate", "grid_points", "reason"),
     "StepMatrixFunction": ("pre_value", "breakpoints", "values", "horizon", "snap"),

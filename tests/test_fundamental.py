@@ -743,7 +743,7 @@ class TestCauchyVectorised:
 
         phi = dl.InitialFunction([-1.5, -0.8], [[1.0, -0.5], [0.25, 2.0]], [[0.3, 0.0], [0.0, -1.0]])
         grid = np.linspace(0.0, 6.0, 97)
-        monkeypatch.setattr(fundamental, "CAUCHY_CHUNK_PAIRS", 7)
+        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", 28)
         np.testing.assert_array_equal(dl.simulate_cauchy(ex2a_half, phi, grid), reference_cauchy(ex2a_half, phi, grid))
 
     def test_empty_grid(self, ex2a):

@@ -223,7 +223,6 @@ class TestJumpsFromSegments:
             coeffs=np.array([[[0.0]], [[1.0]]]),
             slopes=np.array([[[1.0]], [[1.0]]]),
             condition_estimate=1.0,
-            solver="dense",
             factor="dense",
             factor_entries=16,
             h_exact=None,

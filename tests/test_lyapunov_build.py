@@ -20,32 +20,16 @@ from delaylyap import lyapunov_build
 from delaylyap.lyapunov_build import _band_order, _block_triplets, _commensurate_blocks
 from delaylyap.cli import main
 
-from conftest import gamma, random_stable_single
+from conftest import commensurate_systems, gamma, random_stable_single, slots
 
 EPS = np.finfo(float).eps
-
-
-@st.composite
-def commensurate_systems(draw, delays=st.integers(2, 3)):
-    """Random rational systems with q = 2..3 delays (or as drawn from
-    delays) and m <= 30 steps.  The 2-norms of the coefficients sum to
-    0.6, which keeps every companion eigenvalue below 0.6 and so the block
-    system regular."""
-    n = draw(st.integers(1, 3))
-    q = draw(delays)
-    den = draw(st.integers(1, 4))
-    steps = sorted(draw(st.sets(st.integers(1, 30), min_size=q, max_size=q)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(q)]
-    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats)
-    pairs = [(Fraction(k, den), scale * a) for k, a in zip(steps, mats)]
-    return dl.validate(dl.DelaySystem(n, pairs))
 
 
 def reference_operator(form):
     """The block operator by the O(m^2) placement loop over every
     coefficient slot, the reference for the assembly."""
     n, m = form.n, form.m
+    coeffs = slots(form)
     n2 = n * n
     mat = np.zeros((2 * m * n2, 2 * m * n2))
 
@@ -54,12 +38,12 @@ def reference_operator(form):
 
     for k in range(m):
         put(k + m, k + m, np.eye(n2))
-        for j, c in enumerate(form.coefficients, start=1):
+        for j, c in enumerate(coeffs, start=1):
             if np.any(c):
                 put(k + m, k - j + m, -np.kron(c.T, np.eye(n)))
     for k in range(1, m + 1):
         put(m - k, m - k, np.eye(n2))
-        for j, c in enumerate(form.coefficients, start=1):
+        for j, c in enumerate(coeffs, start=1):
             if np.any(c):
                 put(m - k, m - k + j, -np.kron(np.eye(n), c.T))
     return mat
@@ -97,7 +81,6 @@ def reference_single_delay(vsys, weight):
         coeffs=np.stack([unvec(sol_c[n * n:]), unvec(sol_c[: n * n])]),
         slopes=np.stack([unvec(sol_s[n * n:]), unvec(sol_s[: n * n])]),
         condition_estimate=float(np.linalg.cond(mat, 1)),
-        solver="dense",
         factor="dense",
         factor_entries=mat.size,
         h_exact=delay if isinstance(delay, Fraction) else None,
@@ -113,23 +96,24 @@ def reference_gap(u, ref, taus):
 
 
 def reference_blocks(form, weight):
-    """The block system as it was built from every coefficient slot: K0
-    and P of the rewrite with its zero blocks kept, and one product per
-    symmetry row.  The bitwise reference for the nonzero-step assembly.
-    Its coefficient sum is numpy's over all m slots, which adds a stack
-    of 1 x 1 blocks pairwise."""
+    """The block system as it was built from every coefficient slot: P of
+    the rewrite with its zero blocks kept, and one product per symmetry
+    row.  The bitwise reference for the nonzero-step assembly.  K0 and the
+    coefficient sum are those of form.to_system(), as the oracles and
+    residuals read them."""
     n = form.n
     m = form.m
     h = float(form.h)
-    rsys = dl.validate(dl.DelaySystem(n, [(form.h * (j + 1), c) for j, c in enumerate(form.coefficients)]))
-    total = np.sum(rsys.matrices, axis=0)
-    base = np.linalg.inv(total - np.eye(n))
+    coeffs = slots(form)
+    rsys = dl.validate(dl.DelaySystem(n, [(form.h * (j + 1), c) for j, c in enumerate(coeffs)]))
+    total = form.to_system().coefficient_sum
+    base = dl.k0(form.to_system())
     w = weight.matrix
     inner = np.zeros((n, n))
     for d, a in rsys.entries:
         inner += float(d) * (w @ base @ a - a.T @ base.T @ w)
     p_mat = base.T @ inner @ base
-    nonzero = [(j, c) for j, c in enumerate(form.coefficients, start=1) if np.any(c)]
+    nonzero = [(j, c) for j, c in enumerate(coeffs, start=1) if np.any(c)]
     q_mat = sum((j * h * c.T for j, c in nonzero), np.zeros((n, n))) @ base.T
     wk0 = weight.matrix @ base
     n2 = n * n
@@ -351,7 +335,7 @@ class TestNonzeroStepAssembly:
     @given(case=commensurate_forms())
     def test_matches_every_slot_reference(self, case):
         form, weight = case
-        assert len(form.nonzero_steps) <= 3
+        assert len(form.steps) <= 3
         assert form.m <= 60
         assert_blocks_match_reference(form, weight)
 
@@ -359,22 +343,26 @@ class TestNonzeroStepAssembly:
         a = np.array([[0.3, -0.2], [0.1, 0.4]])
         colliding = dl.validate(dl.DelaySystem(2, [(math.sqrt(2.0), a), (math.sqrt(2.0) + 1e-3, -a)]))
         form = dl.approximate_system(colliding, 1)
-        assert (form.h, form.m, form.nonzero_steps) == (Fraction(3, 2), 1, ())
+        assert (form.h, form.m, form.steps) == (Fraction(3, 2), 1, ())
         assert_blocks_match_reference(form, w2)
         zero = dl.validate(dl.DelaySystem(2, [(Fraction(1), np.zeros((2, 2))), (Fraction(3, 2), np.zeros((2, 2)))]))
         form = dl.to_commensurate(zero)
-        assert form.nonzero_steps == ()
+        assert form.steps == ()
         assert form.to_system().delays == (Fraction(3, 2),)
         assert_blocks_match_reference(form, w2)
 
     def test_scalar_sum_over_many_slots(self, w1):
         # numpy sums the 8 slots of 1 x 1 blocks pairwise, 0.1 + (0.2 + 0.3)
-        # = 0.6; the 3 nonzero ones it adds left to right, 0.6000000000000001.
-        # K0 of the assembly follows the sum over every slot.
+        # = 0.6; the 3 steps it adds left to right, 0.6000000000000001.
+        # K0 of the assembly is that of the steps, the K0 of the oracles.
         vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.1]]), (Fraction(7), [[0.2]]), (Fraction(8), [[0.3]])]))
         form = dl.to_commensurate(vsys)
-        assert np.sum(form.coefficients, axis=0)[0, 0] == 0.6
+        assert np.sum(slots(form), axis=0)[0, 0] == 0.6
         assert vsys.coefficient_sum[0, 0] == form.to_system().coefficient_sum[0, 0] == 0.6000000000000001
+        base = dl.k0(form.to_system())
+        assert base[0, 0] == 1.0 / (0.6000000000000001 - 1.0) == dl.k0(vsys)[0, 0]
+        _, b_const, b_slope = _commensurate_blocks(form, w1)
+        assert_same_bytes(b_slope[:8], np.full(8, -base[0, 0]))
         assert_blocks_match_reference(form, w1)
 
     @pytest.mark.parametrize("n", [8, 12])
@@ -389,12 +377,12 @@ class TestNonzeroStepAssembly:
         delays = (Fraction(1), Fraction(13, 10), Fraction(17, 10))
         form = dl.to_commensurate(dl.validate(dl.DelaySystem(n, list(zip(delays, mats)))))
         assert form.m == 17
-        assert [j for j, _ in form.nonzero_steps] == ([10, 13] if last_zero else [10, 13, 17])
+        assert [j for j, _ in form.steps] == ([10, 13] if last_zero else [10, 13, 17])
         assert_blocks_match_reference(form, random_weight(rng, n))
 
     def test_order7_ladder_rung_bitwise(self, ex3, w2, monkeypatch):
         form = dl.approximate_system(ex3, 7)
-        assert [j for j, _ in form.nonzero_steps] == [408, 577]
+        assert [j for j, _ in form.steps] == [408, 577]
         assert_blocks_match_reference(form, w2)
         u = dl.build_commensurate(form, w2)
         monkeypatch.setattr(lyapunov_build, "_commensurate_blocks", reference_blocks)
@@ -632,8 +620,8 @@ class TestSingleVsCommensurate:
         np.testing.assert_allclose(u.evaluate_many(taus)[:, 0, 0], np.minimum(taus, 0.0), atol=1e-15)
 
     def test_zero_coefficients_float_delays(self, tmp_path, capsys):
-        # the rewrite keeps its last zero block, so the system U answers to
-        # reaches the form's horizon
+        # an all-zero rewrite takes a zero block at m h, so the system U
+        # answers to reaches the form's horizon
         zero = np.zeros((2, 2))
         vsys = dl.validate(dl.DelaySystem(2, [(1.0, zero), (math.sqrt(2.0), zero)]))
         form = dl.approximate_system(vsys, 4)

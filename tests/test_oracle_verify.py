@@ -73,7 +73,6 @@ def random_u(vsys, seed, m=5):
         coeffs=rng.uniform(-1.0, 1.0, size=(2 * m, n, n)),
         slopes=rng.uniform(-1.0, 1.0, size=(2 * m, n, n)),
         condition_estimate=1.0,
-        solver="dense",
         factor="dense",
         factor_entries=(2 * m * n * n) ** 2,
     )

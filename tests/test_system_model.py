@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 import delaylyap as dl
 from delaylyap import fundamental, stability
 
-from conftest import assert_bits_equal, random_stable_single, two_route_cases
+from conftest import (
+    assert_bits_equal, commensurate_systems, random_stable_single, slots, steps_of, two_route_cases,
+)
 
 EPS = np.finfo(float).eps
 EPS32 = float(np.finfo(np.float32).eps)
@@ -335,15 +337,35 @@ class TestCommensurate:
         form = dl.to_commensurate(ex2a)
         assert form.h == Fraction(1, 2)
         assert form.m == 3
-        assert form.delays() == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+        assert form.n == 2
 
     def test_coefficient_placement(self, ex2a):
         form = dl.to_commensurate(ex2a)
-        # index k holds the matrix acting at delay (k+1)h; the gap at h
-        # itself is a shared zero block
-        assert not np.any(form.coefficients[0])
-        np.testing.assert_array_equal(form.coefficients[1], ex2a.matrices[0])
-        np.testing.assert_array_equal(form.coefficients[2], ex2a.matrices[1])
+        # step j holds the matrix acting at delay j h, the entry's own
+        # array; h itself carries no step
+        assert [j for j, _ in form.steps] == [2, 3]
+        assert all(c is a for (_, c), a in zip(form.steps, ex2a.matrices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(vsys=commensurate_systems(), zeroed=st.integers(-1, 2))
+    def test_steps_are_the_nonzero_entries(self, vsys, zeroed):
+        # zeroed picks an entry to replace by an explicit zero matrix (-1: none)
+        if 0 <= zeroed < len(vsys.entries):
+            entries = list(vsys.entries)
+            entries[zeroed] = (entries[zeroed][0], np.zeros((vsys.n, vsys.n)))
+            vsys = dl.validate(dl.DelaySystem(vsys.n, entries))
+        form = dl.to_commensurate(vsys)
+        js = [j for j, _ in form.steps]
+        assert all(a < b for a, b in zip([0] + js, js + [form.m + 1]))
+        kept = [(d, a) for d, a in vsys.entries if np.any(a)]
+        assert [d for d, _ in kept] == [form.h * j for j in js]
+        assert all(c is a and np.any(c) for (_, c), (_, a) in zip(form.steps, kept))
+        back = form.to_system()
+        assert back.delays == tuple(d for d, _ in kept)
+        for got, want in zip(back.matrices, (a for _, a in kept)):
+            assert_bits_equal(got, want)
+        rho = stability._dense_companion_radius(form.steps, form.m, form.n)
+        assert rho == reference_companion_radius(slots(form), form.n)
 
     def test_roundtrip_drops_zero_rows(self, ex2a):
         back = dl.to_commensurate(ex2a).to_system()
@@ -440,6 +462,16 @@ class TestStabilityCheck:
         assert (rep.method, rep.grid_points, rep.rate_step) == ("torus_grid_heuristic", 16, 1.5)
         assert rep.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_companion_cap_boundary(self, n, monkeypatch):
+        # n m at the cap takes the companion, one step more the torus
+        monkeypatch.setattr(stability, "COMPANION_CAP", 10 * n)
+        a = np.random.default_rng(n).uniform(-0.2, 0.2, (n, n)) / n
+        methods = [
+            dl.stability_check(dl.DelaySystem(n, [(Fraction(1), a), (Fraction(m), a)])).method for m in (10, 11)
+        ]
+        assert methods == ["commensurate_companion", "torus_grid_heuristic"]
+
     def test_torus_never_certifies_stable(self):
         tiny = dl.validate(dl.DelaySystem(1, [
             (1.0, np.array([[0.1]])), (math.sqrt(2.0), np.array([[0.05]])),
@@ -533,7 +565,7 @@ def order6_rung(ex3):
     """The order-6 rung of example 3 (n m = 478) and its dense eigvals
     radius, about 0.2 s, taken once for the tests that compare with it."""
     form = dl.approximate_system(ex3, 6)
-    return form, reference_companion_radius(form.coefficients, 2)
+    return form, reference_companion_radius(slots(form), 2)
 
 
 class TestStructuredCompanion:
@@ -544,7 +576,7 @@ class TestStructuredCompanion:
     @given(case=commensurate_coefficients())
     def test_certified_or_dense(self, case):
         coeffs, n = case
-        rho, radius = stability._aberth_radius(coeffs, n, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), n, 1e-10)
         ref = reference_companion_radius(coeffs, n)
         if radius is None:
             assert rho == ref
@@ -555,14 +587,14 @@ class TestStructuredCompanion:
 
     def test_all_zero_coefficients_fall_back(self):
         coeffs = [np.zeros((2, 2))] * 40
-        assert stability._aberth_radius(coeffs, 2, 1e-10) == (0.0, None)
+        assert stability._aberth_radius(*steps_of(coeffs), 2, 1e-10) == (0.0, None)
 
     def test_zero_column_in_last_coefficient_falls_back(self):
         # P(z) keeps a column divisible by z^(m-1): a multiple root at 0
         coeffs = [np.zeros((2, 2))] * 40
         coeffs[0] = np.array([[0.4, -0.7], [0.9, 0.2]])
         coeffs[-1] = np.array([[0.5, 0.0], [0.3, 0.0]])
-        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), 2, 1e-10)
         assert radius is None
         assert rho == reference_companion_radius(coeffs, 2)
 
@@ -581,7 +613,7 @@ class TestStructuredCompanion:
         ]))
         form = dl.to_commensurate(vsys)
         rep = dl.stability_check(vsys, with_decay=False)
-        assert rep.spectral_radius == reference_companion_radius(form.coefficients, n)
+        assert rep.spectral_radius == reference_companion_radius(slots(form), n)
 
     def test_order_7_sqrt2_rung_certifies(self, ex3, monkeypatch):
         def boom(*args):
@@ -592,7 +624,7 @@ class TestStructuredCompanion:
         assert 2 * form.m == 1154 >= stability.STRUCTURED_CUTOFF
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         state = np.random.get_state()
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         first = dl.stability_check(rsys, with_decay=False)
         second = dl.stability_check(rsys, with_decay=False)
         # dense eigvals on this companion, about 2 s
@@ -606,7 +638,7 @@ class TestStructuredCompanion:
     def test_order_6_sqrt2_rung_matches_dense(self, order6_rung):
         form, ref = order6_rung
         assert (form.m, 2 * form.m) == (239, 478)
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         assert radius is not None
         assert abs(rho - ref) <= radius + 8 * EPS * rho
         assert verdict(rho) == verdict(ref) == "unstable"
@@ -663,7 +695,7 @@ class TestStructuredCompanion:
         monkeypatch.setattr(stability, "_pair_sums", off)
         form, ref = order6_rung
         assert 2 * form.m == 478
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         assert radius is not None and radius <= 1e-10
         assert abs(rho - ref) <= radius + 8 * EPS * rho
 
@@ -674,7 +706,7 @@ class TestStructuredCompanion:
         coeffs = [np.zeros((2, 2))] * 50
         for j in (7, 19, 50):
             coeffs[j - 1] = rng.uniform(-0.4, 0.4) * np.eye(2)
-        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), 2, 1e-10)
         assert radius is None
         assert rho == reference_companion_radius(coeffs, 2)
 
@@ -683,7 +715,7 @@ class TestStructuredCompanion:
         # the disk keeps its rounding allowance
         c = np.diag([0.5, 0.3])
         assert stability._det_p(np.array([0.5 + 0.0j]), [1], [c], 2, 1)[0] == 0.0
-        rho, radius = stability._aberth_radius([c], 2, 1e-10)
+        rho, radius = stability._aberth_radius(((1, c),), 1, 2, 1e-10)
         assert rho == 0.5
         assert radius >= 2 * EPS * rho > 0.0
 
@@ -694,7 +726,7 @@ class TestStructuredCompanion:
         form = dl.approximate_system(ex3, 8)
         assert 2 * form.m == 2786
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         # the radius the root-pair Weierstrass certificate gave on this rung
         assert abs(rho - 1.0001411454177214) <= radius <= 1e-11
 
@@ -702,7 +734,7 @@ class TestStructuredCompanion:
     @given(case=real_root_companions())
     def test_real_roots_certified_or_dense(self, case):
         coeffs, n = case
-        rho, radius = stability._aberth_radius(coeffs, n, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), n, 1e-10)
         ref = reference_companion_radius(coeffs, n)
         if radius is None:
             assert rho == ref
@@ -734,7 +766,7 @@ class TestStructuredCompanion:
         monkeypatch.setattr(stability, "_real_roots", miscount)
         monkeypatch.setattr(stability, "_newton_polygon_start", record)
         form, ref = order6_rung
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         assert asked == [True, False]
         assert radius is not None and radius <= 1e-10
         assert abs(rho - ref) <= radius + 8 * EPS * rho
@@ -795,7 +827,7 @@ class TestStructuredCompanion:
         for _ in range(5):
             entries = [(d, a * (1.0 + rng.uniform(-0.02, 0.02, a.shape))) for d, a in ex3.system.entries]
             form = dl.approximate_system(dl.validate(dl.DelaySystem(2, entries)), order)
-            rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+            rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
             assert verdict(rho) == "unstable"
 
@@ -837,7 +869,7 @@ class TestScreenKernels:
         for order in range(4, 9):
             form = dl.approximate_system(half, order)
             assert 2 * form.m >= stability.STRUCTURED_CUTOFF
-            rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+            rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
             assert verdict(rho) == "stable"
 
@@ -897,7 +929,7 @@ class TestEdgeStarts:
         monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
         coeffs = [np.zeros((2, 2))] * 40
         coeffs[4], coeffs[39] = np.diag([8.0, 0.0]), np.array([[0.5, 0.1], [-0.2, 0.4]])
-        rho, radius = stability._aberth_radius(coeffs, 2, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), 2, 1e-10)
         assert radius <= 1e-10
         assert abs(rho - reference_companion_radius(coeffs, 2)) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, 2)
 
@@ -927,7 +959,8 @@ class TestEdgeStarts:
         system = dl.validate(dl.DelaySystem(2, [(d, scale * a) for d, a in ex3.system.entries]))
         for order in (4, 7, 8):
             calls.clear()
-            rho, radius = stability._aberth_radius(dl.approximate_system(system, order).coefficients, 2, 1e-10)
+            form = dl.approximate_system(system, order)
+            rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
             assert len(calls) - 1 <= 5, (order, calls)
 
@@ -951,7 +984,7 @@ class TestEdgeStarts:
         monkeypatch.setattr(stability, "_newton_polygon_start", record)
         monkeypatch.setattr(stability, "_det_p", counted)
         form, ref = order6_rung
-        rho, radius = stability._aberth_radius(form.coefficients, 2, 1e-10)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
         assert radius is not None and abs(rho - ref) <= radius + 8 * EPS * rho
         assert events[0] is True and events.count(True) == 1 and events.count(False) == 1
         assert events.index(False) - 1 <= 10 < stability.ABERTH_SWEEPS
@@ -978,7 +1011,7 @@ class TestEdgeStarts:
         coeffs = [np.zeros((1, 1))] * 31
         for j in (3, 24, 31):
             coeffs[j - 1] = rng.normal(size=(1, 1))
-        rho, radius = stability._aberth_radius(coeffs, 1, 1e-10)
+        rho, radius = stability._aberth_radius(*steps_of(coeffs), 1, 1e-10)
         assert radius <= 1e-10
         assert abs(rho - reference_companion_radius(coeffs, 1)) <= radius + 8 * EPS * rho + dense_error_bound(coeffs, 1)
 
