@@ -18,6 +18,7 @@ which makes the two routes independently checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -218,10 +219,13 @@ def check_jump_properties(
 
     The default grid is the set of knot shifts k h for commensurate
     systems, or lattice differences inside [-H, H] otherwise.  Every
-    shift the identities read (tau, -tau, tau + h_i - h_j, tau -+ h_j and
-    0) is collected first, shifts within 1e-12 relative of one read
-    before sharing its value, and one delta_u_prime pass over one
-    jump table sums all their series.
+    shift the identities read is laid out as one array, a row per grid
+    point in reading order (tau; then -tau and (tau + h_i) - h_j for
+    tau >= 0; then tau -+ h_j for tau != 0), with a mask of the reads
+    used, and 0 last.  Shifts within 1e-12 relative share one integer
+    key and the value of the first read with it; one delta_u_prime pass
+    over one jump table sums all their series, and each identity is one
+    batched product per delay or delay pair over the grid.
     """
     _require_weight(weight, vsys.n)
     env = require_stable(vsys, report, STABLE_LABEL)
@@ -230,67 +234,61 @@ def check_jump_properties(
     if tau_grid is None:
         if vsys.is_rational:
             form = to_commensurate(vsys)
-            h = float(form.h)
-            tau_grid = [k * h for k in range(-form.m, form.m + 1)]
+            tau_grid = np.arange(-form.m, form.m + 1) * float(form.h)
         else:
             inst = np.asarray(discontinuity_instants(vsys, hmax))
             diffs = np.unique(
                 np.concatenate([inst, -inst, np.subtract.outer(inst, inst).ravel()])
             )
-            tau_grid = [t for t in diffs if abs(t) <= hmax + 1e-12]
+            tau_grid = diffs[np.abs(diffs) <= hmax + 1e-12]
     tau_grid = np.asarray(tau_grid, dtype=float)
     max_shift = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
     horizon = max(horizon, max_shift + 2.0 * hmax + vsys.h_min)
     table = delta_k(vsys, horizon + max_shift + 2.0 * hmax + vsys.h_min, drop_tol=0.0)
-    delays = [float(d) for d in vsys.delays]
-    mats = list(vsys.matrices)
+    h = np.array([float(d) for d in vsys.delays])
+    mats = vsys.matrices
+    q, n = len(mats), vsys.n
     w = weight.matrix
     scale = max_shift + 2.0 * hmax
 
-    def key(tau: float) -> int:
-        return round(tau / (1e-12 * scale))
+    tau = tau_grid[:, None]
+    pair = ((tau[:, :, None] + h[:, None]) - h).reshape(-1, q * q)
+    reads = np.hstack([tau, -tau, pair, np.where(tau > 0.0, tau - h, tau + h)])
+    nonneg, nonzero = tau_grid >= 0.0, tau_grid != 0.0
+    used = np.repeat(np.column_stack([np.ones_like(nonneg), nonneg, nonzero]), [1, 1 + q * q, q], axis=1)
+    flat = np.append(reads[used], 0.0)
+    keys = np.rint(flat / (1e-12 * scale)).astype(np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the distinct keys in reading order, each with the first shift read
+    order = np.argsort(first)
+    series = delta_u_prime(vsys, weight, flat[first[order]], horizon, report=env.report, table=table)
+    at_read = series.value[np.argsort(order)[inverse]]
+    du = np.zeros(reads.shape + (n, n))
+    du[used] = at_read[:-1]
 
-    # every shift the identities read, in reading order; a shift whose key
-    # is taken reads the value of the first one with that key
-    shifts: dict[int, float] = {}
-    for tau in tau_grid.tolist():
-        reads = [tau]
-        if tau >= 0.0:
-            reads += [-tau] + [tau + hi - hj for hi in delays for hj in delays]
-        if tau > 0.0:
-            reads += [tau - hj for hj in delays]
-        elif tau < 0.0:
-            reads += [tau + hj for hj in delays]
-        for t in reads:
-            shifts.setdefault(key(t), t)
-    shifts.setdefault(key(0.0), 0.0)
-    series = delta_u_prime(vsys, weight, list(shifts.values()), horizon, report=env.report, table=table)
-    du = dict(zip(shifts, series.value))
-
-    pairs = [(hi, hj, ai, aj) for hi, ai in zip(delays, mats) for hj, aj in zip(delays, mats)]
-    sym = dyn = alg = 0.0
-    for tau in tau_grid.tolist():
-        here = du[key(tau)]
-        if tau >= 0.0:
-            sym = max(sym, float(np.max(np.abs(du[key(-tau)] - here.T))))
-            dk = table.jump_at(tau)
-            dk = np.zeros_like(w) if dk is None else dk
-            acc = sum((ai.T @ du[key(tau + hi - hj)] @ aj for hi, hj, ai, aj in pairs), -here - w @ dk)
-            alg = max(alg, float(np.max(np.abs(acc))))
-        if tau != 0.0:
-            # sum_j dU'(tau - h_j) A_j for tau > 0, sum_j A_j^T dU'(tau + h_j) for tau < 0
-            terms = (du[key(tau - hj)] @ aj if tau > 0.0 else aj.T @ du[key(tau + hj)] for hj, aj in zip(delays, mats))
-            acc = sum(terms, -here)
-            dyn = max(dyn, float(np.max(np.abs(acc))))
-    at_zero = du[key(0.0)] + w
+    here = du[nonneg, 0]
+    sym = np.max(np.abs(du[nonneg, 1] - np.swapaxes(here, 1, 2)), initial=0.0)
+    idx = table.index_many(tau_grid[nonneg])
+    dk = np.where((idx >= 0)[:, None, None], table.jumps[idx], 0.0)
+    acc = -here - w @ dk
+    for k, (ai, aj) in enumerate(product(mats, mats)):
+        acc = acc + ai.T @ du[nonneg, 2 + k] @ aj
+    alg = np.max(np.abs(acc), initial=0.0)
+    # sum_j dU'(tau - h_j) A_j for tau > 0, sum_j A_j^T dU'(tau + h_j) for tau < 0
+    later = (tau_grid[nonzero] > 0.0)[:, None, None]
+    acc = -du[nonzero, 0]
+    for j, aj in enumerate(mats):
+        other = du[nonzero, 2 + q * q + j]
+        acc = acc + np.where(later, other @ aj, aj.T @ other)
+    dyn = np.max(np.abs(acc), initial=0.0)
+    at_zero = at_read[-1] + w
     nsd = float(np.max(np.linalg.eigvalsh(0.5 * (at_zero + at_zero.T))))
-    worst_tail = max(series.tail_bound.tolist())
     return JumpPropertyReport(
-        symmetry=sym,
-        dynamic=dyn,
-        algebraic=alg,
+        symmetry=float(sym),
+        dynamic=float(dyn),
+        algebraic=float(alg),
         nsd_max_eigenvalue=nsd,
-        tail_bound=worst_tail,
+        tail_bound=float(np.max(series.tail_bound)),
         horizon=float(horizon),
         grid_points=int(tau_grid.size),
         table=table,

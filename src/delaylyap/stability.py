@@ -53,10 +53,8 @@ COMPANION_CAP = 4000
 # per-step decay at which default_horizon truncates
 HORIZON_TARGET = 1e-12
 # decay rates use at least this per-step radius, since log 0 is undefined.
-# Below it the companion, n m blocks of one step each, is nilpotent up to
-# rounding, and K can grow for up to n m steps before it vanishes; so the
-# decay fit and the default horizon also reach one step past n m steps,
-# n h_max + step
+# The horizons do not lean on it: every decay fit and default horizon
+# reaches one step past n h_max, where a nilpotent K has vanished
 RHO_FLOOR = 1e-6
 
 
@@ -461,12 +459,11 @@ def _torus_radius(mats: Sequence[np.ndarray], points: int) -> float:
 def _horizon(vsys: ValidatedSystem, rho: float, step: float, target: float, cap: float = math.inf) -> float:
     """Time, at most cap, at which the per-step decay max(rho, RHO_FLOOR)
     has fallen to target; floored at three top delays so short systems
-    integrate something, and below RHO_FLOOR at one step past the
-    nilpotent range n h_max."""
+    integrate something, and at one step past n h_max, the range over
+    which a nilpotent K can still grow, whatever radius rounding gives
+    it."""
     t = min(step * math.log(target) / math.log(max(rho, RHO_FLOOR)), cap)
-    if rho < RHO_FLOOR:
-        t = max(t, vsys.n * vsys.h_max + step)
-    return max(t, 3.0 * vsys.h_max)
+    return max(t, 3.0 * vsys.h_max, vsys.n * vsys.h_max + step)
 
 
 def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, float]:
@@ -579,6 +576,5 @@ def require_stable(vsys: ValidatedSystem, report: StabilityReport | None, label:
 
 def default_horizon(vsys: ValidatedSystem, report: StabilityReport) -> float:
     """Horizon at which the per-step decay max(rho, RHO_FLOOR) has fallen to
-    HORIZON_TARGET: at least 3 h_max, and below RHO_FLOOR one step past
-    n h_max."""
+    HORIZON_TARGET: at least 3 h_max and one step past n h_max."""
     return _horizon(vsys, report.spectral_radius, report.rate_step, HORIZON_TARGET)

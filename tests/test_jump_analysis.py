@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import delaylyap as dl
 from delaylyap import fundamental, jump_analysis
@@ -121,6 +121,36 @@ def reference_u_prime_series(table, kfun, base, w, tau, horizon):
             break
         acc += (kfun.value(float(tq) - tau) - base).T @ w @ dk
     return acc
+
+
+THREE_DELAYS = (Fraction(1), Fraction(13, 10), Fraction(17, 10))
+
+
+def fixed_case(seed, n, delays, scale=None):
+    """(system, weight) with seeded random coefficients: their 2-norms sum
+    to 0.6, or they take the one common factor scale; the weight is a
+    random symmetric matrix."""
+    rng = np.random.default_rng(seed)
+    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in delays]
+    scale = 0.6 / sum(np.linalg.norm(a, 2) for a in mats) if scale is None else scale
+    half = rng.uniform(-1.0, 1.0, size=(n, n))
+    vsys = dl.validate(dl.DelaySystem(n, [(d, scale * a) for d, a in zip(delays, mats)]))
+    return vsys, dl.WeightMatrix(half + half.T)
+
+
+def two_route_shaped(seed):
+    """A system shaped like the benchmark's commensurate ones: n = 2 on
+    delays 1, 13/10 and 17/10, scaled by bisection to a companion radius
+    of 0.95 per step of 1/10."""
+    lo, hi = 0.0, 4.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        vsys, _ = fixed_case(seed, 2, THREE_DELAYS, mid)
+        if dl.stability_check(vsys, with_decay=False).spectral_radius <= 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return fixed_case(seed, 2, THREE_DELAYS, lo)
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +398,9 @@ class TestBatchedSeries:
 
     @settings(max_examples=15, deadline=None)
     @given(case=two_route_cases())
+    @example(case=fixed_case(8, 8, THREE_DELAYS))
+    @example(case=fixed_case(8, 8, (1.0, math.sqrt(2.0))))
+    @example(case=two_route_shaped(7))
     def test_properties_equal_lazy_cache_reference(self, case):
         vsys, weight = case
         cert = certificate(vsys)
@@ -390,13 +423,19 @@ class TestBatchedSeries:
         return np.array([t for t in diffs if abs(t) <= vsys.h_max + 1e-12])
 
     def test_properties_equal_reference_on_worked_system(self, ex2a_half, w2, report_ex2a_half):
-        # -1.5 - 1e-13, read last, shares the key of -1.5, read first; it
-        # would give the worst tail bound other bits
-        grid = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, -1.5 - 1e-13])
-        rep = dl.check_jump_properties(ex2a_half, w2, tau_grid=grid, horizon=20.0, report=report_ex2a_half)
-        want = reference_jump_properties(ex2a_half, w2, grid, 20.0, report_ex2a_half)
-        for name, value in want.items():
-            assert_bits_equal(getattr(rep, name), value)
+        grids = [
+            # -1.5 - 1e-13, read last, shares the key of -1.5, read first;
+            # it would give the worst tail bound other bits
+            [-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, -1.5 - 1e-13],
+            [],
+            [0.0, -0.0, 0.0],
+            [-0.0, 0.5, 0.5, -1.0, 0.0, -1.0, 1.5, 0.5],
+        ]
+        for grid in map(np.array, grids):
+            rep = dl.check_jump_properties(ex2a_half, w2, tau_grid=grid, horizon=20.0, report=report_ex2a_half)
+            want = reference_jump_properties(ex2a_half, w2, grid, 20.0, report_ex2a_half)
+            for name, value in want.items():
+                assert_bits_equal(getattr(rep, name), value)
 
     def test_tiny_chunks_and_a_shift_with_no_hits(self, ex2a_half, w2, report_ex2a_half, monkeypatch):
         horizon = 6.0

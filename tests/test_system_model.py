@@ -33,7 +33,7 @@ def reference_fit_decay(vsys, rho, step):
     bitwise reference for the batched norms."""
     sigma = 0.9 * (-math.log(rho)) / step
     depth = step * math.log(1e-13) / math.log(rho)
-    horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max)
+    horizon = max(min(depth, 3000.0 * vsys.h_min), 3.0 * vsys.h_max, vsys.n * vsys.h_max + step)
     kfun = dl.fundamental_matrix(vsys, horizon)
     k0n = float(np.linalg.norm(kfun.pre_value, 2))
     ends = np.append(kfun.breakpoints[1:], kfun.horizon)
