@@ -51,7 +51,8 @@ class OutOfDomain(DelayLyapError):
 
 
 class OrderUnavailable(DelayLyapError):
-    """A continued fraction has fewer coefficients than the requested order."""
+    """A float delay has no usable convergent at this order: the order is
+    negative, or the convergent is 0."""
 
 
 class ParseError(DelayLyapError):

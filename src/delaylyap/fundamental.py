@@ -204,6 +204,15 @@ def snapped_lookup(
     return np.where(snapped, i, i - 1)
 
 
+def finite_shifts(tau) -> np.ndarray:
+    """tau as floats; OutOfDomain naming the first shift that is not finite."""
+    taus = np.asarray(tau, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(taus))
+    if bad.size:
+        raise OutOfDomain(f"shifts must be finite, got {float(taus.flat[bad[0]])}")
+    return taus
+
+
 def sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the first axis strictly left to right, as a loop of += does
     (numpy's own reduce may add pairwise)."""
@@ -315,8 +324,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     kept = vsys._fundamental_cache.get(side)
     if kept is not None and horizon <= kept[1].horizon:
         keys, kfun = kept
@@ -349,6 +358,8 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
     compared.  Entries below drop_tol (max abs) are filtered at the end;
     the instant 0 always stays.
     """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     lat = _Lattice.generate(vsys.delays, horizon)
     n, mats = vsys.n, vsys.matrices
     src = lat.sources(instants=True)

@@ -27,9 +27,11 @@ from .fundamental import (
     JumpTable,
     delta_k,
     discontinuity_instants,
+    finite_shifts,
     fundamental_matrix,
     row_chunks,
     sequential_sum,
+    snapped_lookup,
     write_csv,
 )
 from .lyapunov_build import PiecewiseAffineMatrixFunction
@@ -67,8 +69,8 @@ class JumpSpectrum:
         return self.jumps.shape[1]
 
     def jump_at(self, tau: float, tol: float = 1e-9) -> np.ndarray | None:
-        idx = np.nonzero(np.abs(self.taus - tau) <= tol)[0]
-        return self.jumps[idx[0]] if idx.size else None
+        i = int(snapped_lookup(self.taus, float(tau), tol, np.inf, instants=True, domain="jump spectrum"))
+        return None if i < 0 else self.jumps[i]
 
     def to_csv(self, fh) -> None:
         names = [f"dU{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
@@ -122,8 +124,8 @@ def delta_u_prime(
     on the generated lattice, which is a heuristic because deeper lattice
     gaps can shrink further."""
     _require_weight(weight, vsys.n)
+    taus = finite_shifts(tau)
     env = require_stable(vsys, report, STABLE_LABEL)
-    taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
     if horizon is None:
         horizon = max(env.horizon, float(np.max(np.abs(flat), initial=0.0)) + vsys.h_min)
@@ -163,8 +165,8 @@ def u_prime_series(
     """Derivative of U at an off-knot shift tau by the truncated series,
     with its tail bound.  Requires horizon >= |tau|."""
     _require_weight(weight, vsys.n)
+    tau = float(finite_shifts(tau))
     env = require_stable(vsys, report, STABLE_LABEL)
-    tau = float(tau)
     if horizon is None:
         horizon = max(env.horizon, abs(tau) + vsys.h_min)
     if horizon < abs(tau):
@@ -228,8 +230,6 @@ def check_jump_properties(
     batched product per delay or delay pair over the grid.
     """
     _require_weight(weight, vsys.n)
-    env = require_stable(vsys, report, STABLE_LABEL)
-    horizon = env.horizon if horizon is None else horizon
     hmax = vsys.h_max
     if tau_grid is None:
         if vsys.is_rational:
@@ -241,7 +241,9 @@ def check_jump_properties(
                 np.concatenate([inst, -inst, np.subtract.outer(inst, inst).ravel()])
             )
             tau_grid = diffs[np.abs(diffs) <= hmax + 1e-12]
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = finite_shifts(tau_grid)
+    env = require_stable(vsys, report, STABLE_LABEL)
+    horizon = env.horizon if horizon is None else horizon
     max_shift = float(np.max(np.abs(tau_grid))) if tau_grid.size else 0.0
     horizon = max(horizon, max_shift + 2.0 * hmax + vsys.h_min)
     table = delta_k(vsys, horizon + max_shift + 2.0 * hmax + vsys.h_min, drop_tol=0.0)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fundamental import StepMatrixFunction, fundamental_matrix, row_chunks, sequential_sum
+from .fundamental import StepMatrixFunction, finite_shifts, fundamental_matrix, row_chunks, sequential_sum
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .stability import DecayEnvelope, StabilityReport, require_stable
 from .system_model import ValidatedSystem, WeightMatrix, _require_weight, k0
@@ -108,9 +108,9 @@ def u_integral_oracle(
     rounding.  Requires horizon >= |tau| for the tail bound to be valid.
     """
     _require_weight(weight, vsys.n)
+    tau = float(finite_shifts(tau))
     env = require_stable(vsys, report, STABLE_LABEL)
     horizon = env.horizon if horizon is None else horizon
-    tau = float(tau)
     if horizon < abs(tau):
         raise ValueError(f"horizon {horizon} must be at least |tau| = {abs(tau)}")
     kfun = fundamental_matrix(vsys, horizon + max(tau, 0.0) + vsys.h_min)

@@ -2,22 +2,22 @@
 
 Float delays are replaced by convergents of their continued fraction
 expansions, which are the best rational approximations at a given
-denominator size.  The rationalized system is commensurate over the gcd
-of the convergents, so the block construction applies; running a ladder
-of orders and comparing consecutive Lyapunov functions on a shared grid
-gives an empirical convergence picture.
+denominator size; one private routine gives the order-s convergent of
+a delay from its exact value.  The rationalized system is commensurate
+over the gcd of the convergents, so the block construction applies;
+running a ladder of orders and comparing consecutive Lyapunov functions
+on a shared grid gives an empirical convergence picture.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteInput, OrderUnavailable, SizeExceeded
+from .errors import OrderUnavailable, SizeExceeded
 from .lyapunov_build import PiecewiseAffineMatrixFunction, build_commensurate
 from .system_model import (
     CommensurateForm,
@@ -30,67 +30,27 @@ from .system_model import (
 )
 from .stability import stability_check
 
-# continued fraction terms expanded by default and for approximate_system
-MAX_TERMS = 64
 # largest basic step count m a rationalized system may need
 BASIC_DELAY_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Expansion x = c0 + 1/(c1 + 1/(c2 + ...)).  c0 >= 0 and all later
-    coefficients are >= 1.  exact means the expansion terminated on its
-    own rather than being cut at the term cap; floats are expanded through
-    their exact binary value, so every float input terminates eventually.
-    """
-
-    coefficients: tuple
-    value: float
-    exact: bool
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
-def continued_fraction(x, max_terms: int = MAX_TERMS) -> ContinuedFraction:
-    """Expand a positive real (float or Fraction) by the Euclidean
-    algorithm on its exact rational value."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise NonFiniteInput(f"cannot expand {x!r}")
-    if x <= 0:
-        raise ValueError(f"expansion needs a positive value, got {x}")
-    frac = x if isinstance(x, Fraction) else Fraction(x)
-    coeffs = []
-    exact = False
-    for _ in range(max_terms):
-        q = frac.numerator // frac.denominator
-        coeffs.append(int(q))
-        rem = frac - q
-        if rem == 0:
-            exact = True
-            break
-        frac = 1 / rem
-    return ContinuedFraction(coefficients=tuple(coeffs), value=float(x), exact=exact)
-
-
-def convergent(cf: ContinuedFraction, order: int) -> Fraction:
-    """Order-s convergent p_s/q_s by the standard three-term recurrence.
-    Successive convergents alternate around the value and satisfy
+def _convergent(x, order: int) -> Fraction:
+    """Order-s convergent p_s/q_s of a positive float or Fraction: the
+    three-term recurrence run alongside the Euclidean algorithm on the
+    exact value of x, stopped after `order` terms or at the last term if
+    the expansion ends sooner.  Convergents alternate around x and satisfy
     |x - p_s/q_s| <= 1/q_s^2."""
-    if order < 0 or order >= len(cf.coefficients):
-        raise OrderUnavailable(
-            f"expansion has orders 0..{len(cf.coefficients) - 1}, requested {order}"
-        )
-    p_prev, p = 1, cf.coefficients[0]
-    q_prev, q = 0, 1
-    for c in cf.coefficients[1:order + 1]:
+    a, b = x.as_integer_ratio()
+    c, r = divmod(a, b)
+    p_prev, p, q_prev, q = 1, c, 0, 1
+    for _ in range(order):
+        if r == 0:
+            break
+        a, b = b, r
+        c, r = divmod(a, b)
         p_prev, p = p, c * p + p_prev
         q_prev, q = q, c * q + q_prev
     return Fraction(p, q)
-
-
-def convergents(cf: ContinuedFraction) -> list[Fraction]:
-    return [convergent(cf, s) for s in range(len(cf.coefficients))]
 
 
 def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
@@ -98,18 +58,15 @@ def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
     order-s convergent.  Exact rational delays pass through untouched, so
     an already rational system gives the same form at every order.
     Convergent collisions merge by summing coefficients.  Raises
-    OrderUnavailable when a convergent is 0, and SizeExceeded when the gcd
-    step count m would exceed BASIC_DELAY_CAP."""
+    OrderUnavailable for a negative order or when a convergent is 0, and
+    SizeExceeded when the gcd step count m would exceed BASIC_DELAY_CAP."""
     if vsys.is_rational:
         return to_commensurate(vsys)
+    if order < 0:
+        raise OrderUnavailable(f"convergent order must be >= 0, requested {order}")
     replaced: dict[Fraction, np.ndarray] = {}
     for d, a in vsys.entries:
-        if isinstance(d, Fraction):
-            r = d
-        else:
-            cf = continued_fraction(d, MAX_TERMS)
-            s = min(order, len(cf.coefficients) - 1)
-            r = convergent(cf, s)
+        r = d if isinstance(d, Fraction) else _convergent(d, order)
         if r <= 0:
             raise OrderUnavailable(
                 f"order-{order} convergent of delay {float(d)} is {r}; use a higher order"

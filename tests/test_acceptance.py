@@ -139,18 +139,13 @@ def test_criterion_6_derivative_jump_properties(capfd, ex2a_half, u_ex2a_half,
 
 
 def test_criterion_7_continued_fraction_ladder(capfd, ex3):
-    cf = dl.continued_fraction(math.sqrt(2.0))
-    conv_ok = (
-        dl.convergent(cf, 1) == Fraction(3, 2)
-        and dl.convergent(cf, 4) == Fraction(41, 29)
-        and dl.convergent(cf, 7) == Fraction(577, 408)
-    )
-    ladder_ok = True
-    for order, h, m in ((1, Fraction(1, 2), 3), (4, Fraction(1, 29), 41),
-                        (7, Fraction(1, 408), 577)):
+    ok = True
+    for order, delay, h, m in ((1, Fraction(3, 2), Fraction(1, 2), 3),
+                               (4, Fraction(41, 29), Fraction(1, 29), 41),
+                               (7, Fraction(577, 408), Fraction(1, 408), 577)):
         form = dl.approximate_system(ex3, order)
-        ladder_ok = ladder_ok and form.h == h and form.m == m
-    ok = conv_ok and ladder_ok
+        ok = ok and form.to_system().delays == (Fraction(1), delay)
+        ok = ok and form.h == h and form.m == m
     _report(capfd, 7, "continued fraction ladder", ok,
             "3/2, 41/29, 577/408 and (h, m) geometry exact")
 

@@ -17,7 +17,6 @@ import delaylyap as dl
 SIGNATURES = {
     "ApproximationStep": ("order", "delays", "h", "m", "u", "system", "stability_verdict", "spectral_radius", "sup_diff_prev"),
     "CommensurateForm": ("h", "m", "n", "steps"),
-    "ContinuedFraction": ("coefficients", "value", "exact"),
     "CrossCheckReport": ("grid", "errors", "bounds", "max_error", "max_bound", "horizon", "slack", "passed"),
     "DelaySystem": ("n", "entries"),
     "InitialFunction": ("starts", "values", "slopes"),
@@ -35,9 +34,6 @@ SIGNATURES = {
     "build_commensurate": ("form", "weight"),
     "build_single_delay": ("vsys", "weight"),
     "check_jump_properties": ("vsys", "weight", "tau_grid", "horizon", "report"),
-    "continued_fraction": ("x", "max_terms"),
-    "convergent": ("cf", "order"),
-    "convergents": ("cf",),
     "cross_check": ("u", "vsys", "weight", "grid", "horizon", "slack", "report"),
     "default_horizon": ("vsys", "report"),
     "delta_k": ("vsys", "horizon", "drop_tol"),

@@ -240,15 +240,22 @@ class TestLattice:
         for horizon in (1.0, math.inf, math.nan):
             with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
                 dl.discontinuity_instants(vsys, horizon)
+        for horizon in (1.0, math.inf):
             with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
                 dl.fundamental_matrix(vsys, horizon)
+        # a NaN horizon is named before any lattice is formed
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
+            dl.fundamental_matrix(vsys, math.nan)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     @pytest.mark.parametrize("build", [dl.discontinuity_instants, dl.fundamental_matrix, dl.delta_k])
     def test_non_finite_horizon_on_float_delays_fails_fast(self, ex3, horizon, build):
-        # the float lattice would otherwise grow to its point cap first
+        # the float lattice would otherwise grow to its point cap first; K
+        # and its jump table name a NaN horizon before forming any lattice
+        named = math.isnan(horizon) and build is not dl.discontinuity_instants
+        error, message = (ValueError, "horizon must be nonnegative, got nan") if named else (dl.HorizonTooLarge, "no last point")
         t0 = time.perf_counter()
-        with pytest.raises(dl.HorizonTooLarge, match="no last point"):
+        with pytest.raises(error, match=message):
             build(ex3, horizon)
         assert time.perf_counter() - t0 < 0.5
 
@@ -396,6 +403,11 @@ class TestFundamentalMatrix:
         k = dl.fundamental_matrix(ex2a, 5.0)
         with pytest.raises(dl.OutOfDomain):
             k.value(5.6)
+
+    @pytest.mark.parametrize("build", [dl.fundamental_matrix, dl.delta_k])
+    def test_nan_horizon_is_named(self, build, ex2a_half):
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
+            build(ex2a_half, math.nan)
 
     def test_sides_agree(self, ex2a):
         kr = dl.fundamental_matrix(ex2a, 15.0, "right")

@@ -244,6 +244,9 @@ class TestJumpsFromSegments:
         spectrum = dl.jumps_from_segments(u_scalar)
         assert spectrum.jump_at(1e-10) is not None
         assert spectrum.jump_at(0.2) is None
+        # one snapped lookup with the jump table: NaN is outside the domain
+        with pytest.raises(dl.OutOfDomain, match="got nan"):
+            spectrum.jump_at(math.nan)
 
     def test_constant_slope_gives_empty_spectrum(self):
         flat = dl.PiecewiseAffineMatrixFunction(
@@ -469,3 +472,22 @@ class TestBatchedSeries:
         assert series.value.shape == (2, 1, 1) and series.tail_bound.shape == (2,)
         empty = dl.delta_u_prime(scalar_half, w1, [], 3.0, report=scalar_report)
         assert empty.value.shape == (0, 1, 1) and empty.tail_bound.shape == (0,)
+
+
+# each entry point that takes shifts, called with one good shift and then
+# a non-finite one (callables of the system, weight, report and shift)
+SHIFT_ENTRY_POINTS = {
+    "delta_u_prime": lambda v, w, r, t: dl.delta_u_prime(v, w, [0.5, t], report=r),
+    "u_prime_series": lambda v, w, r, t: dl.u_prime_series(v, w, t, report=r),
+    "check_jump_properties": lambda v, w, r, t: dl.check_jump_properties(v, w, tau_grid=[0.5, t], report=r),
+    "u_integral_oracle": lambda v, w, r, t: dl.u_integral_oracle(v, w, t, report=r),
+}
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(SHIFT_ENTRY_POINTS))
+def test_nonfinite_shift_is_out_of_domain(entry, shift, ex2a_half, w2, report_ex2a_half):
+    # named before any horizon or jump table is formed, not as a lattice
+    # that does not fit in int64
+    with pytest.raises(dl.OutOfDomain, match=f"shifts must be finite, got {shift}"):
+        SHIFT_ENTRY_POINTS[entry](ex2a_half, w2, report_ex2a_half, shift)

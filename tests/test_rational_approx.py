@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -7,76 +8,145 @@ from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap import rational_approx
+from delaylyap.errors import NonFiniteInput, OrderUnavailable
+
+# The public continued-fraction API that rational_approx._convergent
+# replaced, kept verbatim as the reference the property test compares
+# against.
+MAX_TERMS = 64
+
+
+@dataclass(frozen=True)
+class ContinuedFraction:
+    """Expansion x = c0 + 1/(c1 + 1/(c2 + ...)).  c0 >= 0 and all later
+    coefficients are >= 1.  exact means the expansion terminated on its
+    own rather than being cut at the term cap; floats are expanded through
+    their exact binary value, so every float input terminates eventually.
+    """
+
+    coefficients: tuple
+    value: float
+    exact: bool
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+
+def continued_fraction(x, max_terms: int = MAX_TERMS) -> ContinuedFraction:
+    """Expand a positive real (float or Fraction) by the Euclidean
+    algorithm on its exact rational value."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise NonFiniteInput(f"cannot expand {x!r}")
+    if x <= 0:
+        raise ValueError(f"expansion needs a positive value, got {x}")
+    frac = x if isinstance(x, Fraction) else Fraction(x)
+    coeffs = []
+    exact = False
+    for _ in range(max_terms):
+        q = frac.numerator // frac.denominator
+        coeffs.append(int(q))
+        rem = frac - q
+        if rem == 0:
+            exact = True
+            break
+        frac = 1 / rem
+    return ContinuedFraction(coefficients=tuple(coeffs), value=float(x), exact=exact)
+
+
+def convergent(cf: ContinuedFraction, order: int) -> Fraction:
+    """Order-s convergent p_s/q_s by the standard three-term recurrence.
+    Successive convergents alternate around the value and satisfy
+    |x - p_s/q_s| <= 1/q_s^2."""
+    if order < 0 or order >= len(cf.coefficients):
+        raise OrderUnavailable(
+            f"expansion has orders 0..{len(cf.coefficients) - 1}, requested {order}"
+        )
+    p_prev, p = 1, cf.coefficients[0]
+    q_prev, q = 0, 1
+    for c in cf.coefficients[1:order + 1]:
+        p_prev, p = p, c * p + p_prev
+        q_prev, q = q, c * q + q_prev
+    return Fraction(p, q)
+
+
+def reference_convergent(x, order: int) -> Fraction:
+    """Order-s convergent, or the last one if the expansion ends sooner;
+    the expansion runs to s + 1 terms, so no term cap cuts it."""
+    cf = continued_fraction(x, order + 1)
+    return convergent(cf, min(order, len(cf) - 1))
+
+
+log_uniform_floats = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+positive_fractions = st.fractions(min_value=Fraction(1, 10**9), max_value=10**9, max_denominator=10**12)
 
 
 class TestContinuedFraction:
     def test_sqrt2_pattern(self):
-        cf = dl.continued_fraction(math.sqrt(2.0))
-        assert cf.coefficients[0] == 1
-        # the ideal expansion is all 2s; the float input follows it until
-        # its own binary precision runs out around term 21
-        assert all(c == 2 for c in cf.coefficients[1:20])
+        # the ideal expansion is all 2s, so the convergents follow the Pell
+        # recurrence; the float input keeps to it until its own binary
+        # precision runs out around term 21
+        p_prev, p, q_prev, q = 1, 1, 0, 1
+        for s in range(20):
+            assert rational_approx._convergent(math.sqrt(2.0), s) == Fraction(p, q)
+            p_prev, p = p, 2 * p + p_prev
+            q_prev, q = q, 2 * q + q_prev
 
     def test_golden_ratio_pattern(self):
-        cf = dl.continued_fraction((1 + math.sqrt(5.0)) / 2)
-        assert all(c == 1 for c in cf.coefficients[:12])
+        # all 1s: ratios of successive Fibonacci numbers
+        fib = [1, 1]
+        while len(fib) < 14:
+            fib.append(fib[-1] + fib[-2])
+        for s in range(12):
+            got = rational_approx._convergent((1 + math.sqrt(5.0)) / 2, s)
+            assert got == Fraction(fib[s + 1], fib[s])
 
     def test_exact_rational_terminates(self):
-        cf = dl.continued_fraction(Fraction(3, 2))
-        assert cf.exact
-        assert cf.coefficients == (1, 2)
-
-    def test_term_cap(self):
-        cf = dl.continued_fraction(math.sqrt(2.0), max_terms=5)
-        assert len(cf) == 5
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            dl.continued_fraction(0.0)
-        with pytest.raises(ValueError):
-            dl.continued_fraction(-1.5)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(dl.NonFiniteInput):
-            dl.continued_fraction(float("nan"))
-        with pytest.raises(dl.NonFiniteInput):
-            dl.continued_fraction(float("inf"))
+        assert rational_approx._convergent(Fraction(3, 2), 0) == 1
+        for s in (1, 2, 7):
+            assert rational_approx._convergent(Fraction(3, 2), s) == Fraction(3, 2)
 
 
 class TestConvergents:
     def test_sqrt2_key_orders(self):
-        cf = dl.continued_fraction(math.sqrt(2.0))
-        assert dl.convergent(cf, 1) == Fraction(3, 2)
-        assert dl.convergent(cf, 4) == Fraction(41, 29)
-        assert dl.convergent(cf, 7) == Fraction(577, 408)
+        x = math.sqrt(2.0)
+        assert rational_approx._convergent(x, 1) == Fraction(3, 2)
+        assert rational_approx._convergent(x, 4) == Fraction(41, 29)
+        assert rational_approx._convergent(x, 7) == Fraction(577, 408)
 
-    def test_order_out_of_range(self):
-        cf = dl.continued_fraction(Fraction(3, 2))
-        with pytest.raises(dl.OrderUnavailable):
-            dl.convergent(cf, 2)
-        with pytest.raises(dl.OrderUnavailable):
-            dl.convergent(cf, -1)
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(log_uniform_floats, positive_fractions), order=st.integers(0, 80))
+    def test_matches_reference(self, x, order):
+        assert rational_approx._convergent(x, order) == reference_convergent(x, order)
 
-    def test_list_matches_scalar_calls(self):
-        cf = dl.continued_fraction(math.pi, max_terms=10)
-        seq = dl.convergents(cf)
-        assert seq == [dl.convergent(cf, k) for k in range(len(cf))]
+    def test_matches_reference_on_exact_inputs(self):
+        for x in (Fraction(3, 2), Fraction(7), Fraction(355, 113), 1.5, 2.0, 0.3):
+            for order in range(8):
+                assert rational_approx._convergent(x, order) == reference_convergent(x, order)
+
+    def test_order_out_of_range(self, ex3):
+        # a float system has no convergent of negative order; the message
+        # names the order, not some delay's expansion
+        with pytest.raises(dl.OrderUnavailable, match="requested -1"):
+            dl.approximate_system(ex3, -1)
+
+    def test_rational_system_passes_through_any_order(self, ex2a):
+        form = dl.approximate_system(ex2a, -1)
+        assert (form.h, form.m) == (Fraction(1, 2), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False))
     def test_quadratic_approximation_quality(self, x):
-        cf = dl.continued_fraction(x, max_terms=20)
-        for frac in dl.convergents(cf):
+        for s in range(20):
+            frac = rational_approx._convergent(x, s)
             err = abs(x - float(frac))
             assert err <= 1.0 / frac.denominator**2 + 1e-15
 
     @settings(max_examples=30, deadline=None)
     @given(x=st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False))
     def test_exact_recovery_of_floats(self, x):
-        # floats are rationals, so untruncated expansions recover them
-        cf = dl.continued_fraction(x, max_terms=64)
-        if cf.exact:
-            assert float(dl.convergents(cf)[-1]) == x
+        # floats are rationals with denominators below 2^60, whose
+        # expansions end within 90 terms, so a high order recovers them
+        assert rational_approx._convergent(x, 200) == Fraction(x)
 
 
 class TestApproximateSystem:
