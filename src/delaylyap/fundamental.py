@@ -11,13 +11,14 @@ independent methods (recursion to the initial function, jump convolution).
 
 Rational delays put the lattice on exact int64 multiples of h = gcd(h_j),
 float delays on a merge-tolerant float lattice.  K, dK and the recursion
-response are evaluated in blocks of points that depend only on earlier
-blocks, one batched matrix product per delay in delay order: the bits of
-a per-point loop.
+response share one kernel, _recurse: runs of points that depend only on
+earlier runs, each one gather of every source and one stacked product
+with every A_j, summed in delay order: the bits of a per-point loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -155,21 +156,34 @@ def exact_multiples(ks, h: Fraction) -> np.ndarray:
     return np.array([k * num / den for k in ks.tolist()], dtype=float)
 
 
-def _blocks(src: np.ndarray, first: int) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges [s, e) from row first on, each as long as
-    every source of its rows (src, rows by delays) lies before s."""
-    dep = np.maximum.accumulate(src.max(axis=1))
+def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.ndarray], left: bool) -> None:
+    """Fill rows first on of values with row i = sum_j values[src[i, j]] A_j
+    (A_j values[src[i, j]] if left), summed onto +0 in delay order: the
+    bits of a per-row loop.  A source -1 adds nothing, not even a zero.
+    Rows go in runs [s, e) whose sources all lie before s, each one gather
+    and one stacked product."""
+    mats = np.array(mats)
+    dep = np.maximum.accumulate(src.max(axis=1)).tolist()
+    missing = (src < 0)[:, :, None, None]
     s = first
     while s < len(dep):
-        e = max(s + 1, int(np.searchsorted(dep, s)))
-        yield s, e
+        e = max(s + 1, bisect.bisect_left(dep, s))
+        prod = np.matmul(mats, values[src[s:e]]) if left else np.matmul(values[src[s:e]], mats)
+        # x + (-0.0) is x for every x, signed zeros included
+        np.copyto(prod, -0.0, where=missing[s:e])
+        out = values[s:e]
+        np.add(prod[:, 0], 0.0, out=out)
+        for j in range(1, len(mats)):
+            out += prod[:, j]
         s = e
 
 
 def discontinuity_instants(vsys: ValidatedSystem, horizon: float) -> list[float]:
     """All possible discontinuity instants of K in [0, horizon], ordered.
-    Raises HorizonTooLarge past LATTICE_CAP points or, for rational delays,
-    past int64 steps of h."""
+    Raises ValueError for a negative or NaN horizon, HorizonTooLarge past
+    LATTICE_CAP points or, for rational delays, past int64 steps of h."""
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     return _Lattice.generate(vsys.delays, horizon).floats.tolist()
 
 
@@ -318,6 +332,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     """Evaluate K on [0, horizon] from K(t) = sum_j K(t-h_j) A_j (side
     "right") or K(t) = sum_j A_j K(t-h_j) (side "left").  Both recursions
     describe the same function; computing each gives an independent check.
+    Instants are evaluated in runs by _recurse, with K0 as the source
+    before the first instant.
 
     Rational delays: vsys keeps the longest K per side, and a shorter
     horizon gets its prefix, the bits of a direct build (K is causal).
@@ -332,18 +348,11 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
         cut = int(np.searchsorted(keys, math.floor(Fraction(horizon) / fraction_gcd(vsys.delays)), side="right"))
         return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
     lat = _Lattice.generate(vsys.delays, horizon)
-    base, mats = k0(vsys), vsys.matrices
-    n = vsys.n
-    src = lat.sources()
+    base = k0(vsys)
     # row 0 holds K0, the value before the first instant (source -1)
-    values = np.empty((len(lat) + 1, n, n))
+    values = np.empty((len(lat) + 1, vsys.n, vsys.n))
     values[0] = base
-    for s, e in _blocks(src, 0):
-        acc = np.zeros((e - s, n, n))
-        for j, a in enumerate(mats):
-            prev = values[src[s:e, j] + 1]
-            acc += prev @ a if side == "right" else a @ prev
-        values[s + 1:e + 1] = acc
+    _recurse(values, np.pad(lat.sources() + 1, ((1, 0), (0, 0))), 1, vsys.matrices, side == "left")
     kfun = StepMatrixFunction(base.copy(), lat.floats, values[1:], float(horizon), lat.snap)
     if vsys.is_rational:
         vsys._fundamental_cache[side] = (lat.keys, kfun)
@@ -355,23 +364,16 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
     dK(t) = sum_j dK(t-h_j) A_j on the lattice, zero elsewhere.
 
     Computed without touching fundamental_matrix so the two can be
-    compared.  Entries below drop_tol (max abs) are filtered at the end;
-    the instant 0 always stays.
+    compared, by _recurse in runs of instants; a t - h_j off the lattice
+    adds nothing.  Entries below drop_tol (max abs) are filtered at the
+    end; the instant 0 always stays.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     lat = _Lattice.generate(vsys.delays, horizon)
-    n, mats = vsys.n, vsys.matrices
-    src = lat.sources(instants=True)
-    jumps = np.zeros((len(lat), n, n))
-    jumps[0] = np.eye(n)
-    for s, e in _blocks(src, 1):
-        acc = np.zeros((e - s, n, n))
-        for j, a in enumerate(mats):
-            rows = src[s:e, j]
-            # a missing source adds nothing, not even a zero (signs of zeros stay)
-            np.add(acc, jumps[np.maximum(rows, 0)] @ a, out=acc, where=(rows >= 0)[:, None, None])
-        jumps[s:e] = acc
+    jumps = np.zeros((len(lat), vsys.n, vsys.n))
+    jumps[0] = np.eye(vsys.n)
+    _recurse(jumps, lat.sources(instants=True), 1, vsys.matrices, False)
     keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
     keep[0] = True
     return JumpTable(
@@ -397,14 +399,14 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     The points it needs are found level by level from the grid, keyed on a
     1e-12 relative quantum; a key keeps the float of the first point to
     reach it.  Points below -quantum/2 read phi, the rest are evaluated in
-    key order in blocks: the bits of a memoized per-point descent.  Past
+    key order by _recurse: the bits of a memoized per-point descent.  Past
     NODE_CAP points (the path t, t - h_min, ... alone has max(grid) / h_min),
     checked per level, it raises RecursionDepthExceeded.
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
     quantum = 1e-12 * max(vsys.h_max, tmax)
-    delays, mats = np.array([float(d) for d in vsys.delays]), vsys.matrices
+    delays = np.array([float(d) for d in vsys.delays])
     # -key of each point found, ascending, and its float, in doubling buffers
     neg, ts, size, frontier = np.empty(64, dtype=np.int64), np.empty(64), 0, grid
     while frontier.size:
@@ -428,11 +430,7 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     src = snapped_lookup(keys, np.rint((ts[:, None] - delays) / quantum).astype(np.int64), 0, math.inf, instants=True)
     values = np.empty((size, vsys.n))
     values[:n_leaves] = phi.value_many(ts[:n_leaves])
-    for s, e in _blocks(src, n_leaves):
-        acc = np.zeros((e - s, vsys.n))
-        for j, a in enumerate(mats):
-            acc += np.matmul(a, values[src[s:e, j], :, None])[..., 0]
-        values[s:e] = acc
+    _recurse(values[..., None], src, n_leaves, vsys.matrices, True)
     return values[snapped_lookup(keys, np.rint(grid / quantum).astype(np.int64), 0, math.inf, instants=True)]
 
 

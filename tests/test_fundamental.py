@@ -237,22 +237,20 @@ class TestLattice:
         tiny = Fraction(1, 2**62)
         vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (1 + tiny, [[0.3]])]))
         assert dl.discontinuity_instants(vsys, 0.5) == [0.0]
-        for horizon in (1.0, math.inf, math.nan):
-            with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
-                dl.discontinuity_instants(vsys, horizon)
-        for horizon in (1.0, math.inf):
-            with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
-                dl.fundamental_matrix(vsys, horizon)
-        # a NaN horizon is named before any lattice is formed
-        with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
-            dl.fundamental_matrix(vsys, math.nan)
+        for build in (dl.discontinuity_instants, dl.fundamental_matrix):
+            for horizon in (1.0, math.inf):
+                with pytest.raises(dl.HorizonTooLarge, match=f"h = {tiny}"):
+                    build(vsys, horizon)
+            # a NaN horizon is named before any lattice is formed
+            with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
+                build(vsys, math.nan)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     @pytest.mark.parametrize("build", [dl.discontinuity_instants, dl.fundamental_matrix, dl.delta_k])
     def test_non_finite_horizon_on_float_delays_fails_fast(self, ex3, horizon, build):
-        # the float lattice would otherwise grow to its point cap first; K
-        # and its jump table name a NaN horizon before forming any lattice
-        named = math.isnan(horizon) and build is not dl.discontinuity_instants
+        # the float lattice would otherwise grow to its point cap first; a
+        # NaN horizon is named before any lattice is formed
+        named = math.isnan(horizon)
         error, message = (ValueError, "horizon must be nonnegative, got nan") if named else (dl.HorizonTooLarge, "no last point")
         t0 = time.perf_counter()
         with pytest.raises(error, match=message):
@@ -375,6 +373,71 @@ class TestBlockRecursionsMatchReference:
         assert_matches_reference(vsys, 4.0)
 
 
+class TestRecursionKernel:
+    """The one block kernel sums each row onto +0 in delay order and lets a
+    missing source add nothing: bit for bit against the per-point
+    references on values that are signed zeros, and against a per-row
+    loop on the kernel itself."""
+
+    @pytest.mark.parametrize("delays", [(Fraction(1), Fraction(3, 2)), (1.0, math.sqrt(2.0))])
+    def test_all_zero_system(self, delays):
+        # K0 = -1 times zeros: a loop summing onto zeros gives +0.0, though
+        # the elementwise products are -0.0
+        vsys = dl.validate(dl.DelaySystem(1, [(d, [[0.0]]) for d in delays]))
+        assert_matches_reference(vsys, 5.0)
+        assert not np.any(np.signbit(dl.fundamental_matrix(vsys, 5.0).values))
+        phi = dl.InitialFunction.constant([-1.0])
+        grid = np.linspace(0.0, 5.0, 21)
+        x = dl.simulate(vsys, phi, grid)
+        assert_bits_equal(x, reference_simulate(vsys, phi, grid))
+        assert not np.any(np.signbit(x))
+
+    @pytest.mark.parametrize("delays", [
+        (Fraction(1), Fraction(3, 2)),
+        (Fraction(1), Fraction(13, 10), Fraction(17, 10)),
+        (1.0, math.sqrt(2.0)),
+    ])
+    def test_zero_column_and_negative_k0(self, delays):
+        # the second column of every product K A_j is a sum of signed zeros
+        rng = np.random.default_rng(len(delays))
+        mats = [np.column_stack([rng.uniform(-0.3, 0.3, 2), [0.0, 0.0]]) for _ in delays]
+        vsys = dl.validate(dl.DelaySystem(2, list(zip(delays, mats))))
+        assert np.any(dl.k0(vsys) < 0)
+        assert_matches_reference(vsys, 6.0)
+        grid = np.linspace(0.0, 6.0, 25)
+        for phi in (dl.InitialFunction.constant([-1.0, 0.0]), dl.InitialFunction.constant([0.0, -1.0])):
+            assert_bits_equal(dl.simulate(vsys, phi, grid), reference_simulate(vsys, phi, grid))
+
+    def test_missing_sources_on_rational_lattice(self):
+        # on {1, 3/2}, t - 3/2 misses the lattice at t = 2 and t - 1 at t = 3/2
+        vsys = dl.validate(dl.DelaySystem(2, [
+            (Fraction(1), [[0.3, -0.2], [0.1, 0.4]]),
+            (Fraction(3, 2), [[-0.25, 0.0], [0.2, -0.1]]),
+        ]))
+        table = dl.delta_k(vsys, 4.0, drop_tol=0.0)
+        assert (table.index_many([1.5, 2.0]) >= 0).all()
+        assert_matches_reference(vsys, 4.0)
+
+    @pytest.mark.parametrize("left", [False, True])
+    def test_missing_sources_add_nothing(self, left):
+        # a source -1 would gather the last row, still unset here (NaN); a
+        # row with no source is +0.0, a sum of -0.0 terms would be -0.0
+        rng = np.random.default_rng(5)
+        mats = [rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(3)]
+        src = np.array([[-1, -1, -1], [-1, -1, -1], [0, -1, -1], [-1, 1, 2], [3, -1, 0], [-1, 4, 3]])
+        values = np.full((6, 2, 2), np.nan)
+        values[0] = rng.uniform(-1.0, 1.0, (2, 2))
+        want = values.copy()
+        for i in range(1, 6):
+            acc = np.zeros((2, 2))
+            for j, a in enumerate(mats):
+                if src[i, j] >= 0:
+                    acc += a @ want[src[i, j]] if left else want[src[i, j]] @ a
+            want[i] = acc
+        fundamental._recurse(values, src, 1, mats, left)
+        assert_bits_equal(values, want)
+
+
 class TestFundamentalMatrix:
     def test_scalar_values(self, scalar_half):
         k = dl.fundamental_matrix(scalar_half, 3.0)
@@ -408,6 +471,11 @@ class TestFundamentalMatrix:
     def test_nan_horizon_is_named(self, build, ex2a_half):
         with pytest.raises(ValueError, match="horizon must be nonnegative, got nan"):
             build(ex2a_half, math.nan)
+
+    @pytest.mark.parametrize("build", [dl.discontinuity_instants, dl.fundamental_matrix, dl.delta_k])
+    def test_negative_horizon_is_named(self, build, ex2a_half):
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got -1.0"):
+            build(ex2a_half, -1.0)
 
     def test_sides_agree(self, ex2a):
         kr = dl.fundamental_matrix(ex2a, 15.0, "right")

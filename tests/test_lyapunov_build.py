@@ -874,6 +874,16 @@ class TestCriticalDetection:
             (warning,) = caught
             assert (warning.filename, warning.lineno) == (__file__, line)
 
+    def test_condition_window_raises(self, w1):
+        # a = -(1 - 1e-13): a^2 is 1 - 2e-13, and the condition estimate,
+        # about 2.0e13, lies between COND_FAIL and 1e14
+        vsys = dl.validate(dl.DelaySystem.single([[-(1.0 - 1e-13)]], Fraction(1)))
+        with pytest.raises(dl.CriticalSystem, match="numerically singular"):
+            dl.build_single_delay(vsys, w1)
+        with patch.object(lyapunov_build, "COND_FAIL", 1e14), pytest.warns(RuntimeWarning, match="conditioned"):
+            u = dl.build_single_delay(vsys, w1)
+        assert lyapunov_build.COND_FAIL < u.condition_estimate < 1e14
+
     def test_commensurate_critical(self, w2):
         # per-step roots are +-sqrt(2) and +-1/sqrt(2); one product is 1
         pairs = [

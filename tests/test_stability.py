@@ -30,6 +30,20 @@ class TestOldHome:
         assert not hasattr(system_model, name)
 
 
+class TestVerdictMargins:
+    """An exact radius within EXACT_MARGIN of 1 decides nothing."""
+
+    @pytest.mark.parametrize("a, verdict", [
+        (1.0 - 2e-9, "stable"),
+        (1.0 - 1e-10, "inconclusive"),
+        (1.0 + 1e-10, "inconclusive"),
+        (1.0 + 2e-9, "unstable"),
+    ])
+    def test_single_delay_near_one(self, a, verdict):
+        report = dl.stability_check(dl.DelaySystem.single([[a]], 1), with_decay=False)
+        assert (report.spectral_radius, report.verdict) == (a, verdict)
+
+
 class TestDecayEnvelope:
     """Each tail bound the oracles and series print against its closed
     form in (gamma, sigma) and ||W|| ||K0||^2."""

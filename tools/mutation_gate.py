@@ -1,0 +1,120 @@
+"""Mutation gate: does tier-1 notice a wrong verdict, a dropped bound or a
+broken recursion kernel?
+
+    python tools/mutation_gate.py
+
+Each mutant is one exact text replacement in one file of src/delaylyap.
+For each, src/ is copied to a temporary directory, the mutant is applied
+there, and tier-1 runs against the copy with -x -q (derandomized
+Hypothesis).  A mutant is killed when a test fails; the first failing
+test is printed.  The gate exits 1 if any mutant survives, and 2 if a
+mutant's text is not found exactly once, so that a refactor cannot
+silently disable it.  Run it on a tree whose tier-1 passes.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/delaylyap, text, replacement)
+MUTANTS = [
+    (
+        "u_tail_bound_zero",
+        "oracle_verify.py",
+        "    return w2 * (env.integral(horizon, tau) + env.k0_norm * env.integral(horizon + tau))\n",
+        "    return 0.0\n",
+    ),
+    ("fit_decay_no_gain_cushion", "stability.py", "    return 1.05 * gamma, sigma\n", "    return gamma, sigma\n"),
+    (
+        "continuity_residual_zero",
+        "lyapunov_build.py",
+        "continuity=float(np.max(np.abs(u.coeffs[:-1] + u.h * u.slopes[:-1] - u.coeffs[1:]), initial=0.0)),",
+        "continuity=0.0,",
+    ),
+    ("stable_below_one", "stability.py", "    elif rho <= 1.0 - margin:\n", "    elif rho < 1.0:\n"),
+    ("unstable_above_one", "stability.py", "    if rho >= 1.0 + margin:\n", "    if rho > 1.0:\n"),
+    ("cond_fail_1e14", "lyapunov_build.py", "COND_FAIL = 1e12\n", "COND_FAIL = 1e14\n"),
+    (
+        "kernel_missing_source_read",
+        "fundamental.py",
+        "        np.copyto(prod, -0.0, where=missing[s:e])\n",
+        "",
+    ),
+    (
+        "kernel_reversed_delay_sum",
+        "fundamental.py",
+        "        np.add(prod[:, 0], 0.0, out=out)\n        for j in range(1, len(mats)):\n",
+        "        np.add(prod[:, -1], 0.0, out=out)\n        for j in range(len(mats) - 2, -1, -1):\n",
+    ),
+    (
+        "kernel_no_positive_zero_start",
+        "fundamental.py",
+        "        np.add(prod[:, 0], 0.0, out=out)\n",
+        "        np.copyto(out, prod[:, 0])\n",
+    ),
+]
+
+
+def apply(src: Path, file: str, text: str, replacement: str) -> None:
+    path = src / "delaylyap" / file
+    body = path.read_text(encoding="utf-8")
+    count = body.count(text)
+    if count != 1:
+        raise LookupError(f"{file}: mutant text found {count} times, not once: {text!r}")
+    path.write_text(body.replace(text, replacement), encoding="utf-8")
+
+
+def run_tier1(src: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_PROFILE="ci")
+    found = subprocess.run(
+        [sys.executable, "-c", "import delaylyap; print(delaylyap.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(found).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"tier-1 would import delaylyap from {found}, not from the mutated copy")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def main() -> int:
+    survivors = []
+    for name, file, text, replacement in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            try:
+                apply(src, file, text, replacement)
+            except LookupError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            t0 = time.perf_counter()
+            code, out = run_tier1(src)
+        seconds = time.perf_counter() - t0
+        if code == 0:
+            survivors.append(name)
+            print(f"SURVIVED {name} ({seconds:.0f} s)", flush=True)
+            continue
+        failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
+        if code != 1 or failed is None:
+            print(out[-3000:], file=sys.stderr)
+            print(f"tier-1 on mutant {name} ended with exit code {code} and no failed test", file=sys.stderr)
+            return 2
+        print(f"killed {name} by {failed.group(1)} ({seconds:.0f} s)", flush=True)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed; survivors: {survivors}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
