@@ -82,7 +82,6 @@ class _Lattice:
             # every step of it would merge onto its own source
             raise NonincreasingDelays(f"delay {steps[0]} is within the lattice merge tolerance {tol} of zero")
         limit = horizon + tol
-        q = tol if tol > 0 else 1.0
         heap = [0.0]
         seen = {0: 0.0}
         out = []
@@ -95,7 +94,7 @@ class _Lattice:
                 s = t + d
                 if s > limit:
                     continue
-                b = round(s / q)
+                b = round(s / tol)
                 if any(bb in seen and abs(seen[bb] - s) <= tol for bb in (b - 1, b, b + 1)):
                     continue
                 seen[b] = s
@@ -157,20 +156,19 @@ def exact_multiples(ks, h: Fraction) -> np.ndarray:
 
 
 def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.ndarray], left: bool) -> None:
-    """Fill rows first on of values with row i = sum_j values[src[i, j]] A_j
-    (A_j values[src[i, j]] if left), summed onto +0 in delay order: the
-    bits of a per-row loop.  A source -1 adds nothing, not even a zero.
+    """Fill rows first to len(src) - 1 of values with row i =
+    sum_j values[src[i, j]] A_j (A_j values[src[i, j]] if left), summed
+    onto +0 in delay order: the bits of a per-row loop.  Every source is a
+    real row: a source -1 reads the last row of values, which a caller
+    that has such sources holds past len(src) and which is never written.
     Rows go in runs [s, e) whose sources all lie before s, each one gather
     and one stacked product."""
     mats = np.array(mats)
     dep = np.maximum.accumulate(src.max(axis=1)).tolist()
-    missing = (src < 0)[:, :, None, None]
     s = first
     while s < len(dep):
         e = max(s + 1, bisect.bisect_left(dep, s))
         prod = np.matmul(mats, values[src[s:e]]) if left else np.matmul(values[src[s:e]], mats)
-        # x + (-0.0) is x for every x, signed zeros included
-        np.copyto(prod, -0.0, where=missing[s:e])
         out = values[s:e]
         np.add(prod[:, 0], 0.0, out=out)
         for j in range(1, len(mats)):
@@ -332,8 +330,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     """Evaluate K on [0, horizon] from K(t) = sum_j K(t-h_j) A_j (side
     "right") or K(t) = sum_j A_j K(t-h_j) (side "left").  Both recursions
     describe the same function; computing each gives an independent check.
-    Instants are evaluated in runs by _recurse, with K0 as the source
-    before the first instant.
+    Instants are evaluated in runs by _recurse; a t - h_j before 0 reads
+    K0 from a trailing row, dropped afterwards.
 
     Rational delays: vsys keeps the longest K per side, and a shorter
     horizon gets its prefix, the bits of a direct build (K is causal).
@@ -349,11 +347,11 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
         return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
     lat = _Lattice.generate(vsys.delays, horizon)
     base = k0(vsys)
-    # row 0 holds K0, the value before the first instant (source -1)
+    # the trailing row holds K0, the value before the first instant (source -1)
     values = np.empty((len(lat) + 1, vsys.n, vsys.n))
-    values[0] = base
-    _recurse(values, np.pad(lat.sources() + 1, ((1, 0), (0, 0))), 1, vsys.matrices, side == "left")
-    kfun = StepMatrixFunction(base.copy(), lat.floats, values[1:], float(horizon), lat.snap)
+    values[-1] = base
+    _recurse(values, lat.sources(), 0, vsys.matrices, side == "left")
+    kfun = StepMatrixFunction(base.copy(), lat.floats, values[:-1], float(horizon), lat.snap)
     if vsys.is_rational:
         vsys._fundamental_cache[side] = (lat.keys, kfun)
     return kfun
@@ -365,15 +363,16 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
 
     Computed without touching fundamental_matrix so the two can be
     compared, by _recurse in runs of instants; a t - h_j off the lattice
-    adds nothing.  Entries below drop_tol (max abs) are filtered at the
-    end; the instant 0 always stays.
+    reads a trailing zero row, dropped afterwards.  Entries below drop_tol
+    (max abs) are filtered at the end; the instant 0 always stays.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     lat = _Lattice.generate(vsys.delays, horizon)
-    jumps = np.zeros((len(lat), vsys.n, vsys.n))
+    jumps = np.zeros((len(lat) + 1, vsys.n, vsys.n))
     jumps[0] = np.eye(vsys.n)
     _recurse(jumps, lat.sources(instants=True), 1, vsys.matrices, False)
+    jumps = jumps[:-1]
     keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
     keep[0] = True
     return JumpTable(

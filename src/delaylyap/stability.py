@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import fundamental
 from .errors import NotStable
 from .system_model import (
-    DelaySystem, ValidatedSystem, _commensurate_data, _exact, _is_exact, k0, validate,
+    DelaySystem, ValidatedSystem, _commensurate_data, k0, validate,
 )
 
 # block companions of at least this size n*m take the Ehrlich-Aberth route
@@ -508,8 +509,8 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     raw = system.system if isinstance(system, ValidatedSystem) else system
     delays, mats, n = raw.delays, raw.matrices, raw.n
     grid_points = reason = rewrite = None
-    if len(delays) > 1 and all(_is_exact(d) for d in delays):
-        rewrite = _commensurate_data([_exact(d) for d in delays], mats)
+    if len(delays) > 1 and all(isinstance(d, Fraction) for d in delays):
+        rewrite = _commensurate_data(delays, mats)
 
     if len(delays) == 1:
         method = "single_delay_spectral"

@@ -43,14 +43,6 @@ def _as_matrix(a) -> np.ndarray:
     return out
 
 
-def _is_exact(d: Delay) -> bool:
-    return isinstance(d, (Fraction, int))
-
-
-def _exact(d: Delay) -> Fraction:
-    return d if isinstance(d, Fraction) else Fraction(d)
-
-
 @dataclass(frozen=True)
 class DelaySystem:
     """Raw description: state dimension and (delay, coefficient) pairs.
@@ -119,7 +111,7 @@ class ValidatedSystem:
 
     @property
     def is_rational(self) -> bool:
-        return all(_is_exact(d) for d in self.delays)
+        return all(isinstance(d, Fraction) for d in self.delays)
 
     @property
     def coefficient_sum(self) -> np.ndarray:
@@ -329,7 +321,7 @@ def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
     if not vsys.is_rational:
         raise NonRationalInput("system has float delays; approximate them first")
     cap = MAX_UNKNOWNS // 2
-    h, m, steps = _commensurate_data([_exact(d) for d in vsys.delays], vsys.matrices)
+    h, m, steps = _commensurate_data(vsys.delays, vsys.matrices)
     if m > cap:
         raise SizeExceeded(f"commensurate rewrite needs m = {m} basic steps, cap is {cap}")
     return CommensurateForm(h=h, m=m, n=vsys.n, steps=steps)

@@ -224,6 +224,14 @@ class TestLattice:
         with pytest.raises(dl.HorizonTooLarge):
             dl.discontinuity_instants(ex2a, 1000.0)
 
+    def test_shipped_cap(self):
+        # x(t) = 0.5 x(t - 1) has the instants 0, 1, 2, ...: the
+        # LATTICE_CAP = 10^6 points end at 999999
+        vsys = dl.validate(dl.DelaySystem.single([[0.5]], 1))
+        assert len(dl.discontinuity_instants(vsys, 999_999)) == 1_000_000
+        with pytest.raises(dl.HorizonTooLarge, match="exceeds 1000000 points"):
+            dl.discontinuity_instants(vsys, 1_000_000)
+
     def test_sparse_rational_lattice_stays_sparse(self):
         # h = 1e-6: a grid of every multiple of h up to 60 has 6e7 steps
         vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(1000001, 1000000), [[0.3]])]))
@@ -374,10 +382,10 @@ class TestBlockRecursionsMatchReference:
 
 
 class TestRecursionKernel:
-    """The one block kernel sums each row onto +0 in delay order and lets a
-    missing source add nothing: bit for bit against the per-point
-    references on values that are signed zeros, and against a per-row
-    loop on the kernel itself."""
+    """The one block kernel sums each row onto +0 in delay order and reads
+    a missing source from the trailing row it never writes: bit for bit
+    against the per-point references on values that are signed zeros, and
+    against a per-row loop on the kernel itself."""
 
     @pytest.mark.parametrize("delays", [(Fraction(1), Fraction(3, 2)), (1.0, math.sqrt(2.0))])
     def test_all_zero_system(self, delays):
@@ -420,22 +428,42 @@ class TestRecursionKernel:
 
     @pytest.mark.parametrize("left", [False, True])
     def test_missing_sources_add_nothing(self, left):
-        # a source -1 would gather the last row, still unset here (NaN); a
-        # row with no source is +0.0, a sum of -0.0 terms would be -0.0
+        # a source -1 reads the trailing row, as for K0 in K and the zero
+        # row off the lattice in dK: a zero row adds nothing, so the result
+        # is also that of a loop that skips the source; any other row adds
+        # its product.  The rows still to fill hold NaN until written
         rng = np.random.default_rng(5)
         mats = [rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(3)]
         src = np.array([[-1, -1, -1], [-1, -1, -1], [0, -1, -1], [-1, 1, 2], [3, -1, 0], [-1, 4, 3]])
-        values = np.full((6, 2, 2), np.nan)
-        values[0] = rng.uniform(-1.0, 1.0, (2, 2))
-        want = values.copy()
-        for i in range(1, 6):
-            acc = np.zeros((2, 2))
-            for j, a in enumerate(mats):
-                if src[i, j] >= 0:
-                    acc += a @ want[src[i, j]] if left else want[src[i, j]] @ a
-            want[i] = acc
-        fundamental._recurse(values, src, 1, mats, left)
-        assert_bits_equal(values, want)
+        for trailing in (np.zeros((2, 2)), rng.uniform(-1.0, 1.0, (2, 2))):
+            values = np.full((7, 2, 2), np.nan)
+            values[0] = rng.uniform(-1.0, 1.0, (2, 2))
+            values[-1] = trailing
+            reads, skips = values.copy(), values.copy()
+            for i in range(1, 6):
+                acc, acc_skip = np.zeros((2, 2)), np.zeros((2, 2))
+                for j, a in enumerate(mats):
+                    acc += a @ reads[src[i, j]] if left else reads[src[i, j]] @ a
+                    if src[i, j] >= 0:
+                        acc_skip += a @ skips[src[i, j]] if left else skips[src[i, j]] @ a
+                reads[i], skips[i] = acc, acc_skip
+            fundamental._recurse(values, src, 1, mats, left)
+            assert_bits_equal(values, reads)
+            assert_bits_equal(values[-1], trailing)
+            if not trailing.any():
+                assert_bits_equal(values, skips)
+
+    @pytest.mark.parametrize("left", [False, True])
+    def test_negative_zero_products_sum_to_positive_zero(self, left):
+        # numpy's float matmul starts each dot product from +0, so it never
+        # returns -0.0; its object loop starts from the first term, as a
+        # BLAS may, and returns -0.0 on a -0.0 row.  The +0 start gives
+        # the +0.0 of a loop summing onto zeros all the same
+        mats = [np.array([[0.5]], dtype=object), np.array([[0.25]], dtype=object)]
+        src = np.array([[-1, -1], [-1, -1], [0, -1], [-1, 1]])
+        values = np.full((5, 1, 1), -0.0).astype(object)
+        fundamental._recurse(values, src, 0, mats, left)
+        assert_bits_equal(values.astype(float), [[[0.0]]] * 4 + [[[-0.0]]])
 
 
 class TestFundamentalMatrix:

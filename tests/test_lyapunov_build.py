@@ -673,6 +673,17 @@ class TestSolverRoutes:
         gap = np.max(np.abs(dense.evaluate_many(taus) - sparse.evaluate_many(taus)))
         assert gap <= 1e-10
 
+    @pytest.mark.parametrize("den, factor", [(250, "dense"), (251, "band")])
+    def test_shipped_dense_cutoff(self, den, factor):
+        # delays 1/den and 1 at n = 2 take 2 m n^2 = 8 den unknowns:
+        # DENSE_CUTOFF = 2000 is the largest the dense LU solves
+        vsys = dl.validate(dl.DelaySystem(2, [
+            (Fraction(1, den), [[0.2, 0.1], [0.0, 0.1]]),
+            (Fraction(1), [[0.1, 0.0], [0.05, 0.2]]),
+        ]))
+        u = dl.build_commensurate(dl.to_commensurate(vsys), dl.WeightMatrix.identity(2))
+        assert (2 * u.m * u.n**2, u.factor) == (8 * den, factor)
+
     @settings(max_examples=25, deadline=None)
     @given(vsys=commensurate_systems())
     def test_sparse_agrees_with_dense_random(self, vsys):

@@ -472,6 +472,22 @@ class TestStabilityCheck:
         ]
         assert methods == ["commensurate_companion", "torus_grid_heuristic"]
 
+    @pytest.mark.parametrize("den, method", [(4000, "commensurate_companion"), (4001, "torus_grid_heuristic")])
+    def test_shipped_companion_cap(self, den, method):
+        # delays 1/den and 1 at n = 1 make a companion of size n m = den:
+        # COMPANION_CAP = 4000 is the largest the rational screen takes
+        system = dl.DelaySystem(1, [(Fraction(1, den), [[0.3]]), (Fraction(1), [[0.2]])])
+        assert dl.stability_check(system, with_decay=False).method == method
+
+    @pytest.mark.parametrize("b, verdict", [(0.5005, "inconclusive"), (0.502, "unstable")])
+    def test_torus_margin(self, b, verdict):
+        # the sampled torus radius of 0.5 x(t - 1) + b x(t - sqrt 2) is
+        # 0.5 + b: 1.0005 lies within TORUS_MARGIN = 1e-3 of 1, 1.002 past it
+        system = dl.DelaySystem(1, [(1.0, [[0.5]]), (math.sqrt(2.0), [[b]])])
+        rep = dl.stability_check(system, with_decay=False)
+        assert (rep.method, rep.verdict) == ("torus_grid_heuristic", verdict)
+        assert rep.spectral_radius == pytest.approx(0.5 + b, abs=1e-12)
+
     def test_torus_never_certifies_stable(self):
         tiny = dl.validate(dl.DelaySystem(1, [
             (1.0, np.array([[0.1]])), (math.sqrt(2.0), np.array([[0.05]])),

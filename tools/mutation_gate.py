@@ -1,5 +1,6 @@
-"""Mutation gate: does tier-1 notice a wrong verdict, a dropped bound or a
-broken recursion kernel?
+"""Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
+moved threshold, a broken recursion kernel or a wrong block of the
+Lyapunov system?
 
     python tools/mutation_gate.py
 
@@ -44,12 +45,6 @@ MUTANTS = [
     ("unstable_above_one", "stability.py", "    if rho >= 1.0 + margin:\n", "    if rho > 1.0:\n"),
     ("cond_fail_1e14", "lyapunov_build.py", "COND_FAIL = 1e12\n", "COND_FAIL = 1e14\n"),
     (
-        "kernel_missing_source_read",
-        "fundamental.py",
-        "        np.copyto(prod, -0.0, where=missing[s:e])\n",
-        "",
-    ),
-    (
         "kernel_reversed_delay_sum",
         "fundamental.py",
         "        np.add(prod[:, 0], 0.0, out=out)\n        for j in range(1, len(mats)):\n",
@@ -61,6 +56,44 @@ MUTANTS = [
         "        np.add(prod[:, 0], 0.0, out=out)\n",
         "        np.copyto(out, prod[:, 0])\n",
     ),
+    # a source -1 reads the trailing row: K0 for K, zeros for dK
+    (
+        "dk_off_lattice_row_nonzero",
+        "fundamental.py",
+        "    jumps[0] = np.eye(vsys.n)\n",
+        "    jumps[0] = jumps[-1] = np.eye(vsys.n)\n",
+    ),
+    ("k_off_lattice_row_zero", "fundamental.py", "    values[-1] = base\n", "    values[-1] = 0.0\n"),
+    # the Lyapunov system: a sign in P, a transposed block, a dropped step
+    (
+        "p_matrix_sign",
+        "lyapunov_build.py",
+        "w @ base @ a - a.T @ base.T @ w",
+        "w @ base @ a + a.T @ base.T @ w",
+    ),
+    (
+        "dynamic_block_transposed",
+        "lyapunov_build.py",
+        "(-j, -np.kron(c.T, eye_n)) for j, c in form.steps]",
+        "(-j, -np.kron(c, eye_n)) for j, c in form.steps]",
+    ),
+    (
+        "dynamic_step_dropped",
+        "lyapunov_build.py",
+        "(-j, -np.kron(c.T, eye_n)) for j, c in form.steps]",
+        "(-j, -np.kron(c.T, eye_n)) for j, c in form.steps[:-1]]",
+    ),
+    # caps and thresholds.  Not listed yet, as tier-1 passes with each:
+    # DET_RTOL -> 1e-16, COND_WARN -> 1e11, BASIC_DELAY_CAP -> 10^6,
+    # JUMP_DROP_TOL -> 0 and SPECTRUM_DROP_TOL -> 0
+    ("torus_margin_1e-6", "stability.py", "TORUS_MARGIN = 1e-3\n", "TORUS_MARGIN = 1e-6\n"),
+    ("companion_cap_8000", "stability.py", "COMPANION_CAP = 4000\n", "COMPANION_CAP = 8000\n"),
+    ("dense_cutoff_4000", "lyapunov_build.py", "DENSE_CUTOFF = 2000\n", "DENSE_CUTOFF = 4000\n"),
+    ("band_limit_16", "lyapunov_build.py", "BAND_LIMIT = 64\n", "BAND_LIMIT = 16\n"),
+    ("max_unknowns_1e6", "lyapunov_build.py", "MAX_UNKNOWNS = 500_000\n", "MAX_UNKNOWNS = 1_000_000\n"),
+    ("lattice_cap_1e7", "fundamental.py", "LATTICE_CAP = 1_000_000\n", "LATTICE_CAP = 10_000_000\n"),
+    ("node_cap_1e7", "fundamental.py", "NODE_CAP = 1_000_000\n", "NODE_CAP = 10_000_000\n"),
+    ("merge_tol_scale_1e-12", "fundamental.py", "MERGE_TOL_SCALE = 1e-9\n", "MERGE_TOL_SCALE = 1e-12\n"),
 ]
 
 
