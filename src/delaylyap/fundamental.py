@@ -36,10 +36,8 @@ from .errors import (
 )
 from .system_model import InitialFunction, ValidatedSystem, fraction_gcd, k0
 
-# most lattice points K, dK and the convolution response may generate
+# most points K, dK and either time response may generate
 LATTICE_CAP = 1_000_000
-# most time points the recursion response may visit
-NODE_CAP = 1_000_000
 # relative merge tolerance for float-delay lattices
 MERGE_TOL_SCALE = 1e-9
 # jump entries smaller than this (max abs) are dropped from tables
@@ -399,8 +397,8 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     1e-12 relative quantum; a key keeps the float of the first point to
     reach it.  Points below -quantum/2 read phi, the rest are evaluated in
     key order by _recurse: the bits of a memoized per-point descent.  Past
-    NODE_CAP points (the path t, t - h_min, ... alone has max(grid) / h_min),
-    checked per level, it raises RecursionDepthExceeded.
+    LATTICE_CAP points (the path t, t - h_min, ... alone has
+    max(grid) / h_min), checked per level, it raises RecursionDepthExceeded.
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
@@ -412,8 +410,8 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
         level, first = np.unique(-np.rint(frontier / quantum).astype(np.int64), return_index=True)
         new = snapped_lookup(neg[:size], level, 0, math.inf, instants=True) < 0
         level, fresh, end = level[new], frontier[first[new]], size + int(np.count_nonzero(new))
-        if max(end, tmax / vsys.h_min) > NODE_CAP:
-            raise RecursionDepthExceeded(f"response recursion exceeded {NODE_CAP} nodes")
+        if max(end, tmax / vsys.h_min) > LATTICE_CAP:
+            raise RecursionDepthExceeded(f"response recursion exceeded {LATTICE_CAP} nodes")
         if end > len(neg):
             neg, ts = np.resize(neg, 2 * end), np.resize(ts, 2 * end)
         # a merge moves only the points after the first insertion

@@ -44,8 +44,9 @@ SPECTRUM_DROP_TOL = 1e-14
 
 
 class TruncatedSeries(NamedTuple):
-    """A truncated series with its tail bound; delta_u_prime at an array
-    of shifts stacks value and tail_bound over them."""
+    """A series or integral truncated at horizon, with the bound on its
+    tail; delta_u_prime at an array of shifts stacks value and tail_bound
+    over them."""
 
     value: np.ndarray
     tail_bound: float
@@ -54,28 +55,30 @@ class TruncatedSeries(NamedTuple):
 
 @dataclass(frozen=True)
 class JumpSpectrum:
-    """Jumps of U' at their shifts.  truncation_horizon is None when the
-    spectrum was read exactly from segment slopes; otherwise tail_bound
-    carries the worst series truncation bound."""
+    """Jumps of U' at their shifts, read exactly off the segment slopes of
+    a U built on [-horizon, horizon]."""
 
     taus: np.ndarray
     jumps: np.ndarray
-    method: str
-    truncation_horizon: float | None
-    tail_bound: float
+    horizon: float
 
     @property
     def n(self) -> int:
         return self.jumps.shape[1]
 
-    def jump_at(self, tau: float, tol: float = 1e-9) -> np.ndarray | None:
-        i = int(snapped_lookup(self.taus, float(tau), tol, np.inf, instants=True, domain="jump spectrum"))
+    def jump_at(self, tau: float) -> np.ndarray | None:
+        """The jump at the shift within 1e-9 H of tau, the slack U's
+        evaluate clips with, or None."""
+        snap = 1e-9 * self.horizon
+        i = int(snapped_lookup(self.taus, float(tau), snap, np.inf, instants=True, domain="jump spectrum"))
         return None if i < 0 else self.jumps[i]
 
     def to_csv(self, fh) -> None:
+        """tau, dU11..dUnn (row major) and a bound column of zeros, as the
+        spectrum has no truncation."""
         names = [f"dU{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
-        bound = np.full(len(self.taus), float(self.tail_bound))
-        table = np.column_stack([self.taus, self.jumps.reshape(len(self.taus), self.n * self.n), bound])
+        rows = len(self.taus)
+        table = np.column_stack([self.taus, self.jumps.reshape(rows, self.n * self.n), np.zeros(rows)])
         write_csv(fh, ["tau"] + names + ["bound"], table)
 
 
@@ -195,9 +198,7 @@ def jumps_from_segments(u: PiecewiseAffineMatrixFunction) -> JumpSpectrum:
     return JumpSpectrum(
         taus=u.knots()[1:2 * u.m][keep],
         jumps=jumps[keep],
-        method="segments",
-        truncation_horizon=None,
-        tail_bound=0.0,
+        horizon=u.horizon,
     )
 
 

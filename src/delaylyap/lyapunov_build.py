@@ -109,7 +109,7 @@ class PiecewiseAffineMatrixFunction:
         taus = np.asarray(taus, dtype=float)
         flat = taus.ravel()
         hz = self.horizon
-        slack = 1e-9 * max(1.0, hz)
+        slack = 1e-9 * hz
         bad = np.flatnonzero(~((flat >= -hz - slack) & (flat <= hz + slack)))
         if bad.size:
             raise OutOfDomain(f"function defined on [{-hz}, {hz}], got {float(flat[bad[0]])}")

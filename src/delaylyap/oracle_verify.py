@@ -24,22 +24,17 @@ two-route check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fundamental import StepMatrixFunction, finite_shifts, fundamental_matrix, row_chunks, sequential_sum
+from .jump_analysis import TruncatedSeries
 from .lyapunov_build import PiecewiseAffineMatrixFunction
 from .stability import DecayEnvelope, StabilityReport, require_stable
 from .system_model import ValidatedSystem, WeightMatrix, _require_weight, k0
 
 STABLE_LABEL = "integral oracle needs"
-
-
-class IntegralEstimate(NamedTuple):
-    value: np.ndarray
-    tail_bound: float
-    horizon: float
 
 
 def _u_tail_bound(env: DecayEnvelope, w2: float, tau: float, horizon: float) -> float:
@@ -101,7 +96,7 @@ def u_integral_oracle(
     horizon: float | None = None,
     *,
     report: StabilityReport | None = None,
-) -> IntegralEstimate:
+) -> TruncatedSeries:
     """Truncated integral for U(tau) with its geometric tail bound.
 
     The finite part is summed over the jumps of K, exact up to
@@ -117,7 +112,7 @@ def u_integral_oracle(
     w = weight.matrix
     value = _u_sum_from_k(kfun, k0(vsys), w, tau, horizon)
     tail = _u_tail_bound(env, float(np.linalg.norm(w, 2)), tau, horizon)
-    return IntegralEstimate(value=value, tail_bound=tail, horizon=float(horizon))
+    return TruncatedSeries(value=value, tail_bound=tail, horizon=float(horizon))
 
 
 def p_integral_oracle(
@@ -126,7 +121,7 @@ def p_integral_oracle(
     horizon: float | None = None,
     *,
     report: StabilityReport | None = None,
-) -> IntegralEstimate:
+) -> TruncatedSeries:
     """Truncated integral route to the antisymmetric constant P."""
     _require_weight(weight, vsys.n)
     env = require_stable(vsys, report, STABLE_LABEL)
@@ -140,7 +135,7 @@ def p_integral_oracle(
     acc = sequential_sum(np.diff(pts)[:, None, None] * (np.matmul(np.swapaxes(kv, 1, 2), wk) - np.matmul(wk.T, kv)))
     # ||K(t)^T W K0 - K0^T W K(t)|| <= 2 ||W|| ||K0|| bound(t)
     tail = 2.0 * float(np.linalg.norm(w, 2)) * env.k0_norm * env.integral(horizon)
-    return IntegralEstimate(value=acc, tail_bound=tail, horizon=float(horizon))
+    return TruncatedSeries(value=acc, tail_bound=tail, horizon=float(horizon))
 
 
 @dataclass(frozen=True)

@@ -144,11 +144,6 @@ def _dense_companion_radius(steps, m: int, n: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(big))))
 
 
-def _pair_sums(z: np.ndarray, rows: int) -> np.ndarray:
-    """sum_(k != i) 1/(z_i - z_k) for the first rows roots."""
-    return _block_sums(z, rows, None)
-
-
 def _mirror_sums(z: np.ndarray, rows: int, mirrored: np.ndarray) -> np.ndarray:
     """sum 1/(z_i - conj z_k) over the mirrored z_k for the first rows
     roots: the pair sums against the mirrors, a mirrored root's own mirror
@@ -157,8 +152,9 @@ def _mirror_sums(z: np.ndarray, rows: int, mirrored: np.ndarray) -> np.ndarray:
 
 
 def _block_sums(z: np.ndarray, rows: int, mirrored: np.ndarray | None) -> np.ndarray:
-    """sum_(k != i) w_k / (z_i - f_k) for the first rows roots, with f_k =
-    z_k and w_k = 1, or f_k = conj z_k and w_k = 1 where mirrored, else 0.
+    """sum_(k != i) w_k / (z_i - f_k) for the first rows roots: with
+    mirrored None the pair sums, f_k = z_k and w_k = 1; else f_k = conj z_k
+    and w_k = 1 where mirrored, else 0.
     The pair matrix, as conj(d)/|d|^2 with real and imaginary parts in one
     (2, rows, cols) array, is taken in row blocks of about CHUNK_ENTRIES
     pairs from the diagonal on: it is antisymmetric, or M_ki = -conj(M_ik)
@@ -354,14 +350,14 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[flo
     stands for itself and its conjugate, and a real one moves along the
     real axis, where p is real.  The roots still moving are kept in front
     of z and move at once: p/p' from _det_p, and the pair sums over the
-    full set from _pair_sums and, against the mirrors, _mirror_sums."""
+    full set from _block_sums and, against the mirrors, _mirror_sums."""
     z, mirrored, real = start
     moving = z.size
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             newton = _det_p(z[:moving], steps, blocks, n, m)
             lost = mirrored[:moving] & (np.abs(newton) >= np.abs(z.imag[:moving]))
-            sums = _pair_sums(z, moving)
+            sums = _block_sums(z, moving, None)
             if mirrored.any():
                 sums += _mirror_sums(z, moving, mirrored)
             step = newton / (1.0 - newton * sums)

@@ -20,9 +20,8 @@ SIGNATURES = {
     "CrossCheckReport": ("grid", "errors", "bounds", "max_error", "max_bound", "horizon", "slack", "passed"),
     "DelaySystem": ("n", "entries"),
     "InitialFunction": ("starts", "values", "slopes"),
-    "IntegralEstimate": ("value", "tail_bound", "horizon"),
     "JumpPropertyReport": ("symmetry", "dynamic", "algebraic", "nsd_max_eigenvalue", "tail_bound", "horizon", "grid_points", "table"),
-    "JumpSpectrum": ("taus", "jumps", "method", "truncation_horizon", "tail_bound"),
+    "JumpSpectrum": ("taus", "jumps", "horizon"),
     "JumpTable": ("times", "jumps", "horizon", "tol"),
     "PiecewiseAffineMatrixFunction": ("h", "m", "n", "coeffs", "slopes", "condition_estimate", "factor", "factor_entries", "h_exact", "bandwidth"),
     "ResidualReport": ("symmetry", "dynamic", "continuity", "grid_points", "condition_estimate", "scale"),
@@ -116,6 +115,6 @@ def _readme_thresholds():
 def test_readme_thresholds_name_live_constants():
     # a constant set where it no longer lives would silently do nothing
     named = _readme_thresholds()
-    assert ("stability", "EXACT_MARGIN") in named and ("fundamental", "NODE_CAP") in named
+    assert ("stability", "EXACT_MARGIN") in named and ("fundamental", "LATTICE_CAP") in named
     for module, name in named:
         assert hasattr(importlib.import_module(f"delaylyap.{module}"), name), f"{module}.{name}"

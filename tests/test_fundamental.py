@@ -652,6 +652,13 @@ class TestJumpTable:
         table = dl.delta_k(ex2a, 4.0)
         assert table.min_gap() == pytest.approx(0.5)
 
+    def test_shipped_drop_tolerance(self):
+        # x(t) = 0.5 x(t - 1) jumps by 0.5^k at k: JUMP_DROP_TOL = 1e-14
+        # keeps k <= 46 (0.5^46 = 1.4e-14, 0.5^47 = 7.1e-15) of 0..60
+        vsys = dl.validate(dl.DelaySystem.single([[0.5]], Fraction(1)))
+        assert dl.delta_k(vsys, 60.0).times.tolist() == list(range(47))
+        assert len(dl.delta_k(vsys, 60.0, drop_tol=0.0)) == 61
+
     def test_jump_at_off_lattice(self, ex2a):
         assert dl.delta_k(ex2a, 4.0).jump_at(0.7) is None
 
@@ -682,11 +689,11 @@ class TestSimulate:
 
     def test_node_cap(self, scalar_half, ex3, monkeypatch):
         phi = dl.InitialFunction.constant([1.0])
-        monkeypatch.setattr(fundamental, "NODE_CAP", 10)
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", 10)
         with pytest.raises(dl.RecursionDepthExceeded):
             dl.simulate(scalar_half, phi, [50.0])
         # 20 levels deep, but the lattice of {1, sqrt 2} passes 60 points first
-        monkeypatch.setattr(fundamental, "NODE_CAP", 60)
+        monkeypatch.setattr(fundamental, "LATTICE_CAP", 60)
         with pytest.raises(dl.RecursionDepthExceeded):
             dl.simulate(ex3, dl.InitialFunction.constant([1.0, 0.0]), [20.0])
 
@@ -1079,8 +1086,7 @@ class TestCsv:
         taus = np.linspace(-1.5, 1.5, 13)
         want = row_by_row(["tau", "U11", "U12", "U21", "U22"], taus, u_ex2a.evaluate_many(taus))
         assert written(dl.piecewise_to_csv, u_ex2a, taus) == want
+        # the spectrum is exact: its bound column is all zeros
         spectrum = dl.jumps_from_segments(u_ex2a)
-        bounded = dl.JumpSpectrum(spectrum.taus, spectrum.jumps, "series", 20.0, 3.25e-13)
         header = ["tau", "dU11", "dU12", "dU21", "dU22", "bound"]
-        for spec in (spectrum, bounded):
-            assert written(spec.to_csv) == row_by_row(header, spec.taus, spec.jumps, [spec.tail_bound])
+        assert written(spectrum.to_csv) == row_by_row(header, spectrum.taus, spectrum.jumps, [0.0])

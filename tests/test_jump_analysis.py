@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import delaylyap as dl
 from delaylyap import fundamental, jump_analysis
 
-from conftest import assert_bits_equal, certificate, gamma, two_route_cases
+from conftest import assert_bits_equal, certificate, commensurate_systems, gamma, two_route_cases
 
 
 def reference_delta_series(table, w, tau, horizon):
@@ -268,6 +268,61 @@ class TestJumpsFromSegments:
         buf = io.StringIO()
         spectrum.to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "tau,dU11,dU12,dU21,dU22,bound"
+
+    def test_drop_tolerance_boundary(self):
+        # slope steps of 5e-15 at -h (below SPECTRUM_DROP_TOL = 1e-14,
+        # dropped), 0 at 0 and 2e-14 at h (kept)
+        slopes = np.array([0.0, 5e-15, 5e-15, 2.5e-14]).reshape(4, 1, 1)
+        u = dl.PiecewiseAffineMatrixFunction(
+            h=0.5, m=2, n=1, coeffs=np.zeros((4, 1, 1)), slopes=slopes,
+            condition_estimate=1.0, factor="dense", factor_entries=64,
+        )
+        spectrum = dl.jumps_from_segments(u)
+        assert spectrum.taus.tolist() == [0.5]
+        assert spectrum.jumps[0, 0, 0] == 2.5e-14 - 5e-15
+
+    def test_jump_at_snaps_within_a_relative_slack(self, w1):
+        # delays 1e-12 and 1.5e-12 put the knots 5e-13 apart: each shift
+        # reads its own jump only under a snap narrower than that, here
+        # 1e-9 H = 1.5e-21
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1, 10**12), [[0.3]]), (Fraction(3, 2 * 10**12), [[0.2]])]))
+        u = dl.build_commensurate(dl.to_commensurate(vsys), w1)
+        spectrum = dl.jumps_from_segments(u)
+        assert spectrum.horizon == u.horizon == 1.5e-12
+        assert spectrum.taus.tolist() == (u.knots()[1:-1]).tolist()
+        for tau, jump in zip(spectrum.taus.tolist(), spectrum.jumps):
+            assert_bits_equal(spectrum.jump_at(tau), jump)
+            assert_bits_equal(spectrum.jump_at(tau * (1 + 1e-10) + 1e-22), jump)
+        assert spectrum.jump_at(2.5e-13) is None
+        assert not np.array_equal(spectrum.jump_at(5e-13), spectrum.jump_at(0.0))
+
+
+class TestExactRescale:
+    @settings(max_examples=25, deadline=None)
+    @given(vsys=commensurate_systems(delays=st.integers(1, 3)))
+    def test_delays_scaled_by_a_power_of_two(self, vsys):
+        # delays scaled by s give U_s(s tau) = s U(tau).  For s = 2^-40 every
+        # float the build forms from a delay scales exactly, and the block
+        # operator does not change: knots and values scale bit for bit,
+        # slopes and jumps stay, and both snaps scale with H
+        s = 2.0**-40
+        scaled = dl.validate(dl.DelaySystem(vsys.n, [(d * Fraction(s), a) for d, a in vsys.entries]))
+        w = dl.WeightMatrix.identity(vsys.n)
+        u = dl.build_commensurate(dl.to_commensurate(vsys), w)
+        us = dl.build_commensurate(dl.to_commensurate(scaled), w)
+        assert us.horizon == s * u.horizon
+        assert_bits_equal(us.knots(), s * u.knots())
+        assert_bits_equal(us.coeffs, s * u.coeffs)
+        assert_bits_equal(us.slopes, u.slopes)
+        taus = np.linspace(-u.horizon, u.horizon, 41)
+        assert_bits_equal(us.evaluate_many(s * taus), s * u.evaluate_many(taus))
+        spectrum, spectrum_s = dl.jumps_from_segments(u), dl.jumps_from_segments(us)
+        assert_bits_equal(spectrum_s.taus, s * spectrum.taus)
+        assert_bits_equal(spectrum_s.jumps, spectrum.jumps)
+        for tau, jump in zip(spectrum.taus.tolist(), spectrum.jumps):
+            assert_bits_equal(spectrum_s.jump_at(s * tau), jump)
+        with pytest.raises(dl.OutOfDomain):
+            us.evaluate(1.5 * us.horizon)
 
 
 class TestCheckJumpProperties:

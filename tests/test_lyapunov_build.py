@@ -439,6 +439,19 @@ class TestPiecewiseAffine:
         np.testing.assert_array_equal(vals[0], u_ex2a.evaluate(1.5))
         np.testing.assert_array_equal(vals[3], u_ex2a.evaluate(-1.5))
 
+    def test_endpoint_slack_is_relative(self, w1):
+        # delays 1e-12 and 1.5e-12 (H = 1.5e-12): the slack is 1e-9 H with
+        # no absolute floor, so H (1 + 1e-10) reads U(H) and 1.5 H raises
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1, 10**12), [[0.3]]), (Fraction(3, 2 * 10**12), [[0.2]])]))
+        u = dl.build_commensurate(dl.to_commensurate(vsys), w1)
+        hz = u.horizon
+        assert hz == 1.5e-12
+        np.testing.assert_array_equal(u.evaluate(hz * (1 + 1e-10)), u.evaluate(hz))
+        np.testing.assert_array_equal(u.evaluate(-hz * (1 + 1e-10)), u.evaluate(-hz))
+        for tau in (1.5 * hz, -1.5 * hz, 100 * hz):
+            with pytest.raises(dl.OutOfDomain):
+                u.evaluate(tau)
+
     def test_evaluate_many_keeps_shape(self, u_ex2a):
         assert u_ex2a.evaluate_many(0.25).shape == (2, 2)
         grid = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
@@ -894,6 +907,17 @@ class TestCriticalDetection:
         with patch.object(lyapunov_build, "COND_FAIL", 1e14), pytest.warns(RuntimeWarning, match="conditioned"):
             u = dl.build_single_delay(vsys, w1)
         assert lyapunov_build.COND_FAIL < u.condition_estimate < 1e14
+
+    def test_condition_warning_boundary(self, w1):
+        # a = -(1 - 1e-10): the condition estimate, about 2.0e10, lies
+        # between COND_WARN and 1e11
+        vsys = dl.validate(dl.DelaySystem.single([[-(1.0 - 1e-10)]], Fraction(1)))
+        with pytest.warns(RuntimeWarning, match="conditioned"):
+            u = dl.build_single_delay(vsys, w1)
+        assert lyapunov_build.COND_WARN < u.condition_estimate < 1e11
+        with patch.object(lyapunov_build, "COND_WARN", 1e11), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dl.build_single_delay(vsys, w1)
 
     def test_commensurate_critical(self, w2):
         # per-step roots are +-sqrt(2) and +-1/sqrt(2); one product is 1

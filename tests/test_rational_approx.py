@@ -184,6 +184,15 @@ class TestApproximateSystem:
         with pytest.raises(dl.SizeExceeded):
             dl.approximate_system(ex3, 7)
 
+    def test_shipped_m_cap(self, ex3):
+        # order 13 of sqrt(2) is 114243/80782: m = 114243 passes the
+        # rewrite's cap (MAX_UNKNOWNS // 2) and meets BASIC_DELAY_CAP = 10^5;
+        # at order 14, m = 275807 meets the rewrite's cap first
+        with pytest.raises(dl.SizeExceeded, match="rationalized delays need m = 114243 basic steps, cap is 100000"):
+            dl.approximate_system(ex3, 13)
+        with pytest.raises(dl.SizeExceeded, match="commensurate rewrite needs m = 275807 basic steps"):
+            dl.approximate_system(ex3, 14)
+
     def test_zero_convergent_is_an_unavailable_order(self):
         vsys = dl.validate(dl.DelaySystem(1, [(0.3, np.array([[0.2]])), (math.sqrt(0.5), np.array([[0.3]]))]))
         with pytest.raises(dl.OrderUnavailable, match="order-0 convergent of delay 0.3 is 0"):

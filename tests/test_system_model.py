@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import delaylyap as dl
-from delaylyap import fundamental, stability
+from delaylyap import fundamental, stability, system_model
 
 from conftest import (
     assert_bits_equal, commensurate_systems, random_stable_single, slots, steps_of, two_route_cases,
@@ -229,6 +229,15 @@ class TestValidate:
         # sum of coefficients equal to I leaves no constant initial value
         with pytest.raises(dl.SingularK0):
             dl.validate(dl.DelaySystem.single(1.0, Fraction(1)))
+
+    def test_det_rtol_boundary(self, monkeypatch):
+        # sum A_j - I = diag(1, 1e-13): |det| is 1e-13 times its 2-norm^n,
+        # below DET_RTOL = 1e-12 and above 1e-16
+        system = dl.DelaySystem.single(np.diag([2.0, 1.0 + 1e-13]), Fraction(1))
+        with pytest.raises(dl.SingularK0):
+            dl.validate(system)
+        monkeypatch.setattr(system_model, "DET_RTOL", 1e-16)
+        assert dl.validate(system).n == 2
 
     def test_properties(self, ex2a):
         assert ex2a.n == 2
@@ -682,7 +691,7 @@ class TestStructuredCompanion:
         moved = np.sum(delta / (dist * (dist - delta)), axis=1)
         for rows in (z.size, 31, 1):
             with np.errstate(divide="ignore"):
-                got = stability._pair_sums(z, rows)
+                got = stability._block_sums(z, rows, None)
             assert got.shape == (rows,)
             assert np.all(np.abs(got - want[:rows]) <= z.size * EPS32 * scale[:rows] + moved[:rows])
 
@@ -693,22 +702,24 @@ class TestStructuredCompanion:
         rng = np.random.default_rng(3)
         z = rng.normal(size=60) + 1j * rng.normal(size=60)
         with np.errstate(divide="ignore"):
-            base = stability._pair_sums(z, z.size)
-            got = stability._pair_sums(z * factor, z.size)
+            base = stability._block_sums(z, z.size, None)
+            got = stability._block_sums(z * factor, z.size, None)
         assert got.dtype == np.complex128
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got * factor - base) <= 1e-6 * np.max(np.abs(base)))
 
     def test_certificate_does_not_trust_the_pair_sums(self, order6_rung, monkeypatch):
         # the sums only steer the iteration: with a relative error of 1e-3
-        # in each, the order-6 rung still certifies by its Newton disks
-        exact = stability._pair_sums
+        # in each pair sum (mirrored None), the order-6 rung still certifies
+        # by its Newton disks
+        exact = stability._block_sums
         wobble = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=478))
 
-        def off(z, rows):
-            return exact(z, rows) * (1.0 + 1e-3 * wobble[:rows])
+        def off(z, rows, mirrored):
+            sums = exact(z, rows, mirrored)
+            return sums if mirrored is not None else sums * (1.0 + 1e-3 * wobble[:rows])
 
-        monkeypatch.setattr(stability, "_pair_sums", off)
+        monkeypatch.setattr(stability, "_block_sums", off)
         form, ref = order6_rung
         assert 2 * form.m == 478
         rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
@@ -807,7 +818,7 @@ class TestStructuredCompanion:
         bound = full.size * EPS32 * np.sum(1.0 / dist, axis=1) + np.sum(delta / (dist * (dist - delta)), axis=1)
         for rows in (z.size, 31, 1):
             with np.errstate(divide="ignore"):
-                got = stability._pair_sums(z, rows) + stability._mirror_sums(z, rows, mirrored)
+                got = stability._block_sums(z, rows, None) + stability._mirror_sums(z, rows, mirrored)
             assert np.all(np.abs(got - want[:rows]) <= bound[:rows])
 
     def test_near_real_root_meets_its_own_mirror(self):

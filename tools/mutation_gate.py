@@ -83,17 +83,19 @@ MUTANTS = [
         "(-j, -np.kron(c.T, eye_n)) for j, c in form.steps]",
         "(-j, -np.kron(c.T, eye_n)) for j, c in form.steps[:-1]]",
     ),
-    # caps and thresholds.  Not listed yet, as tier-1 passes with each:
-    # DET_RTOL -> 1e-16, COND_WARN -> 1e11, BASIC_DELAY_CAP -> 10^6,
-    # JUMP_DROP_TOL -> 0 and SPECTRUM_DROP_TOL -> 0
+    # caps and thresholds
     ("torus_margin_1e-6", "stability.py", "TORUS_MARGIN = 1e-3\n", "TORUS_MARGIN = 1e-6\n"),
     ("companion_cap_8000", "stability.py", "COMPANION_CAP = 4000\n", "COMPANION_CAP = 8000\n"),
     ("dense_cutoff_4000", "lyapunov_build.py", "DENSE_CUTOFF = 2000\n", "DENSE_CUTOFF = 4000\n"),
     ("band_limit_16", "lyapunov_build.py", "BAND_LIMIT = 64\n", "BAND_LIMIT = 16\n"),
     ("max_unknowns_1e6", "lyapunov_build.py", "MAX_UNKNOWNS = 500_000\n", "MAX_UNKNOWNS = 1_000_000\n"),
     ("lattice_cap_1e7", "fundamental.py", "LATTICE_CAP = 1_000_000\n", "LATTICE_CAP = 10_000_000\n"),
-    ("node_cap_1e7", "fundamental.py", "NODE_CAP = 1_000_000\n", "NODE_CAP = 10_000_000\n"),
     ("merge_tol_scale_1e-12", "fundamental.py", "MERGE_TOL_SCALE = 1e-9\n", "MERGE_TOL_SCALE = 1e-12\n"),
+    ("det_rtol_1e-16", "system_model.py", "DET_RTOL = 1e-12\n", "DET_RTOL = 1e-16\n"),
+    ("cond_warn_1e11", "lyapunov_build.py", "COND_WARN = 1e10\n", "COND_WARN = 1e11\n"),
+    ("basic_delay_cap_1e6", "rational_approx.py", "BASIC_DELAY_CAP = 100_000\n", "BASIC_DELAY_CAP = 1_000_000\n"),
+    ("jump_drop_tol_0", "fundamental.py", "JUMP_DROP_TOL = 1e-14\n", "JUMP_DROP_TOL = 0.0\n"),
+    ("spectrum_drop_tol_0", "jump_analysis.py", "SPECTRUM_DROP_TOL = 1e-14\n", "SPECTRUM_DROP_TOL = 0.0\n"),
 ]
 
 
