@@ -25,6 +25,7 @@ import numpy as np
 
 from .fundamental import (
     JumpTable,
+    _matrix_header,
     delta_k,
     discontinuity_instants,
     finite_shifts,
@@ -76,10 +77,9 @@ class JumpSpectrum:
     def to_csv(self, fh) -> None:
         """tau, dU11..dUnn (row major) and a bound column of zeros, as the
         spectrum has no truncation."""
-        names = [f"dU{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
         rows = len(self.taus)
         table = np.column_stack([self.taus, self.jumps.reshape(rows, self.n * self.n), np.zeros(rows)])
-        write_csv(fh, ["tau"] + names + ["bound"], table)
+        write_csv(fh, ["tau"] + _matrix_header("dU", self.n) + ["bound"], table)
 
 
 @dataclass(frozen=True)

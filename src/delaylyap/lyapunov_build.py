@@ -9,9 +9,9 @@ property U(-tau) = U(tau)^T + P - tau K0^T W K0.  The construction is
 formal: it needs no stability, only solvability of the block system.
 
 There is one construction path.  A rational system goes through its
-commensurate rewrite, and a single delay H is the rewrite with h = H and
-m = 1 (a float H included); both are solved by the same block system with
-a dense, band or sparse LU picked by problem size and bandwidth.
+commensurate rewrite, and a single delay H, exact or float, is the
+rewrite with h = H and m = 1; both are solved by the same block system
+with a dense, band or sparse LU picked by problem size and bandwidth.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriticalSystem, OutOfDomain, SizeExceeded
-from .fundamental import exact_multiples, write_csv
+from .fundamental import _matrix_header, exact_multiples, write_csv
 from .system_model import (
     CommensurateForm,
     ValidatedSystem,
     WeightMatrix,
     _require_weight,
     k0,
+    to_commensurate,
 )
 
 # unknown counts above this use the sparse path
@@ -55,9 +56,10 @@ class PiecewiseAffineMatrixFunction:
 
     factor names the LU that solved the block system ("dense", "band" or
     "superlu") and factor_entries the floats it stores: N^2, N (2 kl + ku
-    + 1) or nnz(L) + nnz(U).  bandwidth is (kl, ku) on the band path."""
+    + 1) or nnz(L) + nnz(U).  bandwidth is (kl, ku) on the band path.
+    h_exact is the exact basic delay; h is its float."""
 
-    h: float
+    h_exact: Fraction
     m: int
     n: int
     coeffs: np.ndarray
@@ -65,12 +67,15 @@ class PiecewiseAffineMatrixFunction:
     condition_estimate: float
     factor: str
     factor_entries: int
-    h_exact: Fraction | None = None
     bandwidth: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
         self.slopes.setflags(write=False)
+
+    @functools.cached_property
+    def h(self) -> float:
+        return float(self.h_exact)
 
     @property
     def solver(self) -> str:
@@ -79,14 +84,10 @@ class PiecewiseAffineMatrixFunction:
 
     @property
     def horizon(self) -> float:
-        if self.h_exact is not None:
-            return float(self.m * self.h_exact)
-        return self.m * self.h
+        return float(self.m * self.h_exact)
 
     def knots(self) -> np.ndarray:
-        if self.h_exact is not None:
-            return exact_multiples(np.arange(-self.m, self.m + 1), self.h_exact)
-        return self.h * np.arange(-self.m, self.m + 1)
+        return exact_multiples(np.arange(-self.m, self.m + 1), self.h_exact)
 
     def segment(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient and slope of segment k (k = -m..m-1)."""
@@ -251,15 +252,13 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
 
 def build_single_delay(vsys: ValidatedSystem, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """U for a single delay system x(t) = A x(t - H): the commensurate
-    construction with h = H, m = 1 and C_1 = A.  H may be an exact
-    Fraction or a float; a float H stays a float and h_exact is None.
-    Raises CriticalSystem when the operator is singular, which happens
-    exactly when some product of two eigenvalues of A equals 1."""
+    construction with h = H, m = 1 and C_1 = A, the rewrite that
+    to_commensurate gives a lone delay of either kind.  Raises
+    CriticalSystem when the operator is singular, which happens exactly
+    when some product of two eigenvalues of A equals 1."""
     if len(vsys.entries) != 1:
         raise ValueError("single delay construction needs exactly one entry")
-    ((delay, a),) = vsys.entries
-    form = CommensurateForm(h=delay, m=1, n=vsys.n, steps=((1, a),) if np.any(a) else ())
-    return _solve_form(form, weight)
+    return _solve_form(to_commensurate(vsys), weight)
 
 
 def _band_order(mat, n2: int):
@@ -373,7 +372,7 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         np.ascontiguousarray(v.reshape(2 * m, n, n).transpose(0, 2, 1)) for v in (sol_c, sol_s)
     )
     return PiecewiseAffineMatrixFunction(
-        h=float(form.h),
+        h_exact=form.h,
         m=m,
         n=n,
         coeffs=coeffs,
@@ -381,7 +380,6 @@ def _solve_form(form: CommensurateForm, weight: WeightMatrix) -> PiecewiseAffine
         condition_estimate=cond,
         factor=factor,
         factor_entries=int(entries),
-        h_exact=form.h if isinstance(form.h, Fraction) else None,
         bandwidth=bandwidth,
     )
 
@@ -391,14 +389,14 @@ def residuals(u: PiecewiseAffineMatrixFunction, vsys: ValidatedSystem, weight: W
     of vsys: symmetry with the antisymmetric constant P, the delay
     difference dynamic property, and continuity across segment ends.  Each
     is affine between breakpoints (the knots, shifted too by each delay of
-    vsys that is not a multiple of an exact h), so its sup is read at both
+    vsys that is not a multiple of h), so its sup is read at both
     ends of each piece, on the segment of its midpoint: one-sided limits."""
     base = k0(vsys)
     p = p_matrix(vsys, weight, base)
     wk = base.T @ weight.matrix @ base
     knots = u.knots()
     shifted = np.concatenate([knots[:0]] + [knots + float(d) for d, _ in vsys.entries
-                                            if u.h_exact is None or (Fraction(d) / u.h_exact).denominator > 1])
+                                            if (Fraction(d) / u.h_exact).denominator > 1])
     breaks = np.union1d(knots[u.m:], shifted[(shifted > 0.0) & (shifted < u.horizon)])
     ends = np.stack([breaks[:-1], breaks[1:]], axis=1)
     mids = 0.5 * (ends[:, :1] + ends[:, 1:])
@@ -419,4 +417,4 @@ def piecewise_to_csv(u: PiecewiseAffineMatrixFunction, taus: Sequence[float], fh
     """One row per requested tau: tau, U11..Unn (row major)."""
     taus = np.asarray(taus, dtype=float)
     table = np.column_stack([taus, u.evaluate_many(taus).reshape(len(taus), u.n * u.n)])
-    write_csv(fh, ["tau"] + [f"U{i + 1}{j + 1}" for i in range(u.n) for j in range(u.n)], table)
+    write_csv(fh, ["tau"] + _matrix_header("U", u.n), table)

@@ -1,9 +1,9 @@
 """Stability of x(t) = sum_j A_j x(t - h_j) and the decay envelope of K.
 
-The verdict comes from a spectral radius per delay step: of the lone
-coefficient for a single delay, of the block companion matrix of the
-commensurate rewrite for rational delays, and otherwise of a torus grid
-that can certify only instability.  A stable system gets a fitted
+The verdict comes from a spectral radius per delay step: of the block
+companion matrix of the commensurate rewrite for rational delays or a
+lone delay (whose companion is its coefficient), and otherwise of a torus
+grid that can certify only instability.  A stable system gets a fitted
 envelope ||K(t)||_2 <= gamma ||K0||_2 exp(-sigma t) (Hale & Verduyn Lunel
 1993, ch. 9).  Every oracle and series truncates its integral or lattice
 sum at the envelope's default horizon and bounds the rest by the
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import fundamental
 from .errors import NotStable
 from .system_model import (
-    DelaySystem, ValidatedSystem, _commensurate_data, k0, validate,
+    DelaySystem, ValidatedSystem, _commensurate_form, k0, validate,
 )
 
 # block companions of at least this size n*m take the Ehrlich-Aberth route
@@ -44,8 +43,8 @@ TORUS_MAX_EVALS = 64 ** 3
 # torus radius stays inconclusive
 TORUS_POINTS = 64
 TORUS_MARGIN = 1e-3
-# distance from 1 within which an exact (single delay or companion) radius
-# stays inconclusive; the certified companion radius must be accurate to a
+# distance from 1 within which an exact (companion) radius stays
+# inconclusive; the certified companion radius must be accurate to a
 # tenth of it
 EXACT_MARGIN = 1e-9
 # largest companion size n*m the rational screen takes; larger rational
@@ -446,9 +445,10 @@ def _torus_radius(mats: Sequence[np.ndarray], points: int) -> float:
     shape = (points,) * (len(mats) - 1)
     worst = 0.0
     for rows in fundamental.row_chunks(math.prod(shape), mats[0].size):
-        idx = np.unravel_index(np.arange(rows.start, rows.stop), shape)
+        # a leading axis of length 1 gives a lone delay its one grid point
+        idx = np.unravel_index(np.arange(rows.start, rows.stop), (1,) + shape)
         acc = np.zeros((idx[0].size,) + mats[0].shape, dtype=complex) + mats[0]
-        acc = sum((a * phases[i][:, None, None] for a, i in zip(mats[1:], idx)), acc)
+        acc = sum((a * phases[i][:, None, None] for a, i in zip(mats[1:], idx[1:])), acc)
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(acc)))))
     return worst
 
@@ -486,15 +486,14 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
 def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool = True) -> StabilityReport:
     """Classify the system as stable, unstable or inconclusive.
 
-    Single delay: spectral radius of the lone coefficient.
-
-    All delays exact rationals, with n*m <= COMPANION_CAP: spectral radius
-    of the block companion matrix of the commensurate rewrite (per
-    basic-delay step).  For n*m >= STRUCTURED_CUTOFF and n^2 <= m it is
-    the largest root of the monic p = det(z^m I - sum_j C_j z^(m-j)),
-    certified to within EXACT_MARGIN / 10 by Newton disks after an
-    Ehrlich-Aberth iteration (_aberth_radius).  Without a certificate, and
-    for smaller companions, dense eigvals gives the radius.
+    All delays exact rationals, or a lone delay (m = 1, companion A), with
+    n*m <= COMPANION_CAP: spectral radius of the block companion matrix of
+    the commensurate rewrite (per basic-delay step).  For n*m >=
+    STRUCTURED_CUTOFF and n^2 <= m it is the largest root of the monic
+    p = det(z^m I - sum_j C_j z^(m-j)), certified to within EXACT_MARGIN
+    / 10 by Newton disks after an Ehrlich-Aberth iteration
+    (_aberth_radius).  Without a certificate, and for smaller companions,
+    dense eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive
@@ -504,20 +503,13 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     """
     raw = system.system if isinstance(system, ValidatedSystem) else system
     delays, mats, n = raw.delays, raw.matrices, raw.n
-    grid_points = reason = rewrite = None
-    if len(delays) > 1 and all(isinstance(d, Fraction) for d in delays):
-        rewrite = _commensurate_data(delays, mats)
+    grid_points = reason = None
+    rewrite = _commensurate_form(raw)
 
-    if len(delays) == 1:
-        method = "single_delay_spectral"
-        rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
-        step = float(delays[0])
-        margin = EXACT_MARGIN
-    elif rewrite is not None and n * rewrite[1] <= COMPANION_CAP:
-        h, m, steps = rewrite
+    if rewrite is not None and n * rewrite.m <= COMPANION_CAP:
         method = "commensurate_companion"
-        rho = _companion_radius(steps, m, n, EXACT_MARGIN / 10.0)
-        step = float(h)
+        rho = _companion_radius(rewrite.steps, rewrite.m, n, EXACT_MARGIN / 10.0)
+        step = float(rewrite.h)
         margin = EXACT_MARGIN
     else:
         method = "torus_grid_heuristic"

@@ -191,7 +191,7 @@ class InitialFunction:
             raise NonincreasingDelays("segment starts must be strictly increasing")
         if starts[-1] >= 0:
             raise ValueError("all segments must start before 0")
-        floors = starts - 1e-9 * np.maximum(1.0, np.abs(starts))
+        floors = starts - 1e-9 * np.abs(starts)
         for arr in (starts, values, slopes, floors):
             arr.setflags(write=False)
         object.__setattr__(self, "_floors", floors)
@@ -213,10 +213,10 @@ class InitialFunction:
 
     def value_many(self, thetas) -> np.ndarray:
         """Evaluate at every theta < 0, shaped thetas.shape + (n,).  A theta
-        at most 1e-9 max(1, |a|) below a segment start a reads that segment
-        as at a, so float overshoot such as fl(t - h - t_q) an ulp below a
-        start lands on it; anything else outside [starts[0], 0) (or NaN)
-        raises OutOfDomain naming the first such theta."""
+        at most 1e-9 |a| below a segment start a reads that segment as at
+        a, so float overshoot such as fl(t - h - t_q) an ulp below a start
+        lands on it; anything else outside [starts[0], 0) (or NaN) raises
+        OutOfDomain naming the first such theta."""
         thetas = np.asarray(thetas, dtype=float)
         lo = float(self.starts[0])
         bad = np.flatnonzero(~((thetas < 0.0) & (thetas >= self._floors[0])))
@@ -231,14 +231,13 @@ class InitialFunction:
 
 @dataclass(frozen=True)
 class CommensurateForm:
-    """Rewrite of a rational-delay system over a basic delay h: delays are
-    j*h for j = 1..m, and steps holds (j, C_j) for the q steps whose C_j
-    is nonzero, by increasing j; every other C_j is zero.  The arrays are
-    the entries' own, not copies.  h is an exact Fraction, except that a
-    single float delay H is the form h = H, m = 1.  Every reader takes the
-    q steps as they are; none builds the m blocks C_1..C_m."""
+    """Rewrite of a rational-delay system over an exact basic delay h:
+    delays are j*h for j = 1..m, and steps holds (j, C_j) for the q steps
+    whose C_j is nonzero, by increasing j; every other C_j is zero.  The
+    arrays are the entries' own, not copies.  Every reader takes the q
+    steps as they are; none builds the m blocks C_1..C_m."""
 
-    h: Delay
+    h: Fraction
     m: int
     n: int
     steps: tuple
@@ -304,27 +303,34 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
     return Fraction(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
 
 
-def _commensurate_data(delays: Sequence[Fraction], mats: Sequence[np.ndarray]):
-    """(h, m, steps) over the gcd h of the delays, with m = h_max / h and
-    steps the (j, C_j) of each delay j h whose matrix is nonzero, by
-    increasing j: O(q) work for q delays, whatever m is."""
+def _commensurate_form(system) -> CommensurateForm | None:
+    """The rewrite of a DelaySystem or ValidatedSystem over the gcd h of
+    its delays, m = h_max / h, with the (j, C_j) of each delay j h whose
+    matrix is nonzero: O(q) work for q delays, whatever m is.  A lone
+    delay, a float included, is exact as Fraction(d), with m = 1; None
+    when a float delay sits among other delays."""
+    delays = system.delays
+    if len(delays) > 1 and not all(isinstance(d, Fraction) for d in delays):
+        return None
+    delays = [Fraction(d) for d in delays]
     h = fraction_gcd(delays)
-    return h, int(delays[-1] / h), tuple((int(d / h), a) for d, a in zip(delays, mats) if np.any(a))
+    steps = tuple((int(d / h), a) for d, a in zip(delays, system.matrices) if np.any(a))
+    return CommensurateForm(h=h, m=int(delays[-1] / h), n=system.n, steps=steps)
 
 
 def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
-    """Exact rewrite over the gcd of the delays, which must all be exact.
+    """Exact rewrite over the gcd of the delays, all exact or only one.
     Raises SizeExceeded past MAX_UNKNOWNS // 2 steps, the most that
     build_commensurate takes (2 m n^2 unknowns at n = 1)."""
     from .lyapunov_build import MAX_UNKNOWNS
 
-    if not vsys.is_rational:
-        raise NonRationalInput("system has float delays; approximate them first")
+    form = _commensurate_form(vsys)
+    if form is None:
+        raise NonRationalInput("system has a float delay among others; approximate them first")
     cap = MAX_UNKNOWNS // 2
-    h, m, steps = _commensurate_data(vsys.delays, vsys.matrices)
-    if m > cap:
-        raise SizeExceeded(f"commensurate rewrite needs m = {m} basic steps, cap is {cap}")
-    return CommensurateForm(h=h, m=m, n=vsys.n, steps=steps)
+    if form.m > cap:
+        raise SizeExceeded(f"commensurate rewrite needs m = {form.m} basic steps, cap is {cap}")
+    return form
 
 
 def numbers_from_json(obj, what: str) -> np.ndarray:

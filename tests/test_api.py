@@ -23,7 +23,7 @@ SIGNATURES = {
     "JumpPropertyReport": ("symmetry", "dynamic", "algebraic", "nsd_max_eigenvalue", "tail_bound", "horizon", "grid_points", "table"),
     "JumpSpectrum": ("taus", "jumps", "horizon"),
     "JumpTable": ("times", "jumps", "horizon", "tol"),
-    "PiecewiseAffineMatrixFunction": ("h", "m", "n", "coeffs", "slopes", "condition_estimate", "factor", "factor_entries", "h_exact", "bandwidth"),
+    "PiecewiseAffineMatrixFunction": ("h_exact", "m", "n", "coeffs", "slopes", "condition_estimate", "factor", "factor_entries", "bandwidth"),
     "ResidualReport": ("symmetry", "dynamic", "continuity", "grid_points", "condition_estimate", "scale"),
     "StabilityReport": ("method", "spectral_radius", "verdict", "rate_step", "decay_gain", "decay_rate", "grid_points", "reason"),
     "StepMatrixFunction": ("pre_value", "breakpoints", "values", "horizon", "snap"),

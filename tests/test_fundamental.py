@@ -714,6 +714,23 @@ class TestSimulate:
             route(ex3, phi, [0.5, bad])
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("delays", [(Fraction(1), Fraction(3, 2)), (1.0, math.sqrt(2.0))])
+    def test_responses_scale_with_the_delays(self, delays):
+        # delays, phi's starts and the grid times s = 2^-40, and phi's slopes
+        # over s: every float scales exactly and each argument reads the
+        # same piece of phi, so both responses keep their bits
+        s = 2.0**-40
+        mats = ([[0.3, -0.2], [0.1, 0.4]], [[-0.25, 0.1], [0.2, 0.15]])
+        starts, values, slopes = np.array([-1.5, -1.0]), [[1.0, 0.5], [-2.0, 3.0]], np.array([[0.5, -1.0], [0.0, 0.0]])
+        vsys = dl.validate(dl.DelaySystem(2, list(zip(delays, mats))))
+        small = dl.validate(dl.DelaySystem(2, [(d * (Fraction(s) if isinstance(d, Fraction) else s), a)
+                                               for d, a in zip(delays, mats)]))
+        phi, phi_s = dl.InitialFunction(starts, values, slopes), dl.InitialFunction(s * starts, values, slopes / s)
+        assert_bits_equal(phi_s.value_many(s * np.array([-1.2, -1.0, -0.4])), phi.value_many([-1.2, -1.0, -0.4]))
+        grid = np.union1d(np.linspace(0.0, 6.0, 61), dl.discontinuity_instants(vsys, 6.0))
+        for route in (dl.simulate, dl.simulate_cauchy):
+            assert_bits_equal(route(small, phi_s, s * grid), route(vsys, phi, grid))
+
     def test_cauchy_matches_recursive(self, ex2a_half):
         phi = dl.InitialFunction(
             [-1.5, -0.8],

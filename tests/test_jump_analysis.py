@@ -250,7 +250,7 @@ class TestJumpsFromSegments:
 
     def test_constant_slope_gives_empty_spectrum(self):
         flat = dl.PiecewiseAffineMatrixFunction(
-            h=1.0,
+            h_exact=Fraction(1),
             m=1,
             n=1,
             coeffs=np.array([[[0.0]], [[1.0]]]),
@@ -258,7 +258,6 @@ class TestJumpsFromSegments:
             condition_estimate=1.0,
             factor="dense",
             factor_entries=16,
-            h_exact=None,
         )
         spectrum = dl.jumps_from_segments(flat)
         assert len(spectrum.taus) == 0
@@ -274,7 +273,7 @@ class TestJumpsFromSegments:
         # dropped), 0 at 0 and 2e-14 at h (kept)
         slopes = np.array([0.0, 5e-15, 5e-15, 2.5e-14]).reshape(4, 1, 1)
         u = dl.PiecewiseAffineMatrixFunction(
-            h=0.5, m=2, n=1, coeffs=np.zeros((4, 1, 1)), slopes=slopes,
+            h_exact=Fraction(1, 2), m=2, n=1, coeffs=np.zeros((4, 1, 1)), slopes=slopes,
             condition_estimate=1.0, factor="dense", factor_entries=64,
         )
         spectrum = dl.jumps_from_segments(u)

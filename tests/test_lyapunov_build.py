@@ -75,7 +75,7 @@ def reference_single_delay(vsys, weight):
         return v.reshape((n, n), order="F")
 
     return dl.PiecewiseAffineMatrixFunction(
-        h=hz,
+        h_exact=Fraction(delay),
         m=1,
         n=n,
         coeffs=np.stack([unvec(sol_c[n * n:]), unvec(sol_c[: n * n])]),
@@ -83,7 +83,6 @@ def reference_single_delay(vsys, weight):
         condition_estimate=float(np.linalg.cond(mat, 1)),
         factor="dense",
         factor_entries=mat.size,
-        h_exact=delay if isinstance(delay, Fraction) else None,
     )
 
 
@@ -658,8 +657,10 @@ class TestFloatSingleDelay:
     def test_build(self, w2):
         vsys = dl.validate(dl.DelaySystem.single(self.A, self.H))
         u = dl.build_single_delay(vsys, w2)
-        assert u.h_exact is None
-        assert (u.h, u.m, u.solver) == (self.H, 1, "dense")
+        # H is taken as the exact binary rational it is; h is its float
+        assert u.h_exact == Fraction(self.H)
+        assert u.h == float(u.h_exact)
+        assert (u.h, u.horizon, u.m, u.solver) == (self.H, self.H, 1, "dense")
         np.testing.assert_array_equal(u.knots(), [-self.H, 0.0, self.H])
         assert dl.residuals(u, vsys, w2).max_residual() <= 1e-10
         taus = np.linspace(-self.H, self.H, 101)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +69,7 @@ def random_u(vsys, seed, m=5):
     rng = np.random.default_rng(seed)
     n = vsys.n
     return dl.PiecewiseAffineMatrixFunction(
-        h=vsys.h_max / m,
+        h_exact=Fraction(vsys.h_max) / m,
         m=m,
         n=n,
         coeffs=rng.uniform(-1.0, 1.0, size=(2 * m, n, n)),

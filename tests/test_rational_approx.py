@@ -10,6 +10,8 @@ import delaylyap as dl
 from delaylyap import rational_approx
 from delaylyap.errors import NonFiniteInput, OrderUnavailable
 
+from conftest import assert_bits_equal
+
 # The public continued-fraction API that rational_approx._convergent
 # replaced, kept verbatim as the reference the property test compares
 # against.
@@ -205,8 +207,31 @@ class TestApproximateSystem:
         form = dl.approximate_system(vsys, 50)
         assert form.to_system().delays == (Fraction(3, 2),)
 
+    @pytest.mark.parametrize("delay", [math.sqrt(2.0), Fraction(7, 5)])
+    def test_lone_delay_passes_through(self, delay):
+        # a lone delay is already commensurate: every order gives the exact
+        # rewrite, never a convergent
+        vsys = dl.validate(dl.DelaySystem.single([[0.3, -0.4], [0.2, 0.5]], delay))
+        want = dl.to_commensurate(vsys)
+        assert (want.h, want.m) == (Fraction(delay), 1)
+        for order in (0, 1, 7):
+            form = dl.approximate_system(vsys, order)
+            assert (form.h, form.m, form.n) == (want.h, want.m, want.n)
+            ((j, c),) = form.steps
+            assert j == 1 and c is vsys.matrices[0]
+
 
 class TestUSequence:
+    def test_lone_float_delay_rungs_are_the_exact_build(self, w2):
+        vsys = dl.validate(dl.DelaySystem.single([[0.3, -0.4], [0.2, 0.5]], math.sqrt(2.0)))
+        u = dl.build_single_delay(vsys, w2)
+        steps = dl.u_sequence(vsys, w2, [0, 3, 7])
+        assert [s.sup_diff_prev for s in steps] == [None, 0.0, 0.0]
+        for step in steps:
+            assert (step.delays, step.m) == ((Fraction(math.sqrt(2.0)),), 1)
+            assert_bits_equal(step.u.coeffs, u.coeffs)
+            assert_bits_equal(step.u.slopes, u.slopes)
+
     def test_ladder_on_irrational_pair(self, ex3, w2):
         steps = dl.u_sequence(ex3, w2, [1, 4])
         assert steps[0].sup_diff_prev is None

@@ -432,7 +432,7 @@ class TestStabilityCheck:
     def test_scalar_stable(self, scalar_half):
         rep = dl.stability_check(scalar_half)
         assert rep.verdict == "stable"
-        assert rep.method == "single_delay_spectral"
+        assert rep.method == "commensurate_companion"
         assert rep.spectral_radius == pytest.approx(0.5, abs=1e-14)
         assert rep.decay_gain is not None and rep.decay_rate > 0
 
@@ -463,6 +463,22 @@ class TestStabilityCheck:
         assert rep.method == "torus_grid_heuristic"
         assert rep.verdict == "unstable"
         assert rep.spectral_radius == pytest.approx(1.19986, abs=1e-4)
+
+    @pytest.mark.parametrize("delay", [Fraction(7, 5), math.sqrt(2.0)])
+    def test_lone_delay_is_the_m1_companion(self, delay):
+        # the rewrite of a lone delay of either kind is h = H, m = 1, whose
+        # companion matrix is A itself
+        a = np.array([[0.3, -0.4], [0.2, 0.5]])
+        rep = dl.stability_check(dl.DelaySystem.single(a, delay))
+        assert (rep.method, rep.verdict, rep.rate_step) == ("commensurate_companion", "stable", float(delay))
+        assert_bits_equal(rep.spectral_radius, np.max(np.abs(np.linalg.eigvals(a))))
+
+    def test_lone_delay_past_companion_cap_reads_one_torus_point(self, monkeypatch):
+        monkeypatch.setattr(stability, "COMPANION_CAP", 1)
+        a = np.array([[0.3, -0.4], [0.2, 0.5]])
+        rep = dl.stability_check(dl.DelaySystem.single(a, math.sqrt(2.0)))
+        assert (rep.method, rep.verdict, rep.rate_step) == ("torus_grid_heuristic", "inconclusive", math.sqrt(2.0))
+        assert rep.spectral_radius == pytest.approx(np.max(np.abs(np.linalg.eigvals(a))), rel=1e-14)
 
     def test_rational_past_companion_cap_uses_torus(self, ex2a, monkeypatch):
         monkeypatch.setattr(stability, "COMPANION_CAP", 4)

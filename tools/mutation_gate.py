@@ -91,6 +91,13 @@ MUTANTS = [
     ("max_unknowns_1e6", "lyapunov_build.py", "MAX_UNKNOWNS = 500_000\n", "MAX_UNKNOWNS = 1_000_000\n"),
     ("lattice_cap_1e7", "fundamental.py", "LATTICE_CAP = 1_000_000\n", "LATTICE_CAP = 10_000_000\n"),
     ("merge_tol_scale_1e-12", "fundamental.py", "MERGE_TOL_SCALE = 1e-9\n", "MERGE_TOL_SCALE = 1e-12\n"),
+    # the initial function's slack at a segment start a, 1e-9 |a|, with an absolute floor again
+    (
+        "phi_floor_absolute",
+        "system_model.py",
+        "floors = starts - 1e-9 * np.abs(starts)\n",
+        "floors = starts - 1e-9 * np.maximum(1.0, np.abs(starts))\n",
+    ),
     ("det_rtol_1e-16", "system_model.py", "DET_RTOL = 1e-12\n", "DET_RTOL = 1e-16\n"),
     ("cond_warn_1e11", "lyapunov_build.py", "COND_WARN = 1e10\n", "COND_WARN = 1e11\n"),
     ("basic_delay_cap_1e6", "rational_approx.py", "BASIC_DELAY_CAP = 100_000\n", "BASIC_DELAY_CAP = 1_000_000\n"),
