@@ -58,8 +58,9 @@ class _Lattice:
     the delays m_j = h_j / h, and lookups match exactly (key_snap 0).  Any
     float delay gives a float lattice: keys are the instants themselves,
     points closer than MERGE_TOL_SCALE * h_max are merged and lookups snap
-    with that tolerance.  floats are the instants as floats and snap the
-    tolerance of value lookups on them.
+    with that tolerance.  floats are the instants as floats, snap the
+    tolerance of value lookups on them, and either kind keeps every
+    instant up to the float sum horizon + snap.
     """
 
     keys: np.ndarray
@@ -109,7 +110,8 @@ class _Lattice:
         full block ends the growth; gcd(m_j) = 1 guarantees one."""
         h = fraction_gcd(delays)
         shifts = [int(d / h) for d in delays]
-        top = math.floor(Fraction(horizon) / h) if math.isfinite(horizon) else None
+        snap = 1e-12 * float(delays[-1])
+        top = math.floor(Fraction(horizon + snap) / h) if math.isfinite(horizon) else None
         if top is None or top + shifts[-1] > np.iinfo(np.int64).max:
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
         m1 = shifts[0]
@@ -132,7 +134,7 @@ class _Lattice:
             if full:
                 break
         keys = keys[:size].copy()
-        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
+        return cls(keys, steps, 0, exact_multiples(keys, h), snap)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -175,7 +177,7 @@ def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.
 
 
 def discontinuity_instants(vsys: ValidatedSystem, horizon: float) -> list[float]:
-    """All possible discontinuity instants of K in [0, horizon], ordered.
+    """All possible discontinuity instants of K up to horizon + snap, ordered.
     Raises ValueError for a negative or NaN horizon, HorizonTooLarge past
     LATTICE_CAP points or, for rational delays, past int64 steps of h."""
     if not horizon >= 0:
@@ -331,8 +333,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     Instants are evaluated in runs by _recurse; a t - h_j before 0 reads
     K0 from a trailing row, dropped afterwards.
 
-    Rational delays: vsys keeps the longest K per side, and a shorter
-    horizon gets its prefix, the bits of a direct build (K is causal).
+    Rational delays: vsys keeps the longest K per side; a shorter horizon
+    gets its prefix to horizon + snap, the bits of a fresh build (K is causal).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -341,7 +343,7 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     kept = vsys._fundamental_cache.get(side)
     if kept is not None and horizon <= kept[1].horizon:
         keys, kfun = kept
-        cut = int(np.searchsorted(keys, math.floor(Fraction(horizon) / fraction_gcd(vsys.delays)), side="right"))
+        cut = np.searchsorted(keys, math.floor(Fraction(horizon + kfun.snap) / fraction_gcd(vsys.delays)), side="right")
         return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
     lat = _Lattice.generate(vsys.delays, horizon)
     base = k0(vsys)

@@ -28,6 +28,7 @@ from .fundamental import (
     _matrix_header,
     delta_k,
     discontinuity_instants,
+    exact_multiples,
     finite_shifts,
     fundamental_matrix,
     row_chunks,
@@ -220,8 +221,8 @@ def check_jump_properties(
                  = W dK(tau)                                 (tau >= 0)
     and the negative semidefiniteness of dU'(0) + W.
 
-    The default grid is the set of knot shifts k h for commensurate
-    systems, or lattice differences inside [-H, H] otherwise.  Every
+    The default grid is U's knots k h, as exact_multiples gives them, for
+    exact delays, or lattice differences inside [-H, H] otherwise.  Every
     shift the identities read is laid out as one array, a row per grid
     point in reading order (tau; then -tau and (tau + h_i) - h_j for
     tau >= 0; then tau -+ h_j for tau != 0), with a mask of the reads
@@ -235,7 +236,7 @@ def check_jump_properties(
     if tau_grid is None:
         if vsys.is_rational:
             form = to_commensurate(vsys)
-            tau_grid = np.arange(-form.m, form.m + 1) * float(form.h)
+            tau_grid = exact_multiples(np.arange(-form.m, form.m + 1), form.h)
         else:
             inst = np.asarray(discontinuity_instants(vsys, hmax))
             diffs = np.unique(

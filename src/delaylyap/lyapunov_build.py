@@ -9,9 +9,9 @@ property U(-tau) = U(tau)^T + P - tau K0^T W K0.  The construction is
 formal: it needs no stability, only solvability of the block system.
 
 There is one construction path.  A rational system goes through its
-commensurate rewrite, and a single delay H, exact or float, is the
-rewrite with h = H and m = 1; both are solved by the same block system
-with a dense, band or sparse LU picked by problem size and bandwidth.
+commensurate rewrite, and a single delay H (stored exact) is the rewrite
+with h = H and m = 1; both are solved by the same block system with a
+dense, band or sparse LU picked by problem size and bandwidth.
 """
 
 from __future__ import annotations
@@ -253,9 +253,9 @@ def _commensurate_blocks(form: CommensurateForm, weight: WeightMatrix):
 def build_single_delay(vsys: ValidatedSystem, weight: WeightMatrix) -> PiecewiseAffineMatrixFunction:
     """U for a single delay system x(t) = A x(t - H): the commensurate
     construction with h = H, m = 1 and C_1 = A, the rewrite that
-    to_commensurate gives a lone delay of either kind.  Raises
-    CriticalSystem when the operator is singular, which happens exactly
-    when some product of two eigenvalues of A equals 1."""
+    to_commensurate gives a lone delay, which DelaySystem stores exact.
+    Raises CriticalSystem when the operator is singular, which happens
+    exactly when some product of two eigenvalues of A equals 1."""
     if len(vsys.entries) != 1:
         raise ValueError("single delay construction needs exactly one entry")
     return _solve_form(to_commensurate(vsys), weight)

@@ -24,7 +24,6 @@ from .system_model import (
     DelaySystem,
     ValidatedSystem,
     WeightMatrix,
-    _commensurate_form,
     _require_weight,
     to_commensurate,
     validate,
@@ -56,13 +55,13 @@ def _convergent(x, order: int) -> Fraction:
 
 def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
     """Commensurate form whose delays replace every float delay by its
-    order-s convergent.  A system the exact rewrite takes as it stands
-    (exact delays, or a lone delay) passes through untouched, so it gives
-    its to_commensurate form at every order.  Convergent collisions merge
-    by summing coefficients.  Raises OrderUnavailable for a negative order
-    or when a convergent is 0, and SizeExceeded when the gcd step count m
-    would exceed BASIC_DELAY_CAP."""
-    if _commensurate_form(vsys) is not None:
+    order-s convergent.  A system with exact delays (a lone delay always
+    is) passes through untouched, so it gives its to_commensurate form at
+    every order.  Convergent collisions merge by summing coefficients.
+    Raises OrderUnavailable for a negative order or when a convergent is
+    0, and SizeExceeded when the gcd step count m would exceed
+    BASIC_DELAY_CAP."""
+    if vsys.is_rational:
         return to_commensurate(vsys)
     if order < 0:
         raise OrderUnavailable(f"convergent order must be >= 0, requested {order}")

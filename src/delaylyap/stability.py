@@ -484,9 +484,9 @@ def _fit_decay(vsys: ValidatedSystem, rho: float, step: float) -> tuple[float, f
 
 
 def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool = True) -> StabilityReport:
-    """Classify the system as stable, unstable or inconclusive.
+    """Classify a raw or validated system as stable, unstable or inconclusive.
 
-    All delays exact rationals, or a lone delay (m = 1, companion A), with
+    Exact delays (a lone delay always is: m = 1, companion A), with
     n*m <= COMPANION_CAP: spectral radius of the block companion matrix of
     the commensurate rewrite (per basic-delay step).  For n*m >=
     STRUCTURED_CUTOFF and n^2 <= m it is the largest root of the monic

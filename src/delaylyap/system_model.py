@@ -47,23 +47,42 @@ def _as_matrix(a) -> np.ndarray:
 class DelaySystem:
     """Raw description: state dimension and (delay, coefficient) pairs.
 
-    Delays may be floats or exact Fractions; exactness is preserved and
-    decides later whether lattice arithmetic is exact or merge-tolerant.
-    Construction normalizes matrices to read-only float arrays; all
-    structural rules are enforced by validate().
+    Construction checks n >= 1, at least one entry, finite n x n matrices
+    and finite, strictly increasing delays with 1e-12 d a normal float
+    (DimensionMismatch, NonFiniteInput, NonincreasingDelays).  Int delays
+    and a lone float delay are stored exact, as Fraction(d), which decides
+    later if lattices are exact or merged.  validate() adds the K0 test.
     """
 
     n: int
     entries: tuple
 
     def __init__(self, n: int, entries: Sequence[tuple]):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self,
-            "entries",
-            tuple((d if isinstance(d, Fraction) else (Fraction(d) if isinstance(d, int) else float(d)),
-                   _as_matrix(a)) for d, a in entries),
-        )
+        n = int(n)
+        entries = [(d if isinstance(d, Fraction) else (Fraction(d) if isinstance(d, int) else float(d)),
+                    _as_matrix(a)) for d, a in entries]
+        if n < 1:
+            raise DimensionMismatch("state dimension must be at least 1")
+        if not entries:
+            raise DimensionMismatch("at least one delay entry is required")
+        prev = None
+        for d, a in entries:
+            dv = float(d) if abs(d) <= np.finfo(float).max else math.inf
+            if not math.isfinite(dv):
+                raise NonFiniteInput("delays must be finite")
+            if 1e-12 * dv < np.finfo(float).tiny:
+                raise NonincreasingDelays(f"delays must be positive with 1e-12 * delay a normal float, got {dv}")
+            if prev is not None and not (d > prev):
+                raise NonincreasingDelays("delays must be strictly increasing")
+            prev = d
+            if a.shape != (n, n):
+                raise DimensionMismatch(f"coefficient for delay {dv} has shape {a.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(a)):
+                raise NonFiniteInput("coefficient matrices must be finite")
+        if len(entries) == 1:
+            entries = [(Fraction(d), a) for d, a in entries]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", tuple(entries))
 
     @classmethod
     def single(cls, a, delay: Delay) -> "DelaySystem":
@@ -81,7 +100,7 @@ class DelaySystem:
 
 @dataclass(frozen=True)
 class ValidatedSystem:
-    """A DelaySystem that passed validate().  Thin read-only view."""
+    """A DelaySystem whose K0 passed validate().  Thin read-only view."""
 
     system: DelaySystem
 
@@ -251,31 +270,11 @@ class CommensurateForm:
 
 
 def validate(system: DelaySystem) -> ValidatedSystem:
-    """Check structure and the invertibility of sum(A_j) - I.
-
-    Raises DimensionMismatch, NonincreasingDelays, NonFiniteInput or
-    SingularK0.  The determinant test is relative: |det| must exceed
-    DET_RTOL * ||sum A_j - I||_2 ** n.
+    """Check that K0 = (sum A_j - I)^-1 exists: SingularK0 unless
+    |det(sum A_j - I)| exceeds DET_RTOL * ||sum A_j - I||_2 ** n.  The
+    structure and the delays were checked when the DelaySystem was built.
     """
     n = system.n
-    if n < 1:
-        raise DimensionMismatch("state dimension must be at least 1")
-    if not system.entries:
-        raise DimensionMismatch("at least one delay entry is required")
-    prev = None
-    for d, a in system.entries:
-        dv = float(d) if abs(d) <= np.finfo(float).max else math.inf
-        if not math.isfinite(dv):
-            raise NonFiniteInput("delays must be finite")
-        if 1e-12 * dv < np.finfo(float).tiny:
-            raise NonincreasingDelays(f"delays must be positive with 1e-12 * delay a normal float, got {dv}")
-        if prev is not None and not (d > prev):
-            raise NonincreasingDelays("delays must be strictly increasing")
-        prev = d
-        if a.shape != (n, n):
-            raise DimensionMismatch(f"coefficient for delay {dv} has shape {a.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("coefficient matrices must be finite")
     m = np.sum(system.matrices, axis=0) - np.eye(n)
     det = float(np.linalg.det(m))
     scale = float(np.linalg.norm(m, 2)) ** n
@@ -306,20 +305,19 @@ def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
 def _commensurate_form(system) -> CommensurateForm | None:
     """The rewrite of a DelaySystem or ValidatedSystem over the gcd h of
     its delays, m = h_max / h, with the (j, C_j) of each delay j h whose
-    matrix is nonzero: O(q) work for q delays, whatever m is.  A lone
-    delay, a float included, is exact as Fraction(d), with m = 1; None
-    when a float delay sits among other delays."""
+    matrix is nonzero: O(q) work for q delays, whatever m is.  None when a
+    delay is a float, which DelaySystem allows only among other delays (a
+    lone delay is exact, and rewrites with m = 1)."""
     delays = system.delays
-    if len(delays) > 1 and not all(isinstance(d, Fraction) for d in delays):
+    if not all(isinstance(d, Fraction) for d in delays):
         return None
-    delays = [Fraction(d) for d in delays]
     h = fraction_gcd(delays)
     steps = tuple((int(d / h), a) for d, a in zip(delays, system.matrices) if np.any(a))
     return CommensurateForm(h=h, m=int(delays[-1] / h), n=system.n, steps=steps)
 
 
 def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
-    """Exact rewrite over the gcd of the delays, all exact or only one.
+    """Exact rewrite over the gcd of the delays, which must all be exact.
     Raises SizeExceeded past MAX_UNKNOWNS // 2 steps, the most that
     build_commensurate takes (2 m n^2 unknowns at n = 1)."""
     from .lyapunov_build import MAX_UNKNOWNS

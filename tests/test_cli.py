@@ -727,6 +727,40 @@ class TestInputFileProperty:
         assert code == 3 or not _holds_bool_or_text(doc)
 
 
+def lone_delay_config(tmp_path, delay: str) -> str:
+    """A stable 2 x 2 single-delay descriptor with the delay written as
+    the JSON text delay."""
+    path = tmp_path / "lone.json"
+    path.write_text('{"n": 2, "entries": [{"delay": %s, "A": [[0.3, -0.4], [0.2, 0.5]]}]}' % delay)
+    return str(path)
+
+
+class TestLoneDelay:
+    """A lone delay, a float included, is exact from the descriptor on."""
+
+    @pytest.mark.parametrize("delay", ["1.4142135623730951", "0.1", "0.001", "12345.678"])
+    def test_check_reads_a_lone_float_delay_as_rational(self, tmp_path, capsys, delay):
+        assert main(["check", "--config", lone_delay_config(tmp_path, delay)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rational_delays"] is True
+        assert (data["stability"]["method"], data["stability"]["verdict"]) == ("commensurate_companion", "stable")
+        assert data["delays"] == [float(delay)]
+
+    @pytest.mark.parametrize("delay", ['{"num": 1, "den": 3}', "1", "1.4142135623730951"])
+    def test_k_keeps_the_instant_at_its_default_horizon(self, tmp_path, capsys, delay):
+        # 5 h_max in floats is 1.6666666666666665 for h = 1/3, just below 5/3
+        assert main(["k", "--config", lone_delay_config(tmp_path, delay)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 7
+        assert captured.err.startswith("6 breakpoints on ")
+
+    @pytest.mark.parametrize("delay", ['{"num": 1, "den": 3}', "1.4142135623730951", "0.1"])
+    def test_sim_responses_agree_at_the_default_horizon(self, tmp_path, capsys, delay):
+        assert main(["sim", "--config", lone_delay_config(tmp_path, delay), "--method", "both"]) == 0
+        gap = float(capsys.readouterr().err.rsplit(":", 1)[1])
+        assert gap <= 1e-9
+
+
 class TestLatticeReuse:
     """One K per system and side in a command: nested horizons read the
     prefix of the first build."""
@@ -752,6 +786,18 @@ class TestLatticeReuse:
         assert main(["jumps", "--config", configs["three_delay"]]) == 0
         capsys.readouterr()
         assert len(lattices) == 2
+
+    def test_lone_float_delay_reuses_k_too(self, tmp_path, capsys, lattices):
+        # a lone float delay is stored exact, so its K is kept like any
+        # rational system's: verify builds one lattice, jumps one for K and
+        # one for dK
+        path = lone_delay_config(tmp_path, "1.4142135623730951")
+        assert main(["verify", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(lattices) == 1
+        assert main(["jumps", "--config", path]) == 0
+        capsys.readouterr()
+        assert len(lattices) == 3
 
 
 class TestZeroRadius:

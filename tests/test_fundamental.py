@@ -111,7 +111,8 @@ class ReferenceLattice:
         else:
             steps, start = [float(d) for d in delays], 0.0
             tol = snap = MERGE_TOL_SCALE * h_max
-        limit = horizon + tol
+        # every lattice keeps the instants within its snap above the horizon
+        limit = horizon + snap
         q = tol if tol > 0 else 1.0
         heap, out = [start], []
         seen = {start} if exact else {0: 0.0}
@@ -570,6 +571,30 @@ def assert_same_step_function(got, want):
     for field in ("pre_value", "breakpoints", "values"):
         assert_bits_equal(getattr(got, field), getattr(want, field))
     assert (got.horizon, got.snap) == (want.horizon, want.snap)
+
+
+class TestLoneDelayLattice:
+    """A lone delay is exact: K's breakpoints follow U's knot formula, and
+    an instant whose float is the horizon stays on the lattice."""
+
+    def test_sqrt2_breakpoints_are_the_knots(self, w2):
+        vsys = dl.validate(dl.DelaySystem.single([[0.3, -0.4], [0.2, 0.5]], math.sqrt(2.0)))
+        u = dl.build_single_delay(vsys, w2)
+        kfun = dl.fundamental_matrix(vsys, 100 * vsys.h_max)
+        assert_bits_equal(kfun.breakpoints, exact_multiples(np.arange(101), u.h_exact))
+        assert_bits_equal(kfun.breakpoints[:2], u.knots()[u.m:])
+
+    @pytest.mark.parametrize("delay", [Fraction(1, 3), math.sqrt(2.0), 0.1])
+    def test_responses_agree_at_endpoints_just_below_an_instant(self, delay):
+        vsys = dl.validate(dl.DelaySystem.single([[0.5, 0.1], [0.0, 0.3]], delay))
+        (d,) = vsys.delays
+        phi = dl.InitialFunction.constant([1.0, 1.0])
+        ends = [float(k * d) for k in range(1, 40) if Fraction(float(k * d)) < k * d]
+        assert len(ends) >= 10
+        for end in ends:
+            grid = np.linspace(0.0, end, 11)
+            gap = np.max(np.abs(dl.simulate(vsys, phi, grid) - dl.simulate_cauchy(vsys, phi, grid)))
+            assert gap <= 1e-9, end
 
 
 class TestKReuse:

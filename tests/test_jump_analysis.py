@@ -366,6 +366,23 @@ class TestCheckJumpProperties:
             fresh = dl.delta_u_prime(ex2a_half, w2, tau, rep.horizon, report=report_ex2a_half)
             np.testing.assert_array_equal(shared.value, fresh.value)
 
+    def test_default_grid_is_the_knots_of_u(self, w2, monkeypatch):
+        # U's knots k h come from exact_multiples; for h = 1/10 a plain
+        # k * float(h) differs from them at 12 of the 35 shifts
+        vsys, _ = two_route_shaped(3)
+        u = dl.build_commensurate(dl.to_commensurate(vsys), w2)
+        report = dl.stability_check(vsys)
+        grids, finite_shifts = [], jump_analysis.finite_shifts
+
+        def recording(tau):
+            grids.append(finite_shifts(tau))
+            return grids[-1]
+
+        monkeypatch.setattr(jump_analysis, "finite_shifts", recording)
+        got = dl.check_jump_properties(vsys, w2, report=report)
+        assert_bits_equal(grids[0], u.knots())
+        assert got == dl.check_jump_properties(vsys, w2, tau_grid=u.knots(), report=report)
+
     def test_irrational_lattice_with_supplied_certificate(self, w1):
         # the torus screen cannot certify stability, so a caller-supplied
         # decay certificate is the only way in for irrational delays;

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -172,10 +173,26 @@ class TestDelaySystem:
         s = dl.DelaySystem.single(0.5, 1)
         assert s.delays == (Fraction(1),)
 
-    def test_float_delay_stays_float(self):
+    def test_lone_float_delay_is_stored_exact(self):
+        # a lone float delay is the binary rational it already is; among
+        # others a float delay stays a float
         s = dl.DelaySystem.single(0.5, math.sqrt(2.0))
         (d,) = s.delays
-        assert isinstance(d, float) and d == math.sqrt(2.0)
+        assert isinstance(d, Fraction) and d == Fraction(math.sqrt(2.0)) and float(d) == math.sqrt(2.0)
+        pair = dl.DelaySystem(1, [(1.0, [[0.2]]), (math.sqrt(2.0), [[0.3]])])
+        assert all(isinstance(d, float) for d in pair.delays)
+        assert dl.validate(s).is_rational and not dl.validate(pair).is_rational
+
+    @pytest.mark.parametrize("delay, error, message", [
+        (0, dl.NonincreasingDelays, "delays must be positive with 1e-12 * delay a normal float, got 0.0"),
+        (-1.0, dl.NonincreasingDelays, "delays must be positive with 1e-12 * delay a normal float, got -1.0"),
+        (math.inf, dl.NonFiniteInput, "delays must be finite"),
+        (math.nan, dl.NonFiniteInput, "delays must be finite"),
+    ])
+    def test_bad_delay_fails_at_construction(self, delay, error, message):
+        # no reader, the stability screen included, ever sees such a delay
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dl.DelaySystem.single([[2.0]], delay)
 
     def test_fraction_delay_kept(self):
         s = dl.DelaySystem.single(0.5, Fraction(3, 2))
@@ -192,10 +209,10 @@ class TestDelaySystem:
 
 
 class TestValidate:
+    # the structure is checked when the DelaySystem is built
     def test_wrong_shape(self):
-        bad = dl.DelaySystem(2, [(Fraction(1), np.zeros((2, 3)))])
         with pytest.raises(dl.DimensionMismatch):
-            dl.validate(bad)
+            dl.validate(dl.DelaySystem(2, [(Fraction(1), np.zeros((2, 3)))]))
 
     def test_nonpositive_delay(self):
         with pytest.raises(dl.NonincreasingDelays):
@@ -203,15 +220,13 @@ class TestValidate:
 
     def test_unsorted_delays(self):
         a = np.eye(2) * 0.1
-        bad = dl.DelaySystem(2, [(Fraction(2), a), (Fraction(1), a)])
         with pytest.raises(dl.NonincreasingDelays):
-            dl.validate(bad)
+            dl.validate(dl.DelaySystem(2, [(Fraction(2), a), (Fraction(1), a)]))
 
     def test_duplicate_delays(self):
         a = np.eye(2) * 0.1
-        bad = dl.DelaySystem(2, [(Fraction(1), a), (Fraction(1), a)])
         with pytest.raises(dl.NonincreasingDelays):
-            dl.validate(bad)
+            dl.validate(dl.DelaySystem(2, [(Fraction(1), a), (Fraction(1), a)]))
 
     def test_delay_too_large_for_a_float(self):
         with pytest.raises(dl.NonFiniteInput):

@@ -1,6 +1,6 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
-moved threshold, a broken recursion kernel or a wrong block of the
-Lyapunov system?
+moved threshold, a broken recursion kernel, a wrong block of the
+Lyapunov system or an unsettled delay?
 
     python tools/mutation_gate.py
 
@@ -103,6 +103,20 @@ MUTANTS = [
     ("basic_delay_cap_1e6", "rational_approx.py", "BASIC_DELAY_CAP = 100_000\n", "BASIC_DELAY_CAP = 1_000_000\n"),
     ("jump_drop_tol_0", "fundamental.py", "JUMP_DROP_TOL = 1e-14\n", "JUMP_DROP_TOL = 0.0\n"),
     ("spectrum_drop_tol_0", "jump_analysis.py", "SPECTRUM_DROP_TOL = 1e-14\n", "SPECTRUM_DROP_TOL = 0.0\n"),
+    # delays settled at construction: a lone float delay stored exact, and
+    # an exact lattice that keeps the instants within its snap above the horizon
+    (
+        "lone_delay_stays_float",
+        "system_model.py",
+        "            entries = [(Fraction(d), a) for d, a in entries]\n",
+        "            entries = [(d, a) for d, a in entries]\n",
+    ),
+    (
+        "exact_lattice_no_horizon_snap",
+        "fundamental.py",
+        "top = math.floor(Fraction(horizon + snap) / h)",
+        "top = math.floor(Fraction(horizon) / h)",
+    ),
 ]
 
 
