@@ -66,8 +66,10 @@ class StabilityReport:
     systems decay_rate (sigma) and decay_gain (gamma) describe the fitted
     envelope ||K(t)|| <= gamma * ||K0|| * exp(-sigma t); both are None
     otherwise.  rate_step is the time step the spectral radius refers to.
-    reason, when set, says why the check did less than asked (a capped
-    torus grid).
+    reason, when set, says why the check did less than asked: a capped
+    torus grid, or an unstable companion screen that stopped at its first
+    certified root past 1 + EXACT_MARGIN, whose spectral_radius is then a
+    certified lower bound.
     """
 
     method: str
@@ -123,16 +125,6 @@ class DecayEnvelope:
         if shift is None:
             return self.bound(start) / -math.expm1(-self.report.decay_rate * gap)
         return self.bound(start) * self.bound(start + shift) / -math.expm1(-2.0 * self.report.decay_rate * gap)
-
-
-def _companion_radius(steps, m: int, n: int, tol: float) -> float:
-    """Spectral radius of the block companion matrix of C_1..C_m, given as
-    the (j, C_j) steps of its nonzero blocks: the certified Ehrlich-Aberth
-    route (accurate to within tol, else dense) for n*m >= STRUCTURED_CUTOFF
-    and n^2 <= m, dense eigvals otherwise."""
-    if n * m < STRUCTURED_CUTOFF or n * n > m:
-        return _dense_companion_radius(steps, m, n)
-    return _aberth_radius(steps, m, n, tol)[0]
 
 
 def _dense_companion_radius(steps, m: int, n: int) -> float:
@@ -340,7 +332,7 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
     return newton
 
 
-def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[float, float] | None:
+def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float, floor: float) -> tuple[float, float] | None:
     """The _certificate of the roots that a vectorised (Jacobi)
     Ehrlich-Aberth iteration reaches from start = (z, mirrored, real); None
     when the sweep cap is reached, a step is non-finite, or the only roots
@@ -349,12 +341,18 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float) -> tuple[flo
     stands for itself and its conjugate, and a real one moves along the
     real axis, where p is real.  The roots still moving are kept in front
     of z and move at once: p/p' from _det_p, and the pair sums over the
-    full set from _block_sums and, against the mirrors, _mirror_sums."""
+    full set from _block_sums and, against the mirrors, _mirror_sums.
+    Each disk of _certificate holds a root of p, so each sweep first takes
+    the least modulus on the disk of each moving root: once the largest
+    reaches floor, the run ends with (that modulus, inf)."""
     z, mirrored, real = start
     moving = z.size
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             newton = _det_p(z[:moving], steps, blocks, n, m)
+            bound = np.max(np.abs(z[:moving]) - n * m * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z))))
+            if bound >= floor:
+                return float(bound), math.inf
             lost = mirrored[:moving] & (np.abs(newton) >= np.abs(z.imag[:moving]))
             sums = _block_sums(z, moving, None)
             if mirrored.any():
@@ -402,10 +400,12 @@ def _certificate(z: np.ndarray, mirrored: np.ndarray, newton: np.ndarray, tol: f
     return float(np.max(np.abs(z))), worst
 
 
-def _aberth_radius(steps, m: int, n: int, tol: float) -> tuple[float, float | None]:
+def _aberth_radius(steps, m: int, n: int, tol: float, floor: float = math.inf) -> tuple[float, float | None]:
     """Spectral radius of the block companion matrix from the N = n*m roots
     of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
-    certified error) or, after a fallback, (dense radius, None).
+    certified error) or, after a fallback, (dense radius, None).  With a
+    finite floor, a run ends as soon as a Newton disk lies wholly at or past
+    floor in modulus, with (certified lower bound, inf).
 
     p has real coefficients, so its non-real roots come in conjugate pairs.
     _aberth_roots first runs from the symmetric start: the real roots that
@@ -421,7 +421,7 @@ def _aberth_radius(steps, m: int, n: int, tol: float) -> tuple[float, float | No
     js, blocks = [j for j, _ in steps], [c for _, c in steps]
     for symmetric in (True, False):
         start = _newton_polygon_start(js, blocks, n, m, symmetric)
-        found = None if start is None else _aberth_roots(start, js, blocks, n, m, tol)
+        found = None if start is None else _aberth_roots(start, js, blocks, n, m, tol, floor)
         if found is not None:
             return found
     return _dense_companion_radius(steps, m, n), None
@@ -492,8 +492,11 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     STRUCTURED_CUTOFF and n^2 <= m it is the largest root of the monic
     p = det(z^m I - sum_j C_j z^(m-j)), certified to within EXACT_MARGIN
     / 10 by Newton disks after an Ehrlich-Aberth iteration
-    (_aberth_radius).  Without a certificate, and for smaller companions,
-    dense eigvals gives the radius.
+    (_aberth_radius).  The iteration stops at the first sweep where some
+    root's Newton disk lies wholly past 1 + EXACT_MARGIN: the verdict is
+    unstable, and the spectral radius the largest such disk's least modulus,
+    a certified lower bound that reason names.  Without a certificate, and
+    for smaller companions, dense eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive
@@ -507,8 +510,13 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     rewrite = _commensurate_form(raw)
 
     if rewrite is not None and n * rewrite.m <= COMPANION_CAP:
-        method = "commensurate_companion"
-        rho = _companion_radius(rewrite.steps, rewrite.m, n, EXACT_MARGIN / 10.0)
+        method, m = "commensurate_companion", rewrite.m
+        if n * m < STRUCTURED_CUTOFF or n * n > m:
+            rho = _dense_companion_radius(rewrite.steps, m, n)
+        else:
+            rho, error = _aberth_radius(rewrite.steps, m, n, EXACT_MARGIN / 10.0, 1.0 + EXACT_MARGIN)
+            if error == math.inf:
+                reason = "spectral radius is a certified lower bound: a Newton disk of det P lies past 1 + EXACT_MARGIN"
         step = float(rewrite.h)
         margin = EXACT_MARGIN
     else:

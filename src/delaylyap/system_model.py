@@ -32,8 +32,8 @@ from .errors import (
 
 Delay = Union[float, Fraction]
 
-# |det(sum A_j - I)| must exceed this times the matrix norm to the n-th
-# power, otherwise K0 is declared unreliable.
+# the smallest singular value of sum A_j - I must exceed this times its
+# largest, otherwise K0 is declared unreliable.
 DET_RTOL = 1e-12
 
 
@@ -270,17 +270,16 @@ class CommensurateForm:
 
 
 def validate(system: DelaySystem) -> ValidatedSystem:
-    """Check that K0 = (sum A_j - I)^-1 exists: SingularK0 unless
-    |det(sum A_j - I)| exceeds DET_RTOL * ||sum A_j - I||_2 ** n.  The
+    """Check that K0 = (sum A_j - I)^-1 exists: SingularK0 unless the
+    singular values of sum A_j - I have sigma_min / sigma_max above
+    DET_RTOL, a test on its condition that does not tighten with n.  The
     structure and the delays were checked when the DelaySystem was built.
     """
-    n = system.n
-    m = np.sum(system.matrices, axis=0) - np.eye(n)
-    det = float(np.linalg.det(m))
-    scale = float(np.linalg.norm(m, 2)) ** n
-    if abs(det) <= DET_RTOL * scale:
+    sigma = np.linalg.svd(np.sum(system.matrices, axis=0) - np.eye(system.n), compute_uv=False)
+    if sigma[-1] <= DET_RTOL * sigma[0]:
         raise SingularK0(
-            f"sum of coefficients minus identity is numerically singular (|det| = {abs(det):.3e})"
+            "sum of coefficients minus identity is numerically singular "
+            f"(sigma_min {sigma[-1]:.3e}, sigma_max {sigma[0]:.3e})"
         )
     return ValidatedSystem(system)
 

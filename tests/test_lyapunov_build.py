@@ -261,8 +261,9 @@ def three_delay_system():
 
 
 def reference_condition(anorm, solve, solve_t, shape):
-    """The condition estimate as built before the operator had a dtype:
-    scipy then probes the dtype with one solve of a zero vector."""
+    """The condition estimate through scipy's onenormest(t=1) on a
+    LinearOperator, as it was built before the operator had a dtype: scipy
+    then probes the dtype with one solve of a zero vector."""
     import scipy.sparse.linalg as spla
 
     inv_op = spla.LinearOperator(shape, matvec=solve, rmatvec=solve_t)
@@ -854,7 +855,7 @@ class TestSolverRoutes:
                 return f(x)
             return run
 
-        got = lyapunov_build._condition(anorm, counted(solve), counted(solve_t), mat.shape)
+        got = lyapunov_build._condition(anorm, counted(solve), counted(solve_t), mat.shape[0])
         # onenormest takes two solves a round: two rounds on example 3's
         # rungs, three on the three-delay one
         solves = 6 if factor == "superlu" else 4
@@ -868,6 +869,25 @@ class TestSolverRoutes:
         assert (u.factor, 2 * u.m * 4, u.factor_entries) == (factor, unknowns, entries)
         assert u.bandwidth == (None if kl is None else (kl, ku))
         assert_same_bytes(u.condition_estimate, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vsys=commensurate_systems(delays=st.integers(1, 3)), factor=st.sampled_from(["dense", "band", "superlu"]))
+    def test_condition_equals_onenormest(self, vsys, factor):
+        # the estimator loop against onenormest on the same factor's solves,
+        # bit for bit; the cutoffs send each build to the factor drawn
+        exact, seen = lyapunov_build._condition, []
+
+        def both(anorm, solve, solve_t, size):
+            got = exact(anorm, solve, solve_t, size)
+            assert_same_bytes(got, reference_condition(anorm, solve, solve_t, (size, size)))
+            seen.append(got)
+            return got
+
+        cutoffs = {"dense": {}, "band": {"DENSE_CUTOFF": 0, "BAND_LIMIT": 10**6},
+                   "superlu": {"DENSE_CUTOFF": 0, "BAND_LIMIT": -1}}[factor]
+        with patch.multiple(lyapunov_build, _condition=both, **cutoffs):
+            u = dl.build_commensurate(dl.to_commensurate(vsys), random_weight(np.random.default_rng(vsys.n), vsys.n))
+        assert (u.factor, seen) == (factor, [u.condition_estimate])
 
     def test_condition_reported(self, u_ex2a):
         assert np.isfinite(u_ex2a.condition_estimate)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from conftest import (
 )
 
 EPS = np.finfo(float).eps
+LOWER_BOUND = "spectral radius is a certified lower bound: a Newton disk of det P lies past 1 + EXACT_MARGIN"
 EPS32 = float(np.finfo(np.float32).eps)
 
 
@@ -168,6 +170,23 @@ def real_root_companions(draw):
     return coeffs, n
 
 
+@st.composite
+def structured_systems(draw):
+    """(raw system, n) whose companion takes the Ehrlich-Aberth route:
+    n = 1..3 and q = 1..3 integer delays, the largest m with n m >= 76 and
+    n^2 <= m, and 1 among them, so that the rewrite keeps h = 1.  C_m has
+    the 2-norm rho^m, rho in 0.9..1.1, so that C_m alone would put the
+    roots near |z| = rho, on either side of the unit circle."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(max(-(-76 // n), n * n), 160))
+    q = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = sorted({1, m} | set(rng.integers(2, m, q - 1).tolist()))
+    mats = [rng.normal(size=(n, n)) / n for _ in steps]
+    mats[-1] *= draw(st.floats(0.9, 1.1)) ** m / np.linalg.norm(mats[-1], 2)
+    return dl.DelaySystem(n, [(Fraction(j), a) for j, a in zip(steps, mats)]), n
+
+
 class TestDelaySystem:
     def test_int_delay_becomes_exact(self):
         s = dl.DelaySystem.single(0.5, 1)
@@ -246,13 +265,26 @@ class TestValidate:
             dl.validate(dl.DelaySystem.single(1.0, Fraction(1)))
 
     def test_det_rtol_boundary(self, monkeypatch):
-        # sum A_j - I = diag(1, 1e-13): |det| is 1e-13 times its 2-norm^n,
+        # sum A_j - I = diag(1, 1e-13): sigma_min / sigma_max is 1e-13,
         # below DET_RTOL = 1e-12 and above 1e-16
         system = dl.DelaySystem.single(np.diag([2.0, 1.0 + 1e-13]), Fraction(1))
         with pytest.raises(dl.SingularK0):
             dl.validate(system)
         monkeypatch.setattr(system_model, "DET_RTOL", 1e-16)
         assert dl.validate(system).n == 2
+
+    def test_well_conditioned_k0_validates_at_any_n(self):
+        # sum A_j - I = diag(-3, -0.5, ..., -0.5) has condition 6; its
+        # |det| / ||.||_2^20 = 1.6e-15 fell below DET_RTOL at n = 20
+        vsys = dl.validate(dl.DelaySystem.single(np.diag([-2.0] + [0.5] * 19), Fraction(1)))
+        assert np.allclose(dl.k0(vsys), np.diag([-1.0 / 3.0] + [-2.0] * 19))
+
+    def test_ill_conditioned_k0_raises_at_n_20(self):
+        # sum A_j - I = Q diag(1, ..., 1, 1e-13) Q^T, a random orthogonal Q
+        q = np.linalg.qr(np.random.default_rng(4).normal(size=(20, 20)))[0]
+        mat = q @ np.diag([1.0] * 19 + [1e-13]) @ q.T + np.eye(20)
+        with pytest.raises(dl.SingularK0, match="^sum of coefficients minus identity is numerically singular"):
+            dl.validate(dl.DelaySystem.single(mat, Fraction(1)))
 
     def test_properties(self, ex2a):
         assert ex2a.n == 2
@@ -686,10 +718,44 @@ class TestStructuredCompanion:
         # dense eigvals on this companion, about 2 s
         assert abs(rho - 1.0003407872223922) <= radius + 8 * EPS * rho
         assert radius <= 1e-11
-        assert first.verdict == "unstable" and first.spectral_radius == rho
-        assert second.spectral_radius == first.spectral_radius
+        # the check stops at its first Newton disk past 1 + EXACT_MARGIN: a
+        # certified lower bound of the radius, and the same bits each time
+        assert first.verdict == "unstable" and first.reason == LOWER_BOUND
+        assert 1.0 + stability.EXACT_MARGIN <= first.spectral_radius <= rho + radius
+        assert dataclasses.astuple(second) == dataclasses.astuple(first)
         for got, want in zip(np.random.get_state(), state):
             assert np.array_equal(got, want)
+
+    def test_root_inside_the_margin_keeps_the_full_screen(self):
+        # p = (z - r)(z^79 - 2^-79) with r = 1 + 5e-10: the largest root is
+        # within EXACT_MARGIN of 1, so no Newton disk may end the screen
+        # early, not even one taken without its factor n m at an iterate
+        # past r; the check reads the full certified radius
+        r, s = 1.0 + 5e-10, 0.5 ** 79
+        raw = dl.DelaySystem(1, [(Fraction(1), [[r]]), (Fraction(79), [[s]]), (Fraction(80), [[-r * s]])])
+        form = stability._commensurate_form(raw)
+        rho, radius = stability._aberth_radius(form.steps, form.m, 1, 1e-10)
+        assert abs(rho - r) <= radius <= 1e-10
+        rep = dl.stability_check(raw, with_decay=False)
+        assert (rep.verdict, rep.spectral_radius, rep.reason) == ("inconclusive", rho, None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=structured_systems())
+    def test_early_unstable_is_a_certified_lower_bound(self, case):
+        # the check against the full screen on the same rewrite: it stops
+        # early only on a radius past 1 + EXACT_MARGIN, within the full
+        # screen's error, and otherwise reads the full screen's bits
+        raw, n = case
+        form = stability._commensurate_form(raw)
+        rep = dl.stability_check(raw, with_decay=False)
+        rho, radius = stability._aberth_radius(form.steps, form.m, n, stability.EXACT_MARGIN / 10.0)
+        if rep.reason is None:
+            assert rep.spectral_radius == rho
+            return
+        error = radius if radius is not None else dense_error_bound(slots(form), n)
+        assert (rep.verdict, rep.reason) == ("unstable", LOWER_BOUND)
+        assert rho >= 1.0 + stability.EXACT_MARGIN - error
+        assert 1.0 + stability.EXACT_MARGIN <= rep.spectral_radius <= rho + error
 
     def test_order_6_sqrt2_rung_matches_dense(self, order6_rung):
         form, ref = order6_rung

@@ -1,6 +1,7 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
 moved threshold, a broken recursion kernel, a wrong block of the
-Lyapunov system or an unsettled delay?
+Lyapunov system, an unsettled delay or a companion screen that stops on
+a root it has not certified?
 
     python tools/mutation_gate.py
 
@@ -43,6 +44,20 @@ MUTANTS = [
     ),
     ("stable_below_one", "stability.py", "    elif rho <= 1.0 - margin:\n", "    elif rho < 1.0:\n"),
     ("unstable_above_one", "stability.py", "    if rho >= 1.0 + margin:\n", "    if rho > 1.0:\n"),
+    # the companion screen's early exit: at 1 rather than 1 + EXACT_MARGIN,
+    # and on a Newton disk without its factor n m, which holds no root
+    (
+        "early_exit_at_one",
+        "stability.py",
+        "EXACT_MARGIN / 10.0, 1.0 + EXACT_MARGIN)",
+        "EXACT_MARGIN / 10.0, 1.0)",
+    ),
+    (
+        "early_exit_disk_without_degree",
+        "stability.py",
+        "- n * m * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z)))",
+        "- (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z)))",
+    ),
     ("cond_fail_1e14", "lyapunov_build.py", "COND_FAIL = 1e12\n", "COND_FAIL = 1e14\n"),
     (
         "kernel_reversed_delay_sum",
@@ -162,7 +177,8 @@ def main() -> int:
             survivors.append(name)
             print(f"SURVIVED {name} ({seconds:.0f} s)", flush=True)
             continue
-        failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
+        # a parametrized id may hold spaces: it ends at " - " or the line's end
+        failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", out, re.MULTILINE)
         if code != 1 or failed is None:
             print(out[-3000:], file=sys.stderr)
             print(f"tier-1 on mutant {name} ended with exit code {code} and no failed test", file=sys.stderr)
