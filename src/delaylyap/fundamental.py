@@ -59,8 +59,9 @@ class _Lattice:
     float delay gives a float lattice: keys are the instants themselves,
     points closer than MERGE_TOL_SCALE * h_max are merged and lookups snap
     with that tolerance.  floats are the instants as floats, snap the
-    tolerance of value lookups on them, and either kind keeps every
-    instant up to the float sum horizon + snap.
+    tolerance of value lookups on them, and either kind generated to a
+    horizon keeps every instant up to the float sum horizon + snap; an
+    exact one can also be grown to a given last step.
     """
 
     keys: np.ndarray
@@ -72,7 +73,10 @@ class _Lattice:
     @classmethod
     def generate(cls, delays: Sequence, horizon: float) -> "_Lattice":
         if all(isinstance(d, Fraction) for d in delays):
-            return cls._exact(delays, horizon)
+            if not math.isfinite(horizon):
+                h = fraction_gcd(delays)
+                raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
+            return cls._exact(delays, _last_step(delays, horizon))
         if not math.isfinite(horizon):
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} has no last point")
         steps = [float(d) for d in delays]
@@ -102,18 +106,16 @@ class _Lattice:
         return cls(floats, np.array(steps), tol, floats, tol)
 
     @classmethod
-    def _exact(cls, delays: Sequence[Fraction], horizon: float) -> "_Lattice":
-        """The instants k h <= horizon as int64 k, grown in blocks of m_1:
+    def _exact(cls, delays: Sequence[Fraction], top: int) -> "_Lattice":
+        """The instants k h with k <= top as int64 k, grown in blocks of m_1:
         an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
         b m_1, and every block holds one (an instant of the block before
         plus m_1), so the point cap also bounds the block count.  The first
         full block ends the growth; gcd(m_j) = 1 guarantees one."""
         h = fraction_gcd(delays)
         shifts = [int(d / h) for d in delays]
-        snap = 1e-12 * float(delays[-1])
-        top = math.floor(Fraction(horizon + snap) / h) if math.isfinite(horizon) else None
-        if top is None or top + shifts[-1] > np.iinfo(np.int64).max:
-            raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
+        if top + shifts[-1] > np.iinfo(np.int64).max:
+            raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} does not fit in int64")
         m1 = shifts[0]
         steps = np.array(shifts, dtype=np.int64)
         keys = np.zeros(64, dtype=np.int64)
@@ -126,7 +128,7 @@ class _Lattice:
             full = len(new) == m1
             count = top + 1 - start if full else int(np.searchsorted(new, top, side="right"))
             if size + count > LATTICE_CAP:
-                raise HorizonTooLarge(f"semigroup lattice up to {horizon} exceeds {LATTICE_CAP} points")
+                raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} exceeds {LATTICE_CAP} points")
             if size + count > len(keys):
                 keys = np.concatenate([keys, np.empty(max(len(keys), count), dtype=np.int64)])
             keys[size:size + count] = np.arange(start, top + 1) if full else new[:count]
@@ -134,7 +136,7 @@ class _Lattice:
             if full:
                 break
         keys = keys[:size].copy()
-        return cls(keys, steps, 0, exact_multiples(keys, h), snap)
+        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -152,7 +154,15 @@ def exact_multiples(ks, h: Fraction) -> np.ndarray:
     ks, num, den = np.asarray(ks, dtype=np.int64), h.numerator, h.denominator
     if int(np.max(np.abs(ks), initial=0)) * num < 2**53 and den < 2**53:
         return ks * float(num) / float(den)
-    return np.array([k * num / den for k in ks.tolist()], dtype=float)
+    return np.array([k * num / den for k in ks.ravel().tolist()], dtype=float).reshape(ks.shape)
+
+
+def _last_step(delays: Sequence[Fraction], horizon: float) -> int:
+    """The last step k of h = gcd(delays) with k h <= horizon + snap, the
+    float sum with the exact lattice's snap 1e-12 h_max: where a lattice or
+    a kept K to horizon ends."""
+    snap = 1e-12 * float(delays[-1])
+    return math.floor(Fraction(horizon + snap) / fraction_gcd(delays))
 
 
 def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.ndarray], left: bool) -> None:
@@ -343,7 +353,7 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     kept = vsys._fundamental_cache.get(side)
     if kept is not None and horizon <= kept[1].horizon:
         keys, kfun = kept
-        cut = np.searchsorted(keys, math.floor(Fraction(horizon + kfun.snap) / fraction_gcd(vsys.delays)), side="right")
+        cut = np.searchsorted(keys, _last_step(vsys.delays, horizon), side="right")
         return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
     lat = _Lattice.generate(vsys.delays, horizon)
     base = k0(vsys)
@@ -369,18 +379,25 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
     if not horizon >= 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     lat = _Lattice.generate(vsys.delays, horizon)
-    jumps = np.zeros((len(lat) + 1, vsys.n, vsys.n))
-    jumps[0] = np.eye(vsys.n)
-    _recurse(jumps, lat.sources(instants=True), 1, vsys.matrices, False)
-    jumps = jumps[:-1]
-    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
-    keep[0] = True
+    keep, jumps = _jump_rows(vsys, lat, drop_tol)
     return JumpTable(
         times=lat.floats[keep],
         jumps=jumps[keep],
         horizon=float(horizon),
         tol=max(lat.snap, 1e-12 * float(horizon)),
     )
+
+
+def _jump_rows(vsys: ValidatedSystem, lat: _Lattice, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """dK at every instant of lat, and the mask of the instants a table
+    keeps: max abs above drop_tol, and 0."""
+    jumps = np.zeros((len(lat) + 1, vsys.n, vsys.n))
+    jumps[0] = np.eye(vsys.n)
+    _recurse(jumps, lat.sources(instants=True), 1, vsys.matrices, False)
+    jumps = jumps[:-1]
+    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
+    keep[0] = True
+    return keep, jumps
 
 
 def _response_grid(grid: Sequence[float]) -> np.ndarray:
@@ -437,38 +454,121 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
     """Time response through the jump table: the solution is a sum of
     initial-function samples weighted by fundamental-matrix jumps,
 
-        x(t) = sum_j sum_q dK(t_q) A_j phi(t - h_j - t_q)
+        x(t) = sum_q dK(t_q) G(t, t_q),  G(t, t_q) = sum_j A_j phi(t - h_j - t_q),
 
-    restricted to arguments in [-h_j, 0).  The left end is included and 0
-    is excluded, matching the right continuity of the response; arguments
-    within the lattice snap tolerance of those ends are treated as exact.
-    Fully independent of simulate(), which never forms jumps.
+    over the (grid point, instant) pairs with t - h_max < t_q <= t, each
+    delay's term kept while its argument lies in [-h_j, 0): the left end
+    is included and 0 excluded, matching the right continuity of the
+    response.  A pair costs one n x n product dK(t_q) G.
+
+    Rational delays: each grid point is mapped once to a step count k and
+    a phase xi (_step_phases); its pairs are the instants l h of the jump
+    table to the last step a point maps to with k - m_max < l <= k, and
+    G = sum over m_j > k - l of A_j phi((k - l - m_j) h + xi).  While the
+    table of G by (xi, k - l) fits in CHUNK_ENTRIES, each of its weights
+    is formed once, by the first chunk that needs it; otherwise each pair
+    forms its own.  Float delays: the jump table to max(grid), and float
+    tests on fl(fl(t - h_j) - t_q) decide each (pair, delay), an argument
+    within the table's tol of -h_j reading phi(-h_j) and one within tol of
+    0 dropping out.  Fully independent of simulate(), which never forms
+    jumps.
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
-    table = delta_k(vsys, tmax)
-    btol = table.tol
-    delays = np.array([float(d) for d in vsys.delays])
-    mats = np.array(vsys.matrices)
-    # the instants t - H <= t_q <= t + 2 btol hold every term with btol to
-    # spare; the loop-order tests below pick the terms out exactly
-    lo = np.searchsorted(table.times, grid - delays[-1])
-    counts = np.searchsorted(table.times, grid + 2.0 * btol, side="right") - lo
-    out = np.zeros((len(grid), vsys.n))
-    # each (grid point, instant, delay) triple takes n x n products; a
-    # grid point's terms stay in one chunk, so the sums do not depend on it
-    for part in row_chunks(len(grid), len(delays) * max(1, int(counts.max(initial=0))) * vsys.n ** 2):
-        c = counts[part]
-        row = np.repeat(np.arange(part.start, part.stop), c)
-        q = np.arange(row.size) + np.repeat(lo[part] - (np.cumsum(c) - c), c)
-        # triples in the order (grid point, instant, delay) of a plain loop
-        row, q, j = np.repeat(row, len(delays)), np.repeat(q, len(delays)), np.tile(np.arange(len(delays)), row.size)
-        t, tq, d = grid[row], table.times[q], delays[j]
-        theta = t - d - tq
-        snap = np.abs(theta + d) <= btol
-        keep = (tq <= t + btol) & (snap | ((theta < -btol) & (theta >= -d)))
-        phis = phi.value_many(np.where(snap, -d, theta)[keep])[..., None]
-        np.add.at(out, row[keep], np.matmul(table.jumps[q[keep]], np.matmul(mats[j[keep]], phis))[..., 0])
+    n, mats = vsys.n, np.array(vsys.matrices)
+    if vsys.is_rational:
+        h, tol = fraction_gcd(vsys.delays), 1e-12 * max(vsys.h_max, tmax)
+        # no point sits past the step of tmax + tol: the table's last step
+        lat = _Lattice._exact(vsys.delays, math.floor((Fraction(tmax) + Fraction(tol)) / h))
+        keep, jumps = _jump_rows(vsys, lat, JUMP_DROP_TOL)
+        keys, jumps, shifts, m = lat.keys[keep], jumps[keep], lat.shifts, int(lat.shifts[-1])
+        step, xi = _step_phases(grid, h, tol)
+        lo, hi = np.searchsorted(keys, step - m, side="right"), np.searchsorted(keys, step, side="right")
+        # G by (phase, k - l) in slots, each formed once, when they fit a chunk
+        phases, phase = np.unique(xi, return_inverse=True)
+        shared = len(phases) * m * n <= CHUNK_ENTRIES
+        if shared:
+            table, formed = np.zeros((len(phases) * m, n)), np.zeros(len(phases) * m, dtype=bool)
+    else:
+        jt = delta_k(vsys, tmax)
+        times, jumps, btol = jt.times, jt.jumps, jt.tol
+        delays = np.array([float(d) for d in vsys.delays])
+        # the instants t - H <= t_q <= t + 2 btol hold every term with btol to spare
+        lo = np.searchsorted(times, grid - delays[-1])
+        hi = np.searchsorted(times, grid + 2.0 * btol, side="right")
+    # a trailing zero jump for the cells past a grid point's pairs
+    jumps = np.concatenate([jumps, np.zeros((1, n, n))])
+    width = int(np.max(hi - lo, initial=0))
+    out = np.zeros((len(grid), n))
+    # a grid point's pairs stay in one chunk, so its sums do not depend on it
+    for part in row_chunks(len(grid), width * n * n):
+        cell = np.arange(width)
+        valid = cell < (hi - lo)[part, None]
+        q = np.where(valid, lo[part, None] + cell, -1)
+        if vsys.is_rational:
+            s = np.where(valid, step[part, None] - keys[q], 0)
+            if shared:
+                slot = phase[part, None] * m + s
+                need = np.zeros(len(formed), dtype=bool)
+                need[slot[valid]] = True
+                new = np.flatnonzero(need & ~formed)
+                if new.size:
+                    table[new] = _weights(phi, mats, *_exact_arguments(new % m, phases[new // m], shifts, h))
+                    formed[new] = True
+                weights = np.take(table, slot, axis=0)
+            else:
+                theta, live = _exact_arguments(s, xi[part, None], shifts, h)
+                weights = _weights(phi, mats, theta, live & valid[..., None])
+        else:
+            t, tq = grid[part, None, None], times[q][..., None]
+            theta = t - delays - tq
+            snap = np.abs(theta + delays) <= btol
+            live = valid[..., None] & (tq <= t + btol) & (snap | ((theta < -btol) & (theta >= -delays)))
+            weights = _weights(phi, mats, np.where(snap, -delays, theta), live)
+        dk = np.take(jumps, q, axis=0)
+        terms = dk[..., 0] * weights[..., 0, None]
+        for c in range(1, n):
+            terms += dk[..., c] * weights[..., c, None]
+        out[part] = sequential_sum(np.moveaxis(terms, 1, 0))
+    return out
+
+
+def _step_phases(grid: np.ndarray, h: Fraction, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step count k and phase xi of every grid point t >= 0 on the steps of
+    h.  A point within tol of its nearest step k h, the tie at tol
+    included, sits there with xi = 0; any other has k = floor(t / h) and
+    xi = t - fl(k h), exact in floats (Sterbenz) and in (tol, h - tol).
+    A float estimate decides every point but those within its error of
+    the tie or of half a step, which Fractions decide."""
+    hf = float(h)
+    k = np.rint(np.minimum(grid / hf, 2.0**62)).astype(np.int64)
+    d = grid - exact_multiples(k, h)
+    err = 2.0**-51 * (grid + hf)
+    snapped, below = np.abs(d) <= tol, d < 0.0
+    for i in np.flatnonzero((np.abs(np.abs(d) - tol) <= err) | (np.abs(d) >= 0.5 * hf - err)):
+        t = Fraction(float(grid[i]))
+        near = round(t / h)
+        k[i], snapped[i], below[i] = near, abs(t - near * h) <= tol, t < near * h
+    k = np.where(snapped | ~below, k, k - 1)
+    return k, np.where(snapped, 0.0, grid - exact_multiples(k, h))
+
+
+def _exact_arguments(s: np.ndarray, xi: np.ndarray, shifts: np.ndarray, h: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """phi's argument (s - m_j) h + xi, the product correctly rounded, for
+    every s = k - l and delay, and whether the delay's term is live, m_j > s."""
+    theta = exact_multiples(s[..., None] - shifts, h) + np.asarray(xi)[..., None]
+    return theta, shifts > s[..., None]
+
+
+def _weights(phi: InitialFunction, mats: np.ndarray, theta: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """sum_j A_j phi(theta[..., j]) over the live delays j, phi read at the
+    live arguments only, summed in delay and column order."""
+    vals = np.zeros(theta.shape + (mats.shape[2],))
+    vals[live] = phi.value_many(theta[live])
+    out = np.zeros(theta.shape[:-1] + (mats.shape[1],))
+    for j, a in enumerate(mats):
+        for c in range(a.shape[1]):
+            out += vals[..., j, c, None] * a[:, c]
     return out
 
 

@@ -90,7 +90,10 @@ def approximate_system(vsys: ValidatedSystem, order: int) -> CommensurateForm:
 class ApproximationStep:
     """One rung of the order ladder: the rationalized delays, their
     commensurate geometry, the built U, and the sup difference against
-    the previous rung on a shared grid (None for the first)."""
+    the previous rung on a shared grid (None for the first).  The
+    stability fields are the rung's report: stability_reason, when set,
+    says why its spectral_radius is less than the radius (a certified
+    lower bound of an unstable rung)."""
 
     order: int
     delays: tuple
@@ -101,10 +104,12 @@ class ApproximationStep:
     stability_verdict: str
     spectral_radius: float
     sup_diff_prev: float | None
+    stability_reason: str | None = None
 
     def to_dict(self) -> dict:
         band = {} if self.u.bandwidth is None else {"bandwidth": list(self.u.bandwidth)}
-        return band | {
+        reason = {} if self.stability_reason is None else {"stability_reason": self.stability_reason}
+        return band | reason | {
             "order": self.order,
             "delays": [
                 {"num": d.numerator, "den": d.denominator} for d in self.delays
@@ -158,6 +163,7 @@ def u_sequence(
             stability_verdict=rep.verdict,
             spectral_radius=rep.spectral_radius,
             sup_diff_prev=sup_diff,
+            stability_reason=rep.reason,
         )
         steps.append(step)
         prev = step

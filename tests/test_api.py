@@ -15,7 +15,8 @@ import pytest
 import delaylyap as dl
 
 SIGNATURES = {
-    "ApproximationStep": ("order", "delays", "h", "m", "u", "system", "stability_verdict", "spectral_radius", "sup_diff_prev"),
+    "ApproximationStep": ("order", "delays", "h", "m", "u", "system", "stability_verdict", "spectral_radius", "sup_diff_prev",
+                          "stability_reason"),
     "CommensurateForm": ("h", "m", "n", "steps"),
     "CrossCheckReport": ("grid", "errors", "bounds", "max_error", "max_bound", "horizon", "slack", "passed"),
     "DelaySystem": ("n", "entries"),

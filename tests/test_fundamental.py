@@ -29,15 +29,52 @@ from conftest import assert_bits_equal, gamma, random_stable_single, two_route_c
 
 
 def reference_cauchy(vsys, phi, grid):
-    """The jump-convolution response by the per-(t, t_q, h_j) loop, the
-    reference for the vectorised sum."""
+    """The jump-convolution response by a per-(t, t_q, h_j) loop, the
+    reference for the vectorised sum, and the sum of |dK| |A_j| |phi| over
+    the terms it takes, with their count, per grid point.
+
+    Float delays: a term is kept by float tests on
+    theta = fl(fl(t - h_j) - t_q), read at -h_j within the table's tol of
+    it.  Rational delays: the same tests restated on integer steps.  With
+    h = gcd(h_j) and tol the table's, t sits at its nearest step k h when
+    |t - k h| <= tol (exact Fractions), else at k = floor(t / h) with the
+    phase xi = t - fl(k h); the instant l h takes delay j while
+    k - l < m_j, at the argument fl((k - l - m_j) h) + xi."""
     grid = np.asarray(grid, dtype=float)
-    table = dl.delta_k(vsys, float(np.max(grid)) if grid.size else 0.0)
+    tmax = float(np.max(grid)) if grid.size else 0.0
+    out, mag, count = np.zeros((len(grid), vsys.n)), np.zeros((len(grid), vsys.n)), np.zeros(len(grid), dtype=int)
+    if vsys.is_rational:
+        h = fundamental.fraction_gcd(vsys.delays)
+        tol = 1e-12 * max(vsys.h_max, tmax)
+        steps = []
+        for t in grid.tolist():
+            exact = Fraction(t)
+            k = round(exact / h)
+            if abs(exact - k * h) <= tol:
+                steps.append((k, 0.0))
+            else:
+                k = math.floor(exact / h)
+                steps.append((k, t - float(k * h)))
+        top = max([k for k, _ in steps], default=0)
+        table = dl.delta_k(vsys, float(top * h))
+        entries = [(int(d / h), a) for d, a in vsys.entries]
+        for i, (k, xi) in enumerate(steps):
+            for tq, dk in table.pairs():
+                l = round(Fraction(float(tq)) / h)
+                if l > k:
+                    break
+                for m, a in entries:
+                    if m <= k - l:
+                        continue
+                    value = phi.value(float((k - l - m) * h) + xi)
+                    out[i] += dk @ (a @ value)
+                    mag[i] += np.abs(dk) @ (np.abs(a) @ np.abs(value))
+                    count[i] += 1
+        return out, mag, count
+    table = dl.delta_k(vsys, tmax)
     btol = table.tol
     entries = [(float(d), a) for d, a in vsys.entries]
-    out = np.zeros((len(grid), vsys.n))
     for i, t in enumerate(grid):
-        acc = np.zeros(vsys.n)
         for tq, dk in table.pairs():
             if tq > t + btol:
                 break
@@ -47,9 +84,26 @@ def reference_cauchy(vsys, phi, grid):
                     theta = -d
                 elif theta >= -btol or theta < -d:
                     continue
-                acc += dk @ (a @ phi.value(theta))
-        out[i] = acc
-    return out
+                value = phi.value(theta)
+                out[i] += dk @ (a @ value)
+                mag[i] += np.abs(dk) @ (np.abs(a) @ np.abs(value))
+                count[i] += 1
+    return out, mag, count
+
+
+def assert_cauchy_matches_reference(vsys, phi, grid):
+    """simulate_cauchy against reference_cauchy.  The route sums the
+    delays into G before one product dK G per instant, the loop adds
+    dK (A_j phi) term by term: each is the exact sum of the same products
+    but for rounding, at most gamma_N times the magnitude sum with
+    N = (q + 2) n + terms, so they differ by at most twice that.  A whole
+    term moved between them would break the bound."""
+    got = dl.simulate_cauchy(vsys, phi, grid)
+    want, mag, count = reference_cauchy(vsys, phi, grid)
+    nu = ((len(vsys.delays) + 2) * vsys.n + count[:, None]) * 2.0**-53
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2.0 * nu / (1.0 - nu) * mag)
+    return got
 
 
 def reference_simulate(vsys, phi, grid, node_cap=1_000_000):
@@ -869,8 +923,9 @@ def lattice_grid(vsys, horizon):
 
 
 class TestCauchyVectorised:
-    """The vectorised sum against the per-(t, t_q, h_j) loop, bit for bit:
-    a misclassified instant moves a whole term."""
+    """The vectorised sum against the per-(t, t_q, h_j) loop, within the
+    rounding bound of assert_cauchy_matches_reference: a misclassified
+    instant or delay moves a whole term and breaks it."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -892,16 +947,16 @@ class TestCauchyVectorised:
             starts = [-hmax, step] if kind == "stepped" else [-hmax, -0.4 * hmax]
             slopes = rng.uniform(-1, 1, (2, n)) if kind == "sloped" else None
             phi = dl.InitialFunction(starts, rng.uniform(-1, 1, (2, n)), slopes)
-        grid = lattice_grid(vsys, 3.0 * hmax)
-        np.testing.assert_array_equal(dl.simulate_cauchy(vsys, phi, grid), reference_cauchy(vsys, phi, grid))
+        assert_cauchy_matches_reference(vsys, phi, lattice_grid(vsys, 3.0 * hmax))
 
     def test_chunked_walk_equals_reference(self, ex2a_half, monkeypatch):
-        import delaylyap.fundamental as fundamental
-
         phi = dl.InitialFunction([-1.5, -0.8], [[1.0, -0.5], [0.25, 2.0]], [[0.3, 0.0], [0.0, -1.0]])
         grid = np.linspace(0.0, 6.0, 97)
+        whole = dl.simulate_cauchy(ex2a_half, phi, grid)
+        # 28 entries: two grid points per chunk, and each pair forms its own
+        # weight, as the 8 phases of the grid by 3 steps no longer fit
         monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", 28)
-        np.testing.assert_array_equal(dl.simulate_cauchy(ex2a_half, phi, grid), reference_cauchy(ex2a_half, phi, grid))
+        assert_bits_equal(assert_cauchy_matches_reference(ex2a_half, phi, grid), whole)
 
     def test_empty_grid(self, ex2a):
         phi = dl.InitialFunction.constant([1.0, 2.0])
@@ -912,16 +967,83 @@ class TestCauchyVectorised:
         # phi stops short of -h_max = -1.5: the first term past it fails, and
         # an empty grid reads nothing
         short = dl.InitialFunction([-1.0], [[1.0, 2.0]])
-        for route in (dl.simulate_cauchy, reference_cauchy):
+        for route in (dl.simulate_cauchy, lambda *args: reference_cauchy(*args)[0]):
             with pytest.raises(dl.OutOfDomain, match=r"defined on \[-1.0, 0\)"):
                 route(ex2a, short, np.linspace(0.0, 3.0, 13))
             assert route(ex2a, short, []).shape == (0, 2)
 
     def test_origin_only(self, ex2a):
         phi = dl.InitialFunction.constant([1.0, 2.0])
-        out = dl.simulate_cauchy(ex2a, phi, [0.0])
-        np.testing.assert_array_equal(out, reference_cauchy(ex2a, phi, [0.0]))
+        out = assert_cauchy_matches_reference(ex2a, phi, [0.0])
         np.testing.assert_allclose(out[0], dl.simulate(ex2a, phi, [0.0])[0], atol=1e-15)
+
+
+class TestCauchyIntegerSteps:
+    """The convolution response of rational delays runs on each grid
+    point's step count k and phase xi, and on a jump table that reaches
+    the last step a grid point maps to."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        q=st.integers(1, 12),
+        a=st.sampled_from([-1.0, 0.5]),
+        k=st.integers(0, 10**5),
+    )
+    # fl(k d) lies below k d by more than a lattice's snap 1e-12 d: a table
+    # grown to fl(k d) + snap ends a step short and would read 0.0, not +1
+    @example(p=1, q=3, a=-1.0, k=100_001)
+    @example(p=1, q=10, a=-1.0, k=100_003)
+    def test_far_endpoint_reads_its_step(self, p, q, a, k):
+        # x(t) = a x(t - d), phi = 1: x(k d) = a^(k+1), the one term
+        # dK(k d) A phi(-d); jumps a^k below JUMP_DROP_TOL leave the table
+        vsys = dl.validate(dl.DelaySystem.single([[a]], Fraction(p, q)))
+        t = float(Fraction(k * p, q))
+        (got,) = dl.simulate_cauchy(vsys, dl.InitialFunction.constant([1.0]), [t])[:, 0]
+        assert got == pytest.approx(a ** (k + 1), rel=1e-15, abs=JUMP_DROP_TOL)
+
+    def test_tie_at_tol_sits_on_the_step(self):
+        # a grid to nextafter(tol) has tol = 1e-12 h_max exactly: the point
+        # tol above the step 0, the tie, sits at 0 and reads x(0)'s bits;
+        # the next float is a phase xi past it, where x has the slope
+        # 2 (0.3 - 0.4) of phi's arguments -1 + xi and -1.5 + xi
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (Fraction(3, 2), [[-0.4]])]))
+        phi = dl.InitialFunction([-1.5], [[1.0]], [[2.0]])
+        tol = 1e-12 * vsys.h_max
+        grid = [0.0, tol, math.nextafter(tol, 1.0)]
+        out = dl.simulate_cauchy(vsys, phi, grid)[:, 0]
+        assert out[1] == out[0]
+        assert out[0] - out[2] == pytest.approx(0.2 * grid[2], rel=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.integers(1, 10**6),
+        den=st.integers(1, 10**6),
+        k=st.one_of(st.integers(0, 10**4), st.integers(2**52, 2**54)),
+        off=st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]),
+        ulps=st.integers(-3, 3),
+        scale=st.sampled_from([1.0, 1e-12, 1e-9, 1e-3]),
+    )
+    def test_step_phases_equal_exact_map(self, num, den, k, off, ulps, scale):
+        # points k h moved by off tol (a tie at |off| = 1), a few ulps either
+        # way, or by off times a scale of h: the float estimate with its
+        # exact fallback gives the Fraction map of every point
+        h = Fraction(num, den)
+        base = float(k * h)
+        tol = 1e-12 * base if base > 0 else 1e-12 * float(h)
+        grid = np.array([base, base + off * tol, base + off * scale * float(h)])
+        for _ in range(abs(ulps)):
+            grid = np.nextafter(grid, math.copysign(math.inf, ulps))
+        grid = grid[grid >= 0.0]
+        steps, phases = fundamental._step_phases(grid, h, tol)
+        for t, step, xi in zip(grid.tolist(), steps.tolist(), phases.tolist()):
+            near = round(Fraction(t) / h)
+            if abs(Fraction(t) - near * h) <= tol:
+                assert (step, xi) == (near, 0.0)
+            else:
+                floor = math.floor(Fraction(t) / h)
+                assert (step, xi) == (floor, t - float(floor * h))
+                assert 0.0 < xi < float(h)
 
 
 class TestSnappedLookup:

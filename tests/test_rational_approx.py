@@ -242,6 +242,19 @@ class TestUSequence:
             rep = dl.residuals(step.u, step.system, w2)
             assert rep.passed(1e-8)
 
+    def test_lower_bound_radius_is_labelled(self, ex3, w2):
+        # orders 4 and 7 take the companion screen, which stops at its first
+        # Newton disk past 1 + EXACT_MARGIN: their radius is a certified lower
+        # bound and the rung says so; order 1 has the full radius, and no reason
+        steps = dl.u_sequence(ex3, w2, [1, 4, 7])
+        reason = "spectral radius is a certified lower bound: a Newton disk of det P lies past 1 + EXACT_MARGIN"
+        assert [s.stability_reason for s in steps] == [None, reason, reason]
+        assert "stability_reason" not in steps[0].to_dict()
+        for step in steps[1:]:
+            d = step.to_dict()
+            assert (d["stability_verdict"], d["stability_reason"]) == ("unstable", reason)
+            assert d["spectral_radius"] == dl.stability_check(step.system, with_decay=False).spectral_radius
+
     def test_rational_input_is_order_independent(self, ex2a, w2):
         steps = dl.u_sequence(ex2a, w2, [1, 2, 5])
         assert steps[1].sup_diff_prev <= 1e-12

@@ -1,7 +1,8 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
 moved threshold, a broken recursion kernel, a wrong block of the
-Lyapunov system, an unsettled delay or a companion screen that stops on
-a root it has not certified?
+Lyapunov system, an unsettled delay, a companion screen that stops on
+a root it has not certified, or a convolution response that reads a
+step too many or a table a step too short?
 
     python tools/mutation_gate.py
 
@@ -129,8 +130,17 @@ MUTANTS = [
     (
         "exact_lattice_no_horizon_snap",
         "fundamental.py",
-        "top = math.floor(Fraction(horizon + snap) / h)",
-        "top = math.floor(Fraction(horizon) / h)",
+        "return math.floor(Fraction(horizon + snap) / fraction_gcd(delays))",
+        "return math.floor(Fraction(horizon) / fraction_gcd(delays))",
+    ),
+    # the convolution response on integer steps: the window k - l < m_j
+    # one step wider, and a jump table one step short of the grid's top step
+    ("cauchy_window_one_step_wider", "fundamental.py", "return theta, shifts > s[..., None]", "return theta, shifts >= s[..., None]"),
+    (
+        "cauchy_table_one_step_short",
+        "fundamental.py",
+        "math.floor((Fraction(tmax) + Fraction(tol)) / h))",
+        "math.floor((Fraction(tmax) + Fraction(tol)) / h) - 1)",
     ),
 ]
 
