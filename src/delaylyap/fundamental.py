@@ -54,14 +54,12 @@ class _Lattice:
     """Sorted semigroup instants with the keys their lookups run on.
 
     An all-rational delay set is commensurate with step h = gcd(h_j), so
-    every instant is an exact multiple k h: keys holds the int64 k, shifts
-    the delays m_j = h_j / h, and lookups match exactly (key_snap 0).  Any
-    float delay gives a float lattice: keys are the instants themselves,
-    points closer than MERGE_TOL_SCALE * h_max are merged and lookups snap
-    with that tolerance.  floats are the instants as floats, snap the
-    tolerance of value lookups on them, and either kind generated to a
-    horizon keeps every instant up to the float sum horizon + snap; an
-    exact one can also be grown to a given last step.
+    every instant is an exact multiple k h: keys holds the int64 k <=
+    _last_step(horizon), shifts the delays m_j = h_j / h, and lookups
+    match exactly (key_snap 0).  Any float delay gives a float lattice to
+    the float sum horizon + MERGE_TOL_SCALE * h_max: keys are the instants,
+    points closer than that tolerance merge and lookups snap with it.
+    floats are the instants as floats, snap the tolerance of value lookups.
     """
 
     keys: np.ndarray
@@ -73,10 +71,33 @@ class _Lattice:
     @classmethod
     def generate(cls, delays: Sequence, horizon: float) -> "_Lattice":
         if all(isinstance(d, Fraction) for d in delays):
-            if not math.isfinite(horizon):
-                h = fraction_gcd(delays)
-                raise HorizonTooLarge(f"semigroup lattice up to {horizon} in steps of h = {h} does not fit in int64")
-            return cls._exact(delays, _last_step(delays, horizon))
+            # grown in blocks of m_1: an instant in [b m_1, (b+1) m_1) is p + m_j for an
+            # instant p below b m_1, every block holds one (so the point cap bounds the
+            # block count), and the first full block, which gcd(m_j) = 1 ensures, ends it
+            h, top = fraction_gcd(delays), _last_step(delays, horizon) if math.isfinite(horizon) else math.inf
+            shifts = [int(d / h) for d in delays]
+            if top + shifts[-1] > np.iinfo(np.int64).max:
+                raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} does not fit in int64")
+            m1, steps = shifts[0], np.array(shifts, dtype=np.int64)
+            keys = np.zeros(64, dtype=np.int64)
+            size = 1
+            for start in range(m1, top + 1, m1):
+                known = keys[:size]
+                lo, hi = np.searchsorted(known, [start - steps, start + m1 - steps])
+                new = np.unique(np.concatenate([known[a:b] + m for a, b, m in zip(lo, hi, steps)]))
+                # a full block is past the conductor: every later k is a member plus c m1
+                full = len(new) == m1
+                count = top + 1 - start if full else int(np.searchsorted(new, top, side="right"))
+                if size + count > LATTICE_CAP:
+                    raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} exceeds {LATTICE_CAP} points")
+                if size + count > len(keys):
+                    keys = np.concatenate([keys, np.empty(max(len(keys), count), dtype=np.int64)])
+                keys[size:size + count] = np.arange(start, top + 1) if full else new[:count]
+                size += count
+                if full:
+                    break
+            keys = keys[:size].copy()
+            return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
         if not math.isfinite(horizon):
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} has no last point")
         steps = [float(d) for d in delays]
@@ -105,39 +126,6 @@ class _Lattice:
         floats = np.array(out)
         return cls(floats, np.array(steps), tol, floats, tol)
 
-    @classmethod
-    def _exact(cls, delays: Sequence[Fraction], top: int) -> "_Lattice":
-        """The instants k h with k <= top as int64 k, grown in blocks of m_1:
-        an instant in [b m_1, (b+1) m_1) is p + m_j for an instant p below
-        b m_1, and every block holds one (an instant of the block before
-        plus m_1), so the point cap also bounds the block count.  The first
-        full block ends the growth; gcd(m_j) = 1 guarantees one."""
-        h = fraction_gcd(delays)
-        shifts = [int(d / h) for d in delays]
-        if top + shifts[-1] > np.iinfo(np.int64).max:
-            raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} does not fit in int64")
-        m1 = shifts[0]
-        steps = np.array(shifts, dtype=np.int64)
-        keys = np.zeros(64, dtype=np.int64)
-        size = 1
-        for start in range(m1, top + 1, m1):
-            known = keys[:size]
-            lo, hi = np.searchsorted(known, [start - steps, start + m1 - steps])
-            new = np.unique(np.concatenate([known[a:b] + m for a, b, m in zip(lo, hi, steps)]))
-            # a full block is past the conductor: every later k is a member plus c m1
-            full = len(new) == m1
-            count = top + 1 - start if full else int(np.searchsorted(new, top, side="right"))
-            if size + count > LATTICE_CAP:
-                raise HorizonTooLarge(f"semigroup lattice up to step {top} of h = {h} exceeds {LATTICE_CAP} points")
-            if size + count > len(keys):
-                keys = np.concatenate([keys, np.empty(max(len(keys), count), dtype=np.int64)])
-            keys[size:size + count] = np.arange(start, top + 1) if full else new[:count]
-            size += count
-            if full:
-                break
-        keys = keys[:size].copy()
-        return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -158,11 +146,11 @@ def exact_multiples(ks, h: Fraction) -> np.ndarray:
 
 
 def _last_step(delays: Sequence[Fraction], horizon: float) -> int:
-    """The last step k of h = gcd(delays) with k h <= horizon + snap, the
-    float sum with the exact lattice's snap 1e-12 h_max: where a lattice or
-    a kept K to horizon ends."""
-    snap = 1e-12 * float(delays[-1])
-    return math.floor(Fraction(horizon + snap) / fraction_gcd(delays))
+    """The last step k of h = gcd(delays) with k h <= horizon + tol, an
+    exact sum, tol = 1e-12 max(h_max, horizon) as in _step_phases: where a
+    lattice, a kept K, a jump table or the response's keys to horizon end."""
+    tol = 1e-12 * max(float(delays[-1]), horizon)
+    return math.floor((Fraction(horizon) + Fraction(tol)) / fraction_gcd(delays))
 
 
 def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.ndarray], left: bool) -> None:
@@ -187,7 +175,7 @@ def _recurse(values: np.ndarray, src: np.ndarray, first: int, mats: Sequence[np.
 
 
 def discontinuity_instants(vsys: ValidatedSystem, horizon: float) -> list[float]:
-    """All possible discontinuity instants of K up to horizon + snap, ordered.
+    """All possible discontinuity instants of K to horizon (_Lattice), ordered.
     Raises ValueError for a negative or NaN horizon, HorizonTooLarge past
     LATTICE_CAP points or, for rational delays, past int64 steps of h."""
     if not horizon >= 0:
@@ -344,7 +332,7 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     K0 from a trailing row, dropped afterwards.
 
     Rational delays: vsys keeps the longest K per side; a shorter horizon
-    gets its prefix to horizon + snap, the bits of a fresh build (K is causal).
+    gets its prefix to _last_step, the bits of a fresh build (K is causal).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -379,25 +367,17 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
     if not horizon >= 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     lat = _Lattice.generate(vsys.delays, horizon)
-    keep, jumps = _jump_rows(vsys, lat, drop_tol)
-    return JumpTable(
-        times=lat.floats[keep],
-        jumps=jumps[keep],
-        horizon=float(horizon),
-        tol=max(lat.snap, 1e-12 * float(horizon)),
-    )
-
-
-def _jump_rows(vsys: ValidatedSystem, lat: _Lattice, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """dK at every instant of lat, and the mask of the instants a table
-    keeps: max abs above drop_tol, and 0."""
     jumps = np.zeros((len(lat) + 1, vsys.n, vsys.n))
     jumps[0] = np.eye(vsys.n)
     _recurse(jumps, lat.sources(instants=True), 1, vsys.matrices, False)
-    jumps = jumps[:-1]
-    keep = np.max(np.abs(jumps), axis=(1, 2)) > drop_tol
+    keep = np.max(np.abs(jumps[:-1]), axis=(1, 2)) > drop_tol
     keep[0] = True
-    return keep, jumps
+    return JumpTable(
+        times=lat.floats[keep],
+        jumps=jumps[:-1][keep],
+        horizon=float(horizon),
+        tol=max(lat.snap, 1e-12 * float(horizon)),
+    )
 
 
 def _response_grid(grid: Sequence[float]) -> np.ndarray:
@@ -412,42 +392,65 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     """Time response on grid (finite points >= 0) by the recursion
     x(t) = sum_j A_j x(t - h_j) down to the initial function.
 
-    The points it needs are found level by level from the grid, keyed on a
-    1e-12 relative quantum; a key keeps the float of the first point to
-    reach it.  Points below -quantum/2 read phi, the rest are evaluated in
+    The points it needs are found level by level from the grid on int64
+    keys, with tol = 1e-12 max(h_max, max(grid)).  Rational delays: a grid
+    point's key is k P + p for its step k and the index p of its phase xi
+    among the grid's P (_step_phases), a child's key its parent's less
+    m_j P, and keys below 0 are leaves, read at fl(k h) + xi.  Float delays: a point's key is its float on the
+    quantum tol, a key keeps the float of the first point to reach it, and
+    a point below -tol/2 is a leaf, read there.  The rest are evaluated in
     key order by _recurse: the bits of a memoized per-point descent.  Past
     LATTICE_CAP points (the path t, t - h_min, ... alone has
-    max(grid) / h_min), checked per level, it raises RecursionDepthExceeded.
+    max(grid) / h_min), checked before any key and per level, it raises
+    RecursionDepthExceeded.
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
-    quantum = 1e-12 * max(vsys.h_max, tmax)
-    delays = np.array([float(d) for d in vsys.delays])
-    # -key of each point found, ascending, and its float, in doubling buffers
-    neg, ts, size, frontier = np.empty(64, dtype=np.int64), np.empty(64), 0, grid
+    tol = 1e-12 * max(vsys.h_max, tmax)
+    if tmax / vsys.h_min > LATTICE_CAP:
+        raise RecursionDepthExceeded(f"response recursion exceeded {LATTICE_CAP} nodes")
+    if vsys.is_rational:
+        h, top = fraction_gcd(vsys.delays), _last_step(vsys.delays, tmax)
+        shifts = [int(d / h) for d in vsys.delays]
+        # keys lie in [-m_max P, (top + 1) P), with at most one phase per point
+        if (top + shifts[-1] + 1) * max(len(grid), 1) > np.iinfo(np.int64).max:
+            raise HorizonTooLarge(f"response keys to step {top} of h = {h} for {len(grid)} points do not fit in int64")
+        step, xi = _step_phases(grid, h, tol)
+        phases, phase = np.unique(xi, return_inverse=True)
+        start, drops, floor = step * len(phases) + phase, np.array(shifts) * len(phases), 0
+    else:
+        start, drops, floor = grid, np.array([float(d) for d in vsys.delays]), -0.5 * tol
+
+    def key(points):
+        return points if vsys.is_rational else np.rint(points / tol).astype(np.int64)
+
+    # -key of each point found, ascending, and the point, in doubling buffers
+    neg, ts, size, frontier = np.empty(64, dtype=np.int64), np.empty(64, dtype=start.dtype), 0, start
     while frontier.size:
-        level, first = np.unique(-np.rint(frontier / quantum).astype(np.int64), return_index=True)
-        new = snapped_lookup(neg[:size], level, 0, math.inf, instants=True) < 0
-        level, fresh, end = level[new], frontier[first[new]], size + int(np.count_nonzero(new))
-        if max(end, tmax / vsys.h_min) > LATTICE_CAP:
+        level, first = np.unique(-key(frontier), return_index=True)
+        # a key is new past the end or where it is not found (neg is never empty)
+        at = np.searchsorted(neg[:size], level)
+        new = (at == size) | (neg[np.minimum(at, size - 1)] != level)
+        level, fresh, at, end = level[new], frontier[first[new]], at[new], size + int(np.count_nonzero(new))
+        if end > LATTICE_CAP:
             raise RecursionDepthExceeded(f"response recursion exceeded {LATTICE_CAP} nodes")
         if end > len(neg):
             neg, ts = np.resize(neg, 2 * end), np.resize(ts, 2 * end)
         # a merge moves only the points after the first insertion
-        at = np.searchsorted(neg[:size], level)
         p = int(np.min(at, initial=size))
         neg[p:end], ts[p:end] = np.insert(neg[p:size], at - p, level), np.insert(ts[p:size], at - p, fresh)
         # children by parent key, then delay, as a largest-delay-first descent meets them
         size, fresh = end, fresh[::-1]
-        frontier = (fresh[fresh >= -0.5 * quantum, None] - delays).ravel()
+        frontier = (fresh[fresh >= floor, None] - drops).ravel()
     # in key order every point follows its children; leaves (src unread) come first
     keys, ts = -neg[:size][::-1], ts[:size][::-1]
-    n_leaves = int(np.count_nonzero(ts < -0.5 * quantum))
-    src = snapped_lookup(keys, np.rint((ts[:, None] - delays) / quantum).astype(np.int64), 0, math.inf, instants=True)
+    leaves, src = ts[ts < floor], snapped_lookup(keys, key(ts[:, None] - drops), 0, math.inf, instants=True)
     values = np.empty((size, vsys.n))
-    values[:n_leaves] = phi.value_many(ts[:n_leaves])
-    _recurse(values[..., None], src, n_leaves, vsys.matrices, True)
-    return values[snapped_lookup(keys, np.rint(grid / quantum).astype(np.int64), 0, math.inf, instants=True)]
+    if vsys.is_rational:
+        leaves = exact_multiples(leaves // len(phases), h) + phases[leaves % len(phases)]
+    values[:len(leaves)] = phi.value_many(leaves)
+    _recurse(values[..., None], src, len(leaves), vsys.matrices, True)
+    return values[snapped_lookup(keys, key(start), 0, math.inf, instants=True)]
 
 
 def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float]) -> np.ndarray:
@@ -476,13 +479,13 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
     n, mats = vsys.n, np.array(vsys.matrices)
+    # the jump table to the last step (or instant) a grid point reads
+    jt = delta_k(vsys, tmax)
+    times, jumps, tol = jt.times, jt.jumps, jt.tol
     if vsys.is_rational:
-        h, tol = fraction_gcd(vsys.delays), 1e-12 * max(vsys.h_max, tmax)
-        # no point sits past the step of tmax + tol: the table's last step
-        lat = _Lattice._exact(vsys.delays, math.floor((Fraction(tmax) + Fraction(tol)) / h))
-        keep, jumps = _jump_rows(vsys, lat, JUMP_DROP_TOL)
-        keys, jumps, shifts, m = lat.keys[keep], jumps[keep], lat.shifts, int(lat.shifts[-1])
-        step, xi = _step_phases(grid, h, tol)
+        h = fraction_gcd(vsys.delays)
+        shifts = np.array([int(d / h) for d in vsys.delays])
+        m, keys, (step, xi) = int(shifts[-1]), np.rint(times / float(h)).astype(np.int64), _step_phases(grid, h, tol)
         lo, hi = np.searchsorted(keys, step - m, side="right"), np.searchsorted(keys, step, side="right")
         # G by (phase, k - l) in slots, each formed once, when they fit a chunk
         phases, phase = np.unique(xi, return_inverse=True)
@@ -490,12 +493,9 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
         if shared:
             table, formed = np.zeros((len(phases) * m, n)), np.zeros(len(phases) * m, dtype=bool)
     else:
-        jt = delta_k(vsys, tmax)
-        times, jumps, btol = jt.times, jt.jumps, jt.tol
         delays = np.array([float(d) for d in vsys.delays])
-        # the instants t - H <= t_q <= t + 2 btol hold every term with btol to spare
-        lo = np.searchsorted(times, grid - delays[-1])
-        hi = np.searchsorted(times, grid + 2.0 * btol, side="right")
+        # the instants t - H <= t_q <= t + 2 tol hold every term with tol to spare
+        lo, hi = np.searchsorted(times, grid - delays[-1]), np.searchsorted(times, grid + 2.0 * tol, side="right")
     # a trailing zero jump for the cells past a grid point's pairs
     jumps = np.concatenate([jumps, np.zeros((1, n, n))])
     width = int(np.max(hi - lo, initial=0))
@@ -522,8 +522,8 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
         else:
             t, tq = grid[part, None, None], times[q][..., None]
             theta = t - delays - tq
-            snap = np.abs(theta + delays) <= btol
-            live = valid[..., None] & (tq <= t + btol) & (snap | ((theta < -btol) & (theta >= -delays)))
+            snap = np.abs(theta + delays) <= tol
+            live = valid[..., None] & (tq <= t + tol) & (snap | ((theta < -tol) & (theta >= -delays)))
             weights = _weights(phi, mats, np.where(snap, -delays, theta), live)
         dk = np.take(jumps, q, axis=0)
         terms = dk[..., 0] * weights[..., 0, None]

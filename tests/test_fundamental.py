@@ -35,26 +35,16 @@ def reference_cauchy(vsys, phi, grid):
 
     Float delays: a term is kept by float tests on
     theta = fl(fl(t - h_j) - t_q), read at -h_j within the table's tol of
-    it.  Rational delays: the same tests restated on integer steps.  With
-    h = gcd(h_j) and tol the table's, t sits at its nearest step k h when
-    |t - k h| <= tol (exact Fractions), else at k = floor(t / h) with the
-    phase xi = t - fl(k h); the instant l h takes delay j while
-    k - l < m_j, at the argument fl((k - l - m_j) h) + xi."""
+    it.  Rational delays: the same tests restated on integer steps.  t
+    sits at step k with phase xi (exact_step_phases); the instant l h
+    takes delay j while k - l < m_j, at the argument
+    fl((k - l - m_j) h) + xi."""
     grid = np.asarray(grid, dtype=float)
     tmax = float(np.max(grid)) if grid.size else 0.0
     out, mag, count = np.zeros((len(grid), vsys.n)), np.zeros((len(grid), vsys.n)), np.zeros(len(grid), dtype=int)
     if vsys.is_rational:
         h = fundamental.fraction_gcd(vsys.delays)
-        tol = 1e-12 * max(vsys.h_max, tmax)
-        steps = []
-        for t in grid.tolist():
-            exact = Fraction(t)
-            k = round(exact / h)
-            if abs(exact - k * h) <= tol:
-                steps.append((k, 0.0))
-            else:
-                k = math.floor(exact / h)
-                steps.append((k, t - float(k * h)))
+        steps = exact_step_phases(vsys, grid)
         top = max([k for k, _ in steps], default=0)
         table = dl.delta_k(vsys, float(top * h))
         entries = [(int(d / h), a) for d, a in vsys.entries]
@@ -106,35 +96,81 @@ def assert_cauchy_matches_reference(vsys, phi, grid):
     return got
 
 
+def exact_step_phases(vsys, grid):
+    """Step k and phase xi of every grid point t on h = gcd(h_j), by exact
+    Fractions: with tol = 1e-12 max(h_max, max(grid)), t sits at its
+    nearest step k h when |t - k h| <= tol, else at k = floor(t / h) with
+    xi = t - fl(k h)."""
+    grid = np.asarray(grid, dtype=float)
+    h = fundamental.fraction_gcd(vsys.delays)
+    tol = 1e-12 * max(vsys.h_max, float(np.max(grid)) if grid.size else 0.0)
+    steps = []
+    for t in grid.tolist():
+        k = round(Fraction(t) / h)
+        if abs(Fraction(t) - k * h) <= tol:
+            steps.append((k, 0.0))
+        else:
+            k = math.floor(Fraction(t) / h)
+            steps.append((k, t - float(k * h)))
+    return steps
+
+
 def reference_simulate(vsys, phi, grid, node_cap=1_000_000):
     """The response by memoized depth-first descent, one time point at a
-    time through a dict, the reference for the level-by-level search."""
+    time through a dict, the reference for the level-by-level search.
+    Float delays: a point is its float, keyed on a 1e-12 relative
+    quantum, t - h_j its child, and one below -quantum/2 reads phi there.
+    Rational delays: a point is its exact (k, xi) (exact_step_phases),
+    (k - m_j, xi) its child, and one with k < 0 reads phi at
+    fl(fl(k h) + xi)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size and float(np.min(grid)) < 0.0:
         raise ValueError("simulation grid must be nonnegative")
     scale = max(vsys.h_max, float(np.max(grid)) if grid.size else 0.0)
     quantum = 1e-12 * scale
-    entries = [(float(d), a) for d, a in vsys.entries]
+    if vsys.is_rational:
+        h = fundamental.fraction_gcd(vsys.delays)
+        starts = exact_step_phases(vsys, grid)
+        entries = [(int(d / h), a) for d, a in vsys.entries]
+
+        def key(t):
+            return t
+
+        def child(t, m):
+            return (t[0] - m, t[1])
+
+        def leaf(t):
+            return float(t[0] * h) + t[1] if t[0] < 0 else None
+    else:
+        starts = grid.tolist()
+        entries = [(float(d), a) for d, a in vsys.entries]
+
+        def key(t):
+            return round(t / quantum)
+
+        def child(t, d):
+            return t - d
+
+        def leaf(t):
+            return t if t < -0.5 * quantum else None
     memo = {}
 
-    def key(t):
-        return round(t / quantum)
-
-    for t0 in grid:
-        stack = [float(t0)]
+    for t0 in starts:
+        stack = [t0]
         while stack:
             t = stack[-1]
             k = key(t)
             if k in memo:
                 stack.pop()
                 continue
-            if t < -0.5 * quantum:
-                memo[k] = phi.value(t)
+            arg = leaf(t)
+            if arg is not None:
+                memo[k] = phi.value(arg)
                 stack.pop()
                 continue
             missing = []
             for d, _ in entries:
-                s = t - d
+                s = child(t, d)
                 if key(s) not in memo:
                     missing.append(s)
             if missing:
@@ -146,10 +182,10 @@ def reference_simulate(vsys, phi, grid, node_cap=1_000_000):
                 continue
             acc = np.zeros(vsys.n)
             for d, a in entries:
-                acc += a @ memo[key(t - d)]
+                acc += a @ memo[key(child(t, d))]
             memo[k] = acc
             stack.pop()
-    return np.array([memo[key(float(t))] for t in grid])
+    return np.array([memo[key(t)] for t in starts]).reshape(len(starts), vsys.n)
 
 
 class ReferenceLattice:
@@ -162,11 +198,13 @@ class ReferenceLattice:
         h_max = float(delays[-1])
         if exact:
             steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * h_max
+            # the exact sum of the horizon and 1e-12 max(h_max, horizon)
+            limit = Fraction(horizon) + Fraction(1e-12 * max(h_max, horizon))
         else:
             steps, start = [float(d) for d in delays], 0.0
             tol = snap = MERGE_TOL_SCALE * h_max
-        # every lattice keeps the instants within its snap above the horizon
-        limit = horizon + snap
+            # the float sum of the horizon and the merge tolerance
+            limit = horizon + snap
         q = tol if tol > 0 else 1.0
         heap, out = [start], []
         seen = {start} if exact else {0: 0.0}
@@ -852,15 +890,17 @@ def sloped_phi(vsys, seed):
 
 
 def assert_response_matches_reference(vsys, phi, grid):
-    """Bitwise equal for constant data.  For sloped data a leaf's argument
-    may come from another path: two floats of one key differ by under a
-    quantum q (plus round-off far below it), so each leaf value moves by
-    at most 2 q s for the largest slope s, and x(t), a sum over paths of
-    products of A_j applied to leaf values, by at most G 2 q s with G the
-    path gain max(1, sum_j ||A_j||_inf) ** depth, depth <= t / h_min + 1."""
+    """Bitwise equal for constant data and for rational delays, whose
+    leaves read phi at their exact key's argument.  For float delays and
+    sloped data a leaf's argument may come from another path: two floats
+    of one key differ by under a quantum q (plus round-off far below it),
+    so each leaf value moves by at most 2 q s for the largest slope s, and
+    x(t), a sum over paths of products of A_j applied to leaf values, by
+    at most G 2 q s with G the path gain max(1, sum_j ||A_j||_inf) **
+    depth, depth <= t / h_min + 1."""
     got, want = dl.simulate(vsys, phi, grid), reference_simulate(vsys, phi, grid)
     slope = float(np.max(np.abs(phi.slopes)))
-    if slope == 0.0 or np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+    if slope == 0.0 or vsys.is_rational or np.array_equal(got.view(np.uint64), want.view(np.uint64)):
         assert_bits_equal(got, want)
         return
     tmax = float(np.max(grid))
@@ -882,8 +922,9 @@ class TestResponseMatchesReference:
         assert_response_matches_reference(vsys, phi, response_grid(vsys, reach * vsys.h_max, seed))
 
     # sloped data on a uniform grid gives the descent's bits when every key
-    # is first reached along the path the descent takes first; with the
-    # near-merging pair 1, 1 + 1e-10 a key can also be reached in fewer
+    # is first reached along the path the descent takes first, and always
+    # on rational delays, whose leaves read their exact key's argument; with
+    # the near-merging pair 1, 1 + 1e-10 a key can also be reached in fewer
     # steps, and 22 of 456 entries differ, within the bound
     @pytest.mark.parametrize("delays, same_paths", [
         ((Fraction(1), Fraction(13, 10), Fraction(17, 10)), True),
@@ -979,9 +1020,11 @@ class TestCauchyVectorised:
 
 
 class TestCauchyIntegerSteps:
-    """The convolution response of rational delays runs on each grid
-    point's step count k and phase xi, and on a jump table that reaches
-    the last step a grid point maps to."""
+    """Rational delays put every time on integer steps of h: the
+    convolution response maps each grid point to its step count k and
+    phase xi, on a jump table that reaches the last step a grid point maps
+    to; the recursion response descends on exact keys k P + p; and K and
+    dK keep the last step to a horizon by the same rule."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -991,16 +1034,36 @@ class TestCauchyIntegerSteps:
         k=st.integers(0, 10**5),
     )
     # fl(k d) lies below k d by more than a lattice's snap 1e-12 d: a table
-    # grown to fl(k d) + snap ends a step short and would read 0.0, not +1
+    # grown to fl(k d) + snap ends a step short and would read 0.0, and a
+    # descent by repeated float subtraction drifts off its keys and read
+    # -1.0 at the second; both must read +1
     @example(p=1, q=3, a=-1.0, k=100_001)
     @example(p=1, q=10, a=-1.0, k=100_003)
     def test_far_endpoint_reads_its_step(self, p, q, a, k):
-        # x(t) = a x(t - d), phi = 1: x(k d) = a^(k+1), the one term
-        # dK(k d) A phi(-d); jumps a^k below JUMP_DROP_TOL leave the table
+        # x(t) = a x(t - d), phi = 1: x(k d) = a^(k+1), the convolution's
+        # one term dK(k d) A phi(-d), where jumps a^k below JUMP_DROP_TOL
+        # leave the table, and the recursion's k + 1 products down to step -1
         vsys = dl.validate(dl.DelaySystem.single([[a]], Fraction(p, q)))
         t = float(Fraction(k * p, q))
-        (got,) = dl.simulate_cauchy(vsys, dl.InitialFunction.constant([1.0]), [t])[:, 0]
-        assert got == pytest.approx(a ** (k + 1), rel=1e-15, abs=JUMP_DROP_TOL)
+        for route in (dl.simulate_cauchy, dl.simulate):
+            (got,) = route(vsys, dl.InitialFunction.constant([1.0]), [t])[:, 0]
+            assert got == pytest.approx(a ** (k + 1), rel=1e-15, abs=JUMP_DROP_TOL), route.__name__
+
+    def test_k_and_dk_keep_the_far_step(self):
+        # x(t) = -x(t - 1/3) to fl(100001/3), 2.4e-12 below the step 100001
+        # and so past 1e-12 h_max, but within 1e-12 max(h_max, horizon): K on
+        # both sides and dK keep that step, and read it, K = K0 (-1)^k with
+        # K0 = -1/2 and dK = (-1)^k
+        vsys = dl.validate(dl.DelaySystem.single([[-1.0]], Fraction(1, 3)))
+        t = float(Fraction(100_001, 3))
+        assert Fraction(100_001, 3) - Fraction(t) > 1e-12 * vsys.h_max
+        for side in ("right", "left"):
+            kfun = dl.fundamental_matrix(vsys, t, side)
+            assert len(kfun.breakpoints) == 100_002
+            assert kfun.value(t)[0, 0] == -0.5
+        table = dl.delta_k(vsys, t)
+        assert len(table) == 100_002
+        assert table.jump_at(t)[0, 0] == -1.0
 
     def test_tie_at_tol_sits_on_the_step(self):
         # a grid to nextafter(tol) has tol = 1e-12 h_max exactly: the point
@@ -1024,6 +1087,9 @@ class TestCauchyIntegerSteps:
         ulps=st.integers(-3, 3),
         scale=st.sampled_from([1.0, 1e-12, 1e-9, 1e-3]),
     )
+    # half a tol below the step 1000 of 1/3: the step of the point, and the
+    # last step to it as a horizon (1e-12 h_max alone falls short of it)
+    @example(num=1, den=3, k=1000, off=-0.5, ulps=0, scale=1.0)
     def test_step_phases_equal_exact_map(self, num, den, k, off, ulps, scale):
         # points k h moved by off tol (a tie at |off| = 1), a few ulps either
         # way, or by off times a scale of h: the float estimate with its
@@ -1044,6 +1110,13 @@ class TestCauchyIntegerSteps:
                 floor = math.floor(Fraction(t) / h)
                 assert (step, xi) == (floor, t - float(floor * h))
                 assert 0.0 < xi < float(h)
+            # the last step to the horizon t is the step of the point t, with
+            # tol = 1e-12 max(h_max, t), wherever that tol leaves one step
+            # nearest (2 tol < h)
+            own = 1e-12 * max(float(h), t)
+            if 2.0 * own < float(h):
+                (last,), _ = fundamental._step_phases(np.array([t]), h, own)
+                assert fundamental._last_step([h], t) == last
 
 
 class TestSnappedLookup:

@@ -1,8 +1,9 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
 moved threshold, a broken recursion kernel, a wrong block of the
 Lyapunov system, an unsettled delay, a companion screen that stops on
-a root it has not certified, or a convolution response that reads a
-step too many or a table a step too short?
+a root it has not certified, a last step to a horizon that falls short,
+a convolution response that reads a step too many, or a recursion
+response whose rational leaves read off float steps?
 
     python tools/mutation_gate.py
 
@@ -119,28 +120,43 @@ MUTANTS = [
     ("basic_delay_cap_1e6", "rational_approx.py", "BASIC_DELAY_CAP = 100_000\n", "BASIC_DELAY_CAP = 1_000_000\n"),
     ("jump_drop_tol_0", "fundamental.py", "JUMP_DROP_TOL = 1e-14\n", "JUMP_DROP_TOL = 0.0\n"),
     ("spectrum_drop_tol_0", "jump_analysis.py", "SPECTRUM_DROP_TOL = 1e-14\n", "SPECTRUM_DROP_TOL = 0.0\n"),
-    # delays settled at construction: a lone float delay stored exact, and
-    # an exact lattice that keeps the instants within its snap above the horizon
+    # delays settled at construction: a lone float delay stored exact
     (
         "lone_delay_stays_float",
         "system_model.py",
         "            entries = [(Fraction(d), a) for d, a in entries]\n",
         "            entries = [(d, a) for d, a in entries]\n",
     ),
+    # the one rule for the last step to a horizon (lattices, a kept K, the
+    # jump table of the convolution response): without its tol, with the
+    # tol 1e-12 h_max that fl(k h) falls below far out, and a step short
     (
         "exact_lattice_no_horizon_snap",
         "fundamental.py",
-        "return math.floor(Fraction(horizon + snap) / fraction_gcd(delays))",
+        "return math.floor((Fraction(horizon) + Fraction(tol)) / fraction_gcd(delays))",
         "return math.floor(Fraction(horizon) / fraction_gcd(delays))",
     ),
-    # the convolution response on integer steps: the window k - l < m_j
-    # one step wider, and a jump table one step short of the grid's top step
-    ("cauchy_window_one_step_wider", "fundamental.py", "return theta, shifts > s[..., None]", "return theta, shifts >= s[..., None]"),
+    (
+        "last_step_tol_h_max",
+        "fundamental.py",
+        "tol = 1e-12 * max(float(delays[-1]), horizon)\n",
+        "tol = 1e-12 * float(delays[-1])\n",
+    ),
     (
         "cauchy_table_one_step_short",
         "fundamental.py",
-        "math.floor((Fraction(tmax) + Fraction(tol)) / h))",
-        "math.floor((Fraction(tmax) + Fraction(tol)) / h) - 1)",
+        "return math.floor((Fraction(horizon) + Fraction(tol)) / fraction_gcd(delays))",
+        "return math.floor((Fraction(horizon) + Fraction(tol)) / fraction_gcd(delays)) - 1",
+    ),
+    # the convolution response on integer steps: the window k - l < m_j one step wider
+    ("cauchy_window_one_step_wider", "fundamental.py", "return theta, shifts > s[..., None]", "return theta, shifts >= s[..., None]"),
+    # the recursion response's rational leaves read at a float run down in
+    # steps of fl(h), k fl(h) + xi, as a float descent would, not at fl(k h) + xi
+    (
+        "rational_leaves_on_path_floats",
+        "fundamental.py",
+        "leaves = exact_multiples(leaves // len(phases), h) + phases[leaves % len(phases)]",
+        "leaves = (leaves // len(phases)) * float(h) + phases[leaves % len(phases)]",
     ),
 ]
 
