@@ -287,6 +287,7 @@ class JumpTable:
     """Jumps of the fundamental matrix on the semigroup lattice.
 
     times are the instants with a retained jump; lookups snap within tol.
+    keys are their lattice keys: int64 steps of h for rational delays, else times.
     Entries below the drop tolerance were removed after the recursion
     finished, so removal never feeds back into later values.
     """
@@ -295,6 +296,7 @@ class JumpTable:
     jumps: np.ndarray
     horizon: float
     tol: float
+    keys: np.ndarray
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -377,6 +379,7 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
         jumps=jumps[:-1][keep],
         horizon=float(horizon),
         tol=max(lat.snap, 1e-12 * float(horizon)),
+        keys=lat.keys[keep],
     )
 
 
@@ -412,11 +415,14 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     if vsys.is_rational:
         h, top = fraction_gcd(vsys.delays), _last_step(vsys.delays, tmax)
         shifts = [int(d / h) for d in vsys.delays]
-        # keys lie in [-m_max P, (top + 1) P), with at most one phase per point
-        if (top + shifts[-1] + 1) * max(len(grid), 1) > np.iinfo(np.int64).max:
-            raise HorizonTooLarge(f"response keys to step {top} of h = {h} for {len(grid)} points do not fit in int64")
+        # steps lie in [-m_max, top + 1), and keys in [-m_max P, (top + 1) P) for the P phases
+        span = top + shifts[-1] + 1
+        if span > np.iinfo(np.int64).max:
+            raise HorizonTooLarge(f"response steps to step {top} of h = {h} do not fit in int64")
         step, xi = _step_phases(grid, h, tol)
         phases, phase = np.unique(xi, return_inverse=True)
+        if span * len(phases) > np.iinfo(np.int64).max:
+            raise HorizonTooLarge(f"response keys to step {top} of h = {h} for {len(phases)} phases do not fit in int64")
         start, drops, floor = step * len(phases) + phase, np.array(shifts) * len(phases), 0
     else:
         start, drops, floor = grid, np.array([float(d) for d in vsys.delays]), -0.5 * tol
@@ -481,11 +487,11 @@ def simulate_cauchy(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[
     n, mats = vsys.n, np.array(vsys.matrices)
     # the jump table to the last step (or instant) a grid point reads
     jt = delta_k(vsys, tmax)
-    times, jumps, tol = jt.times, jt.jumps, jt.tol
+    times, jumps, tol, keys = jt.times, jt.jumps, jt.tol, jt.keys
     if vsys.is_rational:
         h = fraction_gcd(vsys.delays)
         shifts = np.array([int(d / h) for d in vsys.delays])
-        m, keys, (step, xi) = int(shifts[-1]), np.rint(times / float(h)).astype(np.int64), _step_phases(grid, h, tol)
+        m, (step, xi) = int(shifts[-1]), _step_phases(grid, h, tol)
         lo, hi = np.searchsorted(keys, step - m, side="right"), np.searchsorted(keys, step, side="right")
         # G by (phase, k - l) in slots, each formed once, when they fit a chunk
         phases, phase = np.unique(xi, return_inverse=True)

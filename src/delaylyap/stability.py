@@ -219,6 +219,25 @@ def _sign_p(x: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, n
     return sign, mag
 
 
+def _hull(steps, blocks, n: int, m: int):
+    """(logs, hull, upper): the log ||C_j|| of blocks, the upper convex hull of
+    (degree, log norm, signed matrix) over the terms of z^m I - sum_j C_j
+    z^(m-j), and its _edge_roots; None when C_m = 0 puts roots at 0."""
+    if not steps or steps[-1] != m:
+        return None
+    logs = [math.log(np.linalg.norm(c, 2)) for c in blocks]
+    points = [(m - j, v, -c) for j, v, c in zip(steps[::-1], logs[::-1], blocks[::-1])]
+    hull: list = []
+    for p in points + [(m, 0.0, np.eye(n))]:
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])
+        ):
+            hull.pop()
+        hull.append(p)
+    return logs, hull, np.concatenate([_edge_roots(low, high, n) for low, high in zip(hull, hull[1:])])
+
+
 def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
     """Starting points (z, mirrored, real) for the n*m roots of det P, n
     per unit of degree on each edge of the upper convex hull of (degree,
@@ -230,19 +249,10 @@ def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
     none).  None when C_m = 0 puts roots at 0, and, for the symmetric
     start, when the real roots cannot be counted or their count has the
     wrong parity."""
-    if not steps or steps[-1] != m:
+    found = _hull(steps, blocks, n, m)
+    if found is None:
         return None
-    logs = [math.log(np.linalg.norm(c, 2)) for c in blocks]
-    # (degree, log norm, signed matrix) of each term of z^m I - sum_j C_j z^(m-j)
-    points = [(m - j, v, -c) for j, v, c in zip(steps[::-1], logs[::-1], blocks[::-1])]
-    hull: list = []
-    for p in points + [(m, 0.0, np.eye(n))]:
-        while len(hull) > 1 and (
-            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
-            >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])
-        ):
-            hull.pop()
-        hull.append(p)
+    logs, hull, upper = found
     circles = [(math.exp((l1 - l2) / (d2 - d1)), n * (d2 - d1)) for (d1, l1, _), (d2, l2, _) in zip(hull, hull[1:])]
     if not symmetric:
         z = np.concatenate([
@@ -253,7 +263,6 @@ def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
     reals = _real_roots(steps, blocks, logs, n, m)
     if reals is None or (n * m - reals.size) % 2:
         return None
-    upper = np.concatenate([_edge_roots(low, high, n) for low, high in zip(hull, hull[1:])])
     near = np.min(np.abs(upper[:, None] - reals), axis=1, initial=np.inf)
     keep = np.lexsort((upper.imag, near))[upper.size - (n * m - reals.size) // 2:]
     z = np.concatenate([upper[keep], reals + 0j])
@@ -342,17 +351,16 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float, floor: float
     real axis, where p is real.  The roots still moving are kept in front
     of z and move at once: p/p' from _det_p, and the pair sums over the
     full set from _block_sums and, against the mirrors, _mirror_sums.
-    Each disk of _certificate holds a root of p, so each sweep first takes
-    the least modulus on the disk of each moving root: once the largest
-    reaches floor, the run ends with (that modulus, inf)."""
+    Each sweep first takes the _disk_bound of the moving roots: once it
+    reaches floor, the run ends with (that bound, inf)."""
     z, mirrored, real = start
     moving = z.size
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             newton = _det_p(z[:moving], steps, blocks, n, m)
-            bound = np.max(np.abs(z[:moving]) - n * m * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z))))
+            bound = _disk_bound(z[:moving], newton, n * m)
             if bound >= floor:
-                return float(bound), math.inf
+                return bound, math.inf
             lost = mirrored[:moving] & (np.abs(newton) >= np.abs(z.imag[:moving]))
             sums = _block_sums(z, moving, None)
             if mirrored.any():
@@ -372,6 +380,37 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float, floor: float
                 return None
         newton = _det_p(z, steps, blocks, n, m)
     return None if moving else _certificate(z, mirrored, newton, tol)
+
+
+def _disk_bound(z: np.ndarray, newton: np.ndarray, size: int) -> float:
+    """The largest least modulus over the Newton disks |x - z_i| <= size
+    (|p/p'(z_i)| + ulp max |z|), -inf for no z: each holds a root of p of
+    degree size, so this is a lower bound of p's largest root modulus."""
+    radius = size * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z), initial=0.0))
+    return float(np.max(np.abs(z) - radius, initial=-math.inf))
+
+
+def _escape(steps, blocks, n: int, m: int, floor: float) -> float | None:
+    """A _disk_bound at or past floor, or None: plain Newton z -= p/p' from
+    the _hull's edge roots, one per conjugate pair, with no real-root scan
+    and no pair sums, to the first sweep whose bound reaches floor or does
+    not raise the best so far; after the first sweep only the iterates it
+    took to or past floor go on."""
+    found = _hull(steps, blocks, n, m)
+    if found is None:
+        return None
+    z, best = found[2], -math.inf
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_SWEEPS):
+            newton = _det_p(z, steps, blocks, n, m)
+            bound = _disk_bound(z, newton, n * m)
+            if bound >= floor:
+                return bound
+            if not bound > best:
+                return None
+            best, z = bound, z - newton
+            z = z[np.abs(z) >= floor]
+    return None
 
 
 def _certificate(z: np.ndarray, mirrored: np.ndarray, newton: np.ndarray, tol: float) -> tuple[float, float] | None:
@@ -404,8 +443,9 @@ def _aberth_radius(steps, m: int, n: int, tol: float, floor: float = math.inf) -
     """Spectral radius of the block companion matrix from the N = n*m roots
     of the monic p = det P, P(z) = z^m I - sum_j C_j z^(m-j), as (radius,
     certified error) or, after a fallback, (dense radius, None).  With a
-    finite floor, a run ends as soon as a Newton disk lies wholly at or past
-    floor in modulus, with (certified lower bound, inf).
+    finite floor, _escape runs first, and a run ends as soon as a Newton
+    disk lies wholly at or past floor in modulus, with (certified lower
+    bound, inf).
 
     p has real coefficients, so its non-real roots come in conjugate pairs.
     _aberth_roots first runs from the symmetric start: the real roots that
@@ -419,6 +459,8 @@ def _aberth_radius(steps, m: int, n: int, tol: float, floor: float = math.inf) -
     roots.  Dense eigvals answers when C_m = 0 or neither run certifies.
     """
     js, blocks = [j for j, _ in steps], [c for _, c in steps]
+    if floor < math.inf and (bound := _escape(js, blocks, n, m, floor)) is not None:
+        return bound, math.inf
     for symmetric in (True, False):
         start = _newton_polygon_start(js, blocks, n, m, symmetric)
         found = None if start is None else _aberth_roots(start, js, blocks, n, m, tol, floor)
@@ -492,11 +534,12 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     STRUCTURED_CUTOFF and n^2 <= m it is the largest root of the monic
     p = det(z^m I - sum_j C_j z^(m-j)), certified to within EXACT_MARGIN
     / 10 by Newton disks after an Ehrlich-Aberth iteration
-    (_aberth_radius).  The iteration stops at the first sweep where some
-    root's Newton disk lies wholly past 1 + EXACT_MARGIN: the verdict is
-    unstable, and the spectral radius the largest such disk's least modulus,
-    a certified lower bound that reason names.  Without a certificate, and
-    for smaller companions, dense eigvals gives the radius.
+    (_aberth_radius).  A plain Newton pre-pass (_escape), and then the
+    iteration, stop at the first sweep where some root's Newton disk lies
+    wholly past 1 + EXACT_MARGIN: the verdict is unstable, and the spectral
+    radius the largest such disk's least modulus, a certified lower bound
+    that reason names.  Without a certificate, and for smaller companions,
+    dense eigvals gives the radius.
 
     Otherwise a torus grid search that can certify instability but never
     stability; near-unity results within TORUS_MARGIN stay inconclusive
@@ -507,7 +550,7 @@ def stability_check(system: DelaySystem | ValidatedSystem, *, with_decay: bool =
     raw = system.system if isinstance(system, ValidatedSystem) else system
     delays, mats, n = raw.delays, raw.matrices, raw.n
     grid_points = reason = None
-    rewrite = _commensurate_form(raw)
+    rewrite = system._form if isinstance(system, ValidatedSystem) else _commensurate_form(raw)
 
     if rewrite is not None and n * rewrite.m <= COMPANION_CAP:
         method, m = "commensurate_companion", rewrite.m

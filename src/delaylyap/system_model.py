@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -137,6 +137,11 @@ class ValidatedSystem:
         return np.sum(self.matrices, axis=0)
 
     @functools.cached_property
+    def _form(self) -> "CommensurateForm | None":
+        """The _commensurate_form of this system, taken once."""
+        return _commensurate_form(self)
+
+    @functools.cached_property
     def _fundamental_cache(self) -> dict:
         """side -> (int64 keys, K): fundamental_matrix's longest rational K."""
         return {}
@@ -254,19 +259,21 @@ class CommensurateForm:
     delays are j*h for j = 1..m, and steps holds (j, C_j) for the q steps
     whose C_j is nonzero, by increasing j; every other C_j is zero.  The
     arrays are the entries' own, not copies.  Every reader takes the q
-    steps as they are; none builds the m blocks C_1..C_m."""
+    steps as they are; none builds the m blocks C_1..C_m.  system, when
+    set, is the validated system rewritten, one entry per step."""
 
     h: Fraction
     m: int
     n: int
     steps: tuple
+    system: ValidatedSystem | None = field(default=None, compare=False, repr=False)
 
     def to_system(self) -> "ValidatedSystem":
-        """The commensurate rewrite as a plain system of its steps.  An
-        all-zero form takes a zero block at delay m h, so that h_max still
-        equals the form's horizon."""
+        """The commensurate rewrite as a plain system of its steps: system
+        when set, else built.  An all-zero form takes a zero block at delay
+        m h, so that h_max still equals the form's horizon."""
         steps = self.steps or ((self.m, np.zeros((self.n, self.n))),)
-        return validate(DelaySystem(self.n, [(self.h * j, c) for j, c in steps]))
+        return self.system or validate(DelaySystem(self.n, [(self.h * j, c) for j, c in steps]))
 
 
 def validate(system: DelaySystem) -> ValidatedSystem:
@@ -306,13 +313,15 @@ def _commensurate_form(system) -> CommensurateForm | None:
     its delays, m = h_max / h, with the (j, C_j) of each delay j h whose
     matrix is nonzero: O(q) work for q delays, whatever m is.  None when a
     delay is a float, which DelaySystem allows only among other delays (a
-    lone delay is exact, and rewrites with m = 1)."""
+    lone delay is exact, and rewrites with m = 1).  A validated system
+    with no zero matrix is the form's system."""
     delays = system.delays
     if not all(isinstance(d, Fraction) for d in delays):
         return None
     h = fraction_gcd(delays)
     steps = tuple((int(d / h), a) for d, a in zip(delays, system.matrices) if np.any(a))
-    return CommensurateForm(h=h, m=int(delays[-1] / h), n=system.n, steps=steps)
+    source = system if isinstance(system, ValidatedSystem) and len(steps) == len(delays) else None
+    return CommensurateForm(h=h, m=int(delays[-1] / h), n=system.n, steps=steps, system=source)
 
 
 def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
@@ -321,7 +330,7 @@ def to_commensurate(vsys: ValidatedSystem) -> CommensurateForm:
     build_commensurate takes (2 m n^2 unknowns at n = 1)."""
     from .lyapunov_build import MAX_UNKNOWNS
 
-    form = _commensurate_form(vsys)
+    form = vsys._form
     if form is None:
         raise NonRationalInput("system has a float delay among others; approximate them first")
     cap = MAX_UNKNOWNS // 2

@@ -17,13 +17,13 @@ import delaylyap as dl
 SIGNATURES = {
     "ApproximationStep": ("order", "delays", "h", "m", "u", "system", "stability_verdict", "spectral_radius", "sup_diff_prev",
                           "stability_reason"),
-    "CommensurateForm": ("h", "m", "n", "steps"),
+    "CommensurateForm": ("h", "m", "n", "steps", "system"),
     "CrossCheckReport": ("grid", "errors", "bounds", "max_error", "max_bound", "horizon", "slack", "passed"),
     "DelaySystem": ("n", "entries"),
     "InitialFunction": ("starts", "values", "slopes"),
     "JumpPropertyReport": ("symmetry", "dynamic", "algebraic", "nsd_max_eigenvalue", "tail_bound", "horizon", "grid_points", "table"),
     "JumpSpectrum": ("taus", "jumps", "horizon"),
-    "JumpTable": ("times", "jumps", "horizon", "tol"),
+    "JumpTable": ("times", "jumps", "horizon", "tol", "keys"),
     "PiecewiseAffineMatrixFunction": ("h_exact", "m", "n", "coeffs", "slopes", "condition_estimate", "factor", "factor_entries", "bandwidth"),
     "ResidualReport": ("symmetry", "dynamic", "continuity", "grid_points", "condition_estimate", "scale"),
     "StabilityReport": ("method", "spectral_radius", "verdict", "rate_step", "decay_gain", "decay_rate", "grid_points", "reason"),

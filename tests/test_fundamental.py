@@ -804,6 +804,26 @@ class TestSimulate:
             want = kl.value_many(grid)[:, :, i]
             assert np.max(np.abs(out - want)) <= 1e-12
 
+    def test_keys_of_one_shared_phase_fit(self):
+        # delays 1 and 1 + 10^-15 to t = 200: steps of h = 10^-15 up to
+        # 2 10^17, so steps times the 201 grid points pass int64, but every
+        # point sits on a step, one phase, and the keys fit.  By hand x is
+        # 0.6, 0.48, 0.324, 0.2052 at t = 0..3, and the convolution
+        # response, on the jump table's exact steps, agrees within the
+        # benchmark's 1e-9
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (1 + Fraction(1, 10**15), [[0.3]])]))
+        phi = dl.InitialFunction.constant([1.0])
+        grid = np.linspace(0.0, 200.0, 201)
+        got = dl.simulate(vsys, phi, grid)
+        np.testing.assert_allclose(got[:4, 0], [0.6, 0.48, 0.324, 0.2052], rtol=1e-14)
+        assert np.max(np.abs(got - dl.simulate_cauchy(vsys, phi, grid))) <= 1e-9
+
+    def test_steps_past_int64_refused(self):
+        tiny = Fraction(1, 2**62)
+        vsys = dl.validate(dl.DelaySystem(1, [(Fraction(1), [[0.3]]), (1 + tiny, [[0.3]])]))
+        with pytest.raises(dl.HorizonTooLarge, match=f"response steps to step .* of h = {tiny} do not fit in int64"):
+            dl.simulate(vsys, dl.InitialFunction.constant([1.0]), [1.0])
+
     def test_node_cap(self, scalar_half, ex3, monkeypatch):
         phi = dl.InitialFunction.constant([1.0])
         monkeypatch.setattr(fundamental, "LATTICE_CAP", 10)

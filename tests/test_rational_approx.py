@@ -255,6 +255,17 @@ class TestUSequence:
             assert (d["stability_verdict"], d["stability_reason"]) == ("unstable", reason)
             assert d["spectral_radius"] == dl.stability_check(step.system, with_decay=False).spectral_radius
 
+    def test_each_rung_builds_its_system_once(self, ex3, w2, monkeypatch):
+        # approximate_system validates the rationalized system, and its form
+        # hands that system to the build, the rung and the stability check,
+        # which reads the rewrite the system keeps
+        built = []
+        init = dl.DelaySystem.__init__
+        monkeypatch.setattr(dl.DelaySystem, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        steps = dl.u_sequence(ex3, w2, [1, 4, 7])
+        assert len(built) == 3
+        assert all(step.system._form.system is step.system for step in steps)
+
     def test_rational_input_is_order_independent(self, ex2a, w2):
         steps = dl.u_sequence(ex2a, w2, [1, 2, 5])
         assert steps[1].sup_diff_prev <= 1e-12

@@ -757,6 +757,50 @@ class TestStructuredCompanion:
         assert rho >= 1.0 + stability.EXACT_MARGIN - error
         assert 1.0 + stability.EXACT_MARGIN <= rep.spectral_radius <= rho + error
 
+    @settings(max_examples=30, deadline=None)
+    @given(case=structured_systems())
+    def test_escape_is_a_certified_lower_bound(self, case):
+        # the plain Newton pre-pass against the full screen: a bound it
+        # returns lies between 1 + EXACT_MARGIN and the full radius, and it
+        # stays silent where the full radius lies below 1 + EXACT_MARGIN
+        raw, n = case
+        form = stability._commensurate_form(raw)
+        floor = 1.0 + stability.EXACT_MARGIN
+        bound = stability._escape([j for j, _ in form.steps], [c for _, c in form.steps], n, form.m, floor)
+        rho, radius = stability._aberth_radius(form.steps, form.m, n, stability.EXACT_MARGIN / 10.0)
+        error = radius if radius is not None else dense_error_bound(slots(form), n)
+        if rho < floor - error:
+            assert bound is None
+        if bound is not None:
+            assert floor <= bound <= rho + error
+
+    def test_sqrt2_rungs_certify_by_plain_newton(self, ex3, monkeypatch):
+        # orders 4, 7 and 8 certify in the pre-pass, before the real-root
+        # scan or any pair sum, at a lower bound of the full radius
+        def boom(*args):
+            raise AssertionError("full screen")
+
+        monkeypatch.setattr(stability, "_block_sums", boom)
+        monkeypatch.setattr(stability, "_real_roots", boom)
+        for order, full in ((4, 1.004804707671819), (7, 1.0003407872223922), (8, 1.0001411454177214)):
+            rep = dl.stability_check(dl.approximate_system(ex3, order).to_system(), with_decay=False)
+            assert (rep.verdict, rep.reason) == ("unstable", LOWER_BOUND)
+            assert 1.0 + stability.EXACT_MARGIN <= rep.spectral_radius <= full + 1e-10
+
+    def test_real_outer_root_stops_in_the_sweep(self):
+        # p = z^76 + 1.2 z^75 + 0.5 has its largest root near -1.2, on the
+        # real axis, where its edge start is not: plain Newton from the
+        # starts meets no disk past 1 + EXACT_MARGIN, and the Aberth
+        # sweep's own disk test stops the screen early instead
+        raw = dl.DelaySystem(1, [(Fraction(1), [[-1.2]]), (Fraction(76), [[-0.5]])])
+        form = stability._commensurate_form(raw)
+        floor = 1.0 + stability.EXACT_MARGIN
+        assert stability._escape([1, 76], [c for _, c in form.steps], 1, 76, floor) is None
+        rho, radius = stability._aberth_radius(form.steps, form.m, 1, stability.EXACT_MARGIN / 10.0)
+        rep = dl.stability_check(raw, with_decay=False)
+        assert (rep.verdict, rep.reason) == ("unstable", LOWER_BOUND)
+        assert floor <= rep.spectral_radius <= rho + radius
+
     def test_order_6_sqrt2_rung_matches_dense(self, order6_rung):
         form, ref = order6_rung
         assert (form.m, 2 * form.m) == (239, 478)
@@ -984,18 +1028,23 @@ class TestScreenKernels:
                     exact *= base
 
     def test_half_sqrt2_rungs_certify(self, ex3, monkeypatch):
-        # example 3 times 0.5 (torus radius 0.6) at orders 4 to 8, n m = 82 to 2786
+        # example 3 times 0.5 (torus radius 0.6) at orders 4 to 8, n m = 82 to
+        # 2786; the check, past the plain Newton pre-pass that certifies
+        # nothing here, reads the full screen's radius, the same bits as before
         def boom(*args):
             raise AssertionError("dense fallback")
 
         half = dl.validate(dl.DelaySystem(2, [(d, 0.5 * a) for d, a in ex3.system.entries]))
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
-        for order in range(4, 9):
+        kept = [0.9867894035841416, 0.9945112789511986, 0.9977229902777381, 0.9990562037622082, 0.9996089587074604]
+        for order, want in zip(range(4, 9), kept):
             form = dl.approximate_system(half, order)
             assert 2 * form.m >= stability.STRUCTURED_CUTOFF
             rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
             assert verdict(rho) == "stable"
+            rep = dl.stability_check(form.to_system(), with_decay=False)
+            assert (rep.verdict, rep.reason, rep.spectral_radius) == ("stable", None, rho) and rho == want
 
 class TestEdgeStarts:
     """The symmetric start at the roots of the Newton polygon's edge

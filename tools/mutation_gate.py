@@ -1,9 +1,9 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
 moved threshold, a broken recursion kernel, a wrong block of the
 Lyapunov system, an unsettled delay, a companion screen that stops on
-a root it has not certified, a last step to a horizon that falls short,
-a convolution response that reads a step too many, or a recursion
-response whose rational leaves read off float steps?
+a root it has not certified or stops too late, a last step to a horizon
+that falls short, a convolution response that reads a step too many, or
+a recursion response whose rational leaves read off float steps?
 
     python tools/mutation_gate.py
 
@@ -47,7 +47,9 @@ MUTANTS = [
     ("stable_below_one", "stability.py", "    elif rho <= 1.0 - margin:\n", "    elif rho < 1.0:\n"),
     ("unstable_above_one", "stability.py", "    if rho >= 1.0 + margin:\n", "    if rho > 1.0:\n"),
     # the companion screen's early exit: at 1 rather than 1 + EXACT_MARGIN,
-    # and on a Newton disk without its factor n m, which holds no root
+    # on a Newton disk without its factor n m, which holds no root, with the
+    # plain Newton pre-pass ended after its first sweep, or without the
+    # Aberth sweep's own disk test
     (
         "early_exit_at_one",
         "stability.py",
@@ -57,8 +59,15 @@ MUTANTS = [
     (
         "early_exit_disk_without_degree",
         "stability.py",
-        "- n * m * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z)))",
-        "- (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z)))",
+        "radius = size * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z), initial=0.0))",
+        "radius = (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z), initial=0.0))",
+    ),
+    ("escape_one_sweep", "stability.py", "            best, z = bound, z - newton\n", "            return None\n"),
+    (
+        "in_sweep_exit_dropped",
+        "stability.py",
+        "            bound = _disk_bound(z[:moving], newton, n * m)\n",
+        "            bound = -math.inf\n",
     ),
     ("cond_fail_1e14", "lyapunov_build.py", "COND_FAIL = 1e12\n", "COND_FAIL = 1e14\n"),
     (
