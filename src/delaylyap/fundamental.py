@@ -59,7 +59,9 @@ class _Lattice:
     match exactly (key_snap 0).  Any float delay gives a float lattice to
     the float sum horizon + MERGE_TOL_SCALE * h_max: keys are the instants,
     points closer than that tolerance merge and lookups snap with it.
-    floats are the instants as floats, snap the tolerance of value lookups.
+    floats are the instants as floats, snap the tolerance of value and
+    instant lookups: the _horizon_snap, on a float lattice no less than the
+    merge tolerance.
     """
 
     keys: np.ndarray
@@ -97,7 +99,7 @@ class _Lattice:
                 if full:
                     break
             keys = keys[:size].copy()
-            return cls(keys, steps, 0, exact_multiples(keys, h), 1e-12 * float(delays[-1]))
+            return cls(keys, steps, 0, exact_multiples(keys, h), _horizon_snap(delays, horizon))
         if not math.isfinite(horizon):
             raise HorizonTooLarge(f"semigroup lattice up to {horizon} has no last point")
         steps = [float(d) for d in delays]
@@ -124,7 +126,7 @@ class _Lattice:
                 seen[b] = s
                 heapq.heappush(heap, s)
         floats = np.array(out)
-        return cls(floats, np.array(steps), tol, floats, tol)
+        return cls(floats, np.array(steps), tol, floats, max(tol, _horizon_snap(delays, horizon)))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -145,11 +147,18 @@ def exact_multiples(ks, h: Fraction) -> np.ndarray:
     return np.array([k * num / den for k in ks.ravel().tolist()], dtype=float).reshape(ks.shape)
 
 
+def _horizon_snap(delays: Sequence, horizon: float) -> float:
+    """1e-12 max(h_max, horizon): the one tolerance within which a time to
+    horizon reads an instant, in the lookups of K and dK, the phases of
+    _step_phases and the last step of _last_step."""
+    return 1e-12 * max(float(delays[-1]), horizon)
+
+
 def _last_step(delays: Sequence[Fraction], horizon: float) -> int:
     """The last step k of h = gcd(delays) with k h <= horizon + tol, an
-    exact sum, tol = 1e-12 max(h_max, horizon) as in _step_phases: where a
-    lattice, a kept K, a jump table or the response's keys to horizon end."""
-    tol = 1e-12 * max(float(delays[-1]), horizon)
+    exact sum, tol the _horizon_snap: where a lattice, a kept K, a jump
+    table or the response's keys to horizon end."""
+    tol = _horizon_snap(delays, horizon)
     return math.floor((Fraction(horizon) + Fraction(tol)) / fraction_gcd(delays))
 
 
@@ -263,10 +272,10 @@ class StepMatrixFunction:
 
     def value_many(self, ts: Iterable[float]) -> np.ndarray:
         """Values at every t, shaped ts.shape + (n, n); OutOfDomain past
-        the horizon (with a small slack) or at NaN."""
+        horizon + snap or at NaN."""
         if isinstance(ts, Iterator):
             ts = list(ts)
-        limit = self.horizon + max(self.snap, 1e-12 * self.horizon)
+        limit = self.horizon + self.snap
         domain = f"function built on [0, {self.horizon}]"
         i = snapped_lookup(self.breakpoints, ts, self.snap, limit, domain=domain)
         return np.take(self._rows, i + 1, axis=0)
@@ -334,7 +343,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     K0 from a trailing row, dropped afterwards.
 
     Rational delays: vsys keeps the longest K per side; a shorter horizon
-    gets its prefix to _last_step, the bits of a fresh build (K is causal).
+    gets its prefix to _last_step and its own _horizon_snap, the bits of a
+    fresh build (K is causal).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -344,7 +354,8 @@ def fundamental_matrix(vsys: ValidatedSystem, horizon: float, side: str = "right
     if kept is not None and horizon <= kept[1].horizon:
         keys, kfun = kept
         cut = np.searchsorted(keys, _last_step(vsys.delays, horizon), side="right")
-        return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), kfun.snap)
+        snap = _horizon_snap(vsys.delays, horizon)
+        return StepMatrixFunction(kfun.pre_value, kfun.breakpoints[:cut], kfun.values[:cut], float(horizon), snap)
     lat = _Lattice.generate(vsys.delays, horizon)
     base = k0(vsys)
     # the trailing row holds K0, the value before the first instant (source -1)
@@ -378,7 +389,7 @@ def delta_k(vsys: ValidatedSystem, horizon: float, *, drop_tol: float = JUMP_DRO
         times=lat.floats[keep],
         jumps=jumps[:-1][keep],
         horizon=float(horizon),
-        tol=max(lat.snap, 1e-12 * float(horizon)),
+        tol=lat.snap,
         keys=lat.keys[keep],
     )
 
@@ -409,7 +420,7 @@ def simulate(vsys: ValidatedSystem, phi: InitialFunction, grid: Sequence[float])
     """
     grid = _response_grid(grid)
     tmax = float(np.max(grid, initial=0.0))
-    tol = 1e-12 * max(vsys.h_max, tmax)
+    tol = _horizon_snap(vsys.delays, tmax)
     if tmax / vsys.h_min > LATTICE_CAP:
         raise RecursionDepthExceeded(f"response recursion exceeded {LATTICE_CAP} nodes")
     if vsys.is_rational:

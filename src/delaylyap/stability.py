@@ -28,9 +28,10 @@ from .system_model import (
 # block companions of at least this size n*m take the Ehrlich-Aberth route
 # when also n^2 <= m, so that the n x n solves of a sweep cost no more than
 # its root pairs.  Dense eigvals switches to multishift QR above n*m = 75
-# and jumps from about 2 ms to 6 ms there, against 2-3 ms for the
-# Ehrlich-Aberth route.  Wide blocks lose the gain: 28 ms against 11 ms
-# dense at n = 10, m = 12, and 6.5 s against 3.3 s at n = 40, m = 41.
+# and takes about 4-9 ms at n*m = 76-82, against 2-5 ms for the
+# Ehrlich-Aberth route on all n*m roots (one BLAS thread, stable systems).
+# Wide blocks lose the gain: 14 ms against 9 ms dense at n = 10, m = 12,
+# and 7.3 s against 4.6 s at n = 40, m = 41.
 STRUCTURED_CUTOFF = 76
 # sweep cap of the Ehrlich-Aberth iteration, and the relative correction
 # below which a root counts as converged and stops moving
@@ -135,98 +136,38 @@ def _dense_companion_radius(steps, m: int, n: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(big))))
 
 
-def _mirror_sums(z: np.ndarray, rows: int, mirrored: np.ndarray) -> np.ndarray:
-    """sum 1/(z_i - conj z_k) over the mirrored z_k for the first rows
-    roots: the pair sums against the mirrors, a mirrored root's own mirror
-    1/(2i Im z_i) included."""
-    return _block_sums(z, rows, mirrored) - 0.5j / np.where(mirrored[:rows], z.imag[:rows], np.inf)
-
-
-def _block_sums(z: np.ndarray, rows: int, mirrored: np.ndarray | None) -> np.ndarray:
-    """sum_(k != i) w_k / (z_i - f_k) for the first rows roots: with
-    mirrored None the pair sums, f_k = z_k and w_k = 1; else f_k = conj z_k
-    and w_k = 1 where mirrored, else 0.
+def _block_sums(z: np.ndarray, rows: int) -> np.ndarray:
+    """sum_(k != i) 1 / (z_i - z_k) for the first rows roots.
     The pair matrix, as conj(d)/|d|^2 with real and imaginary parts in one
     (2, rows, cols) array, is taken in row blocks of about CHUNK_ENTRIES
-    pairs from the diagonal on: it is antisymmetric, or M_ki = -conj(M_ik)
-    against the mirrors, so a block's row sums add to its rows and its
-    column sums right of its square subtract from theirs (conjugated
-    against the mirrors), each a BLAS product with w.  All in float32, as
+    pairs from the diagonal on: it is antisymmetric, so a block's row sums
+    add to its rows and its column sums right of its square subtract from
+    theirs, each a BLAS product with a vector of ones.  All in float32, as
     the sums only steer, on z / max|z| to stay in range."""
     scale = np.max(np.abs(z))
     xy = (np.stack([z.real, z.imag]) / scale).astype(np.float32)
-    if mirrored is None:
-        w, sign, cols = np.ones(z.size, dtype=np.float32), 1.0, xy
-    else:
-        w, sign, cols = mirrored.astype(np.float32), -1.0, xy * np.array([[1.0], [-1.0]], dtype=np.float32)
+    ones = np.ones(z.size, dtype=np.float32)
     out = np.zeros((2, rows))
     start = 0
     while start < rows:
         stop = min(start + max(1, fundamental.CHUNK_ENTRIES // (z.size - start)), rows)
-        part = xy[:, start:stop, None] - cols[:, None, start:]
+        part = xy[:, start:stop, None] - xy[:, None, start:]
         inv = np.divide(1.0, part[0] * part[0] + part[1] * part[1])
         np.fill_diagonal(inv, 0.0)
         part *= inv
-        out[:, start:stop] += part @ w[start:]
-        col = w[start:stop] @ part[:, :, stop - start:rows - start]
-        out[0, stop:] -= col[0]
-        out[1, stop:] -= sign * col[1]
+        out[:, start:stop] += part @ ones[start:]
+        out[:, stop:] -= ones[start:stop] @ part[:, :, stop - start:rows - start]
         start = stop
     return (out[0] - 1j * out[1]) / scale
 
 
-def _real_roots(steps, blocks, logs: list, n: int, m: int) -> np.ndarray | None:
-    """Midpoints of the brackets where p = det P changes sign on the real
-    segments of the root annulus r <= |x| <= R.  A root x has
-    1 <= sum_j ||C_j|| |x|^-j and sigma_min(C_m) <= |x|^m + sum_(j<m)
-    ||C_j|| |x|^(m-j), q terms on each right side, so one of them reaches a
-    q-th of the left: R and r are the largest and smallest |x| at which one
-    can, from logs, the log ||C_j|| of blocks.  The scan steps at most
-    1/(n m) in log |x|, from one step inside r to one past R.  Two roots
-    less than a step apart change no sign but leave a dip: each interior
-    local minimum of |p| with one sign around it is scanned again, n m
-    points over its two steps.  Roots closer still can hide each other.
-    None when C_m is singular, so that r = 0."""
-    size = n * m
-    low = float(np.linalg.svd(blocks[-1], compute_uv=False)[-1])
-    if low == 0.0:
-        return None
-    share = math.log(len(steps))
-    top = max((v + share) / j for j, v in zip(steps, logs))
-    bottom = min((math.log(low) - share - v) / (m - j) for j, v in zip([0] + steps[:-1], [0.0] + logs[:-1]))
-    t = np.linspace(bottom - 1.0 / size, top + 1.0 / size, math.ceil(max(top - bottom, 0.0) * size) + 3)
-    x = np.exp(t) * np.array([[1.0], [-1.0]])
-    sign, mag = (v.reshape(x.shape) for v in _sign_p(x.ravel(), steps, blocks, n, m))
-    same = (sign[:, 1:-1] == sign[:, :-2]) & (sign[:, 1:-1] == sign[:, 2:])
-    dip = same & (mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] < mag[:, 2:])
-    scans = [(x, sign)]
-    if dip.any():
-        side, k = np.nonzero(dip)
-        fine = np.exp(np.linspace(t[k], t[k + 2], size + 1, axis=1)) * np.where(side, -1.0, 1.0)[:, None]
-        scans.append((fine, _sign_p(fine.ravel(), steps, blocks, n, m)[0].reshape(fine.shape)))
-    return np.concatenate([0.5 * (grid[:, 1:] + grid[:, :-1])[signs[:, 1:] != signs[:, :-1]] for grid, signs in scans])
-
-
-def _sign_p(x: np.ndarray, steps, blocks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |.| of p = det P at the real points x: of det P(x), or
-    where |x| > 1 of x^(n m) det Q(1/x), as _det_p reads p."""
-    sign, mag = np.empty(x.size), np.empty(x.size)
-    for part in fundamental.row_chunks(x.size, n * n):
-        outside, mat, _ = _p_matrices(x[part], steps, blocks, n, m, derivative=False)
-        s, logdet = np.linalg.slogdet(mat)
-        sign[part] = s * np.where(outside & (x[part] < 0.0), (-1.0) ** (n * m), 1.0)
-        mag[part] = logdet + np.where(outside, n * m * np.log(np.abs(x[part])), 0.0)
-    return sign, mag
-
-
 def _hull(steps, blocks, n: int, m: int):
-    """(logs, hull, upper): the log ||C_j|| of blocks, the upper convex hull of
-    (degree, log norm, signed matrix) over the terms of z^m I - sum_j C_j
-    z^(m-j), and its _edge_roots; None when C_m = 0 puts roots at 0."""
+    """(hull, upper): the upper convex hull of (degree, log ||C_j||, signed
+    matrix) over the terms of z^m I - sum_j C_j z^(m-j), and its
+    _edge_roots; None when C_m = 0 puts roots at 0."""
     if not steps or steps[-1] != m:
         return None
-    logs = [math.log(np.linalg.norm(c, 2)) for c in blocks]
-    points = [(m - j, v, -c) for j, v, c in zip(steps[::-1], logs[::-1], blocks[::-1])]
+    points = [(m - j, math.log(np.linalg.norm(c, 2)), -c) for j, c in zip(steps[::-1], blocks[::-1])]
     hull: list = []
     for p in points + [(m, 0.0, np.eye(n))]:
         while len(hull) > 1 and (
@@ -235,39 +176,18 @@ def _hull(steps, blocks, n: int, m: int):
         ):
             hull.pop()
         hull.append(p)
-    return logs, hull, np.concatenate([_edge_roots(low, high, n) for low, high in zip(hull, hull[1:])])
+    return hull, np.concatenate([_edge_roots(low, high, n) for low, high in zip(hull, hull[1:])])
 
 
-def _newton_polygon_start(steps, blocks, n: int, m: int, symmetric: bool):
-    """Starting points (z, mirrored, real) for the n*m roots of det P, n
-    per unit of degree on each edge of the upper convex hull of (degree,
-    log ||coefficient||).  The asymmetric start puts them on one circle per
-    edge, at angles that are never conjugate-symmetric, none mirrored or
-    real.  The symmetric start puts one real root at each bracket of
-    _real_roots and the rest at the _edge_roots, each mirrored, less the
-    surplus starts nearest the real roots found (nearest the real axis if
-    none).  None when C_m = 0 puts roots at 0, and, for the symmetric
-    start, when the real roots cannot be counted or their count has the
-    wrong parity."""
-    found = _hull(steps, blocks, n, m)
-    if found is None:
-        return None
-    logs, hull, upper = found
+def _newton_polygon_start(hull, n: int) -> np.ndarray:
+    """Starting points for the n*m roots of det P, n per unit of degree on
+    each edge of the _hull: one circle per edge, of the radius where the
+    edge's two terms balance, at angles that are never conjugate-symmetric."""
     circles = [(math.exp((l1 - l2) / (d2 - d1)), n * (d2 - d1)) for (d1, l1, _), (d2, l2, _) in zip(hull, hull[1:])]
-    if not symmetric:
-        z = np.concatenate([
-            radius * np.exp(1j * (2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge))
-            for edge, (radius, count) in enumerate(circles)
-        ])
-        return z, np.zeros(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
-    reals = _real_roots(steps, blocks, logs, n, m)
-    if reals is None or (n * m - reals.size) % 2:
-        return None
-    near = np.min(np.abs(upper[:, None] - reals), axis=1, initial=np.inf)
-    keep = np.lexsort((upper.imag, near))[upper.size - (n * m - reals.size) // 2:]
-    z = np.concatenate([upper[keep], reals + 0j])
-    mirrored = np.arange(z.size) < keep.size
-    return z, mirrored, ~mirrored
+    return np.concatenate([
+        radius * np.exp(1j * (2.0 * math.pi * (np.arange(count) + 0.25) / count + 0.7 * edge))
+        for edge, (radius, count) in enumerate(circles)
+    ])
 
 
 def _edge_roots(low, high, n: int) -> np.ndarray:
@@ -301,21 +221,18 @@ def _powers(w: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p_matrices(z: np.ndarray, steps, blocks, n: int, m: int, derivative: bool = True):
+def _p_matrices(z: np.ndarray, steps, blocks, n: int, m: int):
     """(outside, mat, der) at each z: mat = P(z) and der = P'(z) where
     |z| <= 1, and where |z| > 1 (outside) mat = Q(w) = I - sum C_j w^j at
     w = 1/z and der its derivative in z, with p = z^(n m) det Q.  So
-    |w| <= 1, and no power of w from _powers overflows.  Without
-    derivative, der is None and the powers only its terms read are not taken."""
+    |w| <= 1, and no power of w from _powers overflows."""
     terms = [np.eye(n)] + [-c for c in blocks]
-    in_q = [0] + list(steps) + ([0] + [j + 1 for j in steps] if derivative else [])
-    in_p = [m] + [m - j for j in steps] + ([m - 1] + [max(m - j - 1, 0) for j in steps] if derivative else [])
+    in_q = [0] + list(steps) + [0] + [j + 1 for j in steps]
+    in_p = [m] + [m - j for j in steps] + [m - 1] + [max(m - j - 1, 0) for j in steps]
     outside = np.abs(z) > 1.0
     w = np.where(outside, 1.0 / np.where(outside, z, 1.0), z)
     pw = _powers(w, np.where(outside, np.array(in_q)[:, None], np.array(in_p)[:, None]))
     mat = sum(a[:, None, None] * c for a, c in zip(pw, terms))
-    if not derivative:
-        return outside, mat, None
     factors = [np.where(outside, 0, m)] + [np.where(outside, -j, m - j) for j in steps]
     return outside, mat, sum((f * a)[:, None, None] * c for f, a, c in zip(factors, pw[len(terms):], terms))
 
@@ -341,19 +258,14 @@ def _det_p(z: np.ndarray, steps, blocks, n: int, m: int) -> np.ndarray:
     return newton
 
 
-def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float, floor: float) -> tuple[float, float] | None:
+def _aberth_roots(z: np.ndarray, steps, blocks, n: int, m: int, tol: float, floor: float) -> tuple[float, float] | None:
     """The _certificate of the roots that a vectorised (Jacobi)
-    Ehrlich-Aberth iteration reaches from start = (z, mirrored, real); None
-    when the sweep cap is reached, a step is non-finite, or the only roots
-    still moving are mirrored ones whose Newton step p/p' reaches the real
-    axis, where their mirrors head too (a miscounted start).  A mirrored root
-    stands for itself and its conjugate, and a real one moves along the
-    real axis, where p is real.  The roots still moving are kept in front
-    of z and move at once: p/p' from _det_p, and the pair sums over the
-    full set from _block_sums and, against the mirrors, _mirror_sums.
-    Each sweep first takes the _disk_bound of the moving roots: once it
-    reaches floor, the run ends with (that bound, inf)."""
-    z, mirrored, real = start
+    Ehrlich-Aberth iteration reaches from the start z; None when the sweep
+    cap is reached or a step is non-finite.  The roots still moving are
+    kept in front of z and move at once: p/p' from _det_p, and the pair
+    sums over the full set from _block_sums.  Each sweep first takes the
+    _disk_bound of the moving roots: once it reaches floor, the run ends
+    with (that bound, inf)."""
     moving = z.size
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
@@ -361,25 +273,16 @@ def _aberth_roots(start, steps, blocks, n: int, m: int, tol: float, floor: float
             bound = _disk_bound(z[:moving], newton, n * m)
             if bound >= floor:
                 return bound, math.inf
-            lost = mirrored[:moving] & (np.abs(newton) >= np.abs(z.imag[:moving]))
-            sums = _block_sums(z, moving, None)
-            if mirrored.any():
-                sums += _mirror_sums(z, moving, mirrored)
-            step = newton / (1.0 - newton * sums)
-            step.imag[real[:moving]] = 0.0
+            step = newton / (1.0 - newton * _block_sums(z, moving))
             z[:moving] -= step
             # a non-finite step never stops, so it ends in the fallback
             still = np.abs(step) <= ABERTH_STOP * np.abs(z[:moving])
-            order = np.argsort(still, kind="stable")
-            for a in (z, mirrored, real):
-                a[:moving] = a[:moving][order]
+            z[:moving] = z[:moving][np.argsort(still, kind="stable")]
             moving -= int(np.count_nonzero(still))
             if moving == 0 or not np.all(np.isfinite(step)):
                 break
-            if np.all(still | lost):
-                return None
         newton = _det_p(z, steps, blocks, n, m)
-    return None if moving else _certificate(z, mirrored, newton, tol)
+    return None if moving else _certificate(z, newton, tol)
 
 
 def _disk_bound(z: np.ndarray, newton: np.ndarray, size: int) -> float:
@@ -390,16 +293,13 @@ def _disk_bound(z: np.ndarray, newton: np.ndarray, size: int) -> float:
     return float(np.max(np.abs(z) - radius, initial=-math.inf))
 
 
-def _escape(steps, blocks, n: int, m: int, floor: float) -> float | None:
+def _escape(z: np.ndarray, steps, blocks, n: int, m: int, floor: float) -> float | None:
     """A _disk_bound at or past floor, or None: plain Newton z -= p/p' from
-    the _hull's edge roots, one per conjugate pair, with no real-root scan
-    and no pair sums, to the first sweep whose bound reaches floor or does
-    not raise the best so far; after the first sweep only the iterates it
-    took to or past floor go on."""
-    found = _hull(steps, blocks, n, m)
-    if found is None:
-        return None
-    z, best = found[2], -math.inf
+    z, the _hull's edge roots, one per conjugate pair, with no pair sums,
+    to the first sweep whose bound reaches floor or does not raise the best
+    so far; after the first sweep only the iterates it took to or past
+    floor go on."""
+    best = -math.inf
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             newton = _det_p(z, steps, blocks, n, m)
@@ -413,18 +313,15 @@ def _escape(steps, blocks, n: int, m: int, floor: float) -> float | None:
     return None
 
 
-def _certificate(z: np.ndarray, mirrored: np.ndarray, newton: np.ndarray, tol: float) -> tuple[float, float] | None:
-    """(max |x|, largest disk radius) over the full root set, z and the
-    mirrors of z[mirrored], from the Newton corrections p/p' at z, or None.
-    The Newton disks |x - z_i| <= N |p(z_i)/p'(z_i)| (N the size of the
-    full set; a mirror's disk is its root's, mirrored) each hold a root of
-    p.  Widened by N ulps of max |z_i| for rounding (so never of radius
-    zero), at most tol and pairwise disjoint, a near-real root against its
-    own mirror included (checked on pairs closer in real part than twice
-    the largest radius), they hold one root each, and max |z_i| is the
+def _certificate(z: np.ndarray, newton: np.ndarray, tol: float) -> tuple[float, float] | None:
+    """(max |z_i|, largest disk radius) over the full root set z from the
+    Newton corrections p/p' at z, or None.  The Newton disks |x - z_i| <= N
+    |p(z_i)/p'(z_i)| (N = z.size) each hold a root of p.  Widened by N ulps
+    of max |z_i| for rounding (so never of radius zero), at most tol and
+    pairwise disjoint (checked on pairs closer in real part than twice the
+    largest radius), they hold one root each, and max |z_i| is the
     spectral radius to within the largest radius."""
-    z = np.concatenate([z, z[mirrored].conj()])
-    disk = z.size * (np.abs(np.concatenate([newton, newton[mirrored]])) + np.finfo(float).eps * np.max(np.abs(z)))
+    disk = z.size * (np.abs(newton) + np.finfo(float).eps * np.max(np.abs(z)))
     worst = float(np.max(disk))
     if not (math.isfinite(worst) and worst <= tol):
         return None
@@ -447,25 +344,21 @@ def _aberth_radius(steps, m: int, n: int, tol: float, floor: float = math.inf) -
     disk lies wholly at or past floor in modulus, with (certified lower
     bound, inf).
 
-    p has real coefficients, so its non-real roots come in conjugate pairs.
-    _aberth_roots first runs from the symmetric start: the real roots that
-    _real_roots brackets and one root of each pair, about N / 2 roots, at
-    the roots of the Newton polygon's edge binomials (_edge_roots).  A
-    sweep then takes (N/2)^2 / 2 pairs in each of its two pair matrices,
-    (N/2)^2 in all against N^2 / 2 on all N roots, and N / 2 Newton
-    corrections, each from batched n x n solves over the nonzero C_j only.
-    A wrong real-root count does not certify and ends the run early; the
-    same iteration then runs once from the asymmetric start on all N
-    roots.  Dense eigvals answers when C_m = 0 or neither run certifies.
+    The Newton polygon (_hull) is built once: its edge roots start _escape,
+    and its edges start _aberth_roots on all N roots, one circle per edge.
+    A sweep takes N^2 / 2 root pairs and N Newton corrections, each from
+    batched n x n solves over the nonzero C_j only.  Dense eigvals answers
+    when C_m = 0 or the iteration does not certify.
     """
     js, blocks = [j for j, _ in steps], [c for _, c in steps]
-    if floor < math.inf and (bound := _escape(js, blocks, n, m, floor)) is not None:
-        return bound, math.inf
-    for symmetric in (True, False):
-        start = _newton_polygon_start(js, blocks, n, m, symmetric)
-        found = None if start is None else _aberth_roots(start, js, blocks, n, m, tol, floor)
-        if found is not None:
-            return found
+    found = _hull(js, blocks, n, m)
+    if found is not None:
+        hull, upper = found
+        if floor < math.inf and (bound := _escape(upper, js, blocks, n, m, floor)) is not None:
+            return bound, math.inf
+        certified = _aberth_roots(_newton_polygon_start(hull, n), js, blocks, n, m, tol, floor)
+        if certified is not None:
+            return certified
     return _dense_companion_radius(steps, m, n), None
 
 

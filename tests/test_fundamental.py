@@ -197,9 +197,10 @@ class ReferenceLattice:
         exact = all(isinstance(d, Fraction) for d in delays)
         h_max = float(delays[-1])
         if exact:
-            steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * h_max
-            # the exact sum of the horizon and 1e-12 max(h_max, horizon)
-            limit = Fraction(horizon) + Fraction(1e-12 * max(h_max, horizon))
+            # one tolerance, 1e-12 max(h_max, horizon): lookups snap with it,
+            # and the lattice ends at its exact sum with the horizon
+            steps, start, tol, snap = list(delays), Fraction(0), 0.0, 1e-12 * max(h_max, horizon)
+            limit = Fraction(horizon) + Fraction(snap)
         else:
             steps, start = [float(d) for d in delays], 0.0
             tol = snap = MERGE_TOL_SCALE * h_max
@@ -1084,6 +1085,38 @@ class TestCauchyIntegerSteps:
         table = dl.delta_k(vsys, t)
         assert len(table) == 100_002
         assert table.jump_at(t)[0, 0] == -1.0
+
+    def test_k_reads_the_step_its_jump_table_reads(self):
+        # x(t) = -x(t - 1/10), phi = 1, to 10000.5: two ulps below fl(k / 10)
+        # lies within 1e-12 max(h_max, horizon) of the step k but past
+        # 1e-12 h_max.  K on both sides reads step k there, (-1)^k / 2, as
+        # dK's table (and either time response) places that point
+        vsys = dl.validate(dl.DelaySystem.single([[-1.0]], Fraction(1, 10)))
+        kfuns = [dl.fundamental_matrix(vsys, 10000.5, side) for side in ("right", "left")]
+        table = dl.delta_k(vsys, 10000.5)
+        for k in range(100_001, 100_005):
+            t = math.nextafter(math.nextafter(float(Fraction(k, 10)), 0.0), 0.0)
+            for kfun in kfuns:
+                assert kfun.value(t)[0, 0] == 0.5 * (-1.0) ** k
+            assert table.times[table.index_many(t)] == float(Fraction(k, 10))
+
+    @pytest.mark.parametrize("delays, horizon", [
+        ([Fraction(1, 10), Fraction(13, 10)], 5.0),
+        ([Fraction(1, 10), Fraction(13, 10)], 2000.0),
+        ([1.0, math.sqrt(2.0)], 5.0),
+        ([1.0, math.sqrt(2.0)], 50.0),
+    ])
+    def test_k_and_dk_share_one_snap(self, delays, horizon):
+        # one lookup tolerance per lattice: K's snap is its jump table's tol,
+        # a kept K's prefix takes its own horizon's, and K's domain ends at
+        # horizon + snap
+        vsys = dl.validate(dl.DelaySystem(1, [(d, [[0.4 if j else 0.3]]) for j, d in enumerate(delays)]))
+        kfun = dl.fundamental_matrix(vsys, horizon)
+        assert kfun.snap == dl.delta_k(vsys, horizon).tol
+        assert dl.fundamental_matrix(vsys, 2.0).snap == dl.delta_k(vsys, 2.0).tol
+        kfun.value(horizon + kfun.snap)
+        with pytest.raises(dl.OutOfDomain):
+            kfun.value(math.nextafter(horizon + kfun.snap, math.inf))
 
     def test_tie_at_tol_sits_on_the_step(self):
         # a grid to nextafter(tol) has tol = 1e-12 h_max exactly: the point

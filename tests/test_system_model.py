@@ -148,7 +148,7 @@ def real_root_companions(draw):
     by 1e-40..1e-8, so several Newton-polygon circles and roots near 0.
     "close": n = 3 and C_m = S diag(c, c (1 + d), -c') S^-1 with
     d <= 0.3, whose real roots c^(1/m) and (c (1 + d))^(1/m) are less than
-    the scan's step 1/(n m) apart in log |x|, so the scan may miss both."""
+    1/(n m) apart in log |x|."""
     kind = draw(st.sampled_from(["blocks", "scalar", "tiny", "close"]))
     n = {"scalar": 1, "close": 3}.get(kind) or draw(st.sampled_from([1, 3]))
     m = 2 * draw(st.integers(15, 199)) + 1
@@ -766,7 +766,8 @@ class TestStructuredCompanion:
         raw, n = case
         form = stability._commensurate_form(raw)
         floor = 1.0 + stability.EXACT_MARGIN
-        bound = stability._escape([j for j, _ in form.steps], [c for _, c in form.steps], n, form.m, floor)
+        js, blocks = [j for j, _ in form.steps], [c for _, c in form.steps]
+        bound = stability._escape(stability._hull(js, blocks, n, form.m)[1], js, blocks, n, form.m, floor)
         rho, radius = stability._aberth_radius(form.steps, form.m, n, stability.EXACT_MARGIN / 10.0)
         error = radius if radius is not None else dense_error_bound(slots(form), n)
         if rho < floor - error:
@@ -775,13 +776,12 @@ class TestStructuredCompanion:
             assert floor <= bound <= rho + error
 
     def test_sqrt2_rungs_certify_by_plain_newton(self, ex3, monkeypatch):
-        # orders 4, 7 and 8 certify in the pre-pass, before the real-root
-        # scan or any pair sum, at a lower bound of the full radius
+        # orders 4, 7 and 8 certify in the pre-pass, before any pair sum,
+        # at a lower bound of the full radius
         def boom(*args):
             raise AssertionError("full screen")
 
         monkeypatch.setattr(stability, "_block_sums", boom)
-        monkeypatch.setattr(stability, "_real_roots", boom)
         for order, full in ((4, 1.004804707671819), (7, 1.0003407872223922), (8, 1.0001411454177214)):
             rep = dl.stability_check(dl.approximate_system(ex3, order).to_system(), with_decay=False)
             assert (rep.verdict, rep.reason) == ("unstable", LOWER_BOUND)
@@ -795,7 +795,8 @@ class TestStructuredCompanion:
         raw = dl.DelaySystem(1, [(Fraction(1), [[-1.2]]), (Fraction(76), [[-0.5]])])
         form = stability._commensurate_form(raw)
         floor = 1.0 + stability.EXACT_MARGIN
-        assert stability._escape([1, 76], [c for _, c in form.steps], 1, 76, floor) is None
+        blocks = [c for _, c in form.steps]
+        assert stability._escape(stability._hull([1, 76], blocks, 1, 76)[1], [1, 76], blocks, 1, 76, floor) is None
         rho, radius = stability._aberth_radius(form.steps, form.m, 1, stability.EXACT_MARGIN / 10.0)
         rep = dl.stability_check(raw, with_decay=False)
         assert (rep.verdict, rep.reason) == ("unstable", LOWER_BOUND)
@@ -813,7 +814,8 @@ class TestStructuredCompanion:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("chunk", [40, 1 << 14])
     def test_pair_sums_match_row_sums(self, seed, chunk, monkeypatch):
-        # roots with conjugate pairs and real ones; small chunks give many
+        # roots with conjugate pairs and real ones, as the iteration meets
+        # them near its end; small chunks give many
         # row blocks, growing as the triangle narrows
         monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(seed)
@@ -832,7 +834,7 @@ class TestStructuredCompanion:
         moved = np.sum(delta / (dist * (dist - delta)), axis=1)
         for rows in (z.size, 31, 1):
             with np.errstate(divide="ignore"):
-                got = stability._block_sums(z, rows, None)
+                got = stability._block_sums(z, rows)
             assert got.shape == (rows,)
             assert np.all(np.abs(got - want[:rows]) <= z.size * EPS32 * scale[:rows] + moved[:rows])
 
@@ -843,22 +845,21 @@ class TestStructuredCompanion:
         rng = np.random.default_rng(3)
         z = rng.normal(size=60) + 1j * rng.normal(size=60)
         with np.errstate(divide="ignore"):
-            base = stability._block_sums(z, z.size, None)
-            got = stability._block_sums(z * factor, z.size, None)
+            base = stability._block_sums(z, z.size)
+            got = stability._block_sums(z * factor, z.size)
         assert got.dtype == np.complex128
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got * factor - base) <= 1e-6 * np.max(np.abs(base)))
 
     def test_certificate_does_not_trust_the_pair_sums(self, order6_rung, monkeypatch):
         # the sums only steer the iteration: with a relative error of 1e-3
-        # in each pair sum (mirrored None), the order-6 rung still certifies
-        # by its Newton disks
+        # in each pair sum, the order-6 rung still certifies by its Newton
+        # disks
         exact = stability._block_sums
         wobble = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=478))
 
-        def off(z, rows, mirrored):
-            sums = exact(z, rows, mirrored)
-            return sums if mirrored is not None else sums * (1.0 + 1e-3 * wobble[:rows])
+        def off(z, rows):
+            return exact(z, rows) * (1.0 + 1e-3 * wobble[:rows])
 
         monkeypatch.setattr(stability, "_block_sums", off)
         form, ref = order6_rung
@@ -914,82 +915,26 @@ class TestStructuredCompanion:
         assert abs(rho - ref) <= near or abs(rho - ref) <= near + dense_error_bound(coeffs, n)
         assert verdict(rho) == verdict(ref)
 
-    @pytest.mark.parametrize("wrong", ["none", "one", "extra"])
-    def test_wrong_real_root_count_retries(self, order6_rung, wrong, monkeypatch):
-        # the order-6 rung has two real roots; a count of 0 or 4 leaves the
-        # symmetric run uncertified, and a count of 1 has the wrong parity
-        # and no symmetric start; either way the asymmetric run answers
-        scan, start = stability._real_roots, stability._newton_polygon_start
-        asked = []
-
-        def miscount(*args):
-            reals = scan(*args)
-            assert reals.size == 2
-            return {"none": reals[:0], "one": reals[:1], "extra": np.append(reals, [0.5, 0.6])}[wrong]
-
-        def record(steps, blocks, n, m, symmetric):
-            asked.append(symmetric)
-            return start(steps, blocks, n, m, symmetric)
-
-        monkeypatch.setattr(stability, "_real_roots", miscount)
-        monkeypatch.setattr(stability, "_newton_polygon_start", record)
-        form, ref = order6_rung
-        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
-        assert asked == [True, False]
-        assert radius is not None and radius <= 1e-10
-        assert abs(rho - ref) <= radius + 8 * EPS * rho
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("chunk", [40, 1 << 14])
-    def test_mirror_sums_complete_the_full_set(self, seed, chunk, monkeypatch):
-        # 40 mirrored roots, some near the real axis, and 9 real ones in a
-        # shuffled order: the direct and mirror sums of a root add to its
-        # sum over the full set of 89, within the float32 bound of
-        # test_pair_sums_match_row_sums taken over that set
-        monkeypatch.setattr(fundamental, "CHUNK_ENTRIES", chunk)
-        rng = np.random.default_rng(seed)
-        upper = rng.normal(size=40) + 1j * np.abs(rng.normal(size=40)) * np.where(np.arange(40) < 5, 1e-3, 1.0)
-        z = np.concatenate([upper, rng.normal(size=9) + 0j])
-        order = rng.permutation(z.size)
-        z, mirrored = z[order], (np.arange(z.size) < 40)[order]
-        full = np.concatenate([z, z[mirrored].conj()])
-        dist = np.abs(full[:, None] - full[None, :]) + np.diag(np.full(full.size, np.inf))
-        want = np.sum(1.0 / (full[:, None] - full[None, :] + np.diag(np.full(full.size, np.inf))), axis=1)
-        delta = (EPS32 + EPS) * np.max(np.abs(full))
-        bound = full.size * EPS32 * np.sum(1.0 / dist, axis=1) + np.sum(delta / (dist * (dist - delta)), axis=1)
-        for rows in (z.size, 31, 1):
-            with np.errstate(divide="ignore"):
-                got = stability._block_sums(z, rows, None) + stability._mirror_sums(z, rows, mirrored)
-            assert np.all(np.abs(got - want[:rows]) <= bound[:rows])
-
     def test_near_real_root_meets_its_own_mirror(self):
-        # one mirrored root stands for z and conj(z); with |p/p'| = 1e-13 its
-        # disk has radius 2 (1e-13 + eps |z|) and meets its mirror's when
-        # Im z = 1e-13, not when Im z = 1e-6
-        newton, mirrored = np.array([1e-13]), np.array([True])
-        assert stability._certificate(np.array([0.5 + 1e-13j]), mirrored, newton, 1e-10) is None
-        rho, radius = stability._certificate(np.array([0.5 + 1e-6j]), mirrored, newton, 1e-10)
+        # a near-real root and its conjugate in the full set; with |p/p'| =
+        # 1e-13 each disk has radius 2 (1e-13 + eps |z|), and the two meet
+        # when Im z = 1e-13, not when Im z = 1e-6
+        newton = np.array([1e-13, 1e-13])
+        assert stability._certificate(np.array([0.5 + 1e-13j, 0.5 - 1e-13j]), newton, 1e-10) is None
+        rho, radius = stability._certificate(np.array([0.5 + 1e-6j, 0.5 - 1e-6j]), newton, 1e-10)
         assert rho == abs(0.5 + 1e-6j)
         assert 2e-13 < radius < 3e-13
-        # as a plain root, with no mirror, the same disk certifies
-        assert stability._certificate(np.array([0.5 + 1e-13j]), ~mirrored, newton, 1e-10) is not None
+        # alone, with no conjugate beside it, the same disk certifies
+        assert stability._certificate(np.array([0.5 + 1e-13j]), newton[:1], 1e-10) is not None
 
     @pytest.mark.parametrize("order", [4, 7])
     def test_perturbed_sqrt2_rungs_certify_symmetric(self, ex3, order, monkeypatch):
         # example 3 with each entry scaled by 1 + U(-0.02, 0.02), as the
-        # benchmark's ladder draws it: the symmetric start certifies, with
-        # neither the asymmetric retry nor dense eigvals to fall back on
-        start = stability._newton_polygon_start
-
-        def symmetric_only(steps, blocks, n, m, symmetric):
-            if not symmetric:
-                raise AssertionError("asymmetric retry")
-            return start(steps, blocks, n, m, symmetric)
-
+        # benchmark's ladder draws it: the circle start on all roots
+        # certifies, with no dense eigvals to fall back on
         def boom(*args):
             raise AssertionError("dense fallback")
 
-        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         rng = np.random.default_rng(19)
         for _ in range(5):
@@ -1035,20 +980,25 @@ class TestScreenKernels:
             raise AssertionError("dense fallback")
 
         half = dl.validate(dl.DelaySystem(2, [(d, 0.5 * a) for d, a in ex3.system.entries]))
+        # dense eigvals at orders 7 and 8 take about 2 s and 20 s: their
+        # radii are kept here, the smaller rungs' taken afresh
+        dense = {order: reference_companion_radius(slots(dl.approximate_system(half, order)), 2) for order in (4, 5, 6)}
+        dense.update({7: 0.9990562037622118, 8: 0.9996089587074587})
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
-        kept = [0.9867894035841416, 0.9945112789511986, 0.9977229902777381, 0.9990562037622082, 0.9996089587074604]
+        kept = [0.9867894035841416, 0.9945112789511986, 0.9977229902777381, 0.9990562037622082, 0.9996089587074605]
         for order, want in zip(range(4, 9), kept):
             form = dl.approximate_system(half, order)
             assert 2 * form.m >= stability.STRUCTURED_CUTOFF
             rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
+            assert abs(rho - dense[order]) <= radius + 8 * EPS * rho
             assert verdict(rho) == "stable"
             rep = dl.stability_check(form.to_system(), with_decay=False)
             assert (rep.verdict, rep.reason, rep.spectral_radius) == ("stable", None, rho) and rho == want
 
 class TestEdgeStarts:
-    """The symmetric start at the roots of the Newton polygon's edge
-    binomials, and the early end of a run from a miscounted start."""
+    """The plain Newton starts at the roots of the Newton polygon's edge
+    binomials, and the circle start on all roots that certifies."""
 
     @pytest.mark.parametrize("c, e", [(2.5, 7), (2.5, 6), (-0.7, 5), (-0.7, 6)])
     def test_scalar_binomial_edge_is_exact(self, c, e):
@@ -1067,17 +1017,6 @@ class TestEdgeStarts:
         assert got.shape == want.shape
         assert np.all(np.abs(got[np.argsort(np.angle(got))] - want) <= 8 * EPS * size)
 
-    def test_scalar_symmetric_start_is_the_roots(self):
-        # p = z^31 - 2.5: the scan brackets the one real root, and the 15
-        # mirrored starts are the roots above the axis, the turned one dropped
-        m, c = 31, 2.5
-        z, mirrored, real = stability._newton_polygon_start([m], [np.array([[c]])], 1, m, True)
-        assert (np.count_nonzero(mirrored), np.count_nonzero(real)) == (15, 1)
-        size = c ** (1.0 / m)
-        assert abs(z[real][0] - size) <= size / m
-        want = size * np.exp(2j * np.pi * np.arange(1, 16) / m)
-        assert np.all(np.abs(np.sort_complex(z[mirrored]) - np.sort_complex(want)) <= 8 * EPS * size)
-
     @pytest.mark.parametrize("which", ["high", "low"])
     def test_singular_edge_matrix_keeps_the_circle(self, which):
         # S2 = -diag(8, 0) has no inverse, and with S1 = -diag(8, 0) the
@@ -1091,15 +1030,13 @@ class TestEdgeStarts:
         assert np.all(np.abs(np.abs(got) - math.exp((low[1] - high[1]) / e)) <= 8 * EPS * np.abs(got))
 
     def test_singular_hull_vertex_certifies_symmetric(self, monkeypatch):
-        # C_5 = diag(8, 0) is a vertex of the hull, singular at both its edges
-        start = stability._newton_polygon_start
+        # C_5 = diag(8, 0) is a vertex of the hull, singular at both its
+        # edges: the circle start certifies, with no dense eigvals to fall
+        # back on
+        def boom(*args):
+            raise AssertionError("dense fallback")
 
-        def symmetric_only(steps, blocks, n, m, symmetric):
-            if not symmetric:
-                raise AssertionError("asymmetric retry")
-            return start(steps, blocks, n, m, symmetric)
-
-        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
+        monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         coeffs = [np.zeros((2, 2))] * 40
         coeffs[4], coeffs[39] = np.diag([8.0, 0.0]), np.array([[0.5, 0.1], [-0.2, 0.4]])
         rho, radius = stability._aberth_radius(*steps_of(coeffs), 2, 1e-10)
@@ -1108,16 +1045,11 @@ class TestEdgeStarts:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_sweep_budget(self, ex3, scale, monkeypatch):
-        # example 3, plain and times 0.5, at orders 4, 7 and 8: the symmetric
-        # run certifies in at most 5 sweeps (6 or 7 from the circles), one
-        # _det_p call each plus one for the certificate
-        start, det_p = stability._newton_polygon_start, stability._det_p
+        # example 3, plain and times 0.5, at orders 4, 7 and 8: the circle
+        # start certifies in at most 7 sweeps (6 times 0.5), one _det_p call
+        # each plus one for the certificate
+        det_p = stability._det_p
         calls = []
-
-        def symmetric_only(steps, blocks, n, m, symmetric):
-            if not symmetric:
-                raise AssertionError("asymmetric retry")
-            return start(steps, blocks, n, m, symmetric)
 
         def counted(z, *args):
             calls.append(z.size)
@@ -1126,7 +1058,6 @@ class TestEdgeStarts:
         def boom(*args):
             raise AssertionError("dense fallback")
 
-        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
         monkeypatch.setattr(stability, "_det_p", counted)
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         system = dl.validate(dl.DelaySystem(2, [(d, scale * a) for d, a in ex3.system.entries]))
@@ -1135,50 +1066,16 @@ class TestEdgeStarts:
             form = dl.approximate_system(system, order)
             rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
             assert radius <= 1e-10
-            assert len(calls) - 1 <= 5, (order, calls)
-
-    def test_miscounted_start_ends_early(self, order6_rung, monkeypatch):
-        # a scan that misses the two real roots of the order-6 rung leaves a
-        # mirrored root to close on them with its mirror; once it is all that
-        # still moves, its Newton step reaches the axis and the run ends, well
-        # before ABERTH_SWEEPS, and the asymmetric run answers
-        scan, start, det_p = stability._real_roots, stability._newton_polygon_start, stability._det_p
-        events = []
-
-        def record(steps, blocks, n, m, symmetric):
-            events.append(symmetric)
-            return start(steps, blocks, n, m, symmetric)
-
-        def counted(z, *args):
-            events.append("sweep")
-            return det_p(z, *args)
-
-        monkeypatch.setattr(stability, "_real_roots", lambda *args: scan(*args)[:0])
-        monkeypatch.setattr(stability, "_newton_polygon_start", record)
-        monkeypatch.setattr(stability, "_det_p", counted)
-        form, ref = order6_rung
-        rho, radius = stability._aberth_radius(form.steps, form.m, 2, 1e-10)
-        assert radius is not None and abs(rho - ref) <= radius + 8 * EPS * rho
-        assert events[0] is True and events.count(True) == 1 and events.count(False) == 1
-        assert events.index(False) - 1 <= 10 < stability.ABERTH_SWEEPS
+            assert len(calls) - 1 <= 7, (order, calls)
 
     @pytest.mark.parametrize("seed", [11, 12, 15, 17, 24])
     def test_slow_pair_near_the_axis_is_not_ended(self, seed, monkeypatch):
-        # z^31 - c_3 z^28 - c_24 z^7 - c_31: a mirrored root closes on a
-        # complex root near the axis at a linear rate, its Newton disk
-        # (31 |p/p'|) across the axis for sweeps but its Newton step not;
-        # ending on the disk gave up these runs at sweep 6 of 8-11
-        start = stability._newton_polygon_start
-
-        def symmetric_only(steps, blocks, n, m, symmetric):
-            if not symmetric:
-                raise AssertionError("asymmetric retry")
-            return start(steps, blocks, n, m, symmetric)
-
+        # z^31 - c_3 z^28 - c_24 z^7 - c_31 with a complex root near the
+        # real axis, on which a conjugate-pair start once closed slowly: the
+        # circle start certifies them, with no dense eigvals to fall back on
         def boom(*args):
             raise AssertionError("dense fallback")
 
-        monkeypatch.setattr(stability, "_newton_polygon_start", symmetric_only)
         monkeypatch.setattr(stability, "_dense_companion_radius", boom)
         rng = np.random.default_rng(seed)
         coeffs = [np.zeros((1, 1))] * 31

@@ -1,7 +1,8 @@
 """Mutation gate: does tier-1 notice a wrong verdict, a dropped bound, a
 moved threshold, a broken recursion kernel, a wrong block of the
 Lyapunov system, an unsettled delay, a companion screen that stops on
-a root it has not certified or stops too late, a last step to a horizon
+a root it has not certified or stops too late, a certificate that lets
+Newton disks overlap, a last step to a horizon
 that falls short, a convolution response that reads a step too many, or
 a recursion response whose rational leaves read off float steps?
 
@@ -68,6 +69,14 @@ MUTANTS = [
         "stability.py",
         "            bound = _disk_bound(z[:moving], newton, n * m)\n",
         "            bound = -math.inf\n",
+    ),
+    # the certificate without its disjointness test: Newton disks that
+    # overlap may hold one root between them, not one each
+    (
+        "certificate_overlap_dropped",
+        "stability.py",
+        "        if np.any(np.abs(z[near + offset] - z[near]) <= disk[near + offset] + disk[near]):\n",
+        "        if False:\n",
     ),
     ("cond_fail_1e14", "lyapunov_build.py", "COND_FAIL = 1e12\n", "COND_FAIL = 1e14\n"),
     (
@@ -148,8 +157,8 @@ MUTANTS = [
     (
         "last_step_tol_h_max",
         "fundamental.py",
-        "tol = 1e-12 * max(float(delays[-1]), horizon)\n",
-        "tol = 1e-12 * float(delays[-1])\n",
+        "    return 1e-12 * max(float(delays[-1]), horizon)\n",
+        "    return 1e-12 * float(delays[-1])\n",
     ),
     (
         "cauchy_table_one_step_short",
